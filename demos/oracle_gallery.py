@@ -10,7 +10,7 @@ Run:  python demos/oracle_gallery.py
 
 import numpy as np
 
-from pesvlab import oracles
+from pesvlab import erm, oracles
 
 # Exact rational arithmetic: binomial inverse-moment averages against 5/n.
 print("binomial inverse-moment averages (exact rationals):")
@@ -45,7 +45,7 @@ for m in (1, 4, 16):
 # The signed-sum supremum over the unit path-norm ball, estimated from below
 # by multi-start projected ascent, against the closed-form upper bound.
 print("\nsigned-sum supremum over the unit-norm class (n=64, d=2, width 8):")
-X = oracles._uniform_ball_points(np.random.default_rng(5), 64, 2)
+X = erm.uniform_ball(np.random.default_rng(5), 64, 2)
 r = oracles.rademacher_mc((8,), 1.0, X, trials=50, n_starts=8, inner_steps=80, seed=7)
 print(f"  estimate {r.estimate:.3f} +/- {r.stderr:.3f} <= bound {r.bound:.2f}")
 print(f"  empirical chaining constant c_hat = {r.c_hat:.4f}")

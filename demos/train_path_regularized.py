@@ -11,7 +11,7 @@ Run:  python demos/train_path_regularized.py
 import numpy as np
 
 from pesvlab import erm, norms, oracles, theory
-from pesvlab.cli import documented_teacher
+from pesvlab.erm import documented_teacher
 from pesvlab.netcore import ActivationSpec
 
 act = ActivationSpec.relu()
@@ -30,7 +30,7 @@ lam = theory.lambda_overparam(cfg)
 print(f"penalty lambda = {lam:.5f}")
 
 init = erm.init_params((16,), 2, seed=1)
-opt = erm.OptimizerConfig(step_size=0.4, max_iters=40_000, seed=1)
+opt = erm.OptimizerConfig(step_size=0.4, max_iters=40_000)
 res = erm.train(init, ds, lam, loss, erm.Penalty("pesv"), opt, act)
 
 emp = erm.empirical_error(res.params, act, teacher, ds)

@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import difflib
+import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,107 +23,9 @@ import numpy as np
 from . import erm, norms, oracles, theory
 from .config import ConfigError, RunConfig, parse_config, parse_widths_spec
 from .erm import DivergenceError
-from .netcore import ActivationSpec, NetParams, load_network, save_network
+from .netcore import ActivationSpec, load_network, save_network
 
 __all__ = ["main"]
-
-_SUITES = (
-    "lemmas",
-    "maurey",
-    "rademacher",
-    "entropy",
-    "pointwise",
-    "collinearity",
-    "equivalence",
-    "all",
-)
-_SOFT_SUITES = {"collinearity", "equivalence"}
-
-# Tuned experiment settings for the training-based verification suites.
-COLLINEARITY_CONFIG = {
-    "d": 2,
-    "n": 16,
-    "widths": (8,),
-    "lam": 0.05,
-    "iters": 200_000,
-    "seeds": (0, 1, 2, 3, 4),
-    "step_size": 0.5,
-    "sigma_eps": 0.0,
-    "min_cosine": 0.99,
-    "min_good_seeds": 4,
-}
-EQUIVALENCE_CONFIG = {
-    "d": 2,
-    "n": 32,
-    "widths": (16,),
-    "lam": 0.01,
-    "iters": 40_000,
-    "seeds": (0, 1, 2, 3, 4),
-    "step_size": 0.5,
-    "sigma_eps": 0.05,
-    "max_gap": 0.05,
-}
-
-
-def _timestamp_line() -> str:
-    return f"# generated {datetime.datetime.now().isoformat()}\n"
-
-
-def documented_teacher(d: int = 2, widths=(2,), seed: int = 11) -> erm.TeacherSpec:
-    """Deterministic small relu teacher with path norm exactly 1."""
-    params = erm.init_params(widths, d, seed=seed)
-    nu = norms.pesv_norm(params)
-    layers = [np.array(w) for w in params.layers]
-    layers[-1] /= nu
-    return erm.TeacherSpec.create(NetParams(tuple(layers)), ActivationSpec.relu())
-
-
-def run_collinearity_experiment(cfg: dict | None = None) -> list[dict]:
-    """Train the documented penalized problem per seed and report whether all
-    same-cone non-boundary first-layer pairs end up collinear."""
-    c = dict(COLLINEARITY_CONFIG)
-    if cfg:
-        c.update(cfg)
-    teacher = documented_teacher(d=c["d"])
-    act = ActivationSpec.relu()
-    rows = []
-    for seed in c["seeds"]:
-        ds = erm.sample_dataset(
-            teacher, c["n"], c["sigma_eps"], seed=1000 + seed
-        )
-        loss = erm.LossSpec.mse_for(teacher, c["sigma_eps"])
-        init = erm.init_params(c["widths"], c["d"], seed=seed)
-        opt = erm.OptimizerConfig(
-            step_size=c["step_size"], max_iters=c["iters"], seed=seed
-        )
-        res = erm.train(init, ds, c["lam"], loss, erm.Penalty("pesv"), opt, act)
-        rep = oracles.collinearity_report(res.params, act, ds.inputs)
-        rows.append(
-            {
-                "seed": seed,
-                "global_min_abs_cosine": rep.global_min,
-                "boundary_neurons": list(rep.boundary_neurons),
-                "groups": [list(g) for g in rep.per_group],
-                "objective": res.best_objective,
-                "ok": rep.global_min >= c["min_cosine"],
-            }
-        )
-    return rows
-
-
-def run_equivalence_experiment(cfg: dict | None = None) -> oracles.EquivalenceResult:
-    """Documented regularizer-equivalence run (path norm vs weight decay vs
-    mixed max) on a fixed dataset across several initialization seeds."""
-    c = dict(EQUIVALENCE_CONFIG)
-    if cfg:
-        c.update(cfg)
-    teacher = documented_teacher(d=c["d"])
-    ds = erm.sample_dataset(teacher, c["n"], c["sigma_eps"], seed=0)
-    loss = erm.LossSpec.mse_for(teacher, c["sigma_eps"])
-    opt = erm.OptimizerConfig(step_size=c["step_size"], max_iters=c["iters"])
-    return oracles.equivalence_check_relu(
-        ds, c["lam"], c["widths"], c["seeds"], ActivationSpec.relu(), loss, opt
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,60 +33,39 @@ def run_equivalence_experiment(cfg: dict | None = None) -> oracles.EquivalenceRe
 # ---------------------------------------------------------------------------
 
 
-def _parse_activation(text: str) -> ActivationSpec:
-    text = text.strip()
-    if text == "relu":
-        return ActivationSpec.relu()
-    if text == "identity":
-        return ActivationSpec.identity()
-    if text.startswith("leaky_relu"):
-        try:
-            alpha = float(text.split(":", 1)[1])
-        except (IndexError, ValueError):
-            raise ConfigError(f"bad activation spec {text!r}") from None
-        return ActivationSpec.leaky_relu(alpha)
-    raise ConfigError(f"unknown activation {text!r}")
-
-
-def _teacher_from_config(cfg: RunConfig) -> erm.TeacherSpec:
+def _problem_from_config(cfg: RunConfig) -> tuple[erm.TeacherSpec, int, float, int]:
+    """The teacher, sample count, noise level and data seed of ``[problem]``."""
     path = cfg.get("problem", "teacher_file")
     if path is not None:
         try:
-            params, act = load_network(path)
+            teacher = erm.TeacherSpec.create(*load_network(path))
         except FileNotFoundError:
             raise ConfigError(f"{cfg.path}: teacher file {path!r} not found") from None
-        return erm.TeacherSpec.create(params, act)
-    widths = cfg.get_int_list("problem", "teacher_widths")
-    if widths is None:
-        raise ConfigError(f"{cfg.path}: need [problem] teacher_file or teacher_widths")
-    d = cfg.get_int("problem", "d")
-    if d is None:
-        raise ConfigError(f"{cfg.path}: need [problem] d")
-    seed = cfg.get_int("problem", "teacher_seed", 11)
-    return documented_teacher(d=d, widths=tuple(widths), seed=seed)
+    else:
+        widths = cfg.get_int_list("problem", "teacher_widths")
+        if widths is None:
+            raise ConfigError(f"{cfg.path}: need [problem] teacher_file or teacher_widths")
+        d = cfg.get_int("problem", "d")
+        if d is None:
+            raise ConfigError(f"{cfg.path}: need [problem] d")
+        seed = cfg.get_int("problem", "teacher_seed", 11)
+        teacher = erm.documented_teacher(d=d, widths=tuple(widths), seed=seed)
+    n = cfg.get_int("problem", "n")
+    if n is None:
+        raise ConfigError(f"{cfg.path}: need [problem] n")
+    sigma = cfg.get_float("problem", "sigma_eps", 0.0)
+    return teacher, n, sigma, cfg.get_int("problem", "seed", 0)
 
 
-def _loss_from_config(
-    cfg: RunConfig, teacher: erm.TeacherSpec, sigma_eps: float
-) -> erm.LossSpec:
-    kind = cfg.get("loss", "kind", "mse")
-    rb = cfg.get_float("loss", "range_bound")
-    if kind == "mse":
-        return erm.LossSpec.mse(rb) if rb else erm.LossSpec.mse_for(teacher, sigma_eps)
-    if kind.startswith("huber"):
-        try:
-            delta = float(kind.split(":", 1)[1])
-        except (IndexError, ValueError):
-            raise ConfigError(f"bad loss spec {kind!r}") from None
-        base = rb or erm.LossSpec.mse_for(teacher, sigma_eps).range_bound
-        return erm.LossSpec.huber(delta, base)
-    if kind == "logistic":
-        base = rb or erm.LossSpec.mse_for(teacher, sigma_eps).range_bound
-        return erm.LossSpec.logistic(base)
-    raise ConfigError(f"unknown loss kind {kind!r}")
+def _width_grid(args, cfg: RunConfig) -> list[int]:
+    spec = args.widths or cfg.get("bounds", "widths")
+    if not spec:
+        raise ConfigError("no width grid given (use --widths or [bounds] widths)")
+    return parse_widths_spec(spec)
 
 
-def _bound_config(cfg: RunConfig, L: int | None = None) -> theory.BoundConfig:
+def _bound_config(cfg: RunConfig) -> tuple[theory.BoundConfig, tuple[int, ...]]:
+    """The bound settings and the width pattern; the depth is ``len(pattern)+1``."""
     n = cfg.get_float("bounds", "n", cfg.get_float("problem", "n"))
     d = cfg.get_int("bounds", "d", cfg.get_int("problem", "d"))
     if n is None or d is None:
@@ -190,19 +73,19 @@ def _bound_config(cfg: RunConfig, L: int | None = None) -> theory.BoundConfig:
     sigma = cfg.get_float(
         "bounds", "sigma_eps", cfg.get_float("problem", "sigma_eps", 0.0)
     )
-    pattern = cfg.get_int_list("bounds", "pattern") or [1]
-    depth = L or cfg.get_int("bounds", "L", len(pattern) + 1)
-    return theory.BoundConfig(
-        n=n,
-        d=d,
-        L=depth,
-        L_sigma=cfg.get_float("bounds", "L_sigma", 1.0),
-        sigma_eps=sigma,
-        M=cfg.get_float("bounds", "M", 1.0),
-        c=cfg.get_float("bounds", "c", 1.0),
-        C=cfg.get_float("bounds", "C", 1.0),
-        C1=cfg.get_float("bounds", "C1", 1.0),
-    )
+    pattern = tuple(cfg.get_int_list("bounds", "pattern") or [1])
+    depth = len(pattern) + 1
+    if cfg.get_int("bounds", "L", depth) != depth:
+        raise ConfigError(
+            f"{cfg.path}: [bounds] L={cfg.get('bounds', 'L')} disagrees with "
+            f"pattern={','.join(map(str, pattern))}, which gives depth {depth}"
+        )
+    # Constants the file leaves out keep the defaults of BoundConfig.
+    consts = {
+        k: v for k in ("L_sigma", "M", "c", "C", "C1")
+        if (v := cfg.get_float("bounds", k)) is not None
+    }
+    return theory.BoundConfig(n=n, d=d, L=depth, sigma_eps=sigma, **consts), pattern
 
 
 def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, erm.Penalty]:
@@ -210,17 +93,35 @@ def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, 
         step_size=cfg.get_float("optimizer", "step_size", 0.1),
         max_iters=cfg.get_int("optimizer", "max_iters", 10_000),
         tolerance=cfg.get_float("optimizer", "tolerance", 0.0),
-        seed=cfg.get_int("optimizer", "seed", 0),
-        schedule=cfg.get("optimizer", "schedule", "inv_sqrt"),
+        schedule=cfg.get_parsed(
+            "optimizer", "schedule", erm.OptimizerConfig.parse_schedule, "inv_sqrt"
+        ),
     )
     lam = cfg.get_float("optimizer", "lambda", 0.0)
-    reg = erm.Penalty.parse(cfg.get("optimizer", "regularizer", "pesv"))
+    reg = cfg.get_parsed("optimizer", "regularizer", erm.Penalty.parse, erm.Penalty("pesv"))
     return opt, lam, reg
+
+
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for a sweep: at most one per task and per core."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+
+def _emit(args, path: str | None, body: str) -> None:
+    """Write ``body`` to ``path``, or to stdout without one, after a
+    timestamp comment unless ``--no-timestamp`` is given."""
+    if not args.no_timestamp:
+        body = f"# generated {datetime.datetime.now().isoformat()}\n" + body
+    if path:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
 
 
 def _write_svg(path: str, xs, ys, label: str) -> None:
@@ -247,29 +148,12 @@ def _write_svg(path: str, xs, ys, label: str) -> None:
 
 def cmd_bound(args) -> int:
     cfg = parse_config(args.config)
-    spec = args.widths or cfg.get("bounds", "widths")
-    if not spec:
-        print("error: no width grid given (use --widths or [bounds] widths)", file=sys.stderr)
-        return 2
-    widths = parse_widths_spec(spec)
-    pattern = cfg.get_int_list("bounds", "pattern") or [1]
-    bcfg = _bound_config(cfg, L=len(pattern) + 1)
+    widths = _width_grid(args, cfg)
+    bcfg, pattern = _bound_config(cfg)
     result = theory.double_descent_sweep(bcfg, widths, pattern)
-
-    lines = []
-    if not args.no_timestamp:
-        lines.append(_timestamp_line())
-
-    import io
-
     body = io.StringIO()
     theory.sweep_to_csv(result, body)
-    text = "".join(lines) + body.getvalue()
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, args.out, body.getvalue())
     if args.svg:
         _write_svg(args.svg, result.widths, result.totals(), "bound total vs width")
 
@@ -282,21 +166,20 @@ def cmd_bound(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
-    teacher = _teacher_from_config(cfg)
-    n = cfg.get_int("problem", "n")
-    if n is None:
-        raise ConfigError(f"{cfg.path}: need [problem] n")
-    sigma = cfg.get_float("problem", "sigma_eps", 0.0)
-    seed = cfg.get_int("problem", "seed", 0)
+    teacher, n, sigma, seed = _problem_from_config(cfg)
     ds = erm.sample_dataset(teacher, n, sigma, seed=seed)
 
-    act = _parse_activation(cfg.get("network", "activation", "relu"))
+    act = cfg.get_parsed("network", "activation", ActivationSpec.parse, ActivationSpec.relu())
     widths = cfg.get_int_list("network", "widths")
     if not widths:
         raise ConfigError(f"{cfg.path}: need [network] widths")
-    loss = _loss_from_config(cfg, teacher, sigma)
+    base = cfg.get_float("loss", "range_bound") or erm.LossSpec.mse_for(teacher, sigma).range_bound
+    loss = cfg.get_parsed(
+        "loss", "kind", lambda text: erm.LossSpec.parse(text, base), erm.LossSpec.mse(base)
+    )
     opt, lam, reg = _optimizer_from_config(cfg)
-    init = erm.init_params(widths, ds.input_dim, seed=opt.seed)
+    init_seed = cfg.get_int("optimizer", "seed", 0)
+    init = erm.init_params(widths, ds.input_dim, seed=init_seed)
 
     diverged = False
     try:
@@ -315,14 +198,11 @@ def cmd_train(args) -> int:
         save_network(args.out, params, act)
     trace_path = args.trace or (args.out + ".trace.csv" if args.out else None)
     if trace_path:
-        with open(trace_path, "w", newline="\n") as fh:
-            if not args.no_timestamp:
-                fh.write(_timestamp_line())
-            fh.write("iteration,objective,empirical_mse,nu\n")
-            for row in trace:
-                fh.write(
-                    f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},{float(row[3])!r}\n"
-                )
+        lines = (
+            f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},{float(row[3])!r}\n"
+            for row in trace
+        )
+        _emit(args, trace_path, "iteration,objective,empirical_mse,nu\n" + "".join(lines))
     if diverged:
         return 4
 
@@ -335,135 +215,37 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _verify_suite(name: str, cfg: RunConfig | None) -> list[dict]:
-    checks: list[dict] = []
-    if name == "lemmas":
-        ok1, worst1 = oracles.lemma1_scan(40)
-        ok2, agree2, worst2 = oracles.lemma2_scan(12)
-        checks.append(
-            {
-                "name": "lemma_binomial_tail_scan",
-                "inputs": {"range": "2<=m<=n<=40"},
-                "outputs": {"worst_ratio": worst1},
-                "pass": ok1,
-                "tolerances": {"comparison": "exact"},
-            }
-        )
-        checks.append(
-            {
-                "name": "lemma_occupancy_scan",
-                "inputs": {"range": "2<=m<=n<=12"},
-                "outputs": {"worst_ratio": worst2, "paths_agree": agree2},
-                "pass": ok2 and agree2,
-                "tolerances": {"dual_path": "exact"},
-            }
-        )
-    elif name == "maurey":
-        atoms = np.eye(2)
-        res = oracles.maurey_sampling_check(atoms, [0.5, 0.5], m=1, trials=10_000, seed=0)
-        rep = res.report()
-        rep["pass"] = res.passed and abs(res.mean_sq_error - 0.5) <= 0.02
-        checks.append(rep)
-        rng = np.random.default_rng(3)
-        atoms = rng.standard_normal((10, 6))
-        w = rng.random(10)
-        w /= w.sum()
-        for m in (1, 4, 16):
-            r = oracles.maurey_sampling_check(atoms, w, m=m, trials=4000, seed=m)
-            rep = r.report()
-            rep["pass"] = r.mean_sq_error <= r.radius**2 / m * 1.1
-            checks.append(rep)
-    elif name == "rademacher":
-        rng = np.random.default_rng(5)
-        X = oracles._uniform_ball_points(rng, 64, 2)
-        res = oracles.rademacher_mc((8,), 1.0, X, trials=200, n_starts=16, seed=7)
-        checks.append(res.report())
-    elif name == "entropy":
-        ok = True
-        worst = None
-        for widths in ((1,), (2,)):
-            for delta in (0.5, 0.25):
-                for seed in range(20):
-                    r = oracles.covering_packing_lower_bound(
-                        widths, delta, d=1, param_samples=200, seed=seed
-                    )
-                    ok = ok and r.passed
-                    if worst is None or r.packing_count > worst.packing_count:
-                        worst = r
-        rep = worst.report()
-        rep["pass"] = ok
-        rep["inputs"]["grid"] = "widths {1,2} x delta {0.5,0.25} x 20 seeds"
-        checks.append(rep)
-    elif name == "pointwise":
-        res = oracles.pointwise_audit(n_nets=1000, probes=100, seed=0)
-        checks.append(res.report())
-    elif name == "collinearity":
-        rows = run_collinearity_experiment()
-        good = sum(1 for r in rows if r["ok"])
-        checks.append(
-            {
-                "name": "collinearity_documented_config",
-                "inputs": {k: v for k, v in COLLINEARITY_CONFIG.items() if k != "seeds"},
-                "outputs": {"good_seeds": good, "rows": rows},
-                "pass": good >= COLLINEARITY_CONFIG["min_good_seeds"],
-                "tolerances": {"cosine": ">= 0.99 in >= 4/5 seeds"},
-                "soft": True,
-            }
-        )
-    elif name == "equivalence":
-        res = run_equivalence_experiment()
-        rep = res.report()
-        rep["pass"] = abs(res.median_gap_weight_decay) <= EQUIVALENCE_CONFIG["max_gap"]
-        rep["soft"] = True
-        checks.append(rep)
-    else:
-        raise ValueError(name)
-    for c in checks:
-        c.setdefault("soft", name in _SOFT_SUITES)
-    return checks
-
-
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        hint = difflib.get_close_matches(args.suite, _SUITES, n=1)
+    names = [name for name, _, _ in oracles.SUITES] + ["all"]
+    if args.suite not in names:
+        hint = difflib.get_close_matches(args.suite, names, n=1)
         msg = f"error: unknown suite {args.suite!r}"
         if hint:
             msg += f" (did you mean {hint[0]!r}?)"
         print(msg, file=sys.stderr)
         return 2
-    cfg = parse_config(args.config) if args.config else None
-    names = [s for s in _SUITES if s != "all"] if args.suite == "all" else [args.suite]
     checks: list[dict] = []
-    for name in names:
-        checks.extend(_verify_suite(name, cfg))
-
-    hard_ok = True
-    for c in checks:
-        status = "PASS" if c["pass"] else "FAIL"
-        kind = "soft" if c.get("soft") else "hard"
-        print(f"{status} [{kind}] {c['name']}")
-        if not c["pass"] and not c.get("soft"):
-            hard_ok = False
+    for name, run, soft in oracles.SUITES:
+        if args.suite in (name, "all"):
+            for check in run():
+                check["soft"] = soft
+                checks.append(check)
+                status = "PASS" if check["pass"] else "FAIL"
+                print(f"{status} [{'soft' if soft else 'hard'}] {check['name']}")
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             json.dump({"suite": args.suite, "checks": checks}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    return 0 if hard_ok else 1
+    return 0 if all(c["pass"] or c["soft"] for c in checks) else 1
 
 
 def _sweep_task(payload):
-    (width, seed, teacher_json, n, sigma, pattern, opt_kw, lam, reg_text, act_text) = payload
-    from .netcore import network_from_json
-
-    t_params, t_act = network_from_json(teacher_json)
-    teacher = erm.TeacherSpec.create(t_params, t_act)
-    act = _parse_activation(act_text)
+    (width, seed, teacher, n, sigma, pattern, opt, lam, reg, act) = payload
     ds = erm.sample_dataset(teacher, n, sigma, seed=seed)
     loss = erm.LossSpec.mse_for(teacher, sigma)
     student_widths = tuple(width * p for p in pattern)
     init = erm.init_params(student_widths, ds.input_dim, seed=seed)
-    opt = erm.OptimizerConfig(**opt_kw)
-    res = erm.train(init, ds, lam, loss, erm.Penalty.parse(reg_text), opt, act)
+    res = erm.train(init, ds, lam, loss, reg, opt, act)
     emp = erm.empirical_error(res.params, act, teacher, ds)
     gen, gen_se = erm.generalization_error_mc(res.params, act, teacher, 2048, seed=seed + 1)
     return (width, seed, res.best_objective, norms.pesv_norm(res.params), emp, gen, gen_se)
@@ -474,61 +256,34 @@ def cmd_sweep(args) -> int:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
     cfg = parse_config(args.config)
-    teacher = _teacher_from_config(cfg)
-    from .netcore import network_to_json
-
-    teacher_json = network_to_json(teacher.teacher, teacher.act)
-    n = cfg.get_int("problem", "n")
-    if n is None:
-        raise ConfigError(f"{cfg.path}: need [problem] n")
-    sigma = cfg.get_float("problem", "sigma_eps", 0.0)
-    base_seed = cfg.get_int("problem", "seed", 0)
-    spec = args.widths or cfg.get("bounds", "widths")
-    if not spec:
-        print("error: no width grid given", file=sys.stderr)
-        return 2
-    widths = parse_widths_spec(spec)
-    pattern = tuple(cfg.get_int_list("bounds", "pattern") or [1])
-    bcfg = _bound_config(cfg, L=len(pattern) + 1)
+    teacher, n, sigma, base_seed = _problem_from_config(cfg)
+    widths = _width_grid(args, cfg)
+    bcfg, pattern = _bound_config(cfg)
     opt, lam, reg = _optimizer_from_config(cfg)
-    opt_kw = {
-        "step_size": opt.step_size,
-        "max_iters": opt.max_iters,
-        "tolerance": opt.tolerance,
-        "schedule": opt.schedule,
-    }
-    act_text = cfg.get("network", "activation", "relu")
+    act = cfg.get_parsed("network", "activation", ActivationSpec.parse, ActivationSpec.relu())
 
     tasks = [
-        (w, base_seed + i, teacher_json, n, sigma, pattern, opt_kw, lam,
-         cfg.get("optimizer", "regularizer", "pesv"), act_text)
+        (w, base_seed + i, teacher, n, sigma, pattern, opt, lam, reg, act)
         for w in widths
         for i in range(args.trials)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _pool_size(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    out_lines = []
-    if not args.no_timestamp:
-        out_lines.append(_timestamp_line())
-    out_lines.append(
+    out_lines = [
         "m,seed,objective,nu,empirical_error,generalization_mc,generalization_se,bound_total\n"
-    )
+    ]
     for row in rows:
         w = row[0]
         bound = theory.gen_bound_encompassing(bcfg, tuple(w * p for p in pattern)).total
         vals = [str(w), str(row[1])] + [repr(float(v)) for v in row[2:]] + [repr(float(bound))]
         out_lines.append(",".join(vals) + "\n")
-    text = "".join(out_lines)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, args.out, "".join(out_lines))
     return 0
 
 
@@ -554,7 +309,6 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run verification oracles")
     p_verify.add_argument("suite", nargs="?", default="all")
-    p_verify.add_argument("--config")
     p_verify.add_argument("--out")
 
     p_sweep = sub.add_parser("sweep", help="train across a width grid and seeds")

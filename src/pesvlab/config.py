@@ -8,8 +8,11 @@ number, as are malformed values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_widths_spec"]
+
+_T = TypeVar("_T")
 
 _ALLOWED: dict[str, set[str]] = {
     "problem": {
@@ -60,46 +63,30 @@ class RunConfig:
     def get(self, section: str, key: str, default: str | None = None) -> str | None:
         return self.sections.get(section, {}).get(key, default)
 
-    def require(self, section: str, key: str) -> str:
-        val = self.get(section, key)
-        if val is None:
-            raise ConfigError(f"{self.path}: missing [{section}] {key}")
-        return val
+    def get_parsed(
+        self, section: str, key: str, parse: Callable[[str], _T], default: _T | None = None
+    ) -> _T | None:
+        """The value read by ``parse``, or ``default`` when the key is absent.
+        A ``ValueError`` from ``parse`` becomes a ``ConfigError`` naming the
+        file, the section and the key."""
+        raw = self.get(section, key)
+        if raw is None:
+            return default
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: [{section}] {key}={raw!r}: {exc}") from None
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int | None:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key}={raw!r} is not an integer"
-            ) from None
+        return self.get_parsed(section, key, int, default)
 
-    def get_float(
-        self, section: str, key: str, default: float | None = None
-    ) -> float | None:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key}={raw!r} is not a number"
-            ) from None
+    def get_float(self, section: str, key: str, default: float | None = None) -> float | None:
+        return self.get_parsed(section, key, float, default)
 
     def get_int_list(self, section: str, key: str) -> list[int] | None:
-        raw = self.get(section, key)
-        if raw is None:
-            return None
-        try:
-            return [int(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key}={raw!r} is not a comma list of integers"
-            ) from None
+        return self.get_parsed(
+            section, key, lambda raw: [int(v) for v in raw.split(",") if v.strip()]
+        )
 
 
 def parse_config(path: str) -> RunConfig:

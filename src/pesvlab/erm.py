@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -12,10 +12,10 @@ from . import norms
 from .netcore import (
     ActivationSpec,
     NetParams,
-    WidthVector,
     backprop,
     forward,
-    network_to_json,
+    layer_shapes,
+    parse_spec,
 )
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "Penalty",
     "TeacherSpec",
     "TrainResult",
+    "documented_teacher",
     "empirical_error",
     "generalization_error_mc",
     "init_params",
@@ -34,6 +35,7 @@ __all__ = [
     "sample_dataset",
     "save_dataset",
     "train",
+    "uniform_ball",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -65,6 +67,10 @@ class LossSpec:
     gamma: float
     range_bound: float
     delta: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in _LOSSES:
+            raise ValueError(f"unknown loss kind {self.kind!r}")
 
     @classmethod
     def mse(cls, range_bound: float) -> "LossSpec":
@@ -127,32 +133,50 @@ class LossSpec:
         gamma = float(np.min(d2_ff))
         return cls("logistic", L0, L1y, B, gamma, range_bound)
 
+    @classmethod
+    def parse(cls, text: str, range_bound: float) -> "LossSpec":
+        """Build from a ``mse``, ``huber:delta`` or ``logistic`` spec over the
+        working range ``|f|, |y| <= range_bound``."""
+        kind, args = parse_spec(text, {k: v.spec_args for k, v in _LOSSES.items()}, "loss")
+        return getattr(cls, kind)(*args, range_bound)
+
     def value(self, f, y):
         f = np.asarray(f, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if self.kind == "mse":
-            return 0.5 * (f - y) ** 2
-        if self.kind == "huber":
-            u = f - y
-            au = np.abs(u)
-            return np.where(
-                au <= self.delta, 0.5 * u * u, self.delta * (au - 0.5 * self.delta)
-            )
-        if self.kind == "logistic":
-            return np.logaddexp(0.0, -y * f) - np.logaddexp(0.0, -y * y)
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+        return _LOSSES[self.kind].value(self, f, y)
 
     def dpred(self, f, y):
         """Derivative of the loss in the prediction."""
         f = np.asarray(f, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if self.kind == "mse":
-            return f - y
-        if self.kind == "huber":
-            return np.clip(f - y, -self.delta, self.delta)
-        if self.kind == "logistic":
-            return -y / (1.0 + np.exp(y * f))
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+        return _LOSSES[self.kind].dpred(self, f, y)
+
+
+def _huber_value(loss: LossSpec, f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    u = f - y
+    au = np.abs(u)
+    return np.where(au <= loss.delta, 0.5 * u * u, loss.delta * (au - 0.5 * loss.delta))
+
+
+class _LossKind(NamedTuple):
+    value: Callable[[LossSpec, np.ndarray, np.ndarray], np.ndarray]
+    dpred: Callable[[LossSpec, np.ndarray, np.ndarray], np.ndarray]
+    spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
+
+
+# Every loss kind; ``parse`` builds a kind through the classmethod of the
+# same name, with the spec arguments first and the range bound last.
+_LOSSES = {
+    "mse": _LossKind(lambda ls, f, y: 0.5 * (f - y) ** 2, lambda ls, f, y: f - y, (0,)),
+    "huber": _LossKind(
+        _huber_value, lambda ls, f, y: np.clip(f - y, -ls.delta, ls.delta), (1,)
+    ),
+    "logistic": _LossKind(
+        lambda ls, f, y: np.logaddexp(0.0, -y * f) - np.logaddexp(0.0, -y * y),
+        lambda ls, f, y: -y / (1.0 + np.exp(y * f)),
+        (0,),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -200,7 +224,8 @@ class Dataset:
         return self.inputs.shape[1] - 1
 
 
-def _uniform_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+def uniform_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """``n`` points drawn uniformly from the unit ball of ``R^d``."""
     g = rng.standard_normal((n, d))
     norms_g = np.linalg.norm(g, axis=1)
     norms_g[norms_g == 0.0] = 1.0
@@ -229,19 +254,13 @@ def sample_dataset(
         if np.any(np.linalg.norm(x, axis=1) > 1.0 + 1e-12):
             raise ValueError("user inputs must lie in the unit ball")
     elif distribution == "uniform":
-        x = _uniform_ball(rng, n, d)
+        x = uniform_ball(rng, n, d)
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
     xt = np.hstack([x, np.ones((n, 1))])
     y = forward(teacher.teacher, teacher.act, xt)
     noise = sigma_eps * rng.standard_normal(n)
     return Dataset(inputs=xt, targets=y + noise, noise_std=sigma_eps, seed=seed)
-
-
-def teacher_hash(teacher: TeacherSpec) -> str:
-    return hashlib.sha256(
-        network_to_json(teacher.teacher, teacher.act).encode()
-    ).hexdigest()[:16]
 
 
 def save_dataset(path, ds: Dataset, teacher_digest: str = "") -> None:
@@ -285,33 +304,48 @@ class Penalty:
     q: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pesv", "weight_decay", "mixed_max"):
+        if self.kind not in _PENALTIES:
             raise ValueError(f"unknown regularizer {self.kind!r}")
+        if self.p < 1.0 or self.q < 1.0:
+            raise ValueError("p and q must be at least 1")
 
     @classmethod
     def parse(cls, text: str) -> "Penalty":
-        text = text.strip()
-        if text.startswith("mixed_max"):
-            inner = text[len("mixed_max"):].strip("():").replace(":", ",")
-            if inner:
-                p, q = (float(v) for v in inner.split(","))
-                return cls("mixed_max", p, q)
-            return cls("mixed_max")
-        return cls(text)
+        """Build from a ``pesv``, ``weight_decay`` or ``mixed_max[:p:q]`` spec."""
+        kinds = {k: v.spec_args for k, v in _PENALTIES.items()}
+        kind, args = parse_spec(text, kinds, "regularizer")
+        return cls(kind, *args)
 
     def value(self, params) -> float:
-        if self.kind == "pesv":
-            return norms.pesv_norm(params)
-        if self.kind == "weight_decay":
-            return norms.weight_decay_norm(params)
-        return norms.mixed_max_norm(params, self.p, self.q)
+        return _PENALTIES[self.kind].value(self, params)
 
     def subgradient(self, params) -> list[np.ndarray]:
-        if self.kind == "pesv":
-            return norms.pesv_subgradient(params)
-        if self.kind == "weight_decay":
-            return norms.weight_decay_subgradient(params)
-        return norms.mixed_max_subgradient(params, self.p, self.q)
+        return _PENALTIES[self.kind].subgradient(self, params)
+
+
+class _PenaltyKind(NamedTuple):
+    value: Callable[[Penalty, object], float]
+    subgradient: Callable[[Penalty, object], list]
+    spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
+
+
+# Every regularizer kind.  The ``norms`` functions are looked up per call,
+# so a wrapper installed on the module sees every call.
+_PENALTIES = {
+    "pesv": _PenaltyKind(
+        lambda r, w: norms.pesv_norm(w), lambda r, w: norms.pesv_subgradient(w), (0,)
+    ),
+    "weight_decay": _PenaltyKind(
+        lambda r, w: norms.weight_decay_norm(w),
+        lambda r, w: norms.weight_decay_subgradient(w),
+        (0,),
+    ),
+    "mixed_max": _PenaltyKind(
+        lambda r, w: norms.mixed_max_norm(w, r.p, r.q),
+        lambda r, w: norms.mixed_max_subgradient(w, r.p, r.q),
+        (0, 2),
+    ),
+}
 
 
 def objective(params, dataset: Dataset, lam: float, loss: LossSpec, reg: Penalty, act: ActivationSpec) -> float:
@@ -323,6 +357,9 @@ def objective(params, dataset: Dataset, lam: float, loss: LossSpec, reg: Penalty
     return float(np.mean(loss.value(preds, dataset.targets))) + lam * reg.value(params)
 
 
+_SCHEDULES = ("inv_sqrt", "constant")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Plain subgradient descent settings with an inverse-sqrt step schedule."""
@@ -330,14 +367,18 @@ class OptimizerConfig:
     step_size: float = 0.1
     max_iters: int = 10_000
     tolerance: float = 0.0
-    seed: int = 0
     schedule: str = "inv_sqrt"
 
     def __post_init__(self) -> None:
         if self.step_size <= 0 or self.max_iters < 1:
             raise ValueError("need positive step size and at least one iteration")
-        if self.schedule not in ("inv_sqrt", "constant"):
+        if self.schedule not in _SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
+
+    @staticmethod
+    def parse_schedule(text: str) -> str:
+        """Check an ``inv_sqrt`` or ``constant`` schedule name."""
+        return parse_spec(text, dict.fromkeys(_SCHEDULES, (0,)), "schedule")[0]
 
 
 @dataclass(frozen=True)
@@ -438,7 +479,7 @@ def generalization_error_mc(
         raise ValueError("need at least two test points")
     d = teacher.teacher.input_dim
     rng = np.random.default_rng(seed)
-    x = _uniform_ball(rng, n_test, d)
+    x = uniform_ball(rng, n_test, d)
     xt = np.hstack([x, np.ones((n_test, 1))])
     errs = (forward(params, act, xt) - forward(teacher.teacher, teacher.act, xt)) ** 2
     return float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(n_test))
@@ -446,14 +487,18 @@ def generalization_error_mc(
 
 def init_params(widths, d: int, seed: int = 0) -> NetParams:
     """Uniform ``(-s, s)`` initialization with ``s = 1/sqrt(fan_in)`` per layer."""
-    wv = WidthVector.of(widths)
     rng = np.random.default_rng(seed)
-    shapes = [(wv[0], d + 1)]
-    for lo, hi in zip(wv.widths, wv.widths[1:]):
-        shapes.append((hi, lo))
-    shapes.append((1, wv.widths[-1]))
     layers = []
-    for rows, cols in shapes:
+    for rows, cols in layer_shapes(widths, d + 1):
         s = 1.0 / math.sqrt(cols)
         layers.append(rng.uniform(-s, s, size=(rows, cols)))
     return NetParams(tuple(layers))
+
+
+def documented_teacher(d: int = 2, widths=(2,), seed: int = 11) -> TeacherSpec:
+    """Deterministic small relu teacher with path norm exactly 1."""
+    params = init_params(widths, d, seed=seed)
+    nu = norms.pesv_norm(params)
+    layers = [np.array(w) for w in params.layers]
+    layers[-1] /= nu
+    return TeacherSpec.create(NetParams(tuple(layers)), ActivationSpec.relu())

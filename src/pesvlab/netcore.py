@@ -8,8 +8,8 @@ with the activation applied after every matrix except the last.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,14 +20,17 @@ __all__ = [
     "UnsupportedActivationError",
     "WidthVector",
     "absorb_bias",
+    "as_layers",
     "backprop",
     "forward",
     "forward_biased",
+    "layer_shapes",
     "load_network",
     "max_nondecreasing_component",
     "network_from_json",
     "network_to_json",
     "normalize_activation",
+    "parse_spec",
     "save_network",
 ]
 
@@ -38,6 +41,34 @@ _CARRIER_PROBES = (1.0, -1.0, 0.5, 2.0, -0.5, -2.0)
 
 class UnsupportedActivationError(RuntimeError):
     """The requested operation needs a capability this activation lacks."""
+
+
+def parse_spec(
+    text: str, kinds: Mapping[str, Collection[int]], what: str
+) -> tuple[str, tuple[float, ...]]:
+    """Split a ``kind``, ``kind:a[:b]`` or ``kind(a[,b])`` spec into its kind
+    and numeric arguments.
+
+    ``kinds`` maps each accepted kind to the argument counts it takes; an
+    unknown kind, a wrong count or a non-numeric argument raises
+    ``ValueError`` with a message naming ``what`` the spec describes.
+    """
+    text = text.strip()
+    if text.endswith(")") and "(" in text:
+        kind, _, inner = text[:-1].partition("(")
+        raw = inner.split(",") if inner.strip() else []
+    else:
+        kind, *raw = text.split(":")
+    kind = kind.strip()
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} {kind!r} (expected one of: {', '.join(kinds)})")
+    if len(raw) not in kinds[kind]:
+        counts = " or ".join(str(n) for n in sorted(kinds[kind]))
+        raise ValueError(f"{what} {kind!r} takes {counts} arguments, got {len(raw)}")
+    try:
+        return kind, tuple(float(v) for v in raw)
+    except ValueError:
+        raise ValueError(f"{what} spec {text!r} has a non-numeric argument") from None
 
 
 @dataclass(frozen=True)
@@ -58,8 +89,17 @@ class ActivationSpec:
     differentiable: bool = True
 
     def __post_init__(self) -> None:
+        if self.kind not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.lipschitz <= 0:
             raise ValueError("Lipschitz constant must be positive")
+
+    @classmethod
+    def parse(cls, text: str) -> "ActivationSpec":
+        """Build from a ``relu``, ``identity`` or ``leaky_relu:alpha`` spec."""
+        kinds = {k: v.spec_args for k, v in _ACTIVATIONS.items() if v.spec_args}
+        kind, args = parse_spec(text, kinds, "activation")
+        return getattr(cls, kind)(*args)
 
     @classmethod
     def relu(cls) -> "ActivationSpec":
@@ -100,17 +140,7 @@ class ActivationSpec:
         return self.value_at_zero == 0.0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "relu":
-            return np.maximum(x, 0.0)
-        if self.kind == "identity":
-            return x
-        if self.kind == "leaky_relu":
-            return np.where(x > 0, x, self.alpha * x)
-        if self.kind == "tabulated":
-            xs, ys = self.grid
-            return np.interp(x, xs, ys)
-        raise ValueError(f"unknown activation kind {self.kind!r}")
+        return _ACTIVATIONS[self.kind].value(self, np.asarray(x, dtype=np.float64))
 
     def derivative(self, x):
         """Almost-everywhere derivative; at the relu kink the value is 0."""
@@ -118,21 +148,7 @@ class ActivationSpec:
             raise UnsupportedActivationError(
                 "tabulated activation was built without derivative support"
             )
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "relu":
-            return (x > 0).astype(np.float64)
-        if self.kind == "identity":
-            return np.ones_like(x)
-        if self.kind == "leaky_relu":
-            return np.where(x > 0, 1.0, self.alpha)
-        if self.kind == "tabulated":
-            xs, ys = self.grid
-            xs_a = np.asarray(xs)
-            slopes = np.diff(ys) / np.diff(xs_a)
-            seg = np.clip(np.searchsorted(xs_a, x, side="right") - 1, 0, len(xs) - 2)
-            out = slopes[seg]
-            return np.where((x < xs[0]) | (x > xs[-1]), 0.0, out)
-        raise ValueError(f"unknown activation kind {self.kind!r}")
+        return _ACTIVATIONS[self.kind].derivative(self, np.asarray(x, dtype=np.float64))
 
     def shifted_to_zero(self) -> "ActivationSpec":
         """Return the same activation minus its value at zero."""
@@ -161,15 +177,42 @@ class ActivationSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ActivationSpec":
         kind = d["kind"]
-        if kind == "relu":
-            return cls.relu()
-        if kind == "identity":
-            return cls.identity()
-        if kind == "leaky_relu":
-            return cls.leaky_relu(d["alpha"])
         if kind == "tabulated":
             return cls.tabulated(d["grid_x"], d["grid_y"], d.get("differentiable", True))
-        raise ValueError(f"unknown activation kind {kind!r}")
+        return cls.parse(f"{kind}:{d['alpha']!r}" if "alpha" in d else kind)
+
+
+def _tabulated_derivative(act: ActivationSpec, x: np.ndarray) -> np.ndarray:
+    xs, ys = act.grid
+    xs_a = np.asarray(xs)
+    slopes = np.diff(ys) / np.diff(xs_a)
+    seg = np.clip(np.searchsorted(xs_a, x, side="right") - 1, 0, len(xs) - 2)
+    out = slopes[seg]
+    return np.where((x < xs[0]) | (x > xs[-1]), 0.0, out)
+
+
+class _ActivationKind(NamedTuple):
+    value: Callable[[ActivationSpec, np.ndarray], np.ndarray]
+    derivative: Callable[[ActivationSpec, np.ndarray], np.ndarray]
+    spec_args: tuple[int, ...]  # argument counts ``parse`` accepts; () if not parseable
+
+
+# Every activation kind; ``parse`` builds a kind through the classmethod of
+# the same name.
+_ACTIVATIONS = {
+    "relu": _ActivationKind(
+        lambda a, x: np.maximum(x, 0.0), lambda a, x: (x > 0).astype(np.float64), (0,)
+    ),
+    "identity": _ActivationKind(lambda a, x: x, lambda a, x: np.ones_like(x), (0,)),
+    "leaky_relu": _ActivationKind(
+        lambda a, x: np.where(x > 0, x, a.alpha * x),
+        lambda a, x: np.where(x > 0, 1.0, a.alpha),
+        (1,),
+    ),
+    "tabulated": _ActivationKind(
+        lambda a, x: np.interp(x, *a.grid), _tabulated_derivative, ()
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -276,10 +319,17 @@ class NetParams:
         return WidthVector(tuple(w.shape[0] for w in self.layers[:-1]))
 
 
-def _as_layers(params) -> tuple[np.ndarray, ...]:
+def as_layers(params) -> tuple[np.ndarray, ...]:
+    """The layer matrices of a :class:`NetParams` or of a raw sequence."""
     if isinstance(params, NetParams):
         return params.layers
     return tuple(params)
+
+
+def layer_shapes(widths, in_size: int) -> list[tuple[int, int]]:
+    """Matrix shapes of a network with hidden ``widths`` over ``in_size``-vectors."""
+    ws = WidthVector.of(widths).widths
+    return list(zip(ws + (1,), (in_size,) + ws))
 
 
 def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
@@ -288,7 +338,7 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
     ``params`` may be a :class:`NetParams` or a raw sequence of layer
     matrices (fast path used inside optimization loops).
     """
-    layers = _as_layers(params)
+    layers = as_layers(params)
     x = np.asarray(inputs, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -311,7 +361,7 @@ def backprop(params, act: ActivationSpec, inputs, upstream) -> list[np.ndarray]:
     Returns matrices shaped exactly like the network layers.  Requires an
     activation with an almost-everywhere derivative.
     """
-    layers = _as_layers(params)
+    layers = as_layers(params)
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netcore import ActivationSpec, NetParams, UnsupportedActivationError, _as_layers
+from .netcore import ActivationSpec, NetParams, UnsupportedActivationError, as_layers
 
 __all__ = [
     "balance_relu",
     "mixed_max_norm",
     "mixed_max_subgradient",
+    "outgoing_weights",
     "pesv_matrixproduct_variant",
     "pesv_norm",
     "pesv_subgradient",
@@ -34,7 +35,7 @@ def pesv_norm(params) -> float:
     ``|a| |w^{L-1}| ... |w^2| v`` with ``v_k = ||w^1_k||_2``; for depth 2
     this is the scaled variation norm ``sum_k |a_k| ||w^1_k||_2``.
     """
-    layers = _as_layers(params)
+    layers = as_layers(params)
     v = _first_layer_row_norms(layers)
     for w in layers[1:-1]:
         v = np.abs(w) @ v
@@ -47,30 +48,42 @@ def pesv_matrixproduct_variant(params) -> float:
     Equals :func:`pesv_norm` when no sign cancellation occurs in the hidden
     product, and never exceeds it.
     """
-    layers = _as_layers(params)
+    layers = as_layers(params)
     w = layers[-1]
     for mat in layers[-2:0:-1]:
         w = w @ mat
     return float(np.abs(w.ravel()) @ _first_layer_row_norms(layers))
 
 
+def outgoing_weights(upper) -> list[np.ndarray]:
+    """Accumulated outgoing weight of every hidden unit, from the matrices
+    above the first layer (``upper = layers[1:]``).
+
+    Entry ``k`` is the vector ``upper[-1] upper[-2] ... upper[k]``, one value
+    per unit of hidden layer ``k``.  Pass ``|W|`` matrices for the path mass
+    a unit carries to the output, signed ones for its net output sign.
+    """
+    acc = upper[-1].ravel()
+    out = [acc]
+    for w in upper[-2::-1]:
+        acc = acc @ w
+        out.append(acc)
+    out.reverse()
+    return out
+
+
 def pesv_subgradient(params) -> list[np.ndarray]:
     """A subgradient of :func:`pesv_norm`; zero at sign kinks and zero rows."""
-    layers = _as_layers(params)
+    layers = as_layers(params)
     depth = len(layers)
+    abs_upper = [np.abs(w) for w in layers[1:]]
     row_norms = _first_layer_row_norms(layers)
 
     # down[k] = |layers[k]| ... |layers[1]| v with v the first-layer row norms.
     down = [row_norms]
-    for w in layers[1:-1]:
-        down.append(np.abs(w) @ down[-1])
-    # upvecs[k] = |a| |layers[L-2]| ... |layers[k+1]|, one entry per row of layers[k].
-    upvecs: list[np.ndarray] = [np.empty(0)] * (depth - 1)
-    uv = np.abs(layers[-1]).ravel()
-    upvecs[depth - 2] = uv
-    for k in range(depth - 3, -1, -1):
-        uv = uv @ np.abs(layers[k + 1])
-        upvecs[k] = uv
+    for w in abs_upper[:-1]:
+        down.append(w @ down[-1])
+    upvecs = outgoing_weights(abs_upper)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         unit_rows = np.where(
@@ -85,11 +98,11 @@ def pesv_subgradient(params) -> list[np.ndarray]:
 
 def weight_decay_norm(params) -> float:
     """Sum of squares of every weight."""
-    return float(sum(np.sum(w * w) for w in _as_layers(params)))
+    return float(sum(np.sum(w * w) for w in as_layers(params)))
 
 
 def weight_decay_subgradient(params) -> list[np.ndarray]:
-    return [2.0 * w for w in _as_layers(params)]
+    return [2.0 * w for w in as_layers(params)]
 
 
 def _row_pnorms(w: np.ndarray, p: float) -> np.ndarray:
@@ -105,7 +118,7 @@ def mixed_max_norm(params, p: float = 1.0, q: float = 2.0) -> float:
     with ``l_q`` rows of the first layer."""
     if p < 1.0 or q < 1.0:
         raise ValueError("p and q must be at least 1")
-    layers = _as_layers(params)
+    layers = as_layers(params)
     best = max(float(np.max(_row_pnorms(w, p))) for w in layers[1:])
     return max(best, float(np.max(_row_pnorms(layers[0], q))))
 
@@ -113,7 +126,7 @@ def mixed_max_norm(params, p: float = 1.0, q: float = 2.0) -> float:
 def mixed_max_subgradient(params, p: float = 1.0, q: float = 2.0) -> list[np.ndarray]:
     """Subgradient of :func:`mixed_max_norm`: gradient of the first row
     attaining the max, scanned upper layers first; zero elsewhere."""
-    layers = _as_layers(params)
+    layers = as_layers(params)
     grads = [np.zeros_like(w) for w in layers]
     best_val = -1.0
     best = (0, 0, q)

@@ -16,14 +16,18 @@ import numpy as np
 from . import erm, norms, theory
 from .netcore import (
     ActivationSpec,
-    NetParams,
     UnsupportedActivationError,
     WidthVector,
+    as_layers,
     backprop,
     forward,
+    layer_shapes,
 )
 
 __all__ = [
+    "COLLINEARITY_CONFIG",
+    "EQUIVALENCE_CONFIG",
+    "SUITES",
     "CollinearityResult",
     "EquivalenceResult",
     "InconsistencyError",
@@ -45,6 +49,8 @@ __all__ = [
     "pointwise_norm_check",
     "rademacher_mc",
     "random_unit_norm_net",
+    "run_collinearity_experiment",
+    "run_equivalence_experiment",
     "sign_pattern_groups",
 ]
 
@@ -295,11 +301,7 @@ def random_unit_norm_net(
     rng: np.random.Generator, widths, in_size: int
 ) -> list[np.ndarray]:
     """Gaussian layer matrices rescaled on the output row to path norm 1."""
-    wv = WidthVector.of(widths)
-    shapes = [(wv[0], in_size)]
-    for lo, hi in zip(wv.widths, wv.widths[1:]):
-        shapes.append((hi, lo))
-    shapes.append((1, wv.widths[-1]))
+    shapes = layer_shapes(widths, in_size)
     while True:
         arrs = [rng.standard_normal(s) for s in shapes]
         nu = norms.pesv_norm(arrs)
@@ -522,12 +524,12 @@ def pointwise_norm_check(
     The ratio never exceeds 1 for a normalized activation; probes are
     uniform in the unit ball of the full input space.
     """
-    layers = params.layers if isinstance(params, NetParams) else tuple(params)
+    layers = as_layers(params)
     in_size = layers[0].shape[1]
     L = len(layers)
     nu = norms.pesv_norm(layers)
     rng = np.random.default_rng(seed)
-    X = _uniform_ball_points(rng, probe_count, in_size)
+    X = erm.uniform_ball(rng, probe_count, in_size)
     out = np.abs(forward(layers, act, X))
     if nu == 0.0:
         if float(out.max(initial=0.0)) > 0.0:
@@ -539,13 +541,6 @@ def pointwise_norm_check(
     return PointwiseResult(
         max_ratio=ratio, probes=probe_count, passed=ratio <= 1.0 + 1e-9
     )
-
-
-def _uniform_ball_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    g = rng.standard_normal((n, dim))
-    nrm = np.linalg.norm(g, axis=1)
-    nrm[nrm == 0.0] = 1.0
-    return g * (rng.random(n) ** (1.0 / dim) / nrm)[:, None]
 
 
 def pointwise_audit(
@@ -588,7 +583,7 @@ def sign_pattern_groups(params, act: ActivationSpec, X) -> list[np.ndarray]:
     """
     if act.kind != "relu":
         raise UnsupportedActivationError("sign patterns are defined for relu")
-    layers = params.layers if isinstance(params, NetParams) else tuple(params)
+    layers = as_layers(params)
     X = np.asarray(X, dtype=np.float64)
     preacts = []
     h = X
@@ -597,18 +592,9 @@ def sign_pattern_groups(params, act: ActivationSpec, X) -> list[np.ndarray]:
         preacts.append(z)
         h = act(z)
 
-    # Accumulated outgoing weight of each neuron: signed product of the
-    # matrices above its layer (reduces to the output sign at the top layer).
-    out_signs = []
-    acc = layers[-1]
-    out_signs.append(np.sign(acc.ravel()))
-    for w in reversed(layers[1:-1]):
-        acc = acc @ w
-        out_signs.append(np.sign(acc.ravel()))
-    out_signs.reverse()
-
     labels = []
-    for z, sg in zip(preacts, out_signs):
+    for z, acc in zip(preacts, norms.outgoing_weights(layers[1:])):
+        sg = np.sign(acc)
         bits = z.T >= 0  # (m_l, n)
         seen: dict[tuple, int] = {}
         lab = np.empty(z.shape[1], dtype=np.int64)
@@ -656,13 +642,11 @@ def collinearity_report(
     claim concerns interiors only, and a dying neuron oscillating around
     zero output weight is numerically on the sign boundary).
     """
-    layers = params.layers if isinstance(params, NetParams) else tuple(params)
+    layers = as_layers(params)
     X = np.asarray(X, dtype=np.float64)
     labels = sign_pattern_groups(layers, act, X)[0]
     z1 = X @ layers[0].T
-    mass = np.abs(layers[-1]).ravel()
-    for w in reversed(layers[1:-1]):
-        mass = mass @ np.abs(w)
+    mass = norms.outgoing_weights([np.abs(w) for w in layers[1:]])[0]
     mass_tol = max(boundary_tol, mass_rel_tol * float(mass.max(initial=0.0)))
     boundary = [
         j
@@ -752,18 +736,11 @@ def equivalence_check_relu(
     gaps_wd, gaps_mm = [], []
     for seed in seeds:
         init = erm.init_params(widths, d, seed=seed)
-        opt_s = erm.OptimizerConfig(
-            step_size=opt.step_size,
-            max_iters=opt.max_iters,
-            tolerance=opt.tolerance,
-            seed=seed,
-            schedule=opt.schedule,
-        )
-        res_p = erm.train(init, dataset, lam, loss, pesv, opt_s, act)
-        res_w = erm.train(init, dataset, lam / 2.0, loss, wd, opt_s, act)
+        res_p = erm.train(init, dataset, lam, loss, pesv, opt, act)
+        res_w = erm.train(init, dataset, lam / 2.0, loss, wd, opt, act)
         nu_hat = norms.pesv_norm(res_p.params)
         lam_mm = lam * math.sqrt(nu_hat) if nu_hat > 0 else lam
-        res_m = erm.train(init, dataset, lam_mm, loss, mm, opt_s, act)
+        res_m = erm.train(init, dataset, lam_mm, loss, mm, opt, act)
 
         bal_w = norms.balance_relu(res_w.params, act)
         bal_m = norms.balance_relu(res_m.params, act)
@@ -791,3 +768,174 @@ def equivalence_check_relu(
         median_gap_weight_decay=float(np.median(gaps_wd)),
         median_gap_mixed_max=float(np.median(gaps_mm)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Documented experiments and the verification suites
+# ---------------------------------------------------------------------------
+
+# Tuned experiment settings for the training-based verification suites.
+COLLINEARITY_CONFIG = {
+    "d": 2,
+    "n": 16,
+    "widths": (8,),
+    "lam": 0.05,
+    "iters": 200_000,
+    "seeds": (0, 1, 2, 3, 4),
+    "step_size": 0.5,
+    "sigma_eps": 0.0,
+    "min_cosine": 0.99,
+    "min_good_seeds": 4,
+}
+EQUIVALENCE_CONFIG = {
+    "d": 2,
+    "n": 32,
+    "widths": (16,),
+    "lam": 0.01,
+    "iters": 40_000,
+    "seeds": (0, 1, 2, 3, 4),
+    "step_size": 0.5,
+    "sigma_eps": 0.05,
+    "max_gap": 0.05,
+}
+
+
+def run_collinearity_experiment(cfg: dict | None = None) -> list[dict]:
+    """Train the documented penalized problem per seed and report whether all
+    same-cone non-boundary first-layer pairs end up collinear."""
+    c = {**COLLINEARITY_CONFIG, **(cfg or {})}
+    teacher = erm.documented_teacher(d=c["d"])
+    act = ActivationSpec.relu()
+    opt = erm.OptimizerConfig(step_size=c["step_size"], max_iters=c["iters"])
+    rows = []
+    for seed in c["seeds"]:
+        ds = erm.sample_dataset(
+            teacher, c["n"], c["sigma_eps"], seed=1000 + seed
+        )
+        loss = erm.LossSpec.mse_for(teacher, c["sigma_eps"])
+        init = erm.init_params(c["widths"], c["d"], seed=seed)
+        res = erm.train(init, ds, c["lam"], loss, erm.Penalty("pesv"), opt, act)
+        rep = collinearity_report(res.params, act, ds.inputs)
+        rows.append(
+            {
+                "seed": seed,
+                "global_min_abs_cosine": rep.global_min,
+                "boundary_neurons": list(rep.boundary_neurons),
+                "groups": [list(g) for g in rep.per_group],
+                "objective": res.best_objective,
+                "ok": bool(rep.global_min >= c["min_cosine"]),
+            }
+        )
+    return rows
+
+
+def run_equivalence_experiment(cfg: dict | None = None) -> EquivalenceResult:
+    """Documented regularizer-equivalence run (path norm vs weight decay vs
+    mixed max) on a fixed dataset across several initialization seeds."""
+    c = {**EQUIVALENCE_CONFIG, **(cfg or {})}
+    teacher = erm.documented_teacher(d=c["d"])
+    ds = erm.sample_dataset(teacher, c["n"], c["sigma_eps"], seed=0)
+    loss = erm.LossSpec.mse_for(teacher, c["sigma_eps"])
+    opt = erm.OptimizerConfig(step_size=c["step_size"], max_iters=c["iters"])
+    return equivalence_check_relu(
+        ds, c["lam"], c["widths"], c["seeds"], ActivationSpec.relu(), loss, opt
+    )
+
+
+def _lemma_checks() -> list[dict]:
+    ok1, worst1 = lemma1_scan(40)
+    ok2, agree2, worst2 = lemma2_scan(12)
+    return [
+        {
+            "name": "lemma_binomial_tail_scan",
+            "inputs": {"range": "2<=m<=n<=40"},
+            "outputs": {"worst_ratio": worst1},
+            "pass": ok1,
+            "tolerances": {"comparison": "exact"},
+        },
+        {
+            "name": "lemma_occupancy_scan",
+            "inputs": {"range": "2<=m<=n<=12"},
+            "outputs": {"worst_ratio": worst2, "paths_agree": agree2},
+            "pass": ok2 and agree2,
+            "tolerances": {"dual_path": "exact"},
+        },
+    ]
+
+
+def _maurey_checks() -> list[dict]:
+    res = maurey_sampling_check(np.eye(2), [0.5, 0.5], m=1, trials=10_000, seed=0)
+    rep = res.report()
+    rep["pass"] = res.passed and abs(res.mean_sq_error - 0.5) <= 0.02
+    checks = [rep]
+    rng = np.random.default_rng(3)
+    atoms = rng.standard_normal((10, 6))
+    w = rng.random(10)
+    w /= w.sum()
+    for m in (1, 4, 16):
+        r = maurey_sampling_check(atoms, w, m=m, trials=4000, seed=m)
+        rep = r.report()
+        rep["pass"] = r.mean_sq_error <= r.radius**2 / m * 1.1
+        checks.append(rep)
+    return checks
+
+
+def _rademacher_checks() -> list[dict]:
+    X = erm.uniform_ball(np.random.default_rng(5), 64, 2)
+    return [rademacher_mc((8,), 1.0, X, trials=200, n_starts=16, seed=7).report()]
+
+
+def _entropy_checks() -> list[dict]:
+    ok = True
+    worst = None
+    for widths in ((1,), (2,)):
+        for delta in (0.5, 0.25):
+            for seed in range(20):
+                r = covering_packing_lower_bound(
+                    widths, delta, d=1, param_samples=200, seed=seed
+                )
+                ok = ok and r.passed
+                if worst is None or r.packing_count > worst.packing_count:
+                    worst = r
+    rep = worst.report()
+    rep["pass"] = ok
+    rep["inputs"]["grid"] = "widths {1,2} x delta {0.5,0.25} x 20 seeds"
+    return [rep]
+
+
+def _pointwise_checks() -> list[dict]:
+    return [pointwise_audit(n_nets=1000, probes=100, seed=0).report()]
+
+
+def _collinearity_checks() -> list[dict]:
+    rows = run_collinearity_experiment()
+    good = sum(1 for r in rows if r["ok"])
+    return [
+        {
+            "name": "collinearity_documented_config",
+            "inputs": {k: v for k, v in COLLINEARITY_CONFIG.items() if k != "seeds"},
+            "outputs": {"good_seeds": good, "rows": rows},
+            "pass": good >= COLLINEARITY_CONFIG["min_good_seeds"],
+            "tolerances": {"cosine": ">= 0.99 in >= 4/5 seeds"},
+        }
+    ]
+
+
+def _equivalence_checks() -> list[dict]:
+    res = run_equivalence_experiment()
+    rep = res.report()
+    rep["pass"] = abs(res.median_gap_weight_decay) <= EQUIVALENCE_CONFIG["max_gap"]
+    return [rep]
+
+
+# The verification suites in run order: (name, check runner, soft).  A soft
+# suite trains networks; its failures are reported but do not fail a run.
+SUITES = (
+    ("lemmas", _lemma_checks, False),
+    ("maurey", _maurey_checks, False),
+    ("rademacher", _rademacher_checks, False),
+    ("entropy", _entropy_checks, False),
+    ("pointwise", _pointwise_checks, False),
+    ("collinearity", _collinearity_checks, True),
+    ("equivalence", _equivalence_checks, True),
+)

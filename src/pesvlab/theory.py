@@ -9,7 +9,7 @@ reproducible content.  All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .netcore import WidthVector, max_nondecreasing_component
 
@@ -70,17 +70,7 @@ class BoundConfig:
         return self.L_sigma**self.L
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "L": self.L,
-            "L_sigma": self.L_sigma,
-            "sigma_eps": self.sigma_eps,
-            "M": self.M,
-            "c": self.c,
-            "C": self.C,
-            "C1": self.C1,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

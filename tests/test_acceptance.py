@@ -194,7 +194,7 @@ class TestAcceptance:
 
     def test_c07_rademacher_mc(self):
         t0 = time.time()
-        X = oracles._uniform_ball_points(np.random.default_rng(5), 64, 2)
+        X = erm.uniform_ball(np.random.default_rng(5), 64, 2)
         kw = dict(trials=200, n_starts=16, inner_steps=120, seed=7)
         r1 = oracles.rademacher_mc((8,), 1.0, X, **kw)
         r2 = oracles.rademacher_mc((8,), 2.0, X, **kw)
@@ -248,7 +248,7 @@ class TestAcceptance:
 
     def test_c10_collinearity_soft(self):
         t0 = time.time()
-        rows = cli.run_collinearity_experiment()
+        rows = oracles.run_collinearity_experiment()
         good = sum(1 for r in rows if r["ok"])
         elapsed = time.time() - t0
         assert elapsed < 600
@@ -259,7 +259,7 @@ class TestAcceptance:
 
     def test_c11_equivalence_soft(self):
         t0 = time.time()
-        res = cli.run_equivalence_experiment()
+        res = oracles.run_equivalence_experiment()
         elapsed = time.time() - t0
         assert elapsed < 900
         gap = res.median_gap_weight_decay

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pesvlab import cli, erm, theory
-from pesvlab.cli import documented_teacher
+from pesvlab.erm import documented_teacher
 from pesvlab.netcore import save_network
 
 
@@ -230,3 +230,36 @@ class TestSweepCommand:
         cli.main(["sweep", "--config", str(train_cfg), "--out", str(b),
                   "--trials", "2", "--jobs", "2", "--no-timestamp"])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("regularizer = pesv", "regularizer = pesv\nschedule = foo"),
+            ("regularizer = pesv", "regularizer = mixed_max:1"),
+            ("regularizer = pesv", "regularizer = bogus"),
+            ("activation = relu", "activation = leaky_relu:-1"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TRAIN_CFG.replace(old, new))
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        key = new.rpartition("\n")[2].partition(" =")[0]
+        assert str(cfg) in err and key in err
+
+    def test_bounds_depth_disagreeing_with_pattern(self, tmp_path, capsys):
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text(BOUND_CFG.replace("L = 2\n", "L = 3\n").replace("pattern = 1\n", ""))
+        assert cli.main(["bound", "--config", str(cfg), "--no-timestamp"]) == 2
+        assert "[bounds] L=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "jobs, tasks, cores, expected",
+        [(2, 8, 2, 2), (64, 8, 2, 2), (64, 3, 16, 3), (4, 8, 16, 4), (0, 8, 2, 1), (5, 8, None, 1)],
+    )
+    def test_pool_size_clamp(self, monkeypatch, jobs, tasks, cores, expected):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert cli._pool_size(jobs, tasks) == expected

@@ -1,5 +1,6 @@
 """Loss models, synthetic data, and penalized subgradient training."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from pesvlab import erm, norms, theory
 from pesvlab import netcore as nc
-from pesvlab.cli import documented_teacher
+from pesvlab.erm import documented_teacher
 from pesvlab.netcore import ActivationSpec, NetParams
 
 RELU = ActivationSpec.relu()
@@ -132,10 +133,13 @@ class TestTeacherAndDataset:
 
     def test_seed_determinism_byte_equal(self, tmp_path):
         teacher = documented_teacher(d=2)
+        digest = hashlib.sha256(
+            nc.network_to_json(teacher.teacher, teacher.act).encode()
+        ).hexdigest()[:16]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             ds = erm.sample_dataset(teacher, 32, 0.2, seed=7)
-            erm.save_dataset(path, ds, teacher_digest=erm.teacher_hash(teacher))
+            erm.save_dataset(path, ds, teacher_digest=digest)
         assert a.read_bytes() == b.read_bytes()
 
     def test_dataset_round_trip(self, tmp_path):

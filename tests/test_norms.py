@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pesvlab import netcore as nc, norms
 from pesvlab.netcore import ActivationSpec, NetParams, UnsupportedActivationError
@@ -96,6 +98,51 @@ class TestPesvSubgradient:
                     lo[li][i, j] -= eps
                     fd = (norms.pesv_norm(hi) - norms.pesv_norm(lo)) / (2 * eps)
                     assert abs(fd - g[li][i, j]) <= 1e-5 * max(abs(fd), 1.0)
+
+
+# Fixed example sequence, so the suite runs the same cases every time.
+DERANDOMIZED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def signed_nets_off_kinks(draw):
+    """Depth-2/3 networks with every weight magnitude in [0.1, 2] and random
+    signs: no weight sits near a sign kink and no first-layer row near zero."""
+    d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    layers = []
+    for shape in nc.layer_shapes(widths, d + 1):
+        mag = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.1, 2.0)))
+        neg = draw(hnp.arrays(np.bool_, shape))
+        layers.append(np.where(neg, -mag, mag))
+    return layers
+
+
+class TestPesvSubgradientProperty:
+    # Central differences with step H, tolerance TOL * (f + 1).  Between
+    # kinks the norm is linear in every weight above the first layer, so the
+    # quotient is exact there up to rounding.  A first-layer row w enters as
+    # c ||w|| with c ||w|| <= f and ||w|| >= 0.1 sqrt(2); its third
+    # derivative is at most 3 c / ||w||^2 <= 1500 f, a truncation error below
+    # H^2 / 6 * 1500 f < 1e-9 f.  Each evaluation sums fewer than 100 rounded
+    # terms, erring by at most 100 * 2.2e-16 f, so the quotient errs by at
+    # most 2.2e-14 f / H = 2.2e-8 f.
+    H = 1e-6
+    TOL = 1e-7
+
+    @DERANDOMIZED
+    @given(signed_nets_off_kinks())
+    def test_matches_central_differences(self, layers):
+        g = norms.pesv_subgradient(layers)
+        f = norms.pesv_norm(layers)
+        for li, w in enumerate(layers):
+            for idx in np.ndindex(w.shape):
+                hi = [v.copy() for v in layers]
+                lo = [v.copy() for v in layers]
+                hi[li][idx] += self.H
+                lo[li][idx] -= self.H
+                fd = (norms.pesv_norm(hi) - norms.pesv_norm(lo)) / (2 * self.H)
+                assert abs(fd - g[li][idx]) <= self.TOL * (abs(f) + 1.0)
 
 
 class TestWeightDecay:

@@ -1,5 +1,6 @@
 """Brute-force and Monte Carlo verification oracles."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestMaurey:
 
 class TestRademacherMC:
     def inputs(self, n=32, d=2, seed=5):
-        return oracles._uniform_ball_points(np.random.default_rng(seed), n, d)
+        return erm.uniform_ball(np.random.default_rng(seed), n, d)
 
     def test_zero_radius_exactly_zero(self):
         r = oracles.rademacher_mc((4,), 0.0, self.inputs(), trials=5, n_starts=2,
@@ -275,7 +276,7 @@ class TestCollinearity:
 
 class TestEquivalence:
     def dataset(self, n=12, seed=0):
-        from pesvlab.cli import documented_teacher
+        from pesvlab.erm import documented_teacher
 
         teacher = documented_teacher(d=2)
         return erm.sample_dataset(teacher, n, 0.05, seed=seed), teacher
@@ -311,6 +312,14 @@ class TestEquivalence:
                 ds, 0.1, (4,), [0], ActivationSpec.identity(),
                 erm.LossSpec.mse(1.0), erm.OptimizerConfig(max_iters=10),
             )
+
+
+class TestDocumentedExperiments:
+    def test_collinearity_rows_serialize(self):
+        """The rows go into the ``verify --out`` JSON report."""
+        rows = oracles.run_collinearity_experiment({"iters": 10, "seeds": (0, 1)})
+        assert all(type(r["ok"]) is bool for r in rows)
+        json.dumps(rows)
 
 
 class TestReports:
