@@ -42,6 +42,7 @@ from .erm import (
     objective,
     sample_dataset,
     train,
+    train_many,
 )
 
 __version__ = "0.1.0"

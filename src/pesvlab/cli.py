@@ -1,8 +1,9 @@
 """Command-line front end: ``pesvlab {bound|train|verify|sweep}``.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
-4 numerical divergence.  All emitted CSV bodies are deterministic given the
-configuration and seed; a timestamp comment line can be suppressed with
+4 numerical divergence (``sweep`` still writes every row, with ``nan``
+values for a diverged task).  All emitted CSV bodies are deterministic given
+the configuration and seed; a timestamp comment line can be suppressed with
 ``--no-timestamp``.
 """
 
@@ -21,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import erm, norms, oracles, theory
-from .config import ConfigError, RunConfig, parse_config, parse_widths_spec
+from .config import ConfigError, RunConfig, parse_config, parse_widths_spec, positive
 from .erm import DivergenceError
 from .netcore import ActivationSpec, load_network, save_network
 
@@ -45,12 +46,12 @@ def _problem_from_config(cfg: RunConfig) -> tuple[erm.TeacherSpec, int, float, i
         widths = cfg.get_int_list("problem", "teacher_widths")
         if widths is None:
             raise ConfigError(f"{cfg.path}: need [problem] teacher_file or teacher_widths")
-        d = cfg.get_int("problem", "d")
+        d = cfg.get_parsed("problem", "d", positive(int))
         if d is None:
             raise ConfigError(f"{cfg.path}: need [problem] d")
         seed = cfg.get_int("problem", "teacher_seed", 11)
         teacher = erm.documented_teacher(d=d, widths=tuple(widths), seed=seed)
-    n = cfg.get_int("problem", "n")
+    n = cfg.get_parsed("problem", "n", positive(int))
     if n is None:
         raise ConfigError(f"{cfg.path}: need [problem] n")
     sigma = cfg.get_float("problem", "sigma_eps", 0.0)
@@ -85,13 +86,16 @@ def _bound_config(cfg: RunConfig) -> tuple[theory.BoundConfig, tuple[int, ...]]:
         k: v for k in ("L_sigma", "M", "c", "C", "C1")
         if (v := cfg.get_float("bounds", k)) is not None
     }
-    return theory.BoundConfig(n=n, d=d, L=depth, sigma_eps=sigma, **consts), pattern
+    try:
+        return theory.BoundConfig(n=n, d=d, L=depth, sigma_eps=sigma, **consts), pattern
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}: bound settings: {exc}") from None
 
 
 def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, erm.Penalty]:
     opt = erm.OptimizerConfig(
-        step_size=cfg.get_float("optimizer", "step_size", 0.1),
-        max_iters=cfg.get_int("optimizer", "max_iters", 10_000),
+        step_size=cfg.get_parsed("optimizer", "step_size", positive(float), 0.1),
+        max_iters=cfg.get_parsed("optimizer", "max_iters", positive(int), 10_000),
         tolerance=cfg.get_float("optimizer", "tolerance", 0.0),
         schedule=cfg.get_parsed(
             "optimizer", "schedule", erm.OptimizerConfig.parse_schedule, "inv_sqrt"
@@ -240,15 +244,21 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_task(payload):
+    """One sweep row: ``(m, seed, five measured values, divergence message)``;
+    a diverged run has ``nan`` values and its message, the others ``None``."""
     (width, seed, teacher, n, sigma, pattern, opt, lam, reg, act) = payload
     ds = erm.sample_dataset(teacher, n, sigma, seed=seed)
     loss = erm.LossSpec.mse_for(teacher, sigma)
     student_widths = tuple(width * p for p in pattern)
     init = erm.init_params(student_widths, ds.input_dim, seed=seed)
-    res = erm.train(init, ds, lam, loss, reg, opt, act)
+    try:
+        res = erm.train(init, ds, lam, loss, reg, opt, act)
+    except DivergenceError as exc:
+        return (width, seed) + (math.nan,) * 5 + (str(exc),)
     emp = erm.empirical_error(res.params, act, teacher, ds)
     gen, gen_se = erm.generalization_error_mc(res.params, act, teacher, 2048, seed=seed + 1)
-    return (width, seed, res.best_objective, norms.pesv_norm(res.params), emp, gen, gen_se)
+    nu = norms.pesv_norm(res.params)
+    return (width, seed, res.best_objective, nu, emp, gen, gen_se, None)
 
 
 def cmd_sweep(args) -> int:
@@ -281,10 +291,13 @@ def cmd_sweep(args) -> int:
     for row in rows:
         w = row[0]
         bound = theory.gen_bound_encompassing(bcfg, tuple(w * p for p in pattern)).total
-        vals = [str(w), str(row[1])] + [repr(float(v)) for v in row[2:]] + [repr(float(bound))]
+        vals = [str(w), str(row[1])] + [repr(float(v)) for v in row[2:7]] + [repr(float(bound))]
         out_lines.append(",".join(vals) + "\n")
     _emit(args, args.out, "".join(out_lines))
-    return 0
+    diverged = [row for row in rows if row[7] is not None]
+    for row in diverged:
+        print(f"error: m={row[0]} seed={row[1]}: {row[7]}", file=sys.stderr)
+    return 4 if diverged else 0
 
 
 def main(argv=None) -> int:

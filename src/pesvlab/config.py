@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_widths_spec"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_widths_spec", "positive"]
 
 _T = TypeVar("_T")
 
@@ -84,9 +84,27 @@ class RunConfig:
         return self.get_parsed(section, key, float, default)
 
     def get_int_list(self, section: str, key: str) -> list[int] | None:
-        return self.get_parsed(
-            section, key, lambda raw: [int(v) for v in raw.split(",") if v.strip()]
-        )
+        """A comma list of positive integers, such as widths or a width pattern."""
+        return self.get_parsed(section, key, _positive_int_list)
+
+
+def positive(parse: Callable[[str], _T]) -> Callable[[str], _T]:
+    """``parse``, rejecting a value that is not above zero with ``ValueError``."""
+
+    def parse_positive(raw: str) -> _T:
+        value = parse(raw)
+        if not value > 0:
+            raise ValueError("must be positive")
+        return value
+
+    return parse_positive
+
+
+def _positive_int_list(raw: str) -> list[int]:
+    values = [int(v) for v in raw.split(",") if v.strip()]
+    if any(v < 1 for v in values):
+        raise ValueError("values must be integers >= 1")
+    return values
 
 
 def parse_config(path: str) -> RunConfig:

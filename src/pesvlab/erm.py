@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -12,10 +12,11 @@ from . import norms
 from .netcore import (
     ActivationSpec,
     NetParams,
-    backprop,
     forward,
     layer_shapes,
     parse_spec,
+    stacked_backprop,
+    stacked_forward,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "sample_dataset",
     "save_dataset",
     "train",
+    "train_many",
     "uniform_ball",
 ]
 
@@ -42,11 +44,13 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite objective; carries the last finite iterate."""
+    """Training hit a non-finite objective; carries the best finite iterate
+    and the index of the run that diverged."""
 
-    def __init__(self, message: str, last_finite: NetParams):
+    def __init__(self, message: str, last_finite: NetParams, run: int = 0):
         super().__init__(message)
         self.last_finite = last_finite
+        self.run = run
 
 
 @dataclass(frozen=True)
@@ -319,13 +323,15 @@ class Penalty:
     def value(self, params) -> float:
         return _PENALTIES[self.kind].value(self, params)
 
-    def subgradient(self, params) -> list[np.ndarray]:
-        return _PENALTIES[self.kind].subgradient(self, params)
+    def stacked(self, layers, grad: bool = True) -> tuple[np.ndarray, list | None]:
+        """Value of each of ``S`` stacked networks and, with ``grad``, a
+        subgradient of each (see :func:`norms.pesv_stacked`)."""
+        return _PENALTIES[self.kind].stacked(self, layers, grad)
 
 
 class _PenaltyKind(NamedTuple):
     value: Callable[[Penalty, object], float]
-    subgradient: Callable[[Penalty, object], list]
+    stacked: Callable[[Penalty, list, bool], tuple]
     spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
 
 
@@ -333,16 +339,16 @@ class _PenaltyKind(NamedTuple):
 # so a wrapper installed on the module sees every call.
 _PENALTIES = {
     "pesv": _PenaltyKind(
-        lambda r, w: norms.pesv_norm(w), lambda r, w: norms.pesv_subgradient(w), (0,)
+        lambda r, w: norms.pesv_norm(w), lambda r, ws, g: norms.pesv_stacked(ws, g), (0,)
     ),
     "weight_decay": _PenaltyKind(
         lambda r, w: norms.weight_decay_norm(w),
-        lambda r, w: norms.weight_decay_subgradient(w),
+        lambda r, ws, g: norms.weight_decay_stacked(ws, g),
         (0,),
     ),
     "mixed_max": _PenaltyKind(
         lambda r, w: norms.mixed_max_norm(w, r.p, r.q),
-        lambda r, w: norms.mixed_max_subgradient(w, r.p, r.q),
+        lambda r, ws, g: norms.mixed_max_stacked(ws, r.p, r.q, g),
         (0, 2),
     ),
 }
@@ -404,59 +410,116 @@ def train(
     Records the objective every iteration and returns the best iterate seen
     (the subgradient method is not monotone).  The trace also carries the
     training mean squared residual and the path norm of the current iterate.
-    A non-finite objective aborts with the last finite iterate attached.
+    A non-finite objective aborts with the best finite iterate attached.
     """
-    x, y = dataset.inputs, dataset.targets
-    n = dataset.n
-    arrs = [np.array(w) for w in init.layers]
+    return train_many([init], [dataset], [lam], loss, reg, opt, act)[0]
+
+
+def train_many(
+    inits: Sequence[NetParams],
+    datasets: Sequence[Dataset],
+    lams: Sequence[float],
+    loss: LossSpec,
+    reg: Penalty,
+    opt: OptimizerConfig,
+    act: ActivationSpec,
+) -> list[TrainResult]:
+    """Run :func:`train` for ``S`` independent runs at once, run ``s``
+    starting from ``inits[s]`` on ``datasets[s]`` with ``lams[s]``.
+
+    The runs advance together, one set of stacked matrix products per
+    iteration, and each result is bitwise equal to its own :func:`train`
+    call.  The datasets must share their sample count and the initial
+    networks their shapes.  Under ``opt.tolerance > 0`` a run that meets it
+    stops updating and recording while the others go on.  The first run to
+    reach a non-finite objective raises :class:`DivergenceError`, carrying
+    its best finite iterate and its index.
+    """
+    S = len(inits)
+    if len(datasets) != S or len(lams) != S:
+        raise ValueError("need one dataset and one lambda per run")
+    if S == 0:
+        return []
+    n = datasets[0].n
+    if any(ds.n != n for ds in datasets):
+        raise ValueError("every run needs the same sample count")
+    x = np.stack([ds.inputs for ds in datasets])
+    y = np.stack([ds.targets for ds in datasets])
+    lam = np.array(lams, dtype=np.float64)
+    lam_w = lam[:, None, None]
+    # A run with lam = 0 takes no penalty subgradient, and a stopped run no
+    # step; the masks stay True (no masking) while every run takes them.
+    penalized = lam > 0.0
+    subgradient = bool(penalized.any())
+    add_where = True if penalized.all() else penalized[:, None, None]
+    update_where = True
+    arrs = [np.stack(ws) for ws in zip(*(p.layers for p in inits))]
     best = [w.copy() for w in arrs]
-    best_obj = math.inf
-    rows = np.empty((opt.max_iters, 4))
-    converged = False
-    iters_run = 0
+    best_obj = np.full(S, math.inf)
+    # Per iteration and run: objective, empirical_mse and nu.
+    history = np.empty((3, opt.max_iters, S))
+    iters = np.full(S, opt.max_iters)
+    active = np.ones(S, dtype=bool)
 
-    for t in range(opt.max_iters):
-        preds = forward(arrs, act, x)
-        fit = float(np.mean(loss.value(preds, y)))
-        nu = norms.pesv_norm(arrs)
-        obj = fit + lam * reg.value(arrs)
-        if not math.isfinite(obj):
-            raise DivergenceError(
-                f"objective became non-finite at iteration {t}",
-                NetParams(tuple(best)),
-            )
-        mse_train = float(np.mean((preds - y) ** 2))
-        rows[t] = (t, obj, mse_train, nu)
-        iters_run = t + 1
-        if obj < best_obj:
-            best_obj = obj
-            for b, w in zip(best, arrs):
-                np.copyto(b, w)
+    # Finiteness is checked on the objective, so overflow along the way is
+    # expected, not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(opt.max_iters):
+            preds, hs, zs = stacked_forward(arrs, act, x)
+            fit = np.add.reduce(loss.value(preds, y), axis=-1) / n
+            value, sub = reg.stacked(arrs, grad=subgradient)
+            nu = value if reg.kind == "pesv" else norms.pesv_stacked(arrs, grad=False)[0]
+            obj = fit + lam * value
+            if not np.isfinite(obj).all():
+                s = int(np.flatnonzero(~np.isfinite(obj))[0])
+                where = f"run {s}: " if S > 1 else ""
+                raise DivergenceError(
+                    f"{where}objective became non-finite at iteration {t}",
+                    NetParams(tuple(b[s] for b in best)),
+                    run=s,
+                )
+            history[0, t] = obj
+            history[1, t] = np.add.reduce((preds - y) ** 2, axis=-1) / n
+            history[2, t] = nu
+            better = obj < best_obj
+            if better.any():
+                best_obj = np.where(better, obj, best_obj)
+                for b, w in zip(best, arrs):
+                    np.copyto(b, w, where=better[:, None, None])
 
-        upstream = loss.dpred(preds, y) / n
-        grads = backprop(arrs, act, x, upstream)
-        if lam > 0.0:
-            for g, r in zip(grads, reg.subgradient(arrs)):
-                g += lam * r
-        if opt.tolerance > 0.0:
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-            tnorm = math.sqrt(sum(float(np.sum(w * w)) for w in arrs))
-            if gnorm <= opt.tolerance * (1.0 + tnorm):
-                converged = True
-                break
-        step = opt.step_size
-        if opt.schedule == "inv_sqrt":
-            step /= math.sqrt(t + 1.0)
-        for w, g in zip(arrs, grads):
-            w -= step * g
+            grads = stacked_backprop(arrs, act, hs, zs, loss.dpred(preds, y) / n)
+            # Held into the next forward pass, the layer activations would
+            # double the peak memory of a wide network.
+            del hs, zs
+            if sub is not None:
+                for g, r in zip(grads, sub):
+                    np.add(g, lam_w * r, out=g, where=add_where)
+            if opt.tolerance > 0.0:
+                gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
+                tnorm = np.sqrt(sum(np.sum(w * w, axis=(1, 2)) for w in arrs))
+                done = active & (gnorm <= opt.tolerance * (1.0 + tnorm))
+                if done.any():
+                    iters[done] = t + 1
+                    active &= ~done
+                    if not active.any():
+                        break
+                    update_where = active[:, None, None]
+            step = opt.step_size
+            if opt.schedule == "inv_sqrt":
+                step /= math.sqrt(t + 1.0)
+            for w, g in zip(arrs, grads):
+                np.subtract(w, step * g, out=w, where=update_where)
 
-    return TrainResult(
-        params=NetParams(tuple(best)),
-        trace=rows[:iters_run].copy(),
-        best_objective=best_obj,
-        iterations=iters_run,
-        converged=converged,
-    )
+    return [
+        TrainResult(
+            params=NetParams(tuple(b[s] for b in best)),
+            trace=np.column_stack((np.arange(k, dtype=np.float64), *history[:, :k, s])),
+            best_objective=float(best_obj[s]),
+            iterations=int(k),
+            converged=bool(not active[s]),
+        )
+        for s, k in enumerate(iters)
+    ]
 
 
 def empirical_error(params, act: ActivationSpec, teacher: TeacherSpec, dataset: Dataset) -> float:

@@ -32,6 +32,8 @@ __all__ = [
     "normalize_activation",
     "parse_spec",
     "save_network",
+    "stacked_backprop",
+    "stacked_forward",
 ]
 
 # Candidate probe points for constant-carrier units; the first one with a
@@ -355,38 +357,64 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
     return out[0] if single else out
 
 
+def stacked_forward(
+    layers, act: ActivationSpec, inputs
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Evaluate ``S`` networks stacked on a leading run axis.
+
+    ``layers`` are ``(S, rows, cols)`` arrays; ``inputs`` are ``(n, d+1)``,
+    shared by every run, or ``(S, n, d+1)``, one set per run.  Returns the
+    ``(S, n)`` outputs together with the input of every layer and the
+    preactivation of every hidden layer, which :func:`stacked_backprop`
+    takes.  Every product is one ``matmul`` slice per run, so each run's
+    numbers equal those of the same network evaluated alone.
+    """
+    hs = [inputs]
+    zs = []
+    for w in layers[:-1]:
+        zs.append(hs[-1] @ w.transpose(0, 2, 1))
+        hs.append(act(zs[-1]))
+    out = (hs[-1] @ layers[-1].transpose(0, 2, 1))[..., 0]
+    return out, hs, zs
+
+
+def stacked_backprop(layers, act: ActivationSpec, hs, zs, upstream) -> list[np.ndarray]:
+    """Gradient of ``sum_i upstream_i * f_s(x_i)`` for each stacked network
+    ``s``, from the layer inputs ``hs`` and preactivations ``zs`` of
+    :func:`stacked_forward`.
+
+    ``upstream`` is ``(n,)``, shared by every run, or ``(S, n)``.  Returns
+    ``(S, rows, cols)`` arrays shaped like ``layers``.  Requires an activation
+    with an almost-everywhere derivative.
+    """
+    depth = len(layers)
+    grads: list[np.ndarray] = [np.empty(0)] * depth
+    grads[-1] = upstream[..., None, :] @ hs[-1]
+    delta = upstream[..., :, None] * layers[-1]
+    delta *= act.derivative(zs[-1])
+    for k in range(depth - 2, -1, -1):
+        grads[k] = delta.transpose(0, 2, 1) @ hs[k]
+        if k > 0:
+            delta = delta @ layers[k]
+            delta *= act.derivative(zs[k - 1])
+    return grads
+
+
 def backprop(params, act: ActivationSpec, inputs, upstream) -> list[np.ndarray]:
     """Gradient of ``sum_i upstream_i * f(x_i)`` with respect to every weight.
 
     Returns matrices shaped exactly like the network layers.  Requires an
     activation with an almost-everywhere derivative.
     """
-    layers = as_layers(params)
+    layers = [np.asarray(w, dtype=np.float64)[None] for w in as_layers(params)]
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     u = np.asarray(upstream, dtype=np.float64).ravel()
     if u.shape[0] != x.shape[0]:
         raise ValueError("one upstream value per sample is required")
-
-    hs = [x]
-    zs = []
-    h = x
-    for w in layers[:-1]:
-        z = h @ w.T
-        zs.append(z)
-        h = act(z)
-        hs.append(h)
-
-    depth = len(layers)
-    grads: list[np.ndarray] = [np.empty(0)] * depth
-    grads[-1] = (u @ hs[-1]).reshape(1, -1)
-    delta = np.outer(u, layers[-1].ravel()) * act.derivative(zs[-1])
-    for k in range(depth - 2, -1, -1):
-        grads[k] = delta.T @ hs[k]
-        if k > 0:
-            delta = (delta @ layers[k]) * act.derivative(zs[k - 1])
-    return grads
+    _, hs, zs = stacked_forward(layers, act, x)
+    return [g[0] for g in stacked_backprop(layers, act, hs, zs, u)]
 
 
 # ---------------------------------------------------------------------------

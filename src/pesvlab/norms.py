@@ -9,21 +9,25 @@ from .netcore import ActivationSpec, NetParams, UnsupportedActivationError, as_l
 __all__ = [
     "balance_relu",
     "mixed_max_norm",
+    "mixed_max_stacked",
     "mixed_max_subgradient",
     "outgoing_weights",
     "pesv_matrixproduct_variant",
     "pesv_norm",
+    "pesv_stacked",
     "pesv_subgradient",
     "rescale_neuron",
     "weight_decay_norm",
+    "weight_decay_stacked",
     "weight_decay_subgradient",
 ]
 
 _HOMOGENEOUS_KINDS = {"relu", "leaky_relu", "identity"}
 
 
-def _first_layer_row_norms(layers) -> np.ndarray:
-    return np.linalg.norm(layers[0], axis=1)
+def _stack_one(params) -> list[np.ndarray]:
+    """The layers of one network with a run axis of length 1."""
+    return [np.asarray(w, dtype=np.float64)[None] for w in as_layers(params)]
 
 
 def pesv_norm(params) -> float:
@@ -35,11 +39,7 @@ def pesv_norm(params) -> float:
     ``|a| |w^{L-1}| ... |w^2| v`` with ``v_k = ||w^1_k||_2``; for depth 2
     this is the scaled variation norm ``sum_k |a_k| ||w^1_k||_2``.
     """
-    layers = as_layers(params)
-    v = _first_layer_row_norms(layers)
-    for w in layers[1:-1]:
-        v = np.abs(w) @ v
-    return float(np.abs(layers[-1].ravel()) @ v)
+    return float(pesv_stacked(_stack_one(params), grad=False)[0][0])
 
 
 def pesv_matrixproduct_variant(params) -> float:
@@ -52,7 +52,7 @@ def pesv_matrixproduct_variant(params) -> float:
     w = layers[-1]
     for mat in layers[-2:0:-1]:
         w = w @ mat
-    return float(np.abs(w.ravel()) @ _first_layer_row_norms(layers))
+    return float(np.abs(w.ravel()) @ np.linalg.norm(layers[0], axis=1))
 
 
 def outgoing_weights(upper) -> list[np.ndarray]:
@@ -62,11 +62,12 @@ def outgoing_weights(upper) -> list[np.ndarray]:
     Entry ``k`` is the vector ``upper[-1] upper[-2] ... upper[k]``, one value
     per unit of hidden layer ``k``.  Pass ``|W|`` matrices for the path mass
     a unit carries to the output, signed ones for its net output sign.
+    Matrices stacked on a leading run axis give one row of values per run.
     """
-    acc = upper[-1].ravel()
+    acc = upper[-1][..., 0, :]
     out = [acc]
     for w in upper[-2::-1]:
-        acc = acc @ w
+        acc = (acc[..., None, :] @ w)[..., 0, :]
         out.append(acc)
     out.reverse()
     return out
@@ -74,84 +75,105 @@ def outgoing_weights(upper) -> list[np.ndarray]:
 
 def pesv_subgradient(params) -> list[np.ndarray]:
     """A subgradient of :func:`pesv_norm`; zero at sign kinks and zero rows."""
-    layers = as_layers(params)
-    depth = len(layers)
-    abs_upper = [np.abs(w) for w in layers[1:]]
-    row_norms = _first_layer_row_norms(layers)
+    return [g[0] for g in pesv_stacked(_stack_one(params))[1]]
 
-    # down[k] = |layers[k]| ... |layers[1]| v with v the first-layer row norms.
-    down = [row_norms]
+
+def pesv_stacked(layers, grad: bool = True) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """:func:`pesv_norm` of each of ``S`` networks stacked on a leading run
+    axis (``(S, rows, cols)`` layers), shape ``(S,)``, and with ``grad`` the
+    :func:`pesv_subgradient` of each, layer by layer; ``None`` without."""
+    abs_upper = [np.abs(w) for w in layers[1:]]
+    row_norms = _row_pnorms(layers[0], 2.0)
+    # down[k] = |layers[k]| ... |layers[1]| v as columns, v the first-layer row norms.
+    down = [row_norms[..., None]]
     for w in abs_upper[:-1]:
         down.append(w @ down[-1])
+    value = (abs_upper[-1] @ down[-1])[:, 0, 0]
+    if not grad:
+        return value, None
     upvecs = outgoing_weights(abs_upper)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit_rows = np.where(
-            row_norms[:, None] > 0.0, layers[0] / row_norms[:, None], 0.0
-        )
-    grads: list[np.ndarray] = [upvecs[0][:, None] * unit_rows]
-    for k in range(1, depth - 1):
-        grads.append(np.sign(layers[k]) * np.outer(upvecs[k], down[k - 1]))
-    grads.append(np.sign(layers[-1]) * down[depth - 2][None, :])
-    return grads
+    norms_col = row_norms[..., None]
+    unit_rows = np.divide(
+        layers[0], norms_col, out=np.zeros_like(layers[0]), where=norms_col > 0.0
+    )
+    grads = [upvecs[0][..., None] * unit_rows]
+    for k in range(1, len(layers) - 1):
+        outer = upvecs[k][..., None] * down[k - 1].transpose(0, 2, 1)
+        grads.append(np.sign(layers[k]) * outer)
+    grads.append(np.sign(layers[-1]) * down[-1].transpose(0, 2, 1))
+    return value, grads
 
 
 def weight_decay_norm(params) -> float:
     """Sum of squares of every weight."""
-    return float(sum(np.sum(w * w) for w in as_layers(params)))
+    return float(weight_decay_stacked(_stack_one(params), grad=False)[0][0])
 
 
 def weight_decay_subgradient(params) -> list[np.ndarray]:
-    return [2.0 * w for w in as_layers(params)]
+    return [g[0] for g in weight_decay_stacked(_stack_one(params))[1]]
+
+
+def weight_decay_stacked(
+    layers, grad: bool = True
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """:func:`weight_decay_norm` of each stacked network, and with ``grad``
+    its gradient, as :func:`pesv_stacked` does for the path norm."""
+    value = sum(np.add.reduce(w * w, axis=(1, 2)) for w in layers)
+    return value, [2.0 * w for w in layers] if grad else None
 
 
 def _row_pnorms(w: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
-        return np.sum(np.abs(w), axis=1)
+        return np.sum(np.abs(w), axis=-1)
     if p == 2.0:
-        return np.linalg.norm(w, axis=1)
-    return np.sum(np.abs(w) ** p, axis=1) ** (1.0 / p)
+        return np.sqrt(np.add.reduce(w * w, axis=-1))
+    return np.sum(np.abs(w) ** p, axis=-1) ** (1.0 / p)
 
 
 def mixed_max_norm(params, p: float = 1.0, q: float = 2.0) -> float:
     """Max over per-unit incoming norms: ``l_p`` rows for layers >= 2 joined
     with ``l_q`` rows of the first layer."""
-    if p < 1.0 or q < 1.0:
-        raise ValueError("p and q must be at least 1")
-    layers = as_layers(params)
-    best = max(float(np.max(_row_pnorms(w, p))) for w in layers[1:])
-    return max(best, float(np.max(_row_pnorms(layers[0], q))))
+    return float(mixed_max_stacked(_stack_one(params), p, q, grad=False)[0][0])
 
 
 def mixed_max_subgradient(params, p: float = 1.0, q: float = 2.0) -> list[np.ndarray]:
     """Subgradient of :func:`mixed_max_norm`: gradient of the first row
     attaining the max, scanned upper layers first; zero elsewhere."""
-    layers = as_layers(params)
+    return [g[0] for g in mixed_max_stacked(_stack_one(params), p, q)[1]]
+
+
+def mixed_max_stacked(
+    layers, p: float = 1.0, q: float = 2.0, grad: bool = True
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """:func:`mixed_max_norm` of each stacked network, and with ``grad`` the
+    :func:`mixed_max_subgradient` of each, as :func:`pesv_stacked` does for
+    the path norm."""
+    if p < 1.0 or q < 1.0:
+        raise ValueError("p and q must be at least 1")
+    # Rows in scan order, upper layers first: argmax picks the first row
+    # attaining the max.
+    scan = [(idx, p) for idx in range(1, len(layers))] + [(0, q)]
+    row_norms = [_row_pnorms(layers[idx], r) for idx, r in scan]
+    flat = np.concatenate(row_norms, axis=-1)
+    runs = np.arange(flat.shape[0])
+    pick = np.argmax(flat, axis=-1)
+    value = flat[runs, pick]
+    if not grad:
+        return value, None
     grads = [np.zeros_like(w) for w in layers]
-    best_val = -1.0
-    best = (0, 0, q)
-    for idx, w in enumerate(layers[1:], start=1):
-        norms = _row_pnorms(w, p)
-        j = int(np.argmax(norms))
-        if norms[j] > best_val:
-            best_val = float(norms[j])
-            best = (idx, j, p)
-    first_norms = _row_pnorms(layers[0], q)
-    j = int(np.argmax(first_norms))
-    if first_norms[j] > best_val:
-        best_val = float(first_norms[j])
-        best = (0, j, q)
-    if best_val <= 0.0:
-        return grads
-    idx, j, r = best
-    row = layers[idx][j]
-    if r == 1.0:
-        g = np.sign(row)
-    else:
-        nr = _row_pnorms(row[None, :], r)[0]
-        g = np.sign(row) * (np.abs(row) / nr) ** (r - 1.0)
-    grads[idx][j] = g
-    return grads
+    start = 0
+    for (idx, r), nr in zip(scan, row_norms):
+        stop = start + nr.shape[-1]
+        sel = runs[(pick >= start) & (pick < stop) & (value > 0.0)]
+        if sel.size:
+            j = pick[sel] - start
+            rows = layers[idx][sel, j]
+            g = np.sign(rows)
+            if r != 1.0:
+                g = g * (np.abs(rows) / nr[sel, j][:, None]) ** (r - 1.0)
+            grads[idx][sel, j] = g
+        start = stop
+    return value, grads
 
 
 def rescale_neuron(params: NetParams, layer: int, index: int, c: float) -> NetParams:

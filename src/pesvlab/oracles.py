@@ -19,9 +19,10 @@ from .netcore import (
     UnsupportedActivationError,
     WidthVector,
     as_layers,
-    backprop,
     forward,
     layer_shapes,
+    stacked_backprop,
+    stacked_forward,
 )
 
 __all__ = [
@@ -367,24 +368,21 @@ def rademacher_mc(
     per_trial = np.empty(trials)
     for t in range(trials):
         rho = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        starts = [random_unit_norm_net(rng, wv, dim) for _ in range(n_starts)]
+        arrs = [np.stack(ws) for ws in zip(*starts)]
         best = 0.0  # the zero network is feasible
-        for _ in range(n_starts):
-            arrs = random_unit_norm_net(rng, wv, dim)
-            for it in range(inner_steps):
-                val = float(rho @ forward(arrs, act, X))
-                if val > best:
-                    best = val
-                grads = backprop(arrs, act, X, rho)
-                gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-                step = step_size / math.sqrt(it + 1.0) / max(gnorm, 1e-12)
-                for w, g in zip(arrs, grads):
-                    w += step * g
-                nu = norms.pesv_norm(arrs)
-                if nu > 1.0:
-                    arrs[-1] = arrs[-1] / nu
-            val = float(rho @ forward(arrs, act, X))
-            if val > best:
-                best = val
+        for it in range(inner_steps + 1):
+            out, hs, zs = stacked_forward(arrs, act, X)
+            best = max(best, float(np.max(rho @ out[..., None])))
+            if it == inner_steps:  # the final iterates are scored, not stepped
+                break
+            grads = stacked_backprop(arrs, act, hs, zs, rho)
+            gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
+            step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
+            for w, g in zip(arrs, grads):
+                w += step[:, None, None] * g
+            nu = norms.pesv_stacked(arrs, grad=False)[0][:, None, None]
+            np.divide(arrs[-1], nu, out=arrs[-1], where=nu > 1.0)
         per_trial[t] = best
 
     unit_mean = float(per_trial.mean())
@@ -732,16 +730,17 @@ def equivalence_check_relu(
     mm = erm.Penalty("mixed_max", 1.0, 2.0)
     d = dataset.input_dim
 
+    inits = [erm.init_params(widths, d, seed=seed) for seed in seeds]
+    data = [dataset] * len(inits)
+    res_ps = erm.train_many(inits, data, [lam] * len(inits), loss, pesv, opt, act)
+    res_ws = erm.train_many(inits, data, [lam / 2.0] * len(inits), loss, wd, opt, act)
+    nu_hats = [norms.pesv_norm(res.params) for res in res_ps]
+    lam_mms = [lam * math.sqrt(nu) if nu > 0 else lam for nu in nu_hats]
+    res_ms = erm.train_many(inits, data, lam_mms, loss, mm, opt, act)
+
     rows = []
     gaps_wd, gaps_mm = [], []
-    for seed in seeds:
-        init = erm.init_params(widths, d, seed=seed)
-        res_p = erm.train(init, dataset, lam, loss, pesv, opt, act)
-        res_w = erm.train(init, dataset, lam / 2.0, loss, wd, opt, act)
-        nu_hat = norms.pesv_norm(res_p.params)
-        lam_mm = lam * math.sqrt(nu_hat) if nu_hat > 0 else lam
-        res_m = erm.train(init, dataset, lam_mm, loss, mm, opt, act)
-
+    for seed, res_p, res_w, res_m in zip(seeds, res_ps, res_ws, res_ms):
         bal_w = norms.balance_relu(res_w.params, act)
         bal_m = norms.balance_relu(res_m.params, act)
         pesv_of_w = erm.objective(bal_w, dataset, lam, loss, pesv, act)
@@ -807,14 +806,17 @@ def run_collinearity_experiment(cfg: dict | None = None) -> list[dict]:
     teacher = erm.documented_teacher(d=c["d"])
     act = ActivationSpec.relu()
     opt = erm.OptimizerConfig(step_size=c["step_size"], max_iters=c["iters"])
+    datasets = [
+        erm.sample_dataset(teacher, c["n"], c["sigma_eps"], seed=1000 + seed)
+        for seed in c["seeds"]
+    ]
+    loss = erm.LossSpec.mse_for(teacher, c["sigma_eps"])
+    inits = [erm.init_params(c["widths"], c["d"], seed=seed) for seed in c["seeds"]]
+    results = erm.train_many(
+        inits, datasets, [c["lam"]] * len(inits), loss, erm.Penalty("pesv"), opt, act
+    )
     rows = []
-    for seed in c["seeds"]:
-        ds = erm.sample_dataset(
-            teacher, c["n"], c["sigma_eps"], seed=1000 + seed
-        )
-        loss = erm.LossSpec.mse_for(teacher, c["sigma_eps"])
-        init = erm.init_params(c["widths"], c["d"], seed=seed)
-        res = erm.train(init, ds, c["lam"], loss, erm.Penalty("pesv"), opt, act)
+    for seed, ds, res in zip(c["seeds"], datasets, results):
         rep = collinearity_report(res.params, act, ds.inputs)
         rows.append(
             {

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, cross-module consistency."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,33 @@ class TestSweepCommand:
     def test_zero_trials_usage_error(self, train_cfg):
         assert cli.main(["sweep", "--config", str(train_cfg), "--trials", "0"]) == 2
 
+    def test_diverged_task_keeps_the_sweep(self, tmp_path, capsys):
+        """One of two tasks diverges: both rows are written, the diverged one
+        with nan values and its bound, and the task is named on stderr."""
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(
+            TRAIN_CFG.replace("step_size = 0.3", "step_size = 3")
+            .replace("activation = relu", "activation = identity")
+            .replace("widths = 2,4", "widths = 2,40")
+        )
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--no-timestamp"])
+        assert rc == 4
+        rows = read_csv_rows(out)
+        assert [(r["m"], r["seed"]) for r in rows] == [("2", "3"), ("40", "3")]
+        numeric = ("objective", "nu", "empirical_error", "generalization_mc", "generalization_se")
+        assert all(np.isfinite(float(rows[0][k])) for k in numeric)
+        assert all(rows[1][k] == "nan" for k in numeric)
+        cfg_b = theory.BoundConfig(n=1e4, d=1, L=2, sigma_eps=0.1, M=1.0)
+        for r in rows:
+            assert float(r["bound_total"]) == theory.gen_bound_encompassing(
+                cfg_b, (int(r["m"]),)
+            ).total
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: m=40 seed=3: objective became non-finite at iteration 6"]
+
     def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path):
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
         cli.main(["sweep", "--config", str(train_cfg), "--out", str(a),
@@ -249,6 +277,26 @@ class TestConfigValues:
         err = capsys.readouterr().err
         key = new.rpartition("\n")[2].partition(" =")[0]
         assert str(cfg) in err and key in err
+
+    @pytest.mark.parametrize(
+        "command, section, old, new",
+        [
+            ("train", "optimizer", "step_size = 0.3", "step_size = -1"),
+            ("train", "optimizer", "max_iters = 1500", "max_iters = 0"),
+            ("train", "problem", "n = 24", "n = 0"),
+            ("train", "network", "widths = 6", "widths = 0"),
+            ("bound", "bounds", "pattern = 1", "pattern = 0"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(
+        self, tmp_path, capsys, command, section, old, new
+    ):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(TRAIN_CFG.replace(old + "\n", new + "\n"))
+        assert cli.main([command, "--config", str(cfg), "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        key = new.partition(" =")[0]
+        assert f"{cfg}: [{section}] {key}=" in err and "Traceback" not in err
 
     def test_bounds_depth_disagreeing_with_pattern(self, tmp_path, capsys):
         cfg = tmp_path / "depth.cfg"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,154 @@ class TestTrain:
                 errs.append(erm.empirical_error(res.params, RELU, teacher, ds))
             medians.append(float(np.median(errs)))
         assert medians[1] <= medians[0]
+
+
+_SUBGRADIENTS = {
+    "pesv": lambda reg, w: norms.pesv_subgradient(w),
+    "weight_decay": lambda reg, w: norms.weight_decay_subgradient(w),
+    "mixed_max": lambda reg, w: norms.mixed_max_subgradient(w, reg.p, reg.q),
+}
+
+
+def single_loop_train(init, dataset, lam, loss, reg, opt, act):
+    """Reference: one network at a time, through the 2-D public functions
+    (forward, backprop, the penalty value and subgradient)."""
+    x, y = dataset.inputs, dataset.targets
+    arrs = [np.array(w) for w in init.layers]
+    best = [w.copy() for w in arrs]
+    best_obj = math.inf
+    rows = []
+    converged = False
+    for t in range(opt.max_iters):
+        preds = nc.forward(arrs, act, x)
+        obj = float(np.mean(loss.value(preds, y))) + lam * reg.value(arrs)
+        if not math.isfinite(obj):
+            raise erm.DivergenceError(
+                f"objective became non-finite at iteration {t}", NetParams(tuple(best))
+            )
+        rows.append((t, obj, float(np.mean((preds - y) ** 2)), norms.pesv_norm(arrs)))
+        if obj < best_obj:
+            best_obj = obj
+            best = [w.copy() for w in arrs]
+        grads = nc.backprop(arrs, act, x, loss.dpred(preds, y) / dataset.n)
+        if lam > 0.0:
+            for g, r in zip(grads, _SUBGRADIENTS[reg.kind](reg, arrs)):
+                g += lam * r
+        if opt.tolerance > 0.0:
+            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            tnorm = math.sqrt(sum(float(np.sum(w * w)) for w in arrs))
+            if gnorm <= opt.tolerance * (1.0 + tnorm):
+                converged = True
+                break
+        step = opt.step_size
+        if opt.schedule == "inv_sqrt":
+            step /= math.sqrt(t + 1.0)
+        for w, g in zip(arrs, grads):
+            w -= step * g
+    return erm.TrainResult(
+        NetParams(tuple(best)), np.array(rows), best_obj, len(rows), converged
+    )
+
+
+def assert_same_result(got, want):
+    """Equal to the bit, signs of zeros included."""
+    assert got.best_objective == want.best_objective
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert got.trace.shape == want.trace.shape
+    assert got.trace.tobytes() == want.trace.tobytes()
+    for a, b in zip(got.params.layers, want.params.layers, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def three_runs(d=2, n=12):
+    """Per-run inputs for three runs: datasets, lambdas (one of them zero)."""
+    teacher = documented_teacher(d=d)
+    datasets = [erm.sample_dataset(teacher, n, 0.05, seed=s) for s in (1, 2, 3)]
+    return datasets, [0.02, 0.0, 0.005]
+
+
+class TestTrainMany:
+    """A batch of runs equals the same runs trained one at a time, exactly."""
+
+    @pytest.mark.parametrize("widths", [(5,), (4, 3)])
+    @pytest.mark.parametrize(
+        "act", [RELU, ActivationSpec.leaky_relu(0.1), ActivationSpec.identity()]
+    )
+    @pytest.mark.parametrize("reg", ["pesv", "weight_decay", "mixed_max:1:2", "mixed_max:3:1.5"])
+    def test_batch_equals_single_runs(self, widths, act, reg):
+        datasets, lams = three_runs()
+        inits = [erm.init_params(widths, 2, seed=s) for s in (4, 5, 6)]
+        loss = erm.LossSpec.mse(2.0)
+        penalty = erm.Penalty.parse(reg)
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
+        batch = erm.train_many(inits, datasets, lams, loss, penalty, opt, act)
+        for res, init, ds, lam in zip(batch, inits, datasets, lams, strict=True):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, penalty, opt, act))
+            assert_same_result(erm.train(init, ds, lam, loss, penalty, opt, act), res)
+
+    def test_huber_loss_and_constant_schedule(self):
+        datasets, lams = three_runs(d=3, n=9)
+        inits = [erm.init_params((6,), 3, seed=s) for s in (1, 2, 3)]
+        loss = erm.LossSpec.huber(0.3, 2.0)
+        opt = erm.OptimizerConfig(step_size=0.2, max_iters=40, schedule="constant")
+        pen = erm.Penalty("pesv")
+        batch = erm.train_many(inits, datasets, lams, loss, pen, opt, RELU)
+        for res, init, ds, lam in zip(batch, inits, datasets, lams):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, pen, opt, RELU))
+
+    def test_one_run_stops_early(self):
+        """Under a tolerance each run stops on its own; the last one runs on
+        to the iteration limit."""
+        teacher = documented_teacher(d=2)
+        seeds = (3, 0, 1)
+        datasets = [erm.sample_dataset(teacher, 12, 0.0, seed=s) for s in seeds]
+        inits = [erm.init_params((3,), 2, seed=s) for s in seeds]
+        lams = [0.0, 0.001, 0.0]
+        loss = erm.LossSpec.mse(2.0)
+        opt = erm.OptimizerConfig(
+            step_size=0.5, max_iters=60, tolerance=0.004, schedule="constant"
+        )
+        pen = erm.Penalty("pesv")
+        batch = erm.train_many(inits, datasets, lams, loss, pen, opt, RELU)
+        assert [(r.iterations, r.converged) for r in batch] == [
+            (20, True), (32, True), (60, False)
+        ]
+        for res, init, ds, lam in zip(batch, inits, datasets, lams):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, pen, opt, RELU))
+
+    def test_diverging_run_raises_for_its_index(self):
+        datasets, lams = three_runs()
+        big = datasets[1]
+        datasets[1] = erm.Dataset(big.inputs, big.targets * 1e150, big.noise_std, big.seed)
+        inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
+        loss = erm.LossSpec.mse(2.0)
+        pen = erm.Penalty("pesv")
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
+        act = ActivationSpec.identity()
+        with pytest.raises(erm.DivergenceError) as single, np.errstate(over="ignore"):
+            single_loop_train(inits[1], datasets[1], lams[1], loss, pen, opt, act)
+        with pytest.raises(erm.DivergenceError) as one, warnings.catch_warnings():
+            warnings.simplefilter("error")  # the kernel checks finiteness itself
+            erm.train(inits[1], datasets[1], lams[1], loss, pen, opt, act)
+        with pytest.raises(erm.DivergenceError) as batch:
+            erm.train_many(inits, datasets, lams, loss, pen, opt, act)
+        assert str(one.value) == str(single.value)
+        assert str(batch.value) == f"run 1: {single.value}"
+        assert (one.value.run, batch.value.run) == (0, 1)
+        for exc in (one.value, batch.value):
+            for a, b in zip(exc.last_finite.layers, single.value.last_finite.layers):
+                assert np.all(a == b)
+
+    def test_rejects_mismatched_runs(self):
+        datasets, lams = three_runs()
+        inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
+        args = (erm.LossSpec.mse(2.0), erm.Penalty("pesv"), erm.OptimizerConfig(), RELU)
+        with pytest.raises(ValueError):
+            erm.train_many(inits, datasets, lams[:2], *args)
+        short = erm.sample_dataset(documented_teacher(d=2), 5, 0.0, seed=0)
+        with pytest.raises(ValueError):
+            erm.train_many(inits, datasets[:2] + [short], lams, *args)
+        assert erm.train_many([], [], [], *args) == []
 
 
 class TestErrorMeasures:

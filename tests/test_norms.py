@@ -196,6 +196,26 @@ class TestMixedMaxNorm:
             base + eps * gnorm2, rel=1e-4
         )
 
+    def test_tie_goes_to_the_upper_layer(self):
+        """First-layer row norm 5 ties the output row's l1 norm 5; the scan
+        visits upper layers first, so the output row carries the subgradient,
+        also when stacked next to a run without a tie."""
+        tie = [np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([[2.0, -3.0]])]
+        no_tie = [np.array([[6.0, 8.0], [0.0, 1.0]]), np.array([[2.0, -3.0]])]
+        g = norms.mixed_max_subgradient(tie, 1, 2)
+        np.testing.assert_array_equal(g[0], np.zeros((2, 2)))
+        np.testing.assert_array_equal(g[1], [[1.0, -1.0]])
+        value, stacked = norms.mixed_max_stacked(
+            [np.stack(ws) for ws in zip(tie, no_tie)], 1, 2
+        )
+        assert list(value) == [5.0, 10.0]
+        for k in range(2):
+            np.testing.assert_array_equal(stacked[k][0], g[k])
+            np.testing.assert_array_equal(
+                stacked[k][1], norms.mixed_max_subgradient(no_tie, 1, 2)[k]
+            )
+        np.testing.assert_array_equal(stacked[0][1], [[0.6, 0.8], [0.0, 0.0]])
+
 
 class TestRescaleNeuron:
     def test_identity_when_c_is_one(self):

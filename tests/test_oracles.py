@@ -139,6 +139,20 @@ class TestRademacherMC:
         with pytest.raises(ValueError):
             oracles.rademacher_mc((4,), 1.0, np.full((8, 2), 2.0), trials=2)
 
+    @pytest.mark.parametrize(
+        "widths, kw, estimate, stderr",
+        [
+            ((6,), dict(trials=4, n_starts=5, inner_steps=15, seed=3),
+             3.3520372160582195, 0.3404157667508435),
+            ((4, 3), dict(trials=2, n_starts=3, inner_steps=10, seed=1),
+             1.314663626178847, 0.26743436399368503),
+        ],
+    )
+    def test_pinned_estimate(self, widths, kw, estimate, stderr):
+        """Values of the one-start-at-a-time ascent this batched one replaced."""
+        r = oracles.rademacher_mc(widths, 1.0, self.inputs(24), **kw)
+        assert (r.estimate, r.stderr) == (estimate, stderr)
+
 
 class TestPacking:
     def test_everything_in_one_ball(self):
@@ -305,6 +319,29 @@ class TestEquivalence:
         assert row["weight_decay_objective"] < 1e-3
         assert row["mixed_max_objective"] < 1e-3
 
+    def test_pinned_rows(self):
+        """Rows of the one-run-at-a-time loop this batched one replaced."""
+        ds, teacher = self.dataset(n=32)
+        loss = erm.LossSpec.mse_for(teacher, 0.05)
+        opt = erm.OptimizerConfig(step_size=0.5, max_iters=300)
+        res = oracles.equivalence_check_relu(ds, 0.01, (16,), (0, 1, 2), RELU, loss, opt)
+        keys = (
+            "pesv_objective", "weight_decay_objective", "mixed_max_objective",
+            "pesv_of_balanced_weight_decay", "pesv_of_balanced_mixed_max",
+            "gap_weight_decay", "gap_mixed_max",
+        )
+        assert [[r["seed"]] + [r[k] for k in keys] for r in res.rows] == [
+            [0, 0.016502034713448088, 0.028752160203265452, 0.021350569191090074,
+             0.018787005859155596, 0.01391483307900417, 0.1384660246681826,
+             -0.15678076548557474],
+            [1, 0.013697980235405704, 0.024315619032183416, 0.017344721618460443,
+             0.015786441698483856, 0.012217022369904254, 0.15246492016976518,
+             -0.10811505346412752],
+            [2, 0.014918959190518458, 0.0243848911747383, 0.017718406775485394,
+             0.01674798149315157, 0.012066397969374594, 0.12259717848115859,
+             -0.19120376862192706],
+        ]
+
     def test_requires_relu(self):
         ds, teacher = self.dataset()
         with pytest.raises(UnsupportedActivationError):
@@ -320,6 +357,16 @@ class TestDocumentedExperiments:
         rows = oracles.run_collinearity_experiment({"iters": 10, "seeds": (0, 1)})
         assert all(type(r["ok"]) is bool for r in rows)
         json.dumps(rows)
+
+    def test_collinearity_pinned_objectives(self):
+        """Per-seed datasets train as one batch; objectives of the
+        one-seed-at-a-time loop it replaced."""
+        rows = oracles.run_collinearity_experiment({"iters": 300, "seeds": (0, 1, 2)})
+        assert [(r["seed"], r["objective"], r["global_min_abs_cosine"]) for r in rows] == [
+            (0, 0.04618846789179037, 0.972552514090748),
+            (1, 0.043371429369978565, 1.0),
+            (2, 0.04348803881928391, 0.9818911343333477),
+        ]
 
 
 class TestReports:
