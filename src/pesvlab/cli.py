@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import erm, norms, oracles, theory
-from .config import ConfigError, RunConfig, parse_config, parse_widths_spec, positive
+from .config import ConfigError, RunConfig, nonnegative, parse_config, parse_widths_spec, positive
 from .erm import DivergenceError
 from .netcore import ActivationSpec, load_network, save_network
 
@@ -54,7 +54,7 @@ def _problem_from_config(cfg: RunConfig) -> tuple[erm.TeacherSpec, int, float, i
     n = cfg.get_parsed("problem", "n", positive(int))
     if n is None:
         raise ConfigError(f"{cfg.path}: need [problem] n")
-    sigma = cfg.get_float("problem", "sigma_eps", 0.0)
+    sigma = cfg.get_parsed("problem", "sigma_eps", nonnegative(float), 0.0)
     return teacher, n, sigma, cfg.get_int("problem", "seed", 0)
 
 
@@ -71,9 +71,8 @@ def _bound_config(cfg: RunConfig) -> tuple[theory.BoundConfig, tuple[int, ...]]:
     d = cfg.get_int("bounds", "d", cfg.get_int("problem", "d"))
     if n is None or d is None:
         raise ConfigError(f"{cfg.path}: bound evaluation needs n and d")
-    sigma = cfg.get_float(
-        "bounds", "sigma_eps", cfg.get_float("problem", "sigma_eps", 0.0)
-    )
+    sigma = cfg.get_parsed("problem", "sigma_eps", nonnegative(float), 0.0)
+    sigma = cfg.get_parsed("bounds", "sigma_eps", nonnegative(float), sigma)
     pattern = tuple(cfg.get_int_list("bounds", "pattern") or [1])
     depth = len(pattern) + 1
     if cfg.get_int("bounds", "L", depth) != depth:
@@ -101,7 +100,7 @@ def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, 
             "optimizer", "schedule", erm.OptimizerConfig.parse_schedule, "inv_sqrt"
         ),
     )
-    lam = cfg.get_float("optimizer", "lambda", 0.0)
+    lam = cfg.get_parsed("optimizer", "lambda", nonnegative(float), 0.0)
     reg = cfg.get_parsed("optimizer", "regularizer", erm.Penalty.parse, erm.Penalty("pesv"))
     return opt, lam, reg
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_widths_spec", "positive"]
+__all__ = [
+    "ConfigError", "RunConfig", "nonnegative", "parse_config", "parse_widths_spec", "positive"
+]
 
 _T = TypeVar("_T")
 
@@ -90,14 +92,24 @@ class RunConfig:
 
 def positive(parse: Callable[[str], _T]) -> Callable[[str], _T]:
     """``parse``, rejecting a value that is not above zero with ``ValueError``."""
+    return _checked(parse, lambda value: value > 0, "must be positive")
 
-    def parse_positive(raw: str) -> _T:
+
+def nonnegative(parse: Callable[[str], _T]) -> Callable[[str], _T]:
+    """``parse``, rejecting a value that is not zero or above with ``ValueError``."""
+    return _checked(parse, lambda value: value >= 0, "must be nonnegative")
+
+
+def _checked(
+    parse: Callable[[str], _T], accept: Callable[[_T], bool], message: str
+) -> Callable[[str], _T]:
+    def parse_checked(raw: str) -> _T:
         value = parse(raw)
-        if not value > 0:
-            raise ValueError("must be positive")
+        if not accept(value):
+            raise ValueError(message)
         return value
 
-    return parse_positive
+    return parse_checked
 
 
 def _positive_int_list(raw: str) -> list[int]:

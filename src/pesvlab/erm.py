@@ -446,6 +446,8 @@ def train_many(
     x = np.stack([ds.inputs for ds in datasets])
     y = np.stack([ds.targets for ds in datasets])
     lam = np.array(lams, dtype=np.float64)
+    if np.any(lam < 0):
+        raise ValueError("lambda must be nonnegative")
     lam_w = lam[:, None, None]
     # A run with lam = 0 takes no penalty subgradient, and a stopped run no
     # step; the masks stay True (no masking) while every run takes them.

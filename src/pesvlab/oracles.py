@@ -50,6 +50,7 @@ __all__ = [
     "pointwise_norm_check",
     "rademacher_mc",
     "random_unit_norm_net",
+    "random_unit_norm_nets",
     "run_collinearity_experiment",
     "run_equivalence_experiment",
     "sign_pattern_groups",
@@ -95,20 +96,21 @@ def lemma1_exact(m: int, n: int) -> Lemma1Result:
     ``lhs1 = m^-n sum_{k=1}^n C(n,k)(m-1)^k / k`` and
     ``lhs2 = m^-n sum_{k=0}^{n-1} C(n,k)(m-1)^(n-k) / (n-k)``, both in exact
     rational arithmetic.  The two sums coincide under the k <-> n-k
-    symmetry but are computed independently term by term.  (Putting the
-    weight ``(m-1)^k`` on the ``1/(n-k)`` term instead would make the second
+    symmetry but are computed independently, each as an integer numerator
+    over the common denominator ``lcm(1..n) m^n``.  (Putting the weight
+    ``(m-1)^k`` on the ``1/(n-k)`` term instead would make the second
     average grow like m/n, and the inequality would fail from (m, n) =
     (5, 10) on; that variant is not what the integral identity behind the
     bound evaluates to.)
     """
     _check_mn(m, n)
-    denom = m**n
-    s1 = sum(Fraction(math.comb(n, k) * (m - 1) ** k, k) for k in range(1, n + 1))
-    s2 = sum(
-        Fraction(math.comb(n, k) * (m - 1) ** (n - k), n - k) for k in range(0, n)
+    lcm = math.lcm(*range(1, n + 1))
+    num1 = sum(math.comb(n, k) * (m - 1) ** k * (lcm // k) for k in range(1, n + 1))
+    num2 = sum(
+        math.comb(n, k) * (m - 1) ** (n - k) * (lcm // (n - k)) for k in range(0, n)
     )
-    lhs1 = s1 / denom
-    lhs2 = s2 / denom
+    lhs1 = Fraction(num1, lcm * m**n)
+    lhs2 = Fraction(num2, lcm * m**n)
     bound = Fraction(5, n)
     return Lemma1Result(
         m=m,
@@ -191,25 +193,27 @@ def lemma2_exact(m: int, n: int, enumerate_limit: int = 14) -> Lemma2Result:
     Computed two independent ways in exact rationals: direct enumeration of
     all positive compositions (for ``n <= enumerate_limit``) and the
     symmetry reduction ``(m/m^n) sum_k C(n,k)(1/k) Surj(n-k, m-1)`` with the
-    surjection count by inclusion-exclusion.  Both must agree exactly.
+    surjection count by inclusion-exclusion.  Both must agree exactly.  Each
+    path sums integer numerators over the common denominator
+    ``lcm(1..n) m^n``.
     """
     _check_mn(m, n)
-    denom = m**n
+    lcm = math.lcm(*range(1, n + 1))
+    denom = lcm * m**n
 
-    red = Fraction(0)
-    for k1 in range(1, n + 1):
-        s = _surjections(n - k1, m - 1)
-        if s:
-            red += Fraction(math.comb(n, k1) * s, k1)
-    lhs_red = Fraction(m) * red / denom
+    red = sum(
+        math.comb(n, k1) * _surjections(n - k1, m - 1) * (lcm // k1)
+        for k1 in range(1, n + 1)
+    )
+    lhs_red = Fraction(m * red, denom)
 
     lhs_enum = None
     if n <= enumerate_limit:
-        total = Fraction(0)
-        for comp in _compositions(n, m):
-            inv = sum(Fraction(1, k) for k in comp)
-            total += _multinomial(n, comp) * inv
-        lhs_enum = total / denom
+        total = sum(
+            _multinomial(n, comp) * sum(lcm // k for k in comp)
+            for comp in _compositions(n, m)
+        )
+        lhs_enum = Fraction(total, denom)
 
     bound = Fraction(5 * m, n)
     agree = None if lhs_enum is None else (lhs_enum == lhs_red)
@@ -298,17 +302,42 @@ def maurey_sampling_check(
 # ---------------------------------------------------------------------------
 
 
+def random_unit_norm_nets(
+    rng: np.random.Generator, widths, in_size: int, count: int
+) -> list[np.ndarray]:
+    """``count`` networks of Gaussian layer matrices, each rescaled on the
+    output row to path norm 1, as ``(count, rows, cols)`` layers.
+
+    The nets come from one block of normals, drawn net by net in layer
+    order.  A net whose path norm is not positive is drawn again, so the
+    nets and the state left in ``rng`` equal those of ``count`` calls of
+    :func:`random_unit_norm_net`.
+    """
+    shapes = layer_shapes(widths, in_size)
+    flat = rng.standard_normal((count, sum(r * c for r, c in shapes)))
+    layers, start = [], 0
+    for r, c in shapes:
+        layers.append(flat[:, start : start + r * c].reshape(count, r, c))
+        start += r * c
+    nu = norms.pesv_stacked(layers, grad=False)[0]
+    good = nu > 0
+    if good.all():
+        layers[-1] = layers[-1] / nu[:, None, None]
+        return [np.ascontiguousarray(w) for w in layers]
+    # One net at a time, a rejected net is drawn again from the normals that
+    # follow it, which are the next rows: keep the accepted rows in order and
+    # draw as many more nets as were rejected.
+    kept = [w[good] for w in layers]
+    kept[-1] = kept[-1] / nu[good][:, None, None]
+    more = random_unit_norm_nets(rng, widths, in_size, count - len(kept[0]))
+    return [np.concatenate(pair) for pair in zip(kept, more)]
+
+
 def random_unit_norm_net(
     rng: np.random.Generator, widths, in_size: int
 ) -> list[np.ndarray]:
     """Gaussian layer matrices rescaled on the output row to path norm 1."""
-    shapes = layer_shapes(widths, in_size)
-    while True:
-        arrs = [rng.standard_normal(s) for s in shapes]
-        nu = norms.pesv_norm(arrs)
-        if nu > 0:
-            arrs[-1] = arrs[-1] / nu
-            return arrs
+    return [w[0] for w in random_unit_norm_nets(rng, widths, in_size, 1)]
 
 
 @dataclass(frozen=True)
@@ -368,8 +397,7 @@ def rademacher_mc(
     per_trial = np.empty(trials)
     for t in range(trials):
         rho = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        starts = [random_unit_norm_net(rng, wv, dim) for _ in range(n_starts)]
-        arrs = [np.stack(ws) for ws in zip(*starts)]
+        arrs = random_unit_norm_nets(rng, wv, dim, n_starts)
         best = 0.0  # the zero network is feasible
         for it in range(inner_steps + 1):
             out, hs, zs = stacked_forward(arrs, act, X)
@@ -467,25 +495,26 @@ def covering_packing_lower_bound(
     X = np.hstack([pts, np.ones((pts.shape[0], 1))])
 
     rng = np.random.default_rng(seed)
+    layers = random_unit_norm_nets(rng, wv, d + 1, param_samples)
     vals = np.empty((param_samples, X.shape[0]))
-    for i in range(param_samples):
-        arrs = random_unit_norm_net(rng, wv, d + 1)
-        vals[i] = forward(arrs, act, X)
+    # Nets per stacked pass, so a hidden layer's values stay near 8 MB.
+    chunk = max(1, 2**20 // (X.shape[0] * max(wv)))
+    for lo in range(0, param_samples, chunk):
+        part = [w[lo : lo + chunk] for w in layers]
+        vals[lo : lo + chunk] = stacked_forward(part, act, X)[0]
 
-    kept: list[int] = []
-    for i in range(param_samples):
-        ok = True
-        for j in kept:
-            if np.max(np.abs(vals[i] - vals[j])) <= delta:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
+    # Greedy packing: keep a net unless it is within delta of a kept one.
+    kept = np.empty_like(vals)
+    count = 0
+    for v in vals:
+        if not (np.abs(kept[:count] - v).max(axis=1) <= delta).any():
+            kept[count] = v
+            count += 1
 
     entropy = theory.metric_entropy_bound(delta / 2.0, wv, d, act.lipschitz)
-    passed = math.log(max(len(kept), 1)) <= entropy
+    passed = math.log(max(count, 1)) <= entropy
     return PackingResult(
-        packing_count=len(kept),
+        packing_count=count,
         delta=delta,
         entropy_bound=entropy,
         samples=param_samples,

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, cross-module consistency."""
 
+import hashlib
 import json
 import warnings
 
@@ -204,6 +205,20 @@ class TestVerifyCommand:
     def test_entropy_suite_passes(self):
         assert cli.main(["verify", "entropy"]) == 0
 
+    # sha256 of the reports as the per-term Fraction lemma sums and the
+    # per-net packing loop wrote them: any change to these numbers fails.
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("lemmas", "8fffd1d13cd88de5f5993e804936137d2f5359f8f5f0cfb07e0164b8dbe89b11"),
+            ("entropy", "47f5a265d94559db3a752b701362603169d58847c6d3d27ffade14ca3bae0bcc"),
+        ],
+    )
+    def test_report_bytes_pinned(self, tmp_path, suite, digest):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", suite, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestSweepCommand:
     def test_bound_column_matches_theory(self, train_cfg, tmp_path):
@@ -286,6 +301,9 @@ class TestConfigValues:
             ("train", "problem", "n = 24", "n = 0"),
             ("train", "network", "widths = 6", "widths = 0"),
             ("bound", "bounds", "pattern = 1", "pattern = 0"),
+            ("train", "optimizer", "lambda = 0.01", "lambda = -0.5"),
+            ("train", "problem", "sigma_eps = 0.05", "sigma_eps = -1"),
+            ("bound", "bounds", "sigma_eps = 0.1", "sigma_eps = -0.1"),
         ],
     )
     def test_out_of_range_value_is_usage_error(

@@ -445,6 +445,15 @@ class TestTrainMany:
             erm.train_many(inits, datasets[:2] + [short], lams, *args)
         assert erm.train_many([], [], [], *args) == []
 
+    def test_rejects_negative_lambda(self):
+        """As erm.objective does: the loop takes no subgradient for lam <= 0,
+        so a negative lambda would report an objective it never minimized."""
+        datasets, lams = three_runs()
+        inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
+        args = (erm.LossSpec.mse(2.0), erm.Penalty("pesv"), erm.OptimizerConfig(), RELU)
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            erm.train_many(inits, datasets, [lams[0], -0.5, lams[2]], *args)
+
 
 class TestErrorMeasures:
     def test_teacher_against_itself(self):

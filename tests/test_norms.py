@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pesvlab import netcore as nc, norms
@@ -250,6 +250,68 @@ class TestRescaleNeuron:
         for c in (0.25, 1.7, 10.0):
             q = norms.rescale_neuron(p, 2, 1, c)
             assert norms.pesv_norm(q) == pytest.approx(base, rel=1e-10)
+
+
+@st.composite
+def nets_with_inputs(draw):
+    """Depth-2 to depth-4 networks and five inputs, every weight and input
+    coordinate 0 or of magnitude in [1e-3, 2]: no product or square
+    underflows, so every rounding is relative."""
+    d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    weights = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+    layers = [
+        draw(hnp.arrays(np.float64, shape, elements=weights))
+        for shape in nc.layer_shapes(widths, d + 1)
+    ]
+    return layers, draw(hnp.arrays(np.float64, (5, d + 1), elements=weights))
+
+
+relu_or_leaky = st.one_of(
+    st.just(ActivationSpec.relu()), st.floats(0.01, 2.0).map(ActivationSpec.leaky_relu)
+)
+
+
+def pointwise_bound(layers, act, x):
+    """``L_sigma^(L-1) ||x|| nu`` for each input row."""
+    scale = act.lipschitz ** (len(layers) - 1) * norms.pesv_norm(layers)
+    return scale * np.linalg.norm(x, axis=1)
+
+
+class TestHomogeneityProperties:
+    # Every value is a sum of fewer than 100 rounded products, each bounded
+    # by its path's share of L_sigma^(L-1) ||x|| nu, so rounding moves an
+    # output by at most 100 * 2.2e-16 of that bound, and a path-norm sum by
+    # the same fraction of itself.  Scaling a unit by c and its outgoing
+    # weights by 1/c adds two roundings per path.  TOL leaves 45x room.
+    TOL = 1e-12
+
+    @DERANDOMIZED
+    @given(nets_with_inputs(), relu_or_leaky, st.data())
+    def test_rescale_neuron_keeps_outputs_and_path_norm(self, net, act, data):
+        layers, x = net
+        layer = data.draw(st.integers(1, len(layers) - 1))
+        index = data.draw(st.integers(0, layers[layer - 1].shape[0] - 1))
+        c = data.draw(st.floats(0.1, 10.0))
+        scaled = norms.rescale_neuron(NetParams.from_arrays(layers), layer, index, c)
+        slack = self.TOL * pointwise_bound(layers, act, x)
+        diff = np.abs(nc.forward(scaled, act, x) - nc.forward(layers, act, x))
+        assert np.all(diff <= slack)
+        nu = norms.pesv_norm(layers)
+        assert abs(norms.pesv_norm(scaled) - nu) <= self.TOL * nu
+
+    @DERANDOMIZED
+    @given(nets_with_inputs(), relu_or_leaky)
+    # One path fed a negative preactivation: |f(x)| equals the bound.
+    @example(
+        ([np.array([[-1.0, 0.0]]), np.array([[1.0]])], np.array([[1.0, 0.0]] * 5)),
+        ActivationSpec.leaky_relu(2.0),
+    )
+    def test_pointwise_output_bound(self, net, act):
+        """``|f(x)| <= L_sigma^(L-1) ||x|| nu``, as ``|sigma(z)| <= L_sigma |z|``."""
+        layers, x = net
+        bound = pointwise_bound(layers, act, x)
+        assert np.all(np.abs(nc.forward(layers, act, x)) <= bound * (1.0 + self.TOL))
 
 
 class TestBalanceRelu:

@@ -1,6 +1,7 @@
 """Brute-force and Monte Carlo verification oracles."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,65 @@ class TestLemma2:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             oracles.lemma2_exact(7, 6)
+
+
+def lemma1_per_term(m, n):
+    """Both averages of lemma1_exact as one Fraction per term."""
+    s1 = sum(Fraction(math.comb(n, k) * (m - 1) ** k, k) for k in range(1, n + 1))
+    s2 = sum(Fraction(math.comb(n, k) * (m - 1) ** (n - k), n - k) for k in range(n))
+    return s1 / m**n, s2 / m**n
+
+
+def lemma2_per_term(m, n):
+    """The reduction and the enumeration of lemma2_exact, one Fraction per term."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    def surjections(items, cells):
+        if cells == 0:
+            return 1 if items == 0 else 0
+        return sum(
+            (-1) ** i * math.comb(cells, i) * (cells - i) ** items for i in range(cells + 1)
+        )
+
+    red = sum(
+        Fraction(math.comb(n, k) * surjections(n - k, m - 1), k) for k in range(1, n + 1)
+    )
+    enum = Fraction(0)
+    for comp in compositions(n, m):
+        mult = math.factorial(n)
+        for k in comp:
+            mult //= math.factorial(k)
+        enum += mult * sum(Fraction(1, k) for k in comp)
+    return Fraction(m) * red / m**n, enum / m**n
+
+
+class TestLemmaCommonDenominator:
+    """The integer sums over lcm(1..n) m^n equal per-term Fraction sums."""
+
+    def test_lemma1_full_scan_range(self):
+        for n in range(2, 41):
+            for m in range(2, n + 1):
+                r = oracles.lemma1_exact(m, n)
+                lhs1, lhs2 = lemma1_per_term(m, n)
+                bound = Fraction(5, n)
+                assert (r.lhs1, r.lhs2) == (float(lhs1), float(lhs2)), (m, n)
+                assert r.passed == (lhs1 <= bound and lhs2 <= bound)
+
+    def test_lemma2_full_scan_range(self):
+        for n in range(2, 13):
+            for m in range(2, n + 1):
+                r = oracles.lemma2_exact(m, n)
+                red, enum = lemma2_per_term(m, n)
+                assert red == enum
+                assert (r.lhs_reduction, r.lhs_enumeration) == (float(red), float(enum))
+                assert r.passed == (red <= Fraction(5 * m, n)) and r.paths_agree
 
 
 class TestMaurey:
@@ -173,6 +233,99 @@ class TestPacking:
             r = oracles.covering_packing_lower_bound((2,), delta=0.5, d=1,
                                                      param_samples=150, seed=seed)
             assert r.passed
+
+
+    # Packing counts the per-net forward and pairwise greedy loop gave at 60
+    # samples, seed 3, for widths x delta x d under relu and leaky relu 0.1.
+    PINNED_COUNTS = {
+        "relu": {
+            ((1,), 0.5, 1): 11, ((1,), 0.5, 2): 29, ((1,), 0.25, 1): 23, ((1,), 0.25, 2): 44,
+            ((2,), 0.5, 1): 13, ((2,), 0.5, 2): 27, ((2,), 0.25, 1): 27, ((2,), 0.25, 2): 52,
+            ((2, 2), 0.5, 1): 8, ((2, 2), 0.5, 2): 10, ((2, 2), 0.25, 1): 21,
+            ((2, 2), 0.25, 2): 25,
+        },
+        "leaky_relu:0.1": {
+            ((1,), 0.5, 1): 11, ((1,), 0.5, 2): 28, ((1,), 0.25, 1): 23, ((1,), 0.25, 2): 44,
+            ((2,), 0.5, 1): 11, ((2,), 0.5, 2): 26, ((2,), 0.25, 1): 27, ((2,), 0.25, 2): 52,
+            ((2, 2), 0.5, 1): 7, ((2, 2), 0.5, 2): 10, ((2, 2), 0.25, 1): 21,
+            ((2, 2), 0.25, 2): 24,
+        },
+    }
+
+    @pytest.mark.parametrize("act", sorted(PINNED_COUNTS))
+    def test_pinned_counts(self, act):
+        spec = ActivationSpec.parse(act)
+        counts = {
+            key: oracles.covering_packing_lower_bound(
+                key[0], key[1], d=key[2], param_samples=60, seed=3, act=spec
+            ).packing_count
+            for key in self.PINNED_COUNTS[act]
+        }
+        assert counts == self.PINNED_COUNTS[act]
+
+    def test_no_samples_packs_nothing(self):
+        r = oracles.covering_packing_lower_bound((2,), 0.5, d=1, param_samples=0)
+        assert r.packing_count == 0 and r.passed
+
+
+def unit_norm_nets_one_by_one(rng, widths, in_size, count):
+    """Nets drawn and normalized one at a time, stacked on a run axis."""
+    shapes = nc.layer_shapes(widths, in_size)
+    nets = []
+    while len(nets) < count:
+        arrs = [rng.standard_normal(s) for s in shapes]
+        nu = norms.pesv_norm(arrs)
+        if nu > 0:
+            arrs[-1] = arrs[-1] / nu
+            nets.append(arrs)
+    return [np.stack(ws) for ws in zip(*nets)]
+
+
+class TestRandomUnitNormNets:
+    def assert_same_draws(self, widths, in_size, count, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = oracles.random_unit_norm_nets(rng, widths, in_size, count)
+        ref = unit_norm_nets_one_by_one(ref_rng, widths, in_size, count)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.flags.c_contiguous
+            np.testing.assert_array_equal(g, r, strict=True)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize(
+        "widths, in_size, count",
+        [((1,), 2, 1), ((2,), 2, 200), ((8,), 3, 16), ((3, 5), 4, 7), ((4, 2, 3), 2, 9)],
+    )
+    def test_equals_one_net_at_a_time(self, widths, in_size, count):
+        got = self.assert_same_draws(widths, in_size, count, seed=count)
+        np.testing.assert_allclose(norms.pesv_stacked(got, grad=False)[0], 1.0, rtol=1e-14)
+
+    def test_single_net_wrapper(self):
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = oracles.random_unit_norm_net(rng, (3, 2), 3)
+        ref = unit_norm_nets_one_by_one(ref_rng, (3, 2), 3, 1)
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r[0], strict=True)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_zero_norm_nets_are_drawn_again(self, monkeypatch):
+        """Force the path norm of the raw nets 2 and 6 to zero.  Net 6 is the
+        first net drawn after the initial block of 6, so both the block and
+        the redraw reject one net."""
+        widths, in_size, count = (3,), 2, 6
+        raw = unit_norm_nets_one_by_one(np.random.default_rng(4), widths, in_size, 8)
+        markers = raw[0][[2, 6], 0, 0]
+        real = norms.pesv_stacked
+
+        def zero_at_markers(layers, grad=True):
+            value, grads = real(layers, grad)
+            return np.where(np.isin(layers[0][:, 0, 0], markers), 0.0, value), grads
+
+        monkeypatch.setattr(norms, "pesv_stacked", zero_at_markers)
+        got = self.assert_same_draws(widths, in_size, count, seed=4)
+        for g, r in zip(got, raw):
+            np.testing.assert_array_equal(g, r[[0, 1, 3, 4, 5, 7]])
 
 
 class TestPointwise:

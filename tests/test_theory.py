@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pesvlab import erm, theory
 from pesvlab.theory import BoundConfig
+
+from test_norms import DERANDOMIZED
 
 
 def relu_cfg(**over):
@@ -238,6 +241,23 @@ class TestGenBounds:
                 assert math.isfinite(rep.total)
                 assert rep.bias_term >= 0 and rep.variance_term >= 0
                 assert rep.total == cfg.C * (rep.bias_term + rep.variance_term)
+
+
+class TestEncompassingProperty:
+    @DERANDOMIZED
+    @given(
+        st.lists(st.integers(1, 5000), min_size=1, max_size=4),
+        st.floats(2.0, 1e7),
+        st.integers(1, 6),
+        st.floats(0.5, 2.0),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 3.0),
+    )
+    def test_total_is_min_of_regimes(self, widths, n, d, lip, sigma, M):
+        cfg = BoundConfig(n=n, d=d, L=len(widths) + 1, L_sigma=lip, sigma_eps=sigma, M=M)
+        over = theory.gen_bound_over(cfg, widths).total
+        under = theory.gen_bound_under(cfg, widths).total
+        assert theory.gen_bound_encompassing(cfg, widths).total == min(over, under)
 
 
 class TestGeneralLossBound:
