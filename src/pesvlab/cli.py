@@ -49,13 +49,13 @@ def _problem_from_config(cfg: RunConfig) -> tuple[erm.TeacherSpec, int, float, i
         d = cfg.get_parsed("problem", "d", positive(int))
         if d is None:
             raise ConfigError(f"{cfg.path}: need [problem] d")
-        seed = cfg.get_int("problem", "teacher_seed", 11)
+        seed = cfg.get_parsed("problem", "teacher_seed", nonnegative(int), 11)
         teacher = erm.documented_teacher(d=d, widths=tuple(widths), seed=seed)
     n = cfg.get_parsed("problem", "n", positive(int))
     if n is None:
         raise ConfigError(f"{cfg.path}: need [problem] n")
     sigma = cfg.get_parsed("problem", "sigma_eps", nonnegative(float), 0.0)
-    return teacher, n, sigma, cfg.get_int("problem", "seed", 0)
+    return teacher, n, sigma, cfg.get_parsed("problem", "seed", nonnegative(int), 0)
 
 
 def _width_grid(args, cfg: RunConfig) -> list[int]:
@@ -68,22 +68,23 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
 def _bound_config(cfg: RunConfig) -> tuple[theory.BoundConfig, tuple[int, ...]]:
     """The bound settings and the width pattern; the depth is ``len(pattern)+1``."""
     n = cfg.get_float("bounds", "n", cfg.get_float("problem", "n"))
-    d = cfg.get_int("bounds", "d", cfg.get_int("problem", "d"))
+    d = cfg.get_parsed("bounds", "d", positive(int), cfg.get_parsed("problem", "d", positive(int)))
     if n is None or d is None:
         raise ConfigError(f"{cfg.path}: bound evaluation needs n and d")
     sigma = cfg.get_parsed("problem", "sigma_eps", nonnegative(float), 0.0)
     sigma = cfg.get_parsed("bounds", "sigma_eps", nonnegative(float), sigma)
     pattern = tuple(cfg.get_int_list("bounds", "pattern") or [1])
     depth = len(pattern) + 1
-    if cfg.get_int("bounds", "L", depth) != depth:
+    if cfg.get_parsed("bounds", "L", int, depth) != depth:
         raise ConfigError(
             f"{cfg.path}: [bounds] L={cfg.get('bounds', 'L')} disagrees with "
             f"pattern={','.join(map(str, pattern))}, which gives depth {depth}"
         )
     # Constants the file leaves out keep the defaults of BoundConfig.
+    domains = {"L_sigma": positive, "M": nonnegative, "c": positive, "C": positive, "C1": positive}
     consts = {
-        k: v for k in ("L_sigma", "M", "c", "C", "C1")
-        if (v := cfg.get_float("bounds", k)) is not None
+        k: v for k, domain in domains.items()
+        if (v := cfg.get_parsed("bounds", k, domain(float))) is not None
     }
     try:
         return theory.BoundConfig(n=n, d=d, L=depth, sigma_eps=sigma, **consts), pattern
@@ -105,9 +106,24 @@ def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, 
     return opt, lam, reg
 
 
+def _blas_threads(cores: int) -> int:
+    """Threads each BLAS call runs on: the first positive integer among the
+    thread variables, else one per core, the OpenBLAS default."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cores
+
+
 def _pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for a sweep: at most one per task and per core."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    """Worker processes for a sweep: at most one per task, and few enough
+    that the workers' BLAS threads fit on the cores."""
+    cores = os.cpu_count() or 1
+    return max(1, min(jobs, tasks, cores // _blas_threads(cores)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +197,7 @@ def cmd_train(args) -> int:
         "loss", "kind", lambda text: erm.LossSpec.parse(text, base), erm.LossSpec.mse(base)
     )
     opt, lam, reg = _optimizer_from_config(cfg)
-    init_seed = cfg.get_int("optimizer", "seed", 0)
+    init_seed = cfg.get_parsed("optimizer", "seed", nonnegative(int), 0)
     init = erm.init_params(widths, ds.input_dim, seed=init_seed)
 
     diverged = False

@@ -79,9 +79,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.path}: [{section}] {key}={raw!r}: {exc}") from None
 
-    def get_int(self, section: str, key: str, default: int | None = None) -> int | None:
-        return self.get_parsed(section, key, int, default)
-
     def get_float(self, section: str, key: str, default: float | None = None) -> float | None:
         return self.get_parsed(section, key, float, default)
 

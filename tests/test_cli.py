@@ -71,6 +71,9 @@ def train_cfg(tmp_path):
     return p
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def read_csv_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -266,12 +269,43 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: m=40 seed=3: objective became non-finite at iteration 6"]
 
-    def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path):
+    def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path, monkeypatch):
+        """With one BLAS thread per worker, ``--jobs 2`` on 2 cores runs a pool
+        of 2 and writes the serial bytes."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        pools = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
         cli.main(["sweep", "--config", str(train_cfg), "--out", str(a),
                   "--trials", "2", "--no-timestamp"])
         cli.main(["sweep", "--config", str(train_cfg), "--out", str(b),
                   "--trials", "2", "--jobs", "2", "--no-timestamp"])
+        assert pools == [2]
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_default_blas_threads_run_in_process(self, train_cfg, tmp_path, monkeypatch):
+        """With no BLAS thread variable, ``--jobs 2`` on 2 cores would give
+        each worker 2 BLAS threads, so the sweep runs in this process."""
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        assert cli.main(["sweep", "--config", str(train_cfg), "--out", str(a),
+                         "--trials", "2", "--no-timestamp"]) == 0
+        assert cli.main(["sweep", "--config", str(train_cfg), "--out", str(b),
+                         "--trials", "2", "--jobs", "2", "--no-timestamp"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -304,6 +338,16 @@ class TestConfigValues:
             ("train", "optimizer", "lambda = 0.01", "lambda = -0.5"),
             ("train", "problem", "sigma_eps = 0.05", "sigma_eps = -1"),
             ("bound", "bounds", "sigma_eps = 0.1", "sigma_eps = -0.1"),
+            ("train", "optimizer", "seed = 5", "seed = -5"),
+            ("train", "problem", "seed = 3", "seed = -5"),
+            ("sweep", "problem", "seed = 3", "seed = -1"),
+            ("train", "problem", "teacher_seed = 11", "teacher_seed = -11"),
+            ("bound", "bounds", "M = 1", "M = -1"),
+            ("bound", "bounds", "d = 1", "d = 0"),
+            ("bound", "bounds", "M = 1", "M = 1\nL_sigma = 0"),
+            ("bound", "bounds", "M = 1", "M = 1\nc = -1"),
+            ("bound", "bounds", "M = 1", "M = 1\nC = 0"),
+            ("bound", "bounds", "M = 1", "M = 1\nC1 = -0.5"),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -313,7 +357,7 @@ class TestConfigValues:
         cfg.write_text(TRAIN_CFG.replace(old + "\n", new + "\n"))
         assert cli.main([command, "--config", str(cfg), "--no-timestamp"]) == 2
         err = capsys.readouterr().err
-        key = new.partition(" =")[0]
+        key = new.rpartition("\n")[2].partition(" =")[0]
         assert f"{cfg}: [{section}] {key}=" in err and "Traceback" not in err
 
     def test_bounds_depth_disagreeing_with_pattern(self, tmp_path, capsys):
@@ -323,9 +367,52 @@ class TestConfigValues:
         assert "[bounds] L=3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "jobs, tasks, cores, expected",
-        [(2, 8, 2, 2), (64, 8, 2, 2), (64, 3, 16, 3), (4, 8, 16, 4), (0, 8, 2, 1), (5, 8, None, 1)],
+        "env, jobs, tasks, cores, expected",
+        [
+            # One BLAS thread per worker: at most one worker per job, task and core.
+            *(
+                pytest.param({"OPENBLAS_NUM_THREADS": "1"}, *case, id="-".join(map(str, case)))
+                for case in [
+                    (2, 8, 2, 2), (64, 8, 2, 2), (64, 3, 16, 3), (4, 8, 16, 4), (0, 8, 2, 1),
+                    (5, 8, None, 1),
+                ]
+            ),
+            # No variable set: BLAS takes every core, so one worker.
+            pytest.param({}, 2, 8, 2, 1, id="unset-2-8-2-1"),
+            pytest.param({}, 64, 64, 16, 1, id="unset-64-64-16-1"),
+            pytest.param({"OMP_NUM_THREADS": "4"}, 64, 64, 16, 4, id="omp4-64-64-16-4"),
+            pytest.param({"OMP_NUM_THREADS": "4"}, 3, 64, 16, 3, id="omp4-3-64-16-3"),
+            pytest.param({"MKL_NUM_THREADS": "8"}, 64, 64, 16, 2, id="mkl8-64-64-16-2"),
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "16", "OMP_NUM_THREADS": "4"},
+                64, 64, 16, 8, id="openblas-first-64-64-16-8",
+            ),
+            pytest.param(
+                {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "8"}, 64, 64, 16, 8,
+                id="mkl-before-omp-64-64-16-8",
+            ),
+            # More BLAS threads than cores still leaves one worker.
+            pytest.param({"OPENBLAS_NUM_THREADS": "32"}, 8, 8, 16, 1, id="openblas32-8-8-16-1"),
+            # Malformed values are skipped.
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "4"}, 64, 64, 16, 4,
+                id="abc-omp4-64-64-16-4",
+            ),
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "", "OMP_NUM_THREADS": "2"},
+                64, 64, 16, 8, id="zero-empty-omp2-64-64-16-8",
+            ),
+            pytest.param({"OPENBLAS_NUM_THREADS": "-2"}, 8, 8, 16, 1, id="negative-8-8-16-1"),
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "0", "OMP_NUM_THREADS": ""},
+                8, 8, 16, 1, id="all-malformed-8-8-16-1",
+            ),
+        ],
     )
-    def test_pool_size_clamp(self, monkeypatch, jobs, tasks, cores, expected):
+    def test_pool_size_clamp(self, monkeypatch, env, jobs, tasks, cores, expected):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         assert cli._pool_size(jobs, tasks) == expected

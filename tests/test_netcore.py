@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pesvlab import netcore as nc
 from pesvlab.netcore import (
@@ -263,6 +265,132 @@ class TestNormalizeActivation:
         xs = np.hstack([rng.normal(size=(500, 2)) * 0.4, np.ones((500, 1))])
         diff = np.abs(nc.forward(p, act, xs) - nc.forward(p2, act2, xs))
         assert np.max(diff) < 1e-12
+
+
+# Fixed example sequence, so the suite runs the same cases every time.
+DERANDOMIZED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+# Weights, biases and inputs are 0 or of magnitude in [1e-3, 2]: no product
+# underflows, so every rounding is relative.
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+
+relu_family = st.one_of(
+    st.just(ActivationSpec.relu()),
+    st.just(ActivationSpec.identity()),
+    st.floats(0.01, 2.0).map(ActivationSpec.leaky_relu),
+)
+
+
+@st.composite
+def biased_nets(draw, output_bias: bool):
+    """Depth-2 to depth-4 biased networks and five raw inputs; the output
+    bias is nonzero exactly when ``output_bias``."""
+    d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    weights = tuple(
+        draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+        for shape in nc.layer_shapes(widths, d)
+    )
+    biases = tuple(draw(hnp.arrays(np.float64, w, elements=ENTRIES)) for w in widths)
+    bias = draw(ENTRIES.filter(lambda v: v != 0.0)) if output_bias else 0.0
+    x = draw(hnp.arrays(np.float64, (5, d), elements=ENTRIES))
+    return BiasedNet(weights=weights, biases=biases, output_bias=bias), x
+
+
+@st.composite
+def shifted_tables(draw):
+    """Tabulated activations with sigma(0) != 0: 2 to 5 knots in [-3, 3] at
+    least 0.25 apart, values 0 or of magnitude in [1e-3, 2]."""
+    knots = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=5, unique=True))
+    xs = sorted(k / 4 for k in knots)
+    ys = draw(st.lists(ENTRIES, min_size=len(xs), max_size=len(xs)))
+    assume(len(set(ys)) > 1)
+    act = ActivationSpec.tabulated(xs, ys)
+    assume(act.value_at_zero != 0.0)
+    return act
+
+
+def rounding_scale(layers, act, x, value_bound=None):
+    """Per input row, the magnitudes each layer rounds, carried to the output.
+
+    ``m`` bounds the values a layer reads: ``|x|`` at the input, then
+    ``L_sigma |W| m`` after an activation with sigma(0) = 0, or
+    ``value_bound`` after any other.  A hidden layer adds its products'
+    magnitudes ``|W| m``, times ``L_sigma``, and its activation values'
+    ``m`` to the carried sum, which the next layer multiplies by
+    ``L_sigma |W|``; the output layer adds ``|W| m`` and multiplies by ``|W|``.
+    """
+    mag = np.abs(x)
+    carried = np.zeros_like(mag)
+    for w in layers[:-1]:
+        pre = mag @ np.abs(w).T
+        mag = act.lipschitz * pre if value_bound is None else np.full_like(pre, value_bound)
+        carried = act.lipschitz * ((carried @ np.abs(w).T) + pre) + mag
+    return ((carried + mag) @ np.abs(layers[-1]).T).ravel()
+
+
+class TestTransformProperties:
+    # Let u = 2**-53, the float64 unit roundoff.  A first-order rounding
+    # error propagates to the output as rounding_scale carries magnitudes,
+    # so a network's output errs by at most k u times its scale when no
+    # layer rounds by more than k u of the magnitudes it adds.  Per layer:
+    # a dot product of at most 6 terms errs by at most 6u of |W| m; leaky
+    # relu's slope product by u of m; the table's interpolation
+    # slope * (z - x_k) + y_k by 5u of L_sigma (|z| + max|x_k|) + |y_k|,
+    # which value_bound = max|y| + |sigma(0)| + L_sigma max|x_k| and the
+    # L_sigma |W| m term cover.  The transforms' own weights add at most 7u
+    # on a column they write (s0 * row sum / carrier value: a sum of at most
+    # 4 terms, a product, a quotient; the carrier weight probe / value: one
+    # quotient), 1u on the shifted table values, and nothing in bias
+    # absorption, whose relu-family carrier values are exactly 1.  So k <= 16
+    # for every network here, and the two outputs differ by at most 16u
+    # times the sum of the two scales (for bias absorption, twice the
+    # absorbed network's scale, which dominates the biased network's).
+    # TOL = 64u = 7.1e-15 leaves 4x room.
+    TOL = 64 * 2.0**-53
+
+    @DERANDOMIZED
+    @pytest.mark.parametrize("output_bias", [False, True])
+    @given(data=st.data(), act=relu_family)
+    def test_absorb_bias_keeps_outputs(self, data, act, output_bias):
+        net, x = data.draw(biased_nets(output_bias))
+        p = nc.absorb_bias(net, act)
+        hidden = [w.shape[0] for w in net.weights[:-1]]
+        carriers = [1] * (len(hidden) - 1) + [int(output_bias)]
+        assert p.width_vector.widths == tuple(h + c for h, c in zip(hidden, carriers))
+        x1 = np.hstack([x, np.ones((len(x), 1))])
+        slack = self.TOL * 2 * rounding_scale(p.layers, act, x1)
+        diff = np.abs(nc.forward(p, act, x1) - nc.forward_biased(net, act, x))
+        assert np.all(diff <= slack)
+
+    @DERANDOMIZED
+    @given(shifted_tables(), st.data())
+    def test_normalize_activation_keeps_outputs(self, act, data):
+        d = data.draw(st.integers(1, 3))
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        layers = [
+            data.draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+            for shape in nc.layer_shapes(widths, d + 1)
+        ]
+        x = data.draw(hnp.arrays(np.float64, (5, d + 1), elements=ENTRIES))
+        x[:, -1] = 1.0
+        p = NetParams.from_arrays(layers)
+        try:
+            p2, act2 = nc.normalize_activation(p, act)
+        except UnsupportedActivationError:
+            reject()  # the shifted table vanishes at every carrier probe
+        assert act2.value_at_zero == 0.0
+        assert p2.width_vector.widths == tuple(w + 1 for w in widths)
+        xs, ys = act.grid
+        value_bound = max(map(abs, ys)) + abs(act.value_at_zero) + act.lipschitz * max(
+            map(abs, xs)
+        )
+        slack = self.TOL * (
+            rounding_scale(p.layers, act, x, value_bound)
+            + rounding_scale(p2.layers, act2, x, value_bound)
+        )
+        diff = np.abs(nc.forward(p, act, x) - nc.forward(p2, act2, x))
+        assert np.all(diff <= slack)
 
 
 class TestMaxNondecreasingComponent:
