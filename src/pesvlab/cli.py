@@ -10,6 +10,7 @@ the configuration and seed; a timestamp comment line can be suppressed with
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import difflib
 import io
@@ -106,24 +107,45 @@ def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, 
     return opt, lam, reg
 
 
-def _blas_threads(cores: int) -> int:
-    """Threads each BLAS call runs on: the first positive integer among the
-    thread variables, else one per core, the OpenBLAS default."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
-    return cores
-
-
 def _pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for a sweep: at most one per task, and few enough
-    that the workers' BLAS threads fit on the cores."""
-    cores = os.cpu_count() or 1
-    return max(1, min(jobs, tasks, cores // _blas_threads(cores)))
+    """Worker processes for a sweep: at most one per task and per core."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def _openblas(verb: str):
+    """``openblas_{verb}_num_threads`` of the OpenBLAS numpy links, or None
+    when numpy links another BLAS.  The OpenBLAS that numpy wheels bundle
+    names it with a ``scipy_`` prefix and, for 64-bit integers, a ``64_``
+    suffix; the lookup goes through a numpy extension, whose dependencies
+    include the BLAS library."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _worker_blas_threads(workers: int) -> int | None:
+    """BLAS threads for each of ``workers`` sweep processes: this process's
+    count, capped so that all workers' threads fit on the cores.  Workers
+    forked with OpenBLAS's default of one thread per core would otherwise
+    put ``workers`` times the cores' threads on them.  None when numpy's BLAS
+    has no thread count to read and set."""
+    get = _openblas("get")
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return max(1, min(get(), (os.cpu_count() or 1) // workers))
+
+
+def _set_blas_threads(threads: int | None) -> None:
+    """Pool initializer: run this worker's BLAS calls on ``threads`` threads."""
+    if threads is not None:
+        set_threads = _openblas("set")
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(threads)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +316,11 @@ def cmd_sweep(args) -> int:
     ]
     workers = _pool_size(args.jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_set_blas_threads,
+            initargs=(_worker_blas_threads(workers),),
+        ) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]

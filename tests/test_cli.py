@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, cross-module consistency."""
 
+import ctypes
 import hashlib
 import json
 import warnings
@@ -69,9 +70,6 @@ def train_cfg(tmp_path):
     p = tmp_path / "train.cfg"
     p.write_text(TRAIN_CFG)
     return p
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def read_csv_rows(path):
@@ -270,16 +268,15 @@ class TestSweepCommand:
         assert err == ["error: m=40 seed=3: objective became non-finite at iteration 6"]
 
     def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path, monkeypatch):
-        """With one BLAS thread per worker, ``--jobs 2`` on 2 cores runs a pool
-        of 2 and writes the serial bytes."""
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        """``--jobs 2`` on 2 cores runs a pool of 2 workers, each told to run
+        BLAS on one thread, and writes the serial bytes."""
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         pools = []
 
         class CountingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+            def __init__(self, max_workers, **kwargs):
+                pools.append((max_workers, kwargs["initargs"]))
+                super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -287,26 +284,29 @@ class TestSweepCommand:
                   "--trials", "2", "--no-timestamp"])
         cli.main(["sweep", "--config", str(train_cfg), "--out", str(b),
                   "--trials", "2", "--jobs", "2", "--no-timestamp"])
-        assert pools == [2]
+        threads = None if cli._openblas("get") is None else 1
+        assert pools == [(2, (threads,))]
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_default_blas_threads_run_in_process(self, train_cfg, tmp_path, monkeypatch):
-        """With no BLAS thread variable, ``--jobs 2`` on 2 cores would give
-        each worker 2 BLAS threads, so the sweep runs in this process."""
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    def test_pool_workers_run_the_set_blas_threads(self):
+        """The pool initializer sets each worker's OpenBLAS thread count and
+        leaves the calling process's count alone."""
+        if cli._openblas("get") is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        before = blas_threads_here()
+        target = 1 if before > 1 else 2
+        with cli.ProcessPoolExecutor(
+            max_workers=2, initializer=cli._set_blas_threads, initargs=(target,)
+        ) as pool:
+            assert list(pool.map(blas_threads_here, range(4), timeout=60)) == [target] * 4
+        assert blas_threads_here() == before
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the sweep started a process pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        assert cli.main(["sweep", "--config", str(train_cfg), "--out", str(a),
-                         "--trials", "2", "--no-timestamp"]) == 0
-        assert cli.main(["sweep", "--config", str(train_cfg), "--out", str(b),
-                         "--trials", "2", "--jobs", "2", "--no-timestamp"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+def blas_threads_here(_=None):
+    """This process's OpenBLAS thread count; module-level so a pool can run it."""
+    get = cli._openblas("get")
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 class TestConfigValues:
@@ -367,52 +367,32 @@ class TestConfigValues:
         assert "[bounds] L=3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "env, jobs, tasks, cores, expected",
-        [
-            # One BLAS thread per worker: at most one worker per job, task and core.
-            *(
-                pytest.param({"OPENBLAS_NUM_THREADS": "1"}, *case, id="-".join(map(str, case)))
-                for case in [
-                    (2, 8, 2, 2), (64, 8, 2, 2), (64, 3, 16, 3), (4, 8, 16, 4), (0, 8, 2, 1),
-                    (5, 8, None, 1),
-                ]
-            ),
-            # No variable set: BLAS takes every core, so one worker.
-            pytest.param({}, 2, 8, 2, 1, id="unset-2-8-2-1"),
-            pytest.param({}, 64, 64, 16, 1, id="unset-64-64-16-1"),
-            pytest.param({"OMP_NUM_THREADS": "4"}, 64, 64, 16, 4, id="omp4-64-64-16-4"),
-            pytest.param({"OMP_NUM_THREADS": "4"}, 3, 64, 16, 3, id="omp4-3-64-16-3"),
-            pytest.param({"MKL_NUM_THREADS": "8"}, 64, 64, 16, 2, id="mkl8-64-64-16-2"),
-            pytest.param(
-                {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "16", "OMP_NUM_THREADS": "4"},
-                64, 64, 16, 8, id="openblas-first-64-64-16-8",
-            ),
-            pytest.param(
-                {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "8"}, 64, 64, 16, 8,
-                id="mkl-before-omp-64-64-16-8",
-            ),
-            # More BLAS threads than cores still leaves one worker.
-            pytest.param({"OPENBLAS_NUM_THREADS": "32"}, 8, 8, 16, 1, id="openblas32-8-8-16-1"),
-            # Malformed values are skipped.
-            pytest.param(
-                {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "4"}, 64, 64, 16, 4,
-                id="abc-omp4-64-64-16-4",
-            ),
-            pytest.param(
-                {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "", "OMP_NUM_THREADS": "2"},
-                64, 64, 16, 8, id="zero-empty-omp2-64-64-16-8",
-            ),
-            pytest.param({"OPENBLAS_NUM_THREADS": "-2"}, 8, 8, 16, 1, id="negative-8-8-16-1"),
-            pytest.param(
-                {"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "0", "OMP_NUM_THREADS": ""},
-                8, 8, 16, 1, id="all-malformed-8-8-16-1",
-            ),
-        ],
+        "jobs, tasks, cores, expected",
+        [(2, 8, 2, 2), (64, 8, 2, 2), (64, 3, 16, 3), (4, 8, 16, 4), (0, 8, 2, 1), (5, 8, None, 1)],
     )
-    def test_pool_size_clamp(self, monkeypatch, env, jobs, tasks, cores, expected):
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+    def test_pool_size_clamp(self, monkeypatch, jobs, tasks, cores, expected):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         assert cli._pool_size(jobs, tasks) == expected
+
+    @pytest.mark.parametrize(
+        "threads, workers, cores, expected",
+        [
+            # OpenBLAS's default of one thread per core: the cores are shared out.
+            (2, 2, 2, 1), (16, 2, 16, 8), (16, 3, 16, 5), (16, 16, 16, 1),
+            # A smaller count set for this process (OPENBLAS_NUM_THREADS) is kept.
+            (1, 2, 16, 1), (4, 2, 16, 4),
+            (2, 2, None, 1),
+        ],
+    )
+    def test_worker_blas_threads(self, monkeypatch, threads, workers, cores, expected):
+        def get():
+            return threads
+
+        monkeypatch.setattr(cli, "_openblas", lambda verb: get)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert cli._worker_blas_threads(workers) == expected
+
+    def test_worker_blas_threads_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas", lambda verb: None)
+        assert cli._worker_blas_threads(2) is None
+        cli._set_blas_threads(None)
