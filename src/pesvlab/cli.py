@@ -66,9 +66,19 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
     return parse_widths_spec(spec)
 
 
+def _sample_count(raw: str) -> float:
+    """A bound's sample count, which its ``log n`` terms need to be at least 2."""
+    n = float(raw)
+    if not n >= 2:
+        raise ValueError("must be at least 2")
+    return n
+
+
 def _bound_config(cfg: RunConfig) -> tuple[theory.BoundConfig, tuple[int, ...]]:
     """The bound settings and the width pattern; the depth is ``len(pattern)+1``."""
-    n = cfg.get_float("bounds", "n", cfg.get_float("problem", "n"))
+    n = cfg.get_parsed("bounds", "n", _sample_count)
+    if n is None:
+        n = cfg.get_parsed("problem", "n", _sample_count)
     d = cfg.get_parsed("bounds", "d", positive(int), cfg.get_parsed("problem", "d", positive(int)))
     if n is None or d is None:
         raise ConfigError(f"{cfg.path}: bound evaluation needs n and d")
@@ -97,7 +107,7 @@ def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, 
     opt = erm.OptimizerConfig(
         step_size=cfg.get_parsed("optimizer", "step_size", positive(float), 0.1),
         max_iters=cfg.get_parsed("optimizer", "max_iters", positive(int), 10_000),
-        tolerance=cfg.get_float("optimizer", "tolerance", 0.0),
+        tolerance=cfg.get_parsed("optimizer", "tolerance", nonnegative(float), 0.0),
         schedule=cfg.get_parsed(
             "optimizer", "schedule", erm.OptimizerConfig.parse_schedule, "inv_sqrt"
         ),
@@ -214,7 +224,9 @@ def cmd_train(args) -> int:
     widths = cfg.get_int_list("network", "widths")
     if not widths:
         raise ConfigError(f"{cfg.path}: need [network] widths")
-    base = cfg.get_float("loss", "range_bound") or erm.LossSpec.mse_for(teacher, sigma).range_bound
+    base = cfg.get_parsed("loss", "range_bound", positive(float))
+    if base is None:
+        base = erm.LossSpec.mse_for(teacher, sigma).range_bound
     loss = cfg.get_parsed(
         "loss", "kind", lambda text: erm.LossSpec.parse(text, base), erm.LossSpec.mse(base)
     )

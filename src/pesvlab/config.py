@@ -79,9 +79,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.path}: [{section}] {key}={raw!r}: {exc}") from None
 
-    def get_float(self, section: str, key: str, default: float | None = None) -> float | None:
-        return self.get_parsed(section, key, float, default)
-
     def get_int_list(self, section: str, key: str) -> list[int] | None:
         """A comma list of positive integers, such as widths or a width pattern."""
         return self.get_parsed(section, key, _positive_int_list)

@@ -503,13 +503,26 @@ def covering_packing_lower_bound(
         part = [w[lo : lo + chunk] for w in layers]
         vals[lo : lo + chunk] = stacked_forward(part, act, X)[0]
 
-    # Greedy packing: keep a net unless it is within delta of a kept one.
+    # Greedy packing: keep a net unless it is within delta of a kept one.  A
+    # block of candidates is screened against the kept set in one pass, then
+    # its survivors are settled in order against each other.  A block holds
+    # at most 16 nets, and fewer where its screen would pass 2**20 values.
     kept = np.empty_like(vals)
-    count = 0
-    for v in vals:
-        if not (np.abs(kept[:count] - v).max(axis=1) <= delta).any():
-            kept[count] = v
-            count += 1
+    count, lo = 0, 0
+    while lo < param_samples:
+        block = max(1, min(16, 2**20 // (max(count, 16) * vals.shape[1])))
+        cand = vals[lo : lo + block]
+        lo += block
+        new = cand[~(np.abs(kept[:count, None] - cand).max(axis=2) <= delta).any(axis=0)]
+        if len(new) > 1:
+            close = np.abs(new[:, None] - new).max(axis=2) <= delta
+            alive = np.ones(len(new), dtype=bool)
+            for i in range(len(new) - 1):
+                if alive[i]:
+                    alive[i + 1 :] &= ~close[i, i + 1 :]
+            new = new[alive]
+        kept[count : count + len(new)] = new
+        count += len(new)
 
     entropy = theory.metric_entropy_bound(delta / 2.0, wv, d, act.lipschitz)
     passed = math.log(max(count, 1)) <= entropy
@@ -581,13 +594,18 @@ def pointwise_audit(
 ) -> PointwiseResult:
     """Randomized audit of the pointwise bound over many small networks."""
     rng = np.random.default_rng(seed)
+    acts = [
+        ActivationSpec.relu() if a == 0.0 else ActivationSpec.leaky_relu(float(a))
+        for a in alphas
+    ]
     worst = 0.0
     for i in range(n_nets):
-        L = int(rng.choice(list(depths)))
-        d = int(rng.choice(list(dims)))
+        # seq[rng.integers(len(seq))] draws what rng.choice(seq) draws and
+        # leaves the generator in the same state, without building an array.
+        L = int(depths[int(rng.integers(len(depths)))])
+        d = int(dims[int(rng.integers(len(dims)))])
         widths = tuple(int(rng.integers(1, max_width + 1)) for _ in range(L - 1))
-        alpha = float(rng.choice(list(alphas)))
-        act = ActivationSpec.relu() if alpha == 0.0 else ActivationSpec.leaky_relu(alpha)
+        act = acts[int(rng.integers(len(acts)))]
         arrs = random_unit_norm_net(rng, widths, d + 1)
         res = pointwise_norm_check(arrs, act, probe_count=probes, seed=int(rng.integers(2**31)))
         worst = max(worst, res.max_ratio)

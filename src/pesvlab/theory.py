@@ -261,23 +261,38 @@ def gen_bound_encompassing(cfg: BoundConfig, widths) -> BoundReport:
     three evaluations share bias and variance computations; the regime label
     reports the active branch.
     """
-    wv = _check_widths(cfg, widths)
-    bias = _bias_term(cfg, wv)
+    return _encompassing(cfg)(widths)[0]
+
+
+def _encompassing(cfg: BoundConfig):
+    """The encompassing bound as a function of the width vector.
+
+    It returns the report and whether the variance cap is active there
+    (``var_over <= var_under``).  The terms that depend on ``cfg`` alone are
+    computed once, for every width vector it is called on."""
     var_o = _var_over(cfg)
-    var_u = _var_under(cfg, wv)
-    if var_u <= var_o:
-        var, regime = var_u, "under"
-    else:
-        var, regime = var_o, "over"
-    lam = max(lambda_overparam(cfg), lambda_underparam(cfg, wv))
-    return BoundReport(
-        bias_term=bias,
-        variance_term=var,
-        regime=regime,
-        lambda_used=lam,
-        total=cfg.C * (bias + var),
-        constants=cfg.as_dict(),
-    )
+    lam_o = lambda_overparam(cfg)
+    consts = cfg.as_dict()
+
+    def at(widths) -> tuple[BoundReport, bool]:
+        wv = _check_widths(cfg, widths)
+        bias = _bias_term(cfg, wv)
+        var_u = _var_under(cfg, wv)
+        if var_u <= var_o:
+            var, regime = var_u, "under"
+        else:
+            var, regime = var_o, "over"
+        report = BoundReport(
+            bias_term=bias,
+            variance_term=var,
+            regime=regime,
+            lambda_used=max(lam_o, lambda_underparam(cfg, wv)),
+            total=cfg.C * (bias + var),
+            constants=dict(consts),
+        )
+        return report, var_o <= var_u
+
+    return at
 
 
 def gen_bound_general_loss(cfg: BoundConfig, loss, widths, T: float) -> BoundReport:
@@ -358,13 +373,13 @@ def double_descent_sweep(cfg: BoundConfig, widths, pattern=None) -> SweepResult:
     if len(pattern) != cfg.L - 1 or any(p < 1 for p in pattern):
         raise ValueError("pattern must have one positive entry per hidden layer")
 
+    bound_at = _encompassing(cfg)
     reports = []
     switch = None
     for w in widths:
-        wv = tuple(w * p for p in pattern)
-        rep = gen_bound_encompassing(cfg, wv)
+        rep, capped = bound_at(tuple(w * p for p in pattern))
         reports.append(rep)
-        if switch is None and _var_over(cfg) <= _var_under(cfg, wv):
+        if switch is None and capped:
             switch = w
 
     totals = [r.total for r in reports]

@@ -206,13 +206,15 @@ class TestVerifyCommand:
     def test_entropy_suite_passes(self):
         assert cli.main(["verify", "entropy"]) == 0
 
-    # sha256 of the reports as the per-term Fraction lemma sums and the
-    # per-net packing loop wrote them: any change to these numbers fails.
+    # sha256 of the reports as the per-term Fraction lemma sums, the per-net
+    # packing loop and the rng.choice audit draws wrote them: any change to
+    # these numbers fails.
     @pytest.mark.parametrize(
         "suite, digest",
         [
             ("lemmas", "8fffd1d13cd88de5f5993e804936137d2f5359f8f5f0cfb07e0164b8dbe89b11"),
             ("entropy", "47f5a265d94559db3a752b701362603169d58847c6d3d27ffade14ca3bae0bcc"),
+            ("pointwise", "01cfcd33f08a09c7b87acb2f83d1a2d2a1eee10d4b61a2822e130b7397572dbc"),
         ],
     )
     def test_report_bytes_pinned(self, tmp_path, suite, digest):
@@ -348,6 +350,10 @@ class TestConfigValues:
             ("bound", "bounds", "M = 1", "M = 1\nc = -1"),
             ("bound", "bounds", "M = 1", "M = 1\nC = 0"),
             ("bound", "bounds", "M = 1", "M = 1\nC1 = -0.5"),
+            ("bound", "bounds", "n = 10000", "n = 1"),
+            ("train", "optimizer", "step_size = 0.3", "step_size = 0.3\ntolerance = -0.5"),
+            ("train", "loss", "kind = mse", "kind = mse\nrange_bound = -1"),
+            ("train", "loss", "kind = mse", "kind = mse\nrange_bound = 0"),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -359,6 +365,14 @@ class TestConfigValues:
         err = capsys.readouterr().err
         key = new.rpartition("\n")[2].partition(" =")[0]
         assert f"{cfg}: [{section}] {key}=" in err and "Traceback" not in err
+
+    def test_bound_n_from_problem_is_named(self, tmp_path, capsys):
+        """Without ``[bounds] n`` the bound reads ``[problem] n`` and names it."""
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text("[problem]\nn = 1\n\n" + BOUND_CFG.replace("n = 10000\n", ""))
+        assert cli.main(["bound", "--config", str(cfg), "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: [problem] n='1': must be at least 2" in err and "Traceback" not in err
 
     def test_bounds_depth_disagreeing_with_pattern(self, tmp_path, capsys):
         cfg = tmp_path / "depth.cfg"

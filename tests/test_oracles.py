@@ -267,6 +267,43 @@ class TestPacking:
         r = oracles.covering_packing_lower_bound((2,), 0.5, d=1, param_samples=0)
         assert r.packing_count == 0 and r.passed
 
+    @pytest.mark.parametrize("d, delta", [(1, 0.25), (1, 0.05), (2, 0.25)])
+    @pytest.mark.parametrize("samples", [0, 1, 15, 16, 17, 200])
+    def test_blocked_pass_equals_one_candidate_at_a_time(
+        self, monkeypatch, d, delta, samples
+    ):
+        """The count equals the greedy loop's over the same network values;
+        at 200 samples the kept set spans several blocks of 16, and for d = 2
+        its ~10^4 grid points shrink the blocks below 16."""
+        outputs = []
+        real = oracles.stacked_forward
+
+        def recording(layers, act, X):
+            out = real(layers, act, X)
+            outputs.append(out[0])
+            return out
+
+        monkeypatch.setattr(oracles, "stacked_forward", recording)
+        r = oracles.covering_packing_lower_bound((2,), delta, d, param_samples=samples, seed=1)
+        vals = np.concatenate(outputs) if outputs else np.empty((0, 1))
+        assert len(vals) == samples
+        count = greedy_packing_one_by_one(vals, delta)
+        assert r.packing_count == count
+        if samples == 200:
+            assert count > 3 * 16
+
+
+def greedy_packing_one_by_one(vals, delta):
+    """Greedy packing one candidate at a time: keep a row of ``vals`` unless
+    it is within ``delta`` in max norm of a kept row."""
+    kept = np.empty_like(vals)
+    count = 0
+    for v in vals:
+        if not (np.abs(kept[:count] - v).max(axis=1) <= delta).any():
+            kept[count] = v
+            count += 1
+    return count
+
 
 def unit_norm_nets_one_by_one(rng, widths, in_size, count):
     """Nets drawn and normalized one at a time, stacked on a run axis."""
@@ -350,6 +387,18 @@ class TestPointwise:
     def test_randomized_audit(self):
         r = oracles.pointwise_audit(n_nets=150, probes=50, seed=1)
         assert r.passed
+
+    @pytest.mark.parametrize("seq", [(2, 3, 4), (1, 2, 3), (0.0, 0.1), (7,), (0.5, 1, 2, 3, 5)])
+    def test_index_draw_equals_choice(self, seq):
+        """``seq[rng.integers(len(seq))]``, the audit's draw, gives the values
+        of ``rng.choice(list(seq))`` and leaves the generator in its state,
+        interleaved with the audit's other draws."""
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(500):
+            assert seq[int(rng.integers(len(seq)))] == ref.choice(list(seq))
+            assert rng.integers(1, 9) == ref.integers(1, 9)
+            assert rng.standard_normal() == ref.standard_normal()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSignPatterns:

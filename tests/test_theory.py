@@ -377,6 +377,31 @@ class TestDoubleDescentSweep:
         direct = theory.gen_bound_encompassing(cfg, (2, 4)).total
         assert res.totals()[0] == direct
 
+    @pytest.mark.parametrize(
+        "cfg, pattern",
+        [
+            (relu_cfg(), (1,)),
+            (relu_cfg(L=3, n=500, d=3, L_sigma=1.3, sigma_eps=0.4, M=2.0, C=1.5, C1=0.3), (2, 1)),
+        ],
+    )
+    def test_reports_equal_encompassing_at_each_width(self, cfg, pattern):
+        """Every report equals the encompassing bound at its width vector, the
+        switch is the first width with ``var_over <= var_under``, and each
+        report owns its constants."""
+        widths = range(1, 401)
+        res = theory.double_descent_sweep(cfg, widths, pattern)
+        for w, rep in zip(widths, res.reports):
+            wv = tuple(w * p for p in pattern)
+            assert rep == theory.gen_bound_encompassing(cfg, wv)
+        switch = next(
+            (w for w in widths
+             if theory._var_over(cfg) <= theory._var_under(cfg, tuple(w * p for p in pattern))),
+            None,
+        )
+        assert switch is not None and res.switch_width == switch
+        res.reports[0].constants["n"] = -1.0
+        assert all(rep.constants == cfg.as_dict() for rep in res.reports[1:])
+
 
 class TestBoundConfigValidation:
     def test_rejects_tiny_n(self):
