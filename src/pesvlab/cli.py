@@ -23,7 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import erm, norms, oracles, theory
-from .config import ConfigError, RunConfig, nonnegative, parse_config, parse_widths_spec, positive
+from .config import (
+    ConfigError, RunConfig, finite, nonnegative, parse_config, parse_widths_spec, positive
+)
 from .erm import DivergenceError
 from .netcore import ActivationSpec, load_network, save_network
 
@@ -68,8 +70,8 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
 
 def _sample_count(raw: str) -> float:
     """A bound's sample count, which its ``log n`` terms need to be at least 2."""
-    n = float(raw)
-    if not n >= 2:
+    n = finite(float(raw))
+    if n < 2:
         raise ValueError("must be at least 2")
     return n
 
@@ -311,9 +313,10 @@ def _sweep_task(payload):
 
 
 def cmd_sweep(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value in (("--trials", args.trials), ("--jobs", args.jobs)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return 2
     cfg = parse_config(args.config)
     teacher, n, sigma, base_seed = _problem_from_config(cfg)
     widths = _width_grid(args, cfg)

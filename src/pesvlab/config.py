@@ -7,11 +7,13 @@ number, as are malformed values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 __all__ = [
-    "ConfigError", "RunConfig", "nonnegative", "parse_config", "parse_widths_spec", "positive"
+    "ConfigError", "RunConfig", "finite", "nonnegative", "parse_config", "parse_widths_spec",
+    "positive",
 ]
 
 _T = TypeVar("_T")
@@ -85,13 +87,22 @@ class RunConfig:
 
 
 def positive(parse: Callable[[str], _T]) -> Callable[[str], _T]:
-    """``parse``, rejecting a value that is not above zero with ``ValueError``."""
+    """``parse``, rejecting a value that is not finite or not above zero
+    with ``ValueError``."""
     return _checked(parse, lambda value: value > 0, "must be positive")
 
 
 def nonnegative(parse: Callable[[str], _T]) -> Callable[[str], _T]:
-    """``parse``, rejecting a value that is not zero or above with ``ValueError``."""
+    """``parse``, rejecting a value that is not finite or not zero or above
+    with ``ValueError``."""
     return _checked(parse, lambda value: value >= 0, "must be nonnegative")
+
+
+def finite(value: float) -> float:
+    """``value``, rejecting ``inf``, ``-inf`` and ``nan`` with ``ValueError``."""
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _checked(
@@ -99,6 +110,8 @@ def _checked(
 ) -> Callable[[str], _T]:
     def parse_checked(raw: str) -> _T:
         value = parse(raw)
+        if isinstance(value, float):  # an int is never inf or nan
+            finite(value)
         if not accept(value):
             raise ValueError(message)
         return value

@@ -412,7 +412,7 @@ def train(
     training mean squared residual and the path norm of the current iterate.
     A non-finite objective aborts with the best finite iterate attached.
     """
-    return train_many([init], [dataset], [lam], loss, reg, opt, act)[0]
+    return train_many([init], [dataset], [lam], loss, [reg], opt, act)[0]
 
 
 def train_many(
@@ -420,24 +420,27 @@ def train_many(
     datasets: Sequence[Dataset],
     lams: Sequence[float],
     loss: LossSpec,
-    reg: Penalty,
+    regs: Sequence[Penalty],
     opt: OptimizerConfig,
     act: ActivationSpec,
 ) -> list[TrainResult]:
     """Run :func:`train` for ``S`` independent runs at once, run ``s``
-    starting from ``inits[s]`` on ``datasets[s]`` with ``lams[s]``.
+    starting from ``inits[s]`` on ``datasets[s]`` with ``lams[s]`` and the
+    penalty ``regs[s]``.
 
     The runs advance together, one set of stacked matrix products per
     iteration, and each result is bitwise equal to its own :func:`train`
-    call.  The datasets must share their sample count and the initial
+    call.  Each stretch of consecutive equal penalties is evaluated as one
+    stacked group, so runs that share a penalty should sit next to each
+    other.  The datasets must share their sample count and the initial
     networks their shapes.  Under ``opt.tolerance > 0`` a run that meets it
     stops updating and recording while the others go on.  The first run to
     reach a non-finite objective raises :class:`DivergenceError`, carrying
-    its best finite iterate and its index.
+    its best finite iterate and its index in this batch.
     """
     S = len(inits)
-    if len(datasets) != S or len(lams) != S:
-        raise ValueError("need one dataset and one lambda per run")
+    if len(datasets) != S or len(lams) != S or len(regs) != S:
+        raise ValueError("need one dataset, one lambda and one penalty per run")
     if S == 0:
         return []
     n = datasets[0].n
@@ -448,18 +451,26 @@ def train_many(
     lam = np.array(lams, dtype=np.float64)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
-    lam_w = lam[:, None, None]
     # A run with lam = 0 takes no penalty subgradient, and a stopped run no
     # step; the masks stay True (no masking) while every run takes them.
     penalized = lam > 0.0
-    subgradient = bool(penalized.any())
-    add_where = True if penalized.all() else penalized[:, None, None]
     update_where = True
+    # The stacked layers are updated in place, so views of them stay current.
     arrs = [np.stack(ws) for ws in zip(*(p.layers for p in inits))]
+    # Runs lo..hi-1 of each group share one penalty; a uniform batch is one group.
+    cuts = [0] + [s for s in range(1, S) if regs[s] != regs[s - 1]] + [S]
+    groups = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        runs = slice(lo, hi)
+        on = penalized[runs]
+        add_where = True if on.all() else on[:, None, None]
+        ws = [w[runs] for w in arrs]
+        groups.append((runs, ws, regs[lo], bool(on.any()), lam[runs, None, None], add_where))
     best = [w.copy() for w in arrs]
     best_obj = np.full(S, math.inf)
     # Per iteration and run: objective, empirical_mse and nu.
     history = np.empty((3, opt.max_iters, S))
+    value = np.empty(S)
     iters = np.full(S, opt.max_iters)
     active = np.ones(S, dtype=bool)
 
@@ -469,8 +480,17 @@ def train_many(
         for t in range(opt.max_iters):
             preds, hs, zs = stacked_forward(arrs, act, x)
             fit = np.add.reduce(loss.value(preds, y), axis=-1) / n
-            value, sub = reg.stacked(arrs, grad=subgradient)
-            nu = value if reg.kind == "pesv" else norms.pesv_stacked(arrs, grad=False)[0]
+            # Each group's penalty values and path norms go into its slice;
+            # its subgradients wait for the backward pass.
+            subs = []
+            for runs, ws, reg, subgradient, lam_w, add_where in groups:
+                v, sub = reg.stacked(ws, grad=subgradient)
+                value[runs] = v
+                if reg.kind != "pesv":
+                    v = norms.pesv_stacked(ws, grad=False)[0]
+                history[2, t, runs] = v
+                if sub is not None:
+                    subs.append((runs, sub, lam_w, add_where))
             obj = fit + lam * value
             if not np.isfinite(obj).all():
                 s = int(np.flatnonzero(~np.isfinite(obj))[0])
@@ -482,7 +502,6 @@ def train_many(
                 )
             history[0, t] = obj
             history[1, t] = np.add.reduce((preds - y) ** 2, axis=-1) / n
-            history[2, t] = nu
             better = obj < best_obj
             if better.any():
                 best_obj = np.where(better, obj, best_obj)
@@ -493,8 +512,9 @@ def train_many(
             # Held into the next forward pass, the layer activations would
             # double the peak memory of a wide network.
             del hs, zs
-            if sub is not None:
+            for runs, sub, lam_w, add_where in subs:
                 for g, r in zip(grads, sub):
+                    g = g[runs]
                     np.add(g, lam_w * r, out=g, where=add_where)
             if opt.tolerance > 0.0:
                 gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))

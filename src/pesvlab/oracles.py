@@ -778,12 +778,17 @@ def equivalence_check_relu(
     d = dataset.input_dim
 
     inits = [erm.init_params(widths, d, seed=seed) for seed in seeds]
-    data = [dataset] * len(inits)
-    res_ps = erm.train_many(inits, data, [lam] * len(inits), loss, pesv, opt, act)
-    res_ws = erm.train_many(inits, data, [lam / 2.0] * len(inits), loss, wd, opt, act)
+    S = len(inits)
+    # The path-norm and weight-decay runs train as one batch; the mixed-max
+    # lambdas need the path-norm minimizers.
+    res_pw = erm.train_many(
+        inits * 2, [dataset] * (2 * S), [lam] * S + [lam / 2.0] * S, loss,
+        [pesv] * S + [wd] * S, opt, act,
+    )
+    res_ps, res_ws = res_pw[:S], res_pw[S:]
     nu_hats = [norms.pesv_norm(res.params) for res in res_ps]
     lam_mms = [lam * math.sqrt(nu) if nu > 0 else lam for nu in nu_hats]
-    res_ms = erm.train_many(inits, data, lam_mms, loss, mm, opt, act)
+    res_ms = erm.train_many(inits, [dataset] * S, lam_mms, loss, [mm] * S, opt, act)
 
     rows = []
     gaps_wd, gaps_mm = [], []
@@ -859,8 +864,9 @@ def run_collinearity_experiment(cfg: dict | None = None) -> list[dict]:
     ]
     loss = erm.LossSpec.mse_for(teacher, c["sigma_eps"])
     inits = [erm.init_params(c["widths"], c["d"], seed=seed) for seed in c["seeds"]]
+    S = len(inits)
     results = erm.train_many(
-        inits, datasets, [c["lam"]] * len(inits), loss, erm.Penalty("pesv"), opt, act
+        inits, datasets, [c["lam"]] * S, loss, [erm.Penalty("pesv")] * S, opt, act
     )
     rows = []
     for seed, ds, res in zip(c["seeds"], datasets, results):

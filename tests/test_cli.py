@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pesvlab import cli, erm, theory
+from pesvlab.config import nonnegative, positive
 from pesvlab.erm import documented_teacher
 from pesvlab.netcore import save_network
 
@@ -242,6 +243,14 @@ class TestSweepCommand:
     def test_zero_trials_usage_error(self, train_cfg):
         assert cli.main(["sweep", "--config", str(train_cfg), "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_usage_error(self, train_cfg, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(train_cfg), "--jobs", jobs, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverged_task_keeps_the_sweep(self, tmp_path, capsys):
         """One of two tasks diverges: both rows are written, the diverged one
         with nan values and its bound, and the task is named on stderr."""
@@ -354,6 +363,19 @@ class TestConfigValues:
             ("train", "optimizer", "step_size = 0.3", "step_size = 0.3\ntolerance = -0.5"),
             ("train", "loss", "kind = mse", "kind = mse\nrange_bound = -1"),
             ("train", "loss", "kind = mse", "kind = mse\nrange_bound = 0"),
+            # Values that are not finite.
+            ("bound", "bounds", "n = 10000", "n = inf"),
+            ("bound", "bounds", "n = 10000", "n = nan"),
+            ("bound", "bounds", "M = 1", "M = inf"),
+            ("bound", "bounds", "sigma_eps = 0.1", "sigma_eps = inf"),
+            ("bound", "bounds", "M = 1", "M = 1\nL_sigma = inf"),
+            ("bound", "bounds", "M = 1", "M = 1\nC = nan"),
+            ("train", "optimizer", "step_size = 0.3", "step_size = 0.3\ntolerance = inf"),
+            ("train", "optimizer", "step_size = 0.3", "step_size = inf"),
+            ("train", "optimizer", "lambda = 0.01", "lambda = inf"),
+            ("train", "optimizer", "lambda = 0.01", "lambda = nan"),
+            ("train", "problem", "sigma_eps = 0.05", "sigma_eps = inf"),
+            ("train", "loss", "kind = mse", "kind = mse\nrange_bound = inf"),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -365,6 +387,12 @@ class TestConfigValues:
         err = capsys.readouterr().err
         key = new.rpartition("\n")[2].partition(" =")[0]
         assert f"{cfg}: [{section}] {key}=" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_number_is_named(self, raw):
+        for parse in (positive(float), nonnegative(float), cli._sample_count):
+            with pytest.raises(ValueError, match="must be finite"):
+                parse(raw)
 
     def test_bound_n_from_problem_is_named(self, tmp_path, capsys):
         """Without ``[bounds] n`` the bound reads ``[problem] n`` and names it."""

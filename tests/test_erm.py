@@ -376,7 +376,7 @@ class TestTrainMany:
         loss = erm.LossSpec.mse(2.0)
         penalty = erm.Penalty.parse(reg)
         opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
-        batch = erm.train_many(inits, datasets, lams, loss, penalty, opt, act)
+        batch = erm.train_many(inits, datasets, lams, loss, [penalty] * 3, opt, act)
         for res, init, ds, lam in zip(batch, inits, datasets, lams, strict=True):
             assert_same_result(res, single_loop_train(init, ds, lam, loss, penalty, opt, act))
             assert_same_result(erm.train(init, ds, lam, loss, penalty, opt, act), res)
@@ -387,7 +387,7 @@ class TestTrainMany:
         loss = erm.LossSpec.huber(0.3, 2.0)
         opt = erm.OptimizerConfig(step_size=0.2, max_iters=40, schedule="constant")
         pen = erm.Penalty("pesv")
-        batch = erm.train_many(inits, datasets, lams, loss, pen, opt, RELU)
+        batch = erm.train_many(inits, datasets, lams, loss, [pen] * 3, opt, RELU)
         for res, init, ds, lam in zip(batch, inits, datasets, lams):
             assert_same_result(res, single_loop_train(init, ds, lam, loss, pen, opt, RELU))
 
@@ -404,7 +404,7 @@ class TestTrainMany:
             step_size=0.5, max_iters=60, tolerance=0.004, schedule="constant"
         )
         pen = erm.Penalty("pesv")
-        batch = erm.train_many(inits, datasets, lams, loss, pen, opt, RELU)
+        batch = erm.train_many(inits, datasets, lams, loss, [pen] * 3, opt, RELU)
         assert [(r.iterations, r.converged) for r in batch] == [
             (20, True), (32, True), (60, False)
         ]
@@ -426,7 +426,7 @@ class TestTrainMany:
             warnings.simplefilter("error")  # the kernel checks finiteness itself
             erm.train(inits[1], datasets[1], lams[1], loss, pen, opt, act)
         with pytest.raises(erm.DivergenceError) as batch:
-            erm.train_many(inits, datasets, lams, loss, pen, opt, act)
+            erm.train_many(inits, datasets, lams, loss, [pen] * 3, opt, act)
         assert str(one.value) == str(single.value)
         assert str(batch.value) == f"run 1: {single.value}"
         assert (one.value.run, batch.value.run) == (0, 1)
@@ -434,23 +434,87 @@ class TestTrainMany:
             for a, b in zip(exc.last_finite.layers, single.value.last_finite.layers):
                 assert np.all(a == b)
 
+    def test_mixed_penalties_equal_single_runs(self):
+        """One penalty per run: each stretch of equal penalties is one group,
+        and every run, including a zero-lambda one inside a group and runs
+        stopped by the tolerance, equals its own single-run loop."""
+        teacher = documented_teacher(d=2)
+        seeds = (3, 0, 1, 2, 4)
+        datasets = [erm.sample_dataset(teacher, 12, 0.0, seed=s) for s in seeds]
+        inits = [erm.init_params((3,), 2, seed=s) for s in seeds]
+        lams = [0.001, 0.0, 0.0005, 0.001, 0.002]
+        regs = [
+            erm.Penalty.parse(r)
+            for r in ("pesv", "pesv", "weight_decay", "mixed_max:1:2", "pesv")
+        ]
+        loss = erm.LossSpec.mse(2.0)
+        opt = erm.OptimizerConfig(
+            step_size=0.5, max_iters=60, tolerance=0.004, schedule="constant"
+        )
+        batch = erm.train_many(inits, datasets, lams, loss, regs, opt, RELU)
+        assert [(r.iterations, r.converged) for r in batch] == [
+            (20, True), (32, True), (60, False), (41, True), (33, True)
+        ]
+        for res, init, ds, lam, reg in zip(batch, inits, datasets, lams, regs, strict=True):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, reg, opt, RELU))
+            assert_same_result(erm.train(init, ds, lam, loss, reg, opt, RELU), res)
+
+    def test_groups_split_on_penalty_parameters(self):
+        """Equal kinds with other exponents are other penalties."""
+        datasets, lams = three_runs()
+        inits = [erm.init_params((4, 3), 2, seed=s) for s in (4, 5, 6)]
+        regs = [erm.Penalty.parse(r) for r in ("mixed_max:1:2",) * 2 + ("mixed_max:3:1.5",)]
+        loss = erm.LossSpec.mse(2.0)
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
+        batch = erm.train_many(inits, datasets, lams, loss, regs, opt, RELU)
+        for res, init, ds, lam, reg in zip(batch, inits, datasets, lams, regs, strict=True):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, reg, opt, RELU))
+
+    def test_mixed_batch_diverging_run_raises_for_its_index(self):
+        """The index is the run's place in the whole batch, not in its group."""
+        teacher = documented_teacher(d=2)
+        datasets = [erm.sample_dataset(teacher, 12, 0.05, seed=s) for s in range(5)]
+        big = datasets[3]
+        datasets[3] = erm.Dataset(big.inputs, big.targets * 1e150, big.noise_std, big.seed)
+        inits = [erm.init_params((5,), 2, seed=s) for s in range(5)]
+        lams = [0.02, 0.0, 0.005, 0.01, 0.003]
+        regs = [
+            erm.Penalty.parse(r)
+            for r in ("pesv", "pesv", "weight_decay", "mixed_max:1:2", "pesv")
+        ]
+        loss = erm.LossSpec.mse(2.0)
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
+        act = ActivationSpec.identity()
+        with pytest.raises(erm.DivergenceError) as single, np.errstate(over="ignore"):
+            single_loop_train(inits[3], datasets[3], lams[3], loss, regs[3], opt, act)
+        with pytest.raises(erm.DivergenceError) as batch:
+            erm.train_many(inits, datasets, lams, loss, regs, opt, act)
+        assert str(batch.value) == f"run 3: {single.value}"
+        assert batch.value.run == 3
+        for a, b in zip(batch.value.last_finite.layers, single.value.last_finite.layers):
+            assert np.all(a == b)
+
     def test_rejects_mismatched_runs(self):
         datasets, lams = three_runs()
         inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
-        args = (erm.LossSpec.mse(2.0), erm.Penalty("pesv"), erm.OptimizerConfig(), RELU)
+        loss, pen, opt = erm.LossSpec.mse(2.0), erm.Penalty("pesv"), erm.OptimizerConfig()
+        args = (loss, [pen] * 3, opt, RELU)
         with pytest.raises(ValueError):
             erm.train_many(inits, datasets, lams[:2], *args)
         short = erm.sample_dataset(documented_teacher(d=2), 5, 0.0, seed=0)
         with pytest.raises(ValueError):
             erm.train_many(inits, datasets[:2] + [short], lams, *args)
-        assert erm.train_many([], [], [], *args) == []
+        for regs in ([pen] * 2, [pen] * 4):
+            with pytest.raises(ValueError, match="one penalty per run"):
+                erm.train_many(inits, datasets, lams, loss, regs, opt, RELU)
+        assert erm.train_many([], [], [], loss, [], opt, RELU) == []
 
     def test_rejects_negative_lambda(self):
         """As erm.objective does: the loop takes no subgradient for lam <= 0,
         so a negative lambda would report an objective it never minimized."""
         datasets, lams = three_runs()
         inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
-        args = (erm.LossSpec.mse(2.0), erm.Penalty("pesv"), erm.OptimizerConfig(), RELU)
+        args = (erm.LossSpec.mse(2.0), [erm.Penalty("pesv")] * 3, erm.OptimizerConfig(), RELU)
         with pytest.raises(ValueError, match="lambda must be nonnegative"):
             erm.train_many(inits, datasets, [lams[0], -0.5, lams[2]], *args)
 
