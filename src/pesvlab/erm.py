@@ -31,10 +31,8 @@ __all__ = [
     "empirical_error",
     "generalization_error_mc",
     "init_params",
-    "load_dataset",
     "objective",
     "sample_dataset",
-    "save_dataset",
     "train",
     "train_many",
     "uniform_ball",
@@ -265,38 +263,6 @@ def sample_dataset(
     y = forward(teacher.teacher, teacher.act, xt)
     noise = sigma_eps * rng.standard_normal(n)
     return Dataset(inputs=xt, targets=y + noise, noise_std=sigma_eps, seed=seed)
-
-
-def save_dataset(path, ds: Dataset, teacher_digest: str = "") -> None:
-    d = ds.input_dim
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            f"# seed={ds.seed} sigma_eps={float(ds.noise_std)!r} "
-            f"teacher={teacher_digest}\n"
-        )
-        cols = [f"x_{i + 1}" for i in range(d)] + ["bias", "y"]
-        fh.write(",".join(cols) + "\n")
-        for row, y in zip(ds.inputs, ds.targets):
-            vals = [repr(float(v)) for v in row] + [repr(float(y))]
-            fh.write(",".join(vals) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    seed, sigma = 0, 0.0
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        for part in header.lstrip("# ").split():
-            if part.startswith("seed="):
-                seed = int(part[5:])
-            if part.startswith("sigma_eps="):
-                sigma = float(part[10:])
-        fh.readline()  # column names
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.split(",")])
-    arr = np.array(rows)
-    return Dataset(inputs=arr[:, :-1], targets=arr[:, -1], noise_std=sigma, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -384,7 +384,19 @@ def rademacher_mc(
     by ``F``, so the estimate is exactly linear in ``F`` under a fixed seed.
     The estimate lower-bounds the true supremum, which is the sound
     direction against the closed-form upper bound.
+
+    Trials run in blocks, each block as one ascent over its trials' starts
+    stacked on the run axis.  A block keeps one hidden layer's ``(S, n, m)``
+    array within 2^14 values (128 KiB): the allocator hands larger arrays
+    back to the kernel every step, and the page faults that follow cost
+    more than the stacking saves.  Every net goes through the same slice
+    operations as in a lone trial, so the result does not depend on the
+    blocking.
     """
+    if trials < 1 or n_starts < 1:
+        raise ValueError("need trials >= 1 and n_starts >= 1")
+    if inner_steps < 0 or not step_size > 0:
+        raise ValueError("need inner_steps >= 0 and step_size > 0")
     act = act or ActivationSpec.relu()
     X = np.asarray(inputs, dtype=np.float64)
     if np.any(np.linalg.norm(X, axis=1) > 1.0 + 1e-12):
@@ -394,14 +406,21 @@ def rademacher_mc(
     L = len(wv) + 1
     rng = np.random.default_rng(seed)
 
+    block = max(1, 2**14 // (n_starts * n * wv.m))
     per_trial = np.empty(trials)
-    for t in range(trials):
-        rho = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        arrs = random_unit_norm_nets(rng, wv, dim, n_starts)
-        best = 0.0  # the zero network is feasible
+    for t0 in range(0, trials, block):
+        k = min(block, trials - t0)
+        signs, nets = [], []
+        for _ in range(k):  # each trial's signs, then its starts
+            signs.append(rng.integers(0, 2, size=n) * 2.0 - 1.0)
+            nets.append(random_unit_norm_nets(rng, wv, dim, n_starts))
+        rho = np.repeat(signs, n_starts, axis=0)
+        arrs = [np.concatenate(ws) for ws in zip(*nets)]
+        best = np.zeros(k)  # the zero network is feasible
         for it in range(inner_steps + 1):
             out, hs, zs = stacked_forward(arrs, act, X)
-            best = max(best, float(np.max(rho @ out[..., None])))
+            score = (rho[:, None, :] @ out[..., None]).reshape(k, n_starts)
+            np.fmax(best, score.max(axis=1), out=best)  # a NaN leaves best as is
             if it == inner_steps:  # the final iterates are scored, not stepped
                 break
             grads = stacked_backprop(arrs, act, hs, zs, rho)
@@ -411,7 +430,7 @@ def rademacher_mc(
                 w += step[:, None, None] * g
             nu = norms.pesv_stacked(arrs, grad=False)[0][:, None, None]
             np.divide(arrs[-1], nu, out=arrs[-1], where=nu > 1.0)
-        per_trial[t] = best
+        per_trial[t0 : t0 + k] = best
 
     unit_mean = float(per_trial.mean())
     unit_se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

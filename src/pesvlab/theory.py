@@ -31,7 +31,6 @@ __all__ = [
     "lower_bound_shape",
     "metric_entropy_bound",
     "rademacher_bound",
-    "report_to_json",
     "sweep_to_csv",
 ]
 
@@ -100,12 +99,6 @@ class BoundReport:
             d["regime_condition_met"] = self.regime_condition
         d["constants"] = dict(self.constants)
         return d
-
-
-def report_to_json(report: BoundReport) -> str:
-    import json
-
-    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 def h_of_m(widths, L_sigma: float) -> float:

@@ -198,6 +198,9 @@ class TestAcceptance:
         kw = dict(trials=200, n_starts=16, inner_steps=120, seed=7)
         r1 = oracles.rademacher_mc((8,), 1.0, X, **kw)
         r2 = oracles.rademacher_mc((8,), 2.0, X, **kw)
+        # the one-trial-at-a-time ascent's values; blocking the trials keeps them
+        assert r1.estimate == float.fromhex("0x1.07c2dac146ac5p+2")
+        assert r1.stderr == float.fromhex("0x1.df2e7498af998p-4")
         doubling_rel = abs(r2.estimate - 2.0 * r1.estimate) / (2.0 * r1.estimate)
         elapsed = time.time() - t0
         assert elapsed < 300

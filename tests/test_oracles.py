@@ -213,6 +213,102 @@ class TestRademacherMC:
         r = oracles.rademacher_mc(widths, 1.0, self.inputs(24), **kw)
         assert (r.estimate, r.stderr) == (estimate, stderr)
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(trials=0), "trials"),
+            (dict(n_starts=0), "n_starts"),
+            (dict(inner_steps=-1), "inner_steps"),
+            (dict(step_size=-1.0), "step_size"),
+            (dict(step_size=0.0), "step_size"),
+        ],
+        ids=["trials=0", "n_starts=0", "inner_steps=-1", "step_size=-1", "step_size=0"],
+    )
+    def test_rejects_bad_arguments(self, kw, match):
+        args = dict(trials=2, n_starts=2, inner_steps=5) | kw
+        with pytest.raises(ValueError, match=match):
+            oracles.rademacher_mc((4,), 1.0, self.inputs(), **args)
+
+    @pytest.mark.parametrize(
+        "widths, n, kw",
+        [
+            *[((8,), 64, dict(trials=t, n_starts=16, inner_steps=20, seed=t))
+              for t in (1, 2, 3, 5)],
+            ((4, 3), 24, dict(trials=4, n_starts=3, inner_steps=10, seed=1)),
+            ((8,), 64, dict(trials=3, n_starts=1, inner_steps=20, seed=2)),
+            ((6,), 32, dict(trials=3, n_starts=4, inner_steps=20, seed=4,
+                            act=ActivationSpec.leaky_relu(0.1))),
+            # 40 starts x 64 points x 8 units = 20480 > 2^14: one trial per block
+            ((8,), 64, dict(trials=2, n_starts=40, inner_steps=10, seed=6)),
+        ],
+        ids=["1-trial", "2-trials", "3-trials", "5-trials", "depth-3", "1-start",
+             "leaky-relu", "trial-above-block"],
+    )
+    def test_blocked_trials_equal_one_trial_at_a_time(self, widths, n, kw):
+        r = oracles.rademacher_mc(widths, 1.0, self.inputs(n), **kw)
+        ref = rademacher_mc_one_trial_at_a_time(widths, self.inputs(n), **kw)
+        assert (r.estimate, r.stderr, r.c_hat) == ref
+
+    @pytest.mark.parametrize(
+        "widths, n, kw, blocks",
+        [
+            # the oracle_suite benchmark configuration: 4 blocks of 2 trials
+            ((8,), 64, dict(trials=8, n_starts=16, inner_steps=120, seed=1), 4),
+            # blocks of 7 trials: one full, one partial
+            ((6,), 50, dict(trials=10, n_starts=7, inner_steps=10, seed=2), 2),
+            ((5, 7, 3), 16, dict(trials=11, n_starts=5, inner_steps=10, seed=3), 1),
+        ],
+        ids=["oracle-suite", "partial-block", "depth-4"],
+    )
+    def test_blocks_stay_within_2_14_values(self, monkeypatch, widths, n, kw, blocks):
+        """Each stacked pass holds at most 2^14 values in any hidden layer,
+        and a block runs one ascent of ``inner_steps + 1`` passes."""
+        hidden = []
+        real = oracles.stacked_forward
+
+        def recording(layers, act, X):
+            hidden.append(max(len(w) * len(X) * w.shape[1] for w in layers[:-1]))
+            return real(layers, act, X)
+
+        monkeypatch.setattr(oracles, "stacked_forward", recording)
+        oracles.rademacher_mc(widths, 1.0, self.inputs(n), **kw)
+        assert len(hidden) == blocks * (kw["inner_steps"] + 1)
+        assert max(hidden) <= 2**14
+
+
+def rademacher_mc_one_trial_at_a_time(
+    widths, inputs, trials, n_starts, inner_steps, seed, step_size=0.5, act=RELU
+):
+    """The multi-start ascent one trial after another, before trials were
+    blocked: ``(estimate, stderr, c_hat)`` at radius 1."""
+    X = np.asarray(inputs, dtype=np.float64)
+    n, dim = X.shape
+    wv = nc.WidthVector.of(widths)
+    rng = np.random.default_rng(seed)
+    per_trial = np.empty(trials)
+    for t in range(trials):
+        rho = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        arrs = oracles.random_unit_norm_nets(rng, wv, dim, n_starts)
+        best = 0.0
+        for it in range(inner_steps + 1):
+            out, hs, zs = nc.stacked_forward(arrs, act, X)
+            best = max(best, float(np.max(rho @ out[..., None])))
+            if it == inner_steps:
+                break
+            grads = nc.stacked_backprop(arrs, act, hs, zs, rho)
+            gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
+            step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
+            for w, g in zip(arrs, grads):
+                w += step[:, None, None] * g
+            nu = norms.pesv_stacked(arrs, grad=False)[0][:, None, None]
+            np.divide(arrs[-1], nu, out=arrs[-1], where=nu > 1.0)
+        per_trial[t] = best
+    mean = float(per_trial.mean())
+    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    L = len(wv) + 1
+    scale = 2.0 ** (L - 1) * act.lipschitz ** (L - 1) * math.sqrt(dim * n)
+    return mean, se, mean / scale
+
 
 class TestPacking:
     def test_everything_in_one_ball(self):
