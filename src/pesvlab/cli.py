@@ -62,10 +62,16 @@ def _problem_from_config(cfg: RunConfig) -> tuple[erm.TeacherSpec, int, float, i
 
 
 def _width_grid(args, cfg: RunConfig) -> list[int]:
-    spec = args.widths or cfg.get("bounds", "widths")
-    if not spec:
-        raise ConfigError("no width grid given (use --widths or [bounds] widths)")
-    return parse_widths_spec(spec)
+    """The width grid of ``--widths``, or else of ``[bounds] widths``."""
+    if args.widths is None:
+        widths = cfg.get_parsed("bounds", "widths", parse_widths_spec)
+        if widths is None:
+            raise ConfigError("no width grid given (use --widths or [bounds] widths)")
+        return widths
+    try:
+        return parse_widths_spec(args.widths)
+    except ValueError as exc:
+        raise ConfigError(f"--widths={args.widths!r}: {exc}") from None
 
 
 def _sample_count(raw: str) -> float:

@@ -121,6 +121,8 @@ def _checked(
 
 def _positive_int_list(raw: str) -> list[int]:
     values = [int(v) for v in raw.split(",") if v.strip()]
+    if not values:
+        raise ValueError("needs at least one value")
     if any(v < 1 for v in values):
         raise ValueError("values must be integers >= 1")
     return values
@@ -166,25 +168,21 @@ def parse_config(path: str) -> RunConfig:
 
 
 def parse_widths_spec(spec: str) -> list[int]:
-    """Parse a width grid: either ``lo..hi`` or an explicit comma list."""
-    spec = spec.strip()
-    if not spec:
-        raise ConfigError("empty widths specification")
+    """Parse a width grid, either ``lo..hi`` or an explicit comma list, of
+    strictly ascending positive widths; a bad grid raises ``ValueError``."""
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise ConfigError(f"bad width range {spec!r}") from None
+            raise ValueError("bad width range") from None
         if lo < 1 or hi < lo:
-            raise ConfigError(f"bad width range {spec!r}")
+            raise ValueError("bad width range")
         return list(range(lo, hi + 1))
     try:
-        widths = [int(v) for v in spec.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad widths list {spec!r}") from None
-    if not widths:
-        raise ConfigError("empty widths specification")
-    if sorted(widths) != widths or any(w < 1 for w in widths):
-        raise ConfigError("widths must be positive and ascending")
+        widths = _positive_int_list(spec)
+    except ValueError as exc:
+        raise ValueError(f"bad widths list: {exc}") from None
+    if any(b <= a for a, b in zip(widths, widths[1:])):
+        raise ValueError("widths must be strictly ascending")
     return widths

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "parse_spec",
     "save_network",
     "stacked_backprop",
+    "stacked_buffers",
     "stacked_forward",
 ]
 
@@ -141,8 +143,10 @@ class ActivationSpec:
     def normalized(self) -> bool:
         return self.value_at_zero == 0.0
 
-    def __call__(self, x):
-        return _ACTIVATIONS[self.kind].value(self, np.asarray(x, dtype=np.float64))
+    def __call__(self, x, out: np.ndarray | None = None):
+        """The activation of every entry.  relu writes it into ``out`` when
+        given; the other kinds ignore ``out`` (identity returns ``x``)."""
+        return _ACTIVATIONS[self.kind].value(self, np.asarray(x, dtype=np.float64), out)
 
     def derivative(self, x):
         """Almost-everywhere derivative; at the relu kink the value is 0."""
@@ -194,7 +198,7 @@ def _tabulated_derivative(act: ActivationSpec, x: np.ndarray) -> np.ndarray:
 
 
 class _ActivationKind(NamedTuple):
-    value: Callable[[ActivationSpec, np.ndarray], np.ndarray]
+    value: Callable[[ActivationSpec, np.ndarray, np.ndarray | None], np.ndarray]
     derivative: Callable[[ActivationSpec, np.ndarray], np.ndarray]
     spec_args: tuple[int, ...]  # argument counts ``parse`` accepts; () if not parseable
 
@@ -203,16 +207,18 @@ class _ActivationKind(NamedTuple):
 # the same name.
 _ACTIVATIONS = {
     "relu": _ActivationKind(
-        lambda a, x: np.maximum(x, 0.0), lambda a, x: (x > 0).astype(np.float64), (0,)
+        lambda a, x, out: np.maximum(x, 0.0, out=out),
+        lambda a, x: (x > 0).astype(np.float64),
+        (0,),
     ),
-    "identity": _ActivationKind(lambda a, x: x, lambda a, x: np.ones_like(x), (0,)),
+    "identity": _ActivationKind(lambda a, x, out: x, lambda a, x: np.ones_like(x), (0,)),
     "leaky_relu": _ActivationKind(
-        lambda a, x: np.where(x > 0, x, a.alpha * x),
+        lambda a, x, out: np.where(x > 0, x, a.alpha * x),
         lambda a, x: np.where(x > 0, 1.0, a.alpha),
         (1,),
     ),
     "tabulated": _ActivationKind(
-        lambda a, x: np.interp(x, *a.grid), _tabulated_derivative, ()
+        lambda a, x, out: np.interp(x, *a.grid), _tabulated_derivative, ()
     ),
 }
 
@@ -357,8 +363,20 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
     return out[0] if single else out
 
 
+def stacked_buffers(runs: int, n: int, widths) -> list[tuple[np.ndarray, ...]]:
+    """Buffers for :func:`stacked_forward` and :func:`stacked_backprop` on
+    ``runs`` stacked networks of hidden ``widths`` over ``n`` inputs: for
+    each hidden layer, C-contiguous ``(runs, n, width)`` arrays for the
+    preactivation, the activation and the backward delta.  A leading slice
+    ``[:S]`` of each serves ``S <= runs`` networks."""
+    return [
+        tuple(np.empty((runs, n, m)) for _ in range(3))
+        for m in WidthVector.of(widths)
+    ]
+
+
 def stacked_forward(
-    layers, act: ActivationSpec, inputs
+    layers, act: ActivationSpec, inputs, buffers=None
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Evaluate ``S`` networks stacked on a leading run axis.
 
@@ -368,34 +386,43 @@ def stacked_forward(
     preactivation of every hidden layer, which :func:`stacked_backprop`
     takes.  Every product is one ``matmul`` slice per run, so each run's
     numbers equal those of the same network evaluated alone.
+
+    With ``buffers`` from :func:`stacked_buffers` the preactivations, and
+    the activations of relu, are written there instead of into new arrays,
+    with the same bits; the returned lists then hold those buffers.
     """
     hs = [inputs]
     zs = []
-    for w in layers[:-1]:
-        zs.append(hs[-1] @ w.transpose(0, 2, 1))
-        hs.append(act(zs[-1]))
+    outs = buffers or repeat((None, None, None))
+    for w, (z_out, h_out, _) in zip(layers[:-1], outs):
+        zs.append(np.matmul(hs[-1], w.transpose(0, 2, 1), out=z_out))
+        hs.append(act(zs[-1], out=h_out))
     out = (hs[-1] @ layers[-1].transpose(0, 2, 1))[..., 0]
     return out, hs, zs
 
 
-def stacked_backprop(layers, act: ActivationSpec, hs, zs, upstream) -> list[np.ndarray]:
+def stacked_backprop(
+    layers, act: ActivationSpec, hs, zs, upstream, buffers=None
+) -> list[np.ndarray]:
     """Gradient of ``sum_i upstream_i * f_s(x_i)`` for each stacked network
     ``s``, from the layer inputs ``hs`` and preactivations ``zs`` of
     :func:`stacked_forward`.
 
     ``upstream`` is ``(n,)``, shared by every run, or ``(S, n)``.  Returns
     ``(S, rows, cols)`` arrays shaped like ``layers``.  Requires an activation
-    with an almost-everywhere derivative.
+    with an almost-everywhere derivative.  With ``buffers`` from
+    :func:`stacked_buffers` each hidden layer's delta is written there.
     """
     depth = len(layers)
+    deltas = [b[2] for b in buffers] if buffers else [None] * (depth - 1)
     grads: list[np.ndarray] = [np.empty(0)] * depth
     grads[-1] = upstream[..., None, :] @ hs[-1]
-    delta = upstream[..., :, None] * layers[-1]
+    delta = np.multiply(upstream[..., :, None], layers[-1], out=deltas[-1])
     delta *= act.derivative(zs[-1])
     for k in range(depth - 2, -1, -1):
         grads[k] = delta.transpose(0, 2, 1) @ hs[k]
         if k > 0:
-            delta = delta @ layers[k]
+            delta = np.matmul(delta, layers[k], out=deltas[k - 1])
             delta *= act.derivative(zs[k - 1])
     return grads
 

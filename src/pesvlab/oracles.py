@@ -22,6 +22,7 @@ from .netcore import (
     forward,
     layer_shapes,
     stacked_backprop,
+    stacked_buffers,
     stacked_forward,
 )
 
@@ -366,6 +367,13 @@ class RademacherMCResult:
         }
 
 
+# Most values one hidden layer's ``(S, n, m)`` array may hold in a block of
+# ``rademacher_mc``'s trials.  Measured with the buffers in place: 2^15 to
+# 2^18 ran the 8-trial benchmark call equally fast, 2^16 and 2^17 ran the
+# 200-trial ``verify`` call fastest, and 2^18 ran it slower than 2^14.
+_ASCENT_BLOCK_VALUES = 2**16
+
+
 def rademacher_mc(
     widths,
     F: float,
@@ -387,11 +395,11 @@ def rademacher_mc(
 
     Trials run in blocks, each block as one ascent over its trials' starts
     stacked on the run axis.  A block keeps one hidden layer's ``(S, n, m)``
-    array within 2^14 values (128 KiB): the allocator hands larger arrays
-    back to the kernel every step, and the page faults that follow cost
-    more than the stacking saves.  Every net goes through the same slice
-    operations as in a lone trial, so the result does not depend on the
-    blocking.
+    array within ``_ASCENT_BLOCK_VALUES`` values, and every step of every
+    block writes its hidden-layer arrays into one set of buffers sized for
+    the largest block, so no step allocates them anew.  Every net goes
+    through the same slice operations as in a lone trial, so the result
+    does not depend on the blocking.
     """
     if trials < 1 or n_starts < 1:
         raise ValueError("need trials >= 1 and n_starts >= 1")
@@ -399,6 +407,8 @@ def rademacher_mc(
         raise ValueError("need inner_steps >= 0 and step_size > 0")
     act = act or ActivationSpec.relu()
     X = np.asarray(inputs, dtype=np.float64)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"inputs must be a non-empty 2-D array, got shape {X.shape}")
     if np.any(np.linalg.norm(X, axis=1) > 1.0 + 1e-12):
         raise ValueError("inputs must lie in the unit ball")
     n, dim = X.shape
@@ -406,10 +416,12 @@ def rademacher_mc(
     L = len(wv) + 1
     rng = np.random.default_rng(seed)
 
-    block = max(1, 2**14 // (n_starts * n * wv.m))
+    block = min(trials, max(1, _ASCENT_BLOCK_VALUES // (n_starts * n * wv.m)))
+    buffers = stacked_buffers(block * n_starts, n, wv)
     per_trial = np.empty(trials)
     for t0 in range(0, trials, block):
         k = min(block, trials - t0)
+        bufs = [tuple(b[: k * n_starts] for b in layer) for layer in buffers]
         signs, nets = [], []
         for _ in range(k):  # each trial's signs, then its starts
             signs.append(rng.integers(0, 2, size=n) * 2.0 - 1.0)
@@ -418,12 +430,12 @@ def rademacher_mc(
         arrs = [np.concatenate(ws) for ws in zip(*nets)]
         best = np.zeros(k)  # the zero network is feasible
         for it in range(inner_steps + 1):
-            out, hs, zs = stacked_forward(arrs, act, X)
+            out, hs, zs = stacked_forward(arrs, act, X, bufs)
             score = (rho[:, None, :] @ out[..., None]).reshape(k, n_starts)
             np.fmax(best, score.max(axis=1), out=best)  # a NaN leaves best as is
             if it == inner_steps:  # the final iterates are scored, not stepped
                 break
-            grads = stacked_backprop(arrs, act, hs, zs, rho)
+            grads = stacked_backprop(arrs, act, hs, zs, rho, bufs)
             gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
             step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):

@@ -101,6 +101,23 @@ class TestBoundCommand:
         p.write_text("[bounds]\nn = 100\nd = 1\n")
         assert cli.main(["bound", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ","])
+    def test_bad_width_grid_names_its_key(self, tmp_path, capsys, command, grid):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TRAIN_CFG.replace("widths = 2,4\n", f"widths = {grid}\n"))
+        assert cli.main([command, "--config", str(cfg), "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: [bounds] widths={grid!r}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ","])
+    def test_bad_widths_flag_names_the_flag(self, train_cfg, capsys, command, grid):
+        argv = [command, "--config", str(train_cfg), "--widths", grid, "--no-timestamp"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: --widths={grid!r}: " in err and "[bounds]" not in err
+
     def test_unwritable_out_io_error(self, bound_cfg):
         rc = cli.main(
             ["bound", "--config", str(bound_cfg), "--out", "/nonexistent-dir/x.csv"]
@@ -376,6 +393,10 @@ class TestConfigValues:
             ("train", "optimizer", "lambda = 0.01", "lambda = nan"),
             ("train", "problem", "sigma_eps = 0.05", "sigma_eps = inf"),
             ("train", "loss", "kind = mse", "kind = mse\nrange_bound = inf"),
+            # Empty integer lists.
+            ("train", "problem", "teacher_widths = 2", "teacher_widths = ,"),
+            ("bound", "bounds", "pattern = 1", "pattern = ,"),
+            ("train", "network", "widths = 6", "widths = ,"),
         ],
     )
     def test_out_of_range_value_is_usage_error(

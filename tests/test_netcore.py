@@ -187,6 +187,88 @@ class TestBackprop:
             nc.backprop(p, act, np.ones((1, 2)), [1.0])
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes, so signs of zeros and NaN payloads too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stacked_case(rng, runs, widths, n, d, per_run):
+    """Stacked layers with about a fifth of the weights set to signed zeros,
+    inputs shared or one set per run, and a matching upstream."""
+    layers = []
+    for rows, cols in nc.layer_shapes(widths, d + 1):
+        w = rng.normal(size=(runs, rows, cols))
+        zero = rng.random(w.shape) < 0.2
+        w[zero] = np.copysign(0.0, w[zero])
+        layers.append(w)
+    shape = (runs, n, d + 1) if per_run else (n, d + 1)
+    X = rng.normal(size=shape)
+    X[..., -1] = 1.0
+    u = rng.choice([-1.0, 1.0], size=shape[:-1])
+    return layers, X, u
+
+
+STACKED_ACTS = {
+    "relu": ActivationSpec.relu(),
+    "leaky": ActivationSpec.leaky_relu(0.1),
+    "identity": ActivationSpec.identity(),
+    "tabulated": ActivationSpec.tabulated([-2.0, -0.5, 0.5, 2.0], [-1.0, 0.0, 0.3, 2.5]),
+}
+
+
+class TestStackedBuffers:
+    @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
+    @pytest.mark.parametrize(
+        "widths", [(5,), (4, 6), (3, 5, 2)], ids=["depth-2", "depth-3", "depth-4"]
+    )
+    @pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
+    def test_buffered_equals_unbuffered(self, kind, widths, per_run):
+        """Compared byte for byte, so the signs of zeros count as well."""
+        act = STACKED_ACTS[kind]
+        rng = np.random.default_rng(len(widths) + 10 * per_run)
+        layers, X, u = stacked_case(rng, 4, widths, 7, 2, per_run)
+        out, hs, zs = nc.stacked_forward(layers, act, X)
+        grads = nc.stacked_backprop(layers, act, hs, zs, u)
+        buffers = nc.stacked_buffers(4, 7, widths)
+        b_out, b_hs, b_zs = nc.stacked_forward(layers, act, X, buffers)
+        b_grads = nc.stacked_backprop(layers, act, b_hs, b_zs, u, buffers)
+        assert same_bits(b_out, out)
+        assert all(same_bits(a, b) for a, b in zip(b_hs + b_zs, hs + zs))
+        assert all(same_bits(a, b) for a, b in zip(b_grads, grads))
+        # the preactivations, and relu's activations, are the buffers
+        assert all(z is b[0] for z, b in zip(b_zs, buffers))
+        assert all((h is b[1]) == (kind == "relu") for h, b in zip(b_hs[1:], buffers))
+
+    @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
+    def test_reused_buffers_keep_no_stale_values(self, kind):
+        """One set of buffers, first filled with NaN, serves calls on changed
+        weights and on a leading slice of fewer runs."""
+        act = STACKED_ACTS[kind]
+        rng = np.random.default_rng(3)
+        widths = (4, 6)
+        buffers = nc.stacked_buffers(5, 7, widths)
+        for layer in buffers:
+            for b in layer:
+                b.fill(np.nan)
+        for runs in (5, 5, 3, 1):
+            layers, X, u = stacked_case(rng, runs, widths, 7, 2, per_run=False)
+            bufs = [tuple(b[:runs] for b in layer) for layer in buffers]
+            out, hs, zs = nc.stacked_forward(layers, act, X, bufs)
+            grads = nc.stacked_backprop(layers, act, hs, zs, u, bufs)
+            ref_out, ref_hs, ref_zs = nc.stacked_forward(layers, act, X)
+            ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
+            assert same_bits(out, ref_out)
+            assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
+
+    def test_buffer_shapes_and_layout(self):
+        buffers = nc.stacked_buffers(6, 5, (3, 4))
+        assert [[b.shape for b in layer] for layer in buffers] == [
+            [(6, 5, 3)] * 3, [(6, 5, 4)] * 3
+        ]
+        assert all(b[:2].flags.c_contiguous for layer in buffers for b in layer)
+
+
 class TestAbsorbBias:
     def test_two_layer_direct_substitution(self):
         """f(x) = relu(x + 1) becomes a single row (1, 1) over (x, 1)."""

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,13 +225,16 @@ class TestRademacherMC:
             (dict(inner_steps=-1), "inner_steps"),
             (dict(step_size=-1.0), "step_size"),
             (dict(step_size=0.0), "step_size"),
+            (dict(inputs=np.zeros((0, 2))), "inputs"),
+            (dict(inputs=np.zeros(2)), "inputs"),
         ],
-        ids=["trials=0", "n_starts=0", "inner_steps=-1", "step_size=-1", "step_size=0"],
+        ids=["trials=0", "n_starts=0", "inner_steps=-1", "step_size=-1", "step_size=0",
+             "no-inputs", "1-d-inputs"],
     )
     def test_rejects_bad_arguments(self, kw, match):
-        args = dict(trials=2, n_starts=2, inner_steps=5) | kw
+        args = dict(inputs=self.inputs(), trials=2, n_starts=2, inner_steps=5) | kw
         with pytest.raises(ValueError, match=match):
-            oracles.rademacher_mc((4,), 1.0, self.inputs(), **args)
+            oracles.rademacher_mc((4,), 1.0, **args)
 
     @pytest.mark.parametrize(
         "widths, n, kw",
@@ -238,11 +245,18 @@ class TestRademacherMC:
             ((8,), 64, dict(trials=3, n_starts=1, inner_steps=20, seed=2)),
             ((6,), 32, dict(trials=3, n_starts=4, inner_steps=20, seed=4,
                             act=ActivationSpec.leaky_relu(0.1))),
-            # 40 starts x 64 points x 8 units = 20480 > 2^14: one trial per block
-            ((8,), 64, dict(trials=2, n_starts=40, inner_steps=10, seed=6)),
+            # 16 starts x 64 points x 8 units = 2^13 values a trial: 8 trials
+            # fill a block of 2^16, and a 9th starts a second block
+            ((8,), 64, dict(trials=8, n_starts=16, inner_steps=10, seed=5)),
+            ((8,), 64, dict(trials=9, n_starts=16, inner_steps=10, seed=5)),
+            # one trial of 128 starts is exactly 2^16 values, of 129 above it:
+            # one trial per block either way
+            ((8,), 64, dict(trials=2, n_starts=128, inner_steps=5, seed=6)),
+            ((8,), 64, dict(trials=2, n_starts=129, inner_steps=5, seed=6)),
         ],
         ids=["1-trial", "2-trials", "3-trials", "5-trials", "depth-3", "1-start",
-             "leaky-relu", "trial-above-block"],
+             "leaky-relu", "full-block", "full-block-and-1", "trial-at-block",
+             "trial-above-block"],
     )
     def test_blocked_trials_equal_one_trial_at_a_time(self, widths, n, kw):
         r = oracles.rademacher_mc(widths, 1.0, self.inputs(n), **kw)
@@ -252,28 +266,60 @@ class TestRademacherMC:
     @pytest.mark.parametrize(
         "widths, n, kw, blocks",
         [
-            # the oracle_suite benchmark configuration: 4 blocks of 2 trials
-            ((8,), 64, dict(trials=8, n_starts=16, inner_steps=120, seed=1), 4),
-            # blocks of 7 trials: one full, one partial
-            ((6,), 50, dict(trials=10, n_starts=7, inner_steps=10, seed=2), 2),
+            # the oracle_suite benchmark configuration: one block of 8 trials
+            ((8,), 64, dict(trials=8, n_starts=16, inner_steps=120, seed=1), 1),
+            # blocks of 31 trials: one full, one partial
+            ((6,), 50, dict(trials=40, n_starts=7, inner_steps=10, seed=2), 2),
             ((5, 7, 3), 16, dict(trials=11, n_starts=5, inner_steps=10, seed=3), 1),
+            # 129 starts: one trial per block, above the limit
+            ((8,), 64, dict(trials=3, n_starts=129, inner_steps=2, seed=4), 3),
         ],
-        ids=["oracle-suite", "partial-block", "depth-4"],
+        ids=["oracle-suite", "partial-block", "depth-4", "trial-above-block"],
     )
-    def test_blocks_stay_within_2_14_values(self, monkeypatch, widths, n, kw, blocks):
-        """Each stacked pass holds at most 2^14 values in any hidden layer,
-        and a block runs one ascent of ``inner_steps + 1`` passes."""
-        hidden = []
+    def test_blocks_stay_within_block_limit(self, monkeypatch, widths, n, kw, blocks):
+        """Each stacked pass holds at most 2^16 values in any hidden layer
+        unless one trial's starts hold more, a block runs one ascent of
+        ``inner_steps + 1`` passes, and every pass writes into one set of
+        buffers."""
+        hidden, addresses = [], set()
         real = oracles.stacked_forward
 
-        def recording(layers, act, X):
+        def recording(layers, act, X, buffers=None):
             hidden.append(max(len(w) * len(X) * w.shape[1] for w in layers[:-1]))
-            return real(layers, act, X)
+            addresses.add(buffers[0][0].__array_interface__["data"][0])
+            return real(layers, act, X, buffers)
 
         monkeypatch.setattr(oracles, "stacked_forward", recording)
         oracles.rademacher_mc(widths, 1.0, self.inputs(n), **kw)
         assert len(hidden) == blocks * (kw["inner_steps"] + 1)
-        assert max(hidden) <= 2**14
+        assert max(hidden) <= max(2**16, kw["n_starts"] * n * max(widths))
+        assert len(addresses) == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux page faults")
+    def test_warm_call_takes_few_page_faults(self):
+        """A warm call at the oracle_suite configuration, one block of 128
+        starts, in a fresh process.  With the buffers reused it takes about
+        500 minor faults, mostly first touches of the buffers; allocating the
+        hidden-layer arrays anew every step took about 27,000, because the
+        allocator hands arrays of this size back to the kernel."""
+        script = (
+            "import resource, numpy as np\n"
+            "from pesvlab import erm, oracles\n"
+            "X = erm.uniform_ball(np.random.default_rng(5), 64, 2)\n"
+            "kw = dict(trials=8, n_starts=16, inner_steps=120, seed=1)\n"
+            "oracles.rademacher_mc((8,), 1.0, X, **kw)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "oracles.rademacher_mc((8,), 1.0, X, **kw)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(oracles.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(done.stdout) < 2_000
 
 
 def rademacher_mc_one_trial_at_a_time(
