@@ -120,9 +120,12 @@ def _checked(
 
 
 def _positive_int_list(raw: str) -> list[int]:
-    values = [int(v) for v in raw.split(",") if v.strip()]
-    if not values:
+    items = [v.strip() for v in raw.split(",")]
+    if not any(items):
         raise ValueError("needs at least one value")
+    if not all(items):
+        raise ValueError("has an empty item")
+    values = [int(v) for v in items]
     if any(v < 1 for v in values):
         raise ValueError("values must be integers >= 1")
     return values

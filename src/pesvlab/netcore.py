@@ -8,6 +8,7 @@ with the activation applied after every matrix except the last.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
@@ -17,12 +18,14 @@ import numpy as np
 __all__ = [
     "ActivationSpec",
     "BiasedNet",
+    "ExpandedUpstream",
     "NetParams",
     "UnsupportedActivationError",
     "WidthVector",
     "absorb_bias",
     "as_layers",
     "backprop",
+    "expand_upstream",
     "forward",
     "forward_biased",
     "layer_shapes",
@@ -364,15 +367,64 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
 
 
 def stacked_buffers(runs: int, n: int, widths) -> list[tuple[np.ndarray, ...]]:
-    """Buffers for :func:`stacked_forward` and :func:`stacked_backprop` on
-    ``runs`` stacked networks of hidden ``widths`` over ``n`` inputs: for
-    each hidden layer, C-contiguous ``(runs, n, width)`` arrays for the
-    preactivation, the activation and the backward delta.  A leading slice
-    ``[:S]`` of each serves ``S <= runs`` networks."""
+    """Buffers for :func:`stacked_forward` and :func:`stacked_backprop` on up
+    to ``runs`` stacked networks of hidden ``widths`` over ``n`` inputs: for
+    each hidden layer, flat arrays of ``runs * n * width`` values for the
+    preactivation, the activation and the backward delta.  The kernels lay
+    out the leading values as the inputs' layout needs, so one set serves
+    any ``S <= runs`` networks."""
     return [
-        tuple(np.empty((runs, n, m)) for _ in range(3))
+        tuple(np.empty(runs * n * m) for _ in range(3))
         for m in WidthVector.of(widths)
     ]
+
+
+# Narrowest hidden layer that shared inputs lay side by side.  OpenBLAS's
+# vector-matrix products round a side-by-side view of a layer of width 1 to
+# 3 differently from a contiguous per-run one; from width 4 up, on every
+# width, run count and sample count tried, they give the same bits.
+_SIDE_BY_SIDE_WIDTH = 4
+
+
+def _hidden_shape(shared: bool, runs: int, n: int, m: int) -> tuple[int, ...]:
+    """Shape of a hidden layer's arrays: side by side, ``(n, runs * m)``, for
+    shared inputs and a layer at least ``_SIDE_BY_SIDE_WIDTH`` wide, else
+    ``(runs, n, m)``."""
+    return (n, runs * m) if shared and m >= _SIDE_BY_SIDE_WIDTH else (runs, n, m)
+
+
+def _lead(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading values of a flat buffer as a C-contiguous ``shape`` array,
+    or a new array without a buffer."""
+    if buffer is None:
+        return np.empty(shape)
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _per_run(a: np.ndarray, runs: int) -> np.ndarray:
+    """A hidden layer's array as its ``(runs, n, m)`` view."""
+    if a.ndim == 3:
+        return a
+    return a.reshape(a.shape[0], runs, -1).transpose(1, 0, 2)
+
+
+def _one_gemm(x: np.ndarray, z: np.ndarray) -> bool:
+    """Whether the first layer of all runs, with preactivation ``z``, and its
+    gradient are one GEMM over the inputs ``x``.  Only where the layer lies
+    side by side, each run's product is a GEMM too (OpenBLAS rounds a
+    matrix-vector product differently) and the GEMM has a multiple of 8
+    columns: with 4 to 7 left over, OpenBLAS rounds those last columns of a
+    GEMM of 196 or more differently from the runs' own products."""
+    return z.ndim == 2 and min(x.shape) > 1 and z.shape[1] % 8 == 0
+
+
+def _times_derivative(act: ActivationSpec, delta: np.ndarray, z: np.ndarray) -> None:
+    """``delta *= act.derivative(z)`` in place.  relu's derivative is applied
+    as the mask ``z > 0``: the same bits, without a float temporary."""
+    if act.kind == "relu":
+        np.multiply(delta, z > 0, out=delta)
+    else:
+        delta *= act.derivative(z)
 
 
 def stacked_forward(
@@ -384,21 +436,64 @@ def stacked_forward(
     shared by every run, or ``(S, n, d+1)``, one set per run.  Returns the
     ``(S, n)`` outputs together with the input of every layer and the
     preactivation of every hidden layer, which :func:`stacked_backprop`
-    takes.  Every product is one ``matmul`` slice per run, so each run's
-    numbers equal those of the same network evaluated alone.
+    takes.  Each run's numbers equal those of the same network evaluated
+    alone.
+
+    Per-run inputs take one ``matmul`` slice per run, and every hidden
+    layer's arrays are ``(S, n, m)``.  Shared inputs lay the runs side by
+    side: a hidden layer's preactivation and activation are ``(n, S*m)``
+    arrays whose ``(S, n, m)`` view holds run ``s`` at ``[s]``, and the
+    first layer of all runs is one GEMM, ``X @ W1.reshape(S*m1, d+1).T``.
+    Where OpenBLAS would round the new layout differently, the old one
+    stays: a layer narrower than 4 keeps ``(S, n, m)`` arrays, since the
+    output and gradients take vector-matrix products of each run's
+    activations, and the first layer keeps one product per run over one
+    input or one coordinate, or when ``S*m1`` is not a multiple of 8.
 
     With ``buffers`` from :func:`stacked_buffers` the preactivations, and
     the activations of relu, are written there instead of into new arrays,
-    with the same bits; the returned lists then hold those buffers.
+    with the same bits; the returned lists then hold views of those buffers.
     """
+    runs, n = len(layers[0]), inputs.shape[-2]
+    shared = inputs.ndim == 2
     hs = [inputs]
     zs = []
+    below = inputs
     outs = buffers or repeat((None, None, None))
-    for w, (z_out, h_out, _) in zip(layers[:-1], outs):
-        zs.append(np.matmul(hs[-1], w.transpose(0, 2, 1), out=z_out))
-        hs.append(act(zs[-1], out=h_out))
-    out = (hs[-1] @ layers[-1].transpose(0, 2, 1))[..., 0]
+    for w, (z_buf, h_buf, _) in zip(layers[:-1], outs):
+        shape = _hidden_shape(shared, runs, n, w.shape[1])
+        z = _lead(z_buf, shape)
+        if not zs and _one_gemm(inputs, z):
+            np.matmul(inputs, w.reshape(z.shape[1], -1).T, out=z)
+        else:
+            np.matmul(below, w.transpose(0, 2, 1), out=_per_run(z, runs))
+        zs.append(z)
+        hs.append(act(z, out=None if h_buf is None else _lead(h_buf, shape)))
+        below = _per_run(hs[-1], runs)
+    out = (below @ layers[-1].transpose(0, 2, 1))[..., 0]
     return out, hs, zs
+
+
+class ExpandedUpstream(NamedTuple):
+    """An ``(S, n)`` or ``(n,)`` upstream with its ``(n, S*m)`` expansion for
+    the top-layer delta of ``S`` shared-input stacked networks whose last
+    hidden width is ``m``: ``wide[i, s*m + j] == values[s, i]``."""
+
+    values: np.ndarray
+    wide: np.ndarray
+
+
+def expand_upstream(upstream, runs: int, m: int, out=None) -> ExpandedUpstream:
+    """Expand ``upstream`` for :func:`stacked_backprop` on ``runs`` networks
+    with shared inputs and last hidden width ``m``, into the leading values
+    of the flat array ``out`` when given.  A caller whose upstream stays
+    fixed over many steps builds this once: the top delta is then one
+    contiguous multiply, where from ``upstream`` it is ``n * S`` short ones."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    n = upstream.shape[-1]
+    wide = _lead(out, (n, runs * m))
+    np.copyto(wide.reshape(n, runs, m), upstream.T.reshape(n, -1, 1))
+    return ExpandedUpstream(upstream, wide)
 
 
 def stacked_backprop(
@@ -408,22 +503,43 @@ def stacked_backprop(
     ``s``, from the layer inputs ``hs`` and preactivations ``zs`` of
     :func:`stacked_forward`.
 
-    ``upstream`` is ``(n,)``, shared by every run, or ``(S, n)``.  Returns
-    ``(S, rows, cols)`` arrays shaped like ``layers``.  Requires an activation
-    with an almost-everywhere derivative.  With ``buffers`` from
+    ``upstream`` is ``(n,)``, shared by every run, ``(S, n)``, or either one
+    from :func:`expand_upstream`.  Returns ``(S, rows, cols)`` arrays shaped
+    like ``layers``.  Requires an activation with an almost-everywhere
+    derivative.  Each hidden layer's delta takes the layout of its
+    preactivation: with shared inputs the top delta is one multiply of the
+    upstream by the output rows (contiguous when expanded), and the
+    first-layer gradient of all runs is one GEMM, ``delta.T @ X``, where
+    :func:`stacked_forward` made the first layer one.  With ``buffers`` from
     :func:`stacked_buffers` each hidden layer's delta is written there.
     """
+    wide = None
+    if isinstance(upstream, ExpandedUpstream):
+        upstream, wide = upstream
     depth = len(layers)
-    deltas = [b[2] for b in buffers] if buffers else [None] * (depth - 1)
+    x = hs[0]
+    runs, n = len(layers[0]), x.shape[-2]
+    delta_bufs = [b[2] for b in buffers] if buffers else [None] * (depth - 1)
     grads: list[np.ndarray] = [np.empty(0)] * depth
-    grads[-1] = upstream[..., None, :] @ hs[-1]
-    delta = np.multiply(upstream[..., :, None], layers[-1], out=deltas[-1])
-    delta *= act.derivative(zs[-1])
-    for k in range(depth - 2, -1, -1):
-        grads[k] = delta.transpose(0, 2, 1) @ hs[k]
-        if k > 0:
-            delta = np.matmul(delta, layers[k], out=deltas[k - 1])
-            delta *= act.derivative(zs[k - 1])
+    grads[-1] = upstream[..., None, :] @ _per_run(hs[-1], runs)
+    delta = _lead(delta_bufs[-1], zs[-1].shape)
+    if delta.ndim == 2:
+        m = layers[-1].shape[-1]
+        top = upstream.T.reshape(n, -1, 1) if wide is None else wide.reshape(n, runs, m)
+        np.multiply(top, layers[-1].reshape(runs, m), out=delta.reshape(n, runs, m))
+    else:
+        np.multiply(upstream[..., :, None], layers[-1], out=delta)
+    _times_derivative(act, delta, zs[-1])
+    for k in range(depth - 2, 0, -1):
+        d = _per_run(delta, runs)
+        grads[k] = d.transpose(0, 2, 1) @ _per_run(hs[k], runs)
+        delta = _lead(delta_bufs[k - 1], zs[k - 1].shape)
+        np.matmul(d, layers[k], out=_per_run(delta, runs))
+        _times_derivative(act, delta, zs[k - 1])
+    if _one_gemm(x, delta):
+        grads[0] = (delta.T @ x).reshape(layers[0].shape)
+    else:
+        grads[0] = _per_run(delta, runs).transpose(0, 2, 1) @ x
     return grads
 
 

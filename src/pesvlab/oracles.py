@@ -19,6 +19,7 @@ from .netcore import (
     UnsupportedActivationError,
     WidthVector,
     as_layers,
+    expand_upstream,
     forward,
     layer_shapes,
     stacked_backprop,
@@ -397,14 +398,18 @@ def rademacher_mc(
     stacked on the run axis.  A block keeps one hidden layer's ``(S, n, m)``
     array within ``_ASCENT_BLOCK_VALUES`` values, and every step of every
     block writes its hidden-layer arrays into one set of buffers sized for
-    the largest block, so no step allocates them anew.  Every net goes
-    through the same slice operations as in a lone trial, so the result
-    does not depend on the blocking.
+    the largest block, so no step allocates them anew.  The starts share
+    the inputs, so the kernels lay them side by side; a block's signs are
+    fixed, so their expansion for the top-layer delta is built once per
+    block, into a buffer of its own.  Every net gets the numbers of a lone
+    trial, so the result does not depend on the blocking.
     """
     if trials < 1 or n_starts < 1:
         raise ValueError("need trials >= 1 and n_starts >= 1")
     if inner_steps < 0 or not step_size > 0:
         raise ValueError("need inner_steps >= 0 and step_size > 0")
+    if not 0.0 <= F < math.inf:
+        raise ValueError(f"need a finite radius F >= 0, got {F}")
     act = act or ActivationSpec.relu()
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
@@ -418,24 +423,24 @@ def rademacher_mc(
 
     block = min(trials, max(1, _ASCENT_BLOCK_VALUES // (n_starts * n * wv.m)))
     buffers = stacked_buffers(block * n_starts, n, wv)
+    wide = np.empty(block * n_starts * n * wv[-1])
     per_trial = np.empty(trials)
     for t0 in range(0, trials, block):
         k = min(block, trials - t0)
-        bufs = [tuple(b[: k * n_starts] for b in layer) for layer in buffers]
         signs, nets = [], []
         for _ in range(k):  # each trial's signs, then its starts
             signs.append(rng.integers(0, 2, size=n) * 2.0 - 1.0)
             nets.append(random_unit_norm_nets(rng, wv, dim, n_starts))
-        rho = np.repeat(signs, n_starts, axis=0)
+        rho = expand_upstream(np.repeat(signs, n_starts, axis=0), k * n_starts, wv[-1], wide)
         arrs = [np.concatenate(ws) for ws in zip(*nets)]
         best = np.zeros(k)  # the zero network is feasible
         for it in range(inner_steps + 1):
-            out, hs, zs = stacked_forward(arrs, act, X, bufs)
-            score = (rho[:, None, :] @ out[..., None]).reshape(k, n_starts)
+            out, hs, zs = stacked_forward(arrs, act, X, buffers)
+            score = (rho.values[:, None, :] @ out[..., None]).reshape(k, n_starts)
             np.fmax(best, score.max(axis=1), out=best)  # a NaN leaves best as is
             if it == inner_steps:  # the final iterates are scored, not stepped
                 break
-            grads = stacked_backprop(arrs, act, hs, zs, rho, bufs)
+            grads = stacked_backprop(arrs, act, hs, zs, rho, buffers)
             gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
             step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):

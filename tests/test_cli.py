@@ -102,7 +102,7 @@ class TestBoundCommand:
         assert cli.main(["bound", "--config", str(p)]) == 2
 
     @pytest.mark.parametrize("command", ["bound", "sweep"])
-    @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ","])
+    @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ",", "4,,5", "4,5,"])
     def test_bad_width_grid_names_its_key(self, tmp_path, capsys, command, grid):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(TRAIN_CFG.replace("widths = 2,4\n", f"widths = {grid}\n"))
@@ -111,7 +111,7 @@ class TestBoundCommand:
         assert f"{cfg}: [bounds] widths={grid!r}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["bound", "sweep"])
-    @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ","])
+    @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ",", "4,,5", "4,5,"])
     def test_bad_widths_flag_names_the_flag(self, train_cfg, capsys, command, grid):
         argv = [command, "--config", str(train_cfg), "--widths", grid, "--no-timestamp"]
         assert cli.main(argv) == 2
@@ -397,6 +397,10 @@ class TestConfigValues:
             ("train", "problem", "teacher_widths = 2", "teacher_widths = ,"),
             ("bound", "bounds", "pattern = 1", "pattern = ,"),
             ("train", "network", "widths = 6", "widths = ,"),
+            # Integer lists with an empty item.
+            ("train", "network", "widths = 6", "widths = 4,,5"),
+            ("bound", "bounds", "pattern = 1", "pattern = 1,"),
+            ("train", "problem", "teacher_widths = 2", "teacher_widths = ,2"),
         ],
     )
     def test_out_of_range_value_is_usage_error(

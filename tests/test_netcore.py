@@ -236,14 +236,16 @@ class TestStackedBuffers:
         assert same_bits(b_out, out)
         assert all(same_bits(a, b) for a, b in zip(b_hs + b_zs, hs + zs))
         assert all(same_bits(a, b) for a, b in zip(b_grads, grads))
-        # the preactivations, and relu's activations, are the buffers
-        assert all(z is b[0] for z, b in zip(b_zs, buffers))
-        assert all((h is b[1]) == (kind == "relu") for h, b in zip(b_hs[1:], buffers))
+        # the preactivations, and relu's activations, live in the buffers
+        assert all(np.shares_memory(z, b[0]) for z, b in zip(b_zs, buffers))
+        assert all(
+            np.shares_memory(h, b[1]) == (kind == "relu") for h, b in zip(b_hs[1:], buffers)
+        )
 
     @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
     def test_reused_buffers_keep_no_stale_values(self, kind):
         """One set of buffers, first filled with NaN, serves calls on changed
-        weights and on a leading slice of fewer runs."""
+        weights and on fewer runs than it was sized for."""
         act = STACKED_ACTS[kind]
         rng = np.random.default_rng(3)
         widths = (4, 6)
@@ -253,20 +255,110 @@ class TestStackedBuffers:
                 b.fill(np.nan)
         for runs in (5, 5, 3, 1):
             layers, X, u = stacked_case(rng, runs, widths, 7, 2, per_run=False)
-            bufs = [tuple(b[:runs] for b in layer) for layer in buffers]
-            out, hs, zs = nc.stacked_forward(layers, act, X, bufs)
-            grads = nc.stacked_backprop(layers, act, hs, zs, u, bufs)
+            out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+            grads = nc.stacked_backprop(layers, act, hs, zs, u, buffers)
             ref_out, ref_hs, ref_zs = nc.stacked_forward(layers, act, X)
             ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
             assert same_bits(out, ref_out)
             assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
 
     def test_buffer_shapes_and_layout(self):
+        """Flat buffers, laid out by the kernels at their start: shared inputs
+        put a layer of width 4 or more side by side as ``(n, S*m)``, and
+        per-run inputs or a narrower layer take ``(S, n, m)``."""
         buffers = nc.stacked_buffers(6, 5, (3, 4))
         assert [[b.shape for b in layer] for layer in buffers] == [
-            [(6, 5, 3)] * 3, [(6, 5, 4)] * 3
+            [(90,)] * 3, [(120,)] * 3
         ]
-        assert all(b[:2].flags.c_contiguous for layer in buffers for b in layer)
+        rng = np.random.default_rng(2)
+        for per_run in (False, True):
+            for b in itertools.chain.from_iterable(buffers):
+                b.fill(np.nan)
+            layers, X, u = stacked_case(rng, 2, (3, 4), 5, 2, per_run)
+            _, hs, zs = nc.stacked_forward(layers, STACKED_ACTS["relu"], X, buffers)
+            nc.stacked_backprop(layers, STACKED_ACTS["relu"], hs, zs, u, buffers)
+            wide = (2, 5, 4) if per_run else (5, 8)
+            assert [z.shape for z in zs] == [h.shape for h in hs[1:]] == [(2, 5, 3), wide]
+            for layer, z, h in zip(buffers, zs, hs[1:]):
+                assert z.flags.c_contiguous and h.flags.c_contiguous
+                assert z.ctypes.data == layer[0].ctypes.data
+                assert h.ctypes.data == layer[1].ctypes.data
+                # the delta went into the buffer's start
+                assert np.isfinite(layer[2][: z.size]).all()
+
+
+def assert_shared_equals_repeated(act, runs, widths, n, d, seed, buffered):
+    """Shared inputs give the bytes of the same inputs repeated per run, in
+    the outputs, the gradients from a plain and an expanded upstream, and
+    the activations and preactivations compared through their per-run view."""
+    rng = np.random.default_rng(seed)
+    layers, X, _ = stacked_case(rng, runs, widths, n, d, per_run=False)
+    u = rng.choice([-1.0, 1.0], size=(runs, n))
+    per_run = np.broadcast_to(X, (runs, n, d + 1))
+    ref_out, ref_hs, ref_zs = nc.stacked_forward(layers, act, per_run)
+    ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
+    # buffers sized for more runs than there are, filled with NaN
+    buffers = nc.stacked_buffers(runs + 3, n, widths) if buffered else None
+    for b in itertools.chain.from_iterable(buffers or []):
+        b.fill(np.nan)
+    out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+    for upstream in (u, nc.expand_upstream(u, runs, widths[-1])):
+        grads = nc.stacked_backprop(layers, act, hs, zs, upstream, buffers)
+        assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
+    assert same_bits(out, ref_out)
+    for mine, ref in zip(hs[1:] + zs, ref_hs[1:] + ref_zs):
+        assert mine.flags.c_contiguous
+        assert same_bits(nc._per_run(mine, runs), ref)
+
+
+class TestSharedInputs:
+    """Shared ``(n, d+1)`` inputs lay the runs side by side; the same inputs
+    repeated per run keep one product per run.  Both give the same bytes."""
+
+    @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
+    @pytest.mark.parametrize(
+        "widths",
+        [(5,), (8,), (4, 6), (3, 5, 2), (6, 4, 3), (8, 16, 4), (1,), (1, 4), (4, 1), (2,),
+         (3, 1, 2), (2, 3, 1)],
+        ids=lambda w: "widths-" + "-".join(map(str, w)),
+    )
+    @pytest.mark.parametrize("n, d", [(7, 2), (16, 0), (1, 2), (9, 3)], ids=lambda v: str(v))
+    @pytest.mark.parametrize("buffered", [False, True], ids=["new-arrays", "buffers"])
+    def test_shared_equals_repeated_per_run(self, kind, widths, n, d, buffered):
+        seed = len(widths) + 7 * n + d
+        assert_shared_equals_repeated(STACKED_ACTS[kind], 5, widths, n, d, seed, buffered)
+
+    @pytest.mark.parametrize(
+        "runs, widths, n, d",
+        [(48, (4,), 64, 2), (49, (4,), 64, 2), (51, (4,), 64, 2), (16, (12,), 64, 2),
+         (17, (12,), 64, 2), (128, (8,), 64, 2), (64, (9,), 37, 0), (120, (7,), 64, 0)],
+        ids=lambda v: str(v),
+    )
+    def test_wide_first_layer(self, runs, widths, n, d):
+        """First layers of 192 to 1024 columns in all: some with 4 to 7
+        columns past a multiple of 8, some over the bias coordinate alone."""
+        assert_shared_equals_repeated(STACKED_ACTS["relu"], runs, widths, n, d, runs, True)
+
+    def test_shared_upstream_vector(self):
+        """An ``(n,)`` upstream, plain or expanded, is every run's."""
+        rng = np.random.default_rng(4)
+        layers, X, u = stacked_case(rng, 3, (4, 5), 6, 2, per_run=False)
+        relu = STACKED_ACTS["relu"]
+        _, hs, zs = nc.stacked_forward(layers, relu, X)
+        ref = nc.stacked_backprop(layers, relu, hs, zs, np.tile(u, (3, 1)))
+        for upstream in (u, nc.expand_upstream(u, 3, 5)):
+            grads = nc.stacked_backprop(layers, relu, hs, zs, upstream)
+            assert all(same_bits(a, b) for a, b in zip(grads, ref))
+
+    def test_expanded_upstream_layout(self):
+        u = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, -6.0]])
+        buf = np.full(20, np.nan)
+        e = nc.expand_upstream(u, 3, 2, out=buf)
+        assert same_bits(e.values, u)
+        np.testing.assert_array_equal(
+            e.wide, [[1.0, 1.0, 3.0, 3.0, 5.0, 5.0], [-2.0, -2.0, -4.0, -4.0, -6.0, -6.0]]
+        )
+        assert np.shares_memory(e.wide, buf) and np.isnan(buf[12:]).all()
 
 
 class TestAbsorbBias:

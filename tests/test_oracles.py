@@ -184,7 +184,7 @@ class TestRademacherMC:
     def test_zero_radius_exactly_zero(self):
         r = oracles.rademacher_mc((4,), 0.0, self.inputs(), trials=5, n_starts=2,
                                   inner_steps=10, seed=0)
-        assert r.estimate == 0.0
+        assert r.estimate == 0.0 and r.bound == 0.0
 
     def test_exact_linearity_in_radius(self):
         """Paired seeds: doubling the class radius doubles the estimate."""
@@ -227,40 +227,54 @@ class TestRademacherMC:
             (dict(step_size=0.0), "step_size"),
             (dict(inputs=np.zeros((0, 2))), "inputs"),
             (dict(inputs=np.zeros(2)), "inputs"),
+            (dict(F=-1.0), "F"),
+            (dict(F=math.inf), "F"),
+            (dict(F=math.nan), "F"),
         ],
         ids=["trials=0", "n_starts=0", "inner_steps=-1", "step_size=-1", "step_size=0",
-             "no-inputs", "1-d-inputs"],
+             "no-inputs", "1-d-inputs", "F=-1", "F=inf", "F=nan"],
     )
-    def test_rejects_bad_arguments(self, kw, match):
-        args = dict(inputs=self.inputs(), trials=2, n_starts=2, inner_steps=5) | kw
+    def test_rejects_bad_arguments(self, monkeypatch, kw, match):
+        """Rejected before the ascent: no net is drawn."""
+        monkeypatch.setattr(oracles, "random_unit_norm_nets", None)
+        args = dict(F=1.0, inputs=self.inputs(), trials=2, n_starts=2, inner_steps=5) | kw
         with pytest.raises(ValueError, match=match):
-            oracles.rademacher_mc((4,), 1.0, **args)
+            oracles.rademacher_mc((4,), **args)
 
     @pytest.mark.parametrize(
-        "widths, n, kw",
+        "widths, n, d, kw",
         [
-            *[((8,), 64, dict(trials=t, n_starts=16, inner_steps=20, seed=t))
+            *[((8,), 64, 2, dict(trials=t, n_starts=16, inner_steps=20, seed=t))
               for t in (1, 2, 3, 5)],
-            ((4, 3), 24, dict(trials=4, n_starts=3, inner_steps=10, seed=1)),
-            ((8,), 64, dict(trials=3, n_starts=1, inner_steps=20, seed=2)),
-            ((6,), 32, dict(trials=3, n_starts=4, inner_steps=20, seed=4,
-                            act=ActivationSpec.leaky_relu(0.1))),
+            ((4, 3), 24, 2, dict(trials=4, n_starts=3, inner_steps=10, seed=1)),
+            ((8,), 64, 2, dict(trials=3, n_starts=1, inner_steps=20, seed=2)),
+            ((6,), 32, 2, dict(trials=3, n_starts=4, inner_steps=20, seed=4,
+                               act=ActivationSpec.leaky_relu(0.1))),
             # 16 starts x 64 points x 8 units = 2^13 values a trial: 8 trials
             # fill a block of 2^16, and a 9th starts a second block
-            ((8,), 64, dict(trials=8, n_starts=16, inner_steps=10, seed=5)),
-            ((8,), 64, dict(trials=9, n_starts=16, inner_steps=10, seed=5)),
+            ((8,), 64, 2, dict(trials=8, n_starts=16, inner_steps=10, seed=5)),
+            ((8,), 64, 2, dict(trials=9, n_starts=16, inner_steps=10, seed=5)),
             # one trial of 128 starts is exactly 2^16 values, of 129 above it:
             # one trial per block either way
-            ((8,), 64, dict(trials=2, n_starts=128, inner_steps=5, seed=6)),
-            ((8,), 64, dict(trials=2, n_starts=129, inner_steps=5, seed=6)),
+            ((8,), 64, 2, dict(trials=2, n_starts=128, inner_steps=5, seed=6)),
+            ((8,), 64, 2, dict(trials=2, n_starts=129, inner_steps=5, seed=6)),
+            # shapes where a per-start product is a matrix-vector one
+            ((3, 5, 2), 24, 2, dict(trials=3, n_starts=6, inner_steps=10, seed=7)),
+            ((6, 1), 32, 2, dict(trials=3, n_starts=5, inner_steps=10, seed=8)),
+            ((1,), 32, 2, dict(trials=3, n_starts=5, inner_steps=10, seed=9)),
+            ((8,), 64, 1, dict(trials=2, n_starts=16, inner_steps=10, seed=10)),
+            ((4, 3), 24, 3, dict(trials=2, n_starts=6, inner_steps=10, seed=11)),
+            # 49 starts x width 4: a first layer of 196 columns, 4 past a multiple of 8
+            ((4,), 32, 2, dict(trials=1, n_starts=49, inner_steps=5, seed=12)),
         ],
         ids=["1-trial", "2-trials", "3-trials", "5-trials", "depth-3", "1-start",
              "leaky-relu", "full-block", "full-block-and-1", "trial-at-block",
-             "trial-above-block"],
+             "trial-above-block", "depth-4-last-width-2", "last-width-1", "first-width-1",
+             "input-dim-1", "input-dim-3", "first-layer-196-columns"],
     )
-    def test_blocked_trials_equal_one_trial_at_a_time(self, widths, n, kw):
-        r = oracles.rademacher_mc(widths, 1.0, self.inputs(n), **kw)
-        ref = rademacher_mc_one_trial_at_a_time(widths, self.inputs(n), **kw)
+    def test_blocked_trials_equal_one_trial_at_a_time(self, widths, n, d, kw):
+        r = oracles.rademacher_mc(widths, 1.0, self.inputs(n, d), **kw)
+        ref = rademacher_mc_one_trial_at_a_time(widths, self.inputs(n, d), **kw)
         assert (r.estimate, r.stderr, r.c_hat) == ref
 
     @pytest.mark.parametrize(
@@ -326,9 +340,12 @@ def rademacher_mc_one_trial_at_a_time(
     widths, inputs, trials, n_starts, inner_steps, seed, step_size=0.5, act=RELU
 ):
     """The multi-start ascent one trial after another, before trials were
-    blocked: ``(estimate, stderr, c_hat)`` at radius 1."""
+    blocked and before shared inputs were laid side by side: each start gets
+    its own copy of the inputs, so the kernels take one product per start.
+    Returns ``(estimate, stderr, c_hat)`` at radius 1."""
     X = np.asarray(inputs, dtype=np.float64)
     n, dim = X.shape
+    per_start = np.broadcast_to(X, (n_starts, n, dim))
     wv = nc.WidthVector.of(widths)
     rng = np.random.default_rng(seed)
     per_trial = np.empty(trials)
@@ -337,7 +354,7 @@ def rademacher_mc_one_trial_at_a_time(
         arrs = oracles.random_unit_norm_nets(rng, wv, dim, n_starts)
         best = 0.0
         for it in range(inner_steps + 1):
-            out, hs, zs = nc.stacked_forward(arrs, act, X)
+            out, hs, zs = nc.stacked_forward(arrs, act, per_start)
             best = max(best, float(np.max(rho @ out[..., None])))
             if it == inner_steps:
                 break
