@@ -23,11 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import erm, norms, oracles, theory
-from .config import (
-    ConfigError, RunConfig, finite, nonnegative, parse_config, parse_widths_spec, positive
-)
+from .config import ConfigError, RunConfig, parse_config, parse_widths_spec
 from .erm import DivergenceError
-from .netcore import ActivationSpec, load_network, save_network
+from .netcore import save_network
 
 __all__ = ["main"]
 
@@ -39,34 +37,16 @@ __all__ = ["main"]
 
 def _problem_from_config(cfg: RunConfig) -> tuple[erm.TeacherSpec, int, float, int]:
     """The teacher, sample count, noise level and data seed of ``[problem]``."""
-    path = cfg.get("problem", "teacher_file")
-    if path is not None:
-        try:
-            teacher = erm.TeacherSpec.create(*load_network(path))
-        except FileNotFoundError:
-            raise ConfigError(f"{cfg.path}: teacher file {path!r} not found") from None
-    else:
-        widths = cfg.get_int_list("problem", "teacher_widths")
-        if widths is None:
-            raise ConfigError(f"{cfg.path}: need [problem] teacher_file or teacher_widths")
-        d = cfg.get_parsed("problem", "d", positive(int))
-        if d is None:
-            raise ConfigError(f"{cfg.path}: need [problem] d")
-        seed = cfg.get_parsed("problem", "teacher_seed", nonnegative(int), 11)
-        teacher = erm.documented_teacher(d=d, widths=tuple(widths), seed=seed)
-    n = cfg.get_parsed("problem", "n", positive(int))
-    if n is None:
-        raise ConfigError(f"{cfg.path}: need [problem] n")
-    sigma = cfg.get_parsed("problem", "sigma_eps", nonnegative(float), 0.0)
-    return teacher, n, sigma, cfg.get_parsed("problem", "seed", nonnegative(int), 0)
+    teacher, n = cfg.teacher(), cfg.need(("problem", "n"))
+    return teacher, n, cfg["problem", "sigma_eps"], cfg["problem", "seed"]
 
 
 def _width_grid(args, cfg: RunConfig) -> list[int]:
     """The width grid of ``--widths``, or else of ``[bounds] widths``."""
     if args.widths is None:
-        widths = cfg.get_parsed("bounds", "widths", parse_widths_spec)
+        widths = cfg["bounds", "widths"]
         if widths is None:
-            raise ConfigError("no width grid given (use --widths or [bounds] widths)")
+            raise ConfigError(f"{cfg.path}: no width grid given (use --widths or [bounds] widths)")
         return widths
     try:
         return parse_widths_spec(args.widths)
@@ -74,55 +54,10 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
         raise ConfigError(f"--widths={args.widths!r}: {exc}") from None
 
 
-def _sample_count(raw: str) -> float:
-    """A bound's sample count, which its ``log n`` terms need to be at least 2."""
-    n = finite(float(raw))
-    if n < 2:
-        raise ValueError("must be at least 2")
-    return n
-
-
-def _bound_config(cfg: RunConfig) -> tuple[theory.BoundConfig, tuple[int, ...]]:
-    """The bound settings and the width pattern; the depth is ``len(pattern)+1``."""
-    n = cfg.get_parsed("bounds", "n", _sample_count)
-    if n is None:
-        n = cfg.get_parsed("problem", "n", _sample_count)
-    d = cfg.get_parsed("bounds", "d", positive(int), cfg.get_parsed("problem", "d", positive(int)))
-    if n is None or d is None:
-        raise ConfigError(f"{cfg.path}: bound evaluation needs n and d")
-    sigma = cfg.get_parsed("problem", "sigma_eps", nonnegative(float), 0.0)
-    sigma = cfg.get_parsed("bounds", "sigma_eps", nonnegative(float), sigma)
-    pattern = tuple(cfg.get_int_list("bounds", "pattern") or [1])
-    depth = len(pattern) + 1
-    if cfg.get_parsed("bounds", "L", int, depth) != depth:
-        raise ConfigError(
-            f"{cfg.path}: [bounds] L={cfg.get('bounds', 'L')} disagrees with "
-            f"pattern={','.join(map(str, pattern))}, which gives depth {depth}"
-        )
-    # Constants the file leaves out keep the defaults of BoundConfig.
-    domains = {"L_sigma": positive, "M": nonnegative, "c": positive, "C": positive, "C1": positive}
-    consts = {
-        k: v for k, domain in domains.items()
-        if (v := cfg.get_parsed("bounds", k, domain(float))) is not None
-    }
-    try:
-        return theory.BoundConfig(n=n, d=d, L=depth, sigma_eps=sigma, **consts), pattern
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: bound settings: {exc}") from None
-
-
 def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, erm.Penalty]:
-    opt = erm.OptimizerConfig(
-        step_size=cfg.get_parsed("optimizer", "step_size", positive(float), 0.1),
-        max_iters=cfg.get_parsed("optimizer", "max_iters", positive(int), 10_000),
-        tolerance=cfg.get_parsed("optimizer", "tolerance", nonnegative(float), 0.0),
-        schedule=cfg.get_parsed(
-            "optimizer", "schedule", erm.OptimizerConfig.parse_schedule, "inv_sqrt"
-        ),
-    )
-    lam = cfg.get_parsed("optimizer", "lambda", nonnegative(float), 0.0)
-    reg = cfg.get_parsed("optimizer", "regularizer", erm.Penalty.parse, erm.Penalty("pesv"))
-    return opt, lam, reg
+    keys = ("step_size", "max_iters", "tolerance", "schedule")
+    opt = erm.OptimizerConfig(**{key: cfg["optimizer", key] for key in keys})
+    return opt, cfg["optimizer", "lambda"], cfg["optimizer", "regularizer"]
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
@@ -208,7 +143,7 @@ def _write_svg(path: str, xs, ys, label: str) -> None:
 def cmd_bound(args) -> int:
     cfg = parse_config(args.config)
     widths = _width_grid(args, cfg)
-    bcfg, pattern = _bound_config(cfg)
+    bcfg, pattern = cfg.bound_config()
     result = theory.double_descent_sweep(bcfg, widths, pattern)
     body = io.StringIO()
     theory.sweep_to_csv(result, body)
@@ -228,19 +163,14 @@ def cmd_train(args) -> int:
     teacher, n, sigma, seed = _problem_from_config(cfg)
     ds = erm.sample_dataset(teacher, n, sigma, seed=seed)
 
-    act = cfg.get_parsed("network", "activation", ActivationSpec.parse, ActivationSpec.relu())
-    widths = cfg.get_int_list("network", "widths")
-    if not widths:
-        raise ConfigError(f"{cfg.path}: need [network] widths")
-    base = cfg.get_parsed("loss", "range_bound", positive(float))
+    act = cfg["network", "activation"]
+    widths = cfg.need(("network", "widths"))
+    base = cfg["loss", "range_bound"]
     if base is None:
         base = erm.LossSpec.mse_for(teacher, sigma).range_bound
-    loss = cfg.get_parsed(
-        "loss", "kind", lambda text: erm.LossSpec.parse(text, base), erm.LossSpec.mse(base)
-    )
+    loss = erm.LossSpec.parse(cfg["loss", "kind"], base)
     opt, lam, reg = _optimizer_from_config(cfg)
-    init_seed = cfg.get_parsed("optimizer", "seed", nonnegative(int), 0)
-    init = erm.init_params(widths, ds.input_dim, seed=init_seed)
+    init = erm.init_params(widths, ds.input_dim, seed=cfg["optimizer", "seed"])
 
     diverged = False
     try:
@@ -326,9 +256,9 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     teacher, n, sigma, base_seed = _problem_from_config(cfg)
     widths = _width_grid(args, cfg)
-    bcfg, pattern = _bound_config(cfg)
+    bcfg, pattern = cfg.bound_config()
     opt, lam, reg = _optimizer_from_config(cfg)
-    act = cfg.get_parsed("network", "activation", ActivationSpec.parse, ActivationSpec.relu())
+    act = cfg["network", "activation"]
 
     tasks = [
         (w, base_seed + i, teacher, n, sigma, pattern, opt, lam, reg, act)

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pesvlab import cli, erm, theory
-from pesvlab.config import nonnegative, positive
+from pesvlab import cli, config, erm, theory
+from pesvlab.config import nonnegative, positive, sample_count
 from pesvlab.erm import documented_teacher
 from pesvlab.netcore import save_network
 
@@ -73,6 +73,11 @@ def train_cfg(tmp_path):
     return p
 
 
+def line_of(text, line):
+    """The 1-based number of ``line`` in the config ``text``."""
+    return text.splitlines().index(line) + 1
+
+
 def read_csv_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -96,10 +101,25 @@ class TestBoundCommand:
         assert float(row33["total"]) == direct.total  # repr round-trips
         assert row33["regime"] == "under"
 
-    def test_empty_widths_usage_error(self, tmp_path):
+    def test_empty_widths_usage_error(self, tmp_path, capsys):
         p = tmp_path / "nowidths.cfg"
         p.write_text("[bounds]\nn = 100\nd = 1\n")
         assert cli.main(["bound", "--config", str(p)]) == 2
+        assert f"error: {p}: no width grid given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("", "[bounds] n (or [problem] n) and [bounds] d (or [problem] d)"),
+            ("n = 100\n", "[bounds] d (or [problem] d)"),
+            ("d = 1\n", "[bounds] n (or [problem] n)"),
+        ],
+    )
+    def test_missing_bound_keys_are_named(self, tmp_path, capsys, text, missing):
+        p = tmp_path / "nokeys.cfg"
+        p.write_text(f"[bounds]\nwidths = 1..3\n{text}")
+        assert cli.main(["bound", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: bound evaluation needs {missing}\n"
 
     @pytest.mark.parametrize("command", ["bound", "sweep"])
     @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ",", "4,,5", "4,5,"])
@@ -108,7 +128,18 @@ class TestBoundCommand:
         cfg.write_text(TRAIN_CFG.replace("widths = 2,4\n", f"widths = {grid}\n"))
         assert cli.main([command, "--config", str(cfg), "--no-timestamp"]) == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: [bounds] widths={grid!r}: " in err and "Traceback" not in err
+        line = line_of(cfg.read_text(), f"widths = {grid}")
+        assert f"{cfg}:{line}: [bounds] widths={grid!r}: " in err and "Traceback" not in err
+
+    def test_bad_config_grid_fails_under_the_widths_flag(self, tmp_path, capsys):
+        """``--widths`` replaces ``[bounds] widths``, but the file's grid is
+        still checked when the file is read."""
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TRAIN_CFG.replace("widths = 2,4\n", "widths = 4,3\n"))
+        argv = ["bound", "--config", str(cfg), "--widths", "1..3", "--no-timestamp"]
+        assert cli.main(argv) == 2
+        line = line_of(cfg.read_text(), "widths = 4,3")
+        assert f"{cfg}:{line}: [bounds] widths='4,3': " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bound", "sweep"])
     @pytest.mark.parametrize("grid", ["5..2", "3,3,4", "4,3", ",", "4,,5", "4,5,"])
@@ -185,13 +216,56 @@ class TestTrainCommand:
             blobs.append((model.read_bytes(), trace.read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_missing_teacher_config_error(self, tmp_path):
+    def test_missing_teacher_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
             "[problem]\nd = 2\nn = 8\nteacher_file = /no/such/file.json\n"
             "[network]\nwidths = 4\n"
         )
         assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: [problem] teacher_file='/no/such/file.json': No such file" in err
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{not json", "not a saved network (JSONDecodeError: "),
+            ('{"depth": 2}', "not a saved network (KeyError: 'layers')"),
+            ("[]", "not a saved network (TypeError: "),
+        ],
+    )
+    def test_malformed_teacher_file_is_usage_error(self, tmp_path, capsys, content, reason):
+        teacher = tmp_path / "teacher.json"
+        teacher.write_text(content)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[problem]\nd = 2\nn = 8\nteacher_file = {teacher}\n")
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:4: [problem] teacher_file={str(teacher)!r}: {reason}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "extra, reason",
+        [
+            ("teacher_widths = 3", "teacher_file gives the teacher"),
+            ("teacher_seed = 4", "teacher_file gives the teacher"),
+            ("d = 5", "teacher_file's network has d = 2"),
+        ],
+    )
+    def test_key_the_teacher_file_overrides(self, tmp_path, capsys, command, extra, reason):
+        """A key that a ``teacher_file`` would leave unused is an error at its line."""
+        teacher = documented_teacher(d=2)
+        tpath = tmp_path / "teacher.json"
+        save_network(tpath, teacher.teacher, teacher.act)
+        cfg = tmp_path / "teacher.cfg"
+        cfg.write_text(
+            f"[problem]\nn = 8\nteacher_file = {tpath}\n{extra}\n"
+            "[network]\nwidths = 4\n[bounds]\nn = 8\nd = 2\nwidths = 2\n"
+        )
+        assert cli.main([command, "--config", str(cfg), "--no-timestamp"]) == 2
+        name, _, raw = extra.partition(" = ")
+        assert capsys.readouterr().err == f"error: {cfg}:4: [problem] {name}={raw!r}: {reason}\n"
 
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -339,21 +413,22 @@ def blas_threads_here(_=None):
 
 class TestConfigValues:
     @pytest.mark.parametrize(
-        "old, new",
+        "section, old, new",
         [
-            ("regularizer = pesv", "regularizer = pesv\nschedule = foo"),
-            ("regularizer = pesv", "regularizer = mixed_max:1"),
-            ("regularizer = pesv", "regularizer = bogus"),
-            ("activation = relu", "activation = leaky_relu:-1"),
+            ("optimizer", "regularizer = pesv", "regularizer = pesv\nschedule = foo"),
+            ("optimizer", "regularizer = pesv", "regularizer = mixed_max:1"),
+            ("optimizer", "regularizer = pesv", "regularizer = bogus"),
+            ("network", "activation = relu", "activation = leaky_relu:-1"),
         ],
     )
-    def test_bad_value_is_usage_error(self, tmp_path, capsys, old, new):
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, section, old, new):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TRAIN_CFG.replace(old, new))
         assert cli.main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         key = new.rpartition("\n")[2].partition(" =")[0]
-        assert str(cfg) in err and key in err
+        line = line_of(cfg.read_text(), new.rpartition("\n")[2])
+        assert f"{cfg}:{line}: [{section}] {key}=" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, section, old, new",
@@ -411,13 +486,27 @@ class TestConfigValues:
         assert cli.main([command, "--config", str(cfg), "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         key = new.rpartition("\n")[2].partition(" =")[0]
-        assert f"{cfg}: [{section}] {key}=" in err and "Traceback" not in err
+        line = line_of(cfg.read_text(), new.rpartition("\n")[2])
+        assert f"{cfg}:{line}: [{section}] {key}=" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_number_is_named(self, raw):
-        for parse in (positive(float), nonnegative(float), cli._sample_count):
+        for parse in (positive(float), nonnegative(float), sample_count):
             with pytest.raises(ValueError, match="must be finite"):
                 parse(raw)
+
+    @pytest.mark.parametrize("key", list(config.KEYS), ids="{0[0]}.{0[1]}".format)
+    def test_every_key_rejects_a_bad_value(self, tmp_path, capsys, monkeypatch, key):
+        """Each key's parser rejects ``nan``, and the file fails to load
+        whether or not the command reads that section."""
+        monkeypatch.chdir(tmp_path)  # no teacher file named nan is found
+        section, name = key
+        cfg = tmp_path / "key.cfg"
+        cfg.write_text(f"# one bad value\n[{section}]\n{name} = nan\n")
+        assert cli.main(["bound", "--config", str(cfg), "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: [{section}] {name}='nan': ")
+        assert "Traceback" not in err
 
     def test_bound_n_from_problem_is_named(self, tmp_path, capsys):
         """Without ``[bounds] n`` the bound reads ``[problem] n`` and names it."""
@@ -425,13 +514,14 @@ class TestConfigValues:
         cfg.write_text("[problem]\nn = 1\n\n" + BOUND_CFG.replace("n = 10000\n", ""))
         assert cli.main(["bound", "--config", str(cfg), "--no-timestamp"]) == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: [problem] n='1': must be at least 2" in err and "Traceback" not in err
+        assert f"{cfg}:2: [problem] n='1': must be at least 2" in err and "Traceback" not in err
 
     def test_bounds_depth_disagreeing_with_pattern(self, tmp_path, capsys):
         cfg = tmp_path / "depth.cfg"
         cfg.write_text(BOUND_CFG.replace("L = 2\n", "L = 3\n").replace("pattern = 1\n", ""))
         assert cli.main(["bound", "--config", str(cfg), "--no-timestamp"]) == 2
-        assert "[bounds] L=3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: [bounds] L='3': disagrees with pattern=1, which gives depth 2" in err
 
     @pytest.mark.parametrize(
         "jobs, tasks, cores, expected",
