@@ -54,6 +54,15 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
         raise ConfigError(f"--widths={args.widths!r}: {exc}") from None
 
 
+def _loss_from_config(cfg: RunConfig, teacher: erm.TeacherSpec, sigma: float) -> erm.LossSpec:
+    """The ``[loss]`` kind over ``range_bound``, or else over the working
+    range derived from the teacher and the noise level."""
+    base = cfg["loss", "range_bound"]
+    if base is None:
+        base = erm.LossSpec.mse_for(teacher, sigma).range_bound
+    return erm.LossSpec.parse(cfg["loss", "kind"], base)
+
+
 def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, erm.Penalty]:
     keys = ("step_size", "max_iters", "tolerance", "schedule")
     opt = erm.OptimizerConfig(**{key: cfg["optimizer", key] for key in keys})
@@ -165,10 +174,7 @@ def cmd_train(args) -> int:
 
     act = cfg["network", "activation"]
     widths = cfg.need(("network", "widths"))
-    base = cfg["loss", "range_bound"]
-    if base is None:
-        base = erm.LossSpec.mse_for(teacher, sigma).range_bound
-    loss = erm.LossSpec.parse(cfg["loss", "kind"], base)
+    loss = _loss_from_config(cfg, teacher, sigma)
     opt, lam, reg = _optimizer_from_config(cfg)
     init = erm.init_params(widths, ds.input_dim, seed=cfg["optimizer", "seed"])
 
@@ -233,9 +239,8 @@ def cmd_verify(args) -> int:
 def _sweep_task(payload):
     """One sweep row: ``(m, seed, five measured values, divergence message)``;
     a diverged run has ``nan`` values and its message, the others ``None``."""
-    (width, seed, teacher, n, sigma, pattern, opt, lam, reg, act) = payload
+    (width, seed, teacher, n, sigma, pattern, loss, opt, lam, reg, act) = payload
     ds = erm.sample_dataset(teacher, n, sigma, seed=seed)
-    loss = erm.LossSpec.mse_for(teacher, sigma)
     student_widths = tuple(width * p for p in pattern)
     init = erm.init_params(student_widths, ds.input_dim, seed=seed)
     try:
@@ -257,11 +262,12 @@ def cmd_sweep(args) -> int:
     teacher, n, sigma, base_seed = _problem_from_config(cfg)
     widths = _width_grid(args, cfg)
     bcfg, pattern = cfg.bound_config()
+    loss = _loss_from_config(cfg, teacher, sigma)
     opt, lam, reg = _optimizer_from_config(cfg)
     act = cfg["network", "activation"]
 
     tasks = [
-        (w, base_seed + i, teacher, n, sigma, pattern, opt, lam, reg, act)
+        (w, base_seed + i, teacher, n, sigma, pattern, loss, opt, lam, reg, act)
         for w in widths
         for i in range(args.trials)
     ]

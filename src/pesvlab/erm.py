@@ -145,37 +145,39 @@ class LossSpec:
     def value(self, f, y):
         f = np.asarray(f, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        return _LOSSES[self.kind].value(self, f, y)
+        return _LOSSES[self.kind].value(self, f, y, f - y)
 
     def dpred(self, f, y):
         """Derivative of the loss in the prediction."""
         f = np.asarray(f, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        return _LOSSES[self.kind].dpred(self, f, y)
+        return _LOSSES[self.kind].dpred(self, f, y, f - y)
 
 
-def _huber_value(loss: LossSpec, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    u = f - y
+def _huber_value(loss: LossSpec, f: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     au = np.abs(u)
     return np.where(au <= loss.delta, 0.5 * u * u, loss.delta * (au - 0.5 * loss.delta))
 
 
 class _LossKind(NamedTuple):
-    value: Callable[[LossSpec, np.ndarray, np.ndarray], np.ndarray]
-    dpred: Callable[[LossSpec, np.ndarray, np.ndarray], np.ndarray]
+    # Per-sample value and prediction derivative at predictions ``f``,
+    # targets ``y`` and residuals ``f - y``.
+    value: Callable[[LossSpec, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    dpred: Callable[[LossSpec, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
+    half_square: bool = False  # the value is half the squared residual
 
 
 # Every loss kind; ``parse`` builds a kind through the classmethod of the
 # same name, with the spec arguments first and the range bound last.
 _LOSSES = {
-    "mse": _LossKind(lambda ls, f, y: 0.5 * (f - y) ** 2, lambda ls, f, y: f - y, (0,)),
+    "mse": _LossKind(lambda ls, f, y, u: 0.5 * u**2, lambda ls, f, y, u: u, (0,), True),
     "huber": _LossKind(
-        _huber_value, lambda ls, f, y: np.clip(f - y, -ls.delta, ls.delta), (1,)
+        _huber_value, lambda ls, f, y, u: np.clip(u, -ls.delta, ls.delta), (1,)
     ),
     "logistic": _LossKind(
-        lambda ls, f, y: np.logaddexp(0.0, -y * f) - np.logaddexp(0.0, -y * y),
-        lambda ls, f, y: -y / (1.0 + np.exp(y * f)),
+        lambda ls, f, y, u: np.logaddexp(0.0, -y * f) - np.logaddexp(0.0, -y * y),
+        lambda ls, f, y, u: -y / (1.0 + np.exp(y * f)),
         (0,),
     ),
 }
@@ -276,7 +278,7 @@ class Penalty:
     def __post_init__(self) -> None:
         if self.kind not in _PENALTIES:
             raise ValueError(f"unknown regularizer {self.kind!r}")
-        if self.p < 1.0 or self.q < 1.0:
+        if not (self.p >= 1.0 and self.q >= 1.0):
             raise ValueError("p and q must be at least 1")
 
     @classmethod
@@ -289,28 +291,28 @@ class Penalty:
     def value(self, params) -> float:
         return _PENALTIES[self.kind].value(self, params)
 
-    def stacked(self, layers, grad: bool = True) -> tuple[np.ndarray, list | None]:
-        """Value of each of ``S`` stacked networks and, with ``grad``, a
-        subgradient of each (see :func:`norms.pesv_stacked`)."""
-        return _PENALTIES[self.kind].stacked(self, layers, grad)
-
 
 class _PenaltyKind(NamedTuple):
     value: Callable[[Penalty, object], float]
-    stacked: Callable[[Penalty, list, bool], tuple]
+    # Value of each of ``S`` stacked networks and, when asked, a subgradient
+    # of each divided by ``scale`` (see :func:`norms.pesv_stacked`); None for
+    # the path norm, which ``train_many`` evaluates for every run's trace.
+    stacked: Callable[[Penalty, list, bool], tuple] | None
     spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
+    scale: float = 1.0
 
 
 # Every regularizer kind.  The ``norms`` functions are looked up per call,
-# so a wrapper installed on the module sees every call.
+# so a wrapper installed on the module sees every call.  Weight decay's
+# subgradient ``2 w`` is its layers scaled by 2: ``(2 lam) w`` has the bits
+# of ``lam (2 w)``, since doubling is exact.
 _PENALTIES = {
-    "pesv": _PenaltyKind(
-        lambda r, w: norms.pesv_norm(w), lambda r, ws, g: norms.pesv_stacked(ws, g), (0,)
-    ),
+    "pesv": _PenaltyKind(lambda r, w: norms.pesv_norm(w), None, (0,)),
     "weight_decay": _PenaltyKind(
         lambda r, w: norms.weight_decay_norm(w),
-        lambda r, ws, g: norms.weight_decay_stacked(ws, g),
+        lambda r, ws, g: (norms.weight_decay_stacked(ws, grad=False)[0], ws if g else None),
         (0,),
+        2.0,
     ),
     "mixed_max": _PenaltyKind(
         lambda r, w: norms.mixed_max_norm(w, r.p, r.q),
@@ -417,22 +419,43 @@ def train_many(
     lam = np.array(lams, dtype=np.float64)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
+    # The layers, their gradients and the best iterate each live in one
+    # layer-major block: layer k of every run is a C-contiguous (S, rows,
+    # cols) view, the layout np.stack gives.  The layers are updated in
+    # place, so the views stay current.
+    shapes = [(S, *w.shape) for w in inits[0].layers]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    block, grad_block, best_block = np.empty((3, ends[-1]))
+    arrs, grads, best = (
+        [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+        for flat in (block, grad_block, best_block)
+    )
+    for w, ws in zip(arrs, zip(*(p.layers for p in inits))):
+        np.stack(ws, out=w)
+    best_block[:] = block
+    # The run of every value of a block, for masks over whole blocks.
+    run_of = np.concatenate([np.repeat(np.arange(S), math.prod(shape[1:])) for shape in shapes])
     # A run with lam = 0 takes no penalty subgradient, and a stopped run no
     # step; the masks stay True (no masking) while every run takes them.
     penalized = lam > 0.0
     update_where = True
-    # The stacked layers are updated in place, so views of them stay current.
-    arrs = [np.stack(ws) for ws in zip(*(p.layers for p in inits))]
     # Runs lo..hi-1 of each group share one penalty; a uniform batch is one group.
     cuts = [0] + [s for s in range(1, S) if regs[s] != regs[s - 1]] + [S]
     groups = []
     for lo, hi in zip(cuts, cuts[1:]):
         runs = slice(lo, hi)
         on = penalized[runs]
-        add_where = True if on.all() else on[:, None, None]
-        ws = [w[runs] for w in arrs]
-        groups.append((runs, ws, regs[lo], bool(on.any()), lam[runs, None, None], add_where))
-    best = [w.copy() for w in arrs]
+        kind = _PENALTIES[regs[lo].kind]
+        groups.append((
+            runs, [w[runs] for w in arrs], [g[runs] for g in grads], regs[lo], kind,
+            bool(on.any()), kind.scale * lam[runs, None, None],
+            True if on.all() else on[:, None, None],
+        ))
+    # One path-norm evaluation of the whole batch gives every run's trace
+    # value and the path-norm groups' values and subgradients; each run's
+    # numbers are those of its own evaluation.
+    pesv_grad = any(reg.kind == "pesv" and on for reg, on in zip(regs, penalized))
+    loss_kind = _LOSSES[loss.kind]
     best_obj = np.full(S, math.inf)
     # Per iteration and run: objective, empirical_mse and nu.
     history = np.empty((3, opt.max_iters, S))
@@ -445,19 +468,22 @@ def train_many(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opt.max_iters):
             preds, hs, zs = stacked_forward(arrs, act, x)
-            fit = np.add.reduce(loss.value(preds, y), axis=-1) / n
-            # Each group's penalty values and path norms go into its slice;
-            # its subgradients wait for the backward pass.
+            resid = preds - y
+            total = np.add.reduce(loss_kind.value(loss, preds, y, resid), axis=-1)
+            nu, nu_sub = norms.pesv_stacked(arrs, grad=pesv_grad)
+            history[2, t] = nu
+            # Each group's penalty values go into its slice; its subgradients
+            # wait for the backward pass.
             subs = []
-            for runs, ws, reg, subgradient, lam_w, add_where in groups:
-                v, sub = reg.stacked(ws, grad=subgradient)
-                value[runs] = v
-                if reg.kind != "pesv":
-                    v = norms.pesv_stacked(ws, grad=False)[0]
-                history[2, t, runs] = v
+            for runs, ws, gs, reg, kind, subgradient, lam_w, add_where in groups:
+                if kind.stacked is None:
+                    value[runs] = nu[runs]
+                    sub = [g[runs] for g in nu_sub] if subgradient else None
+                else:
+                    value[runs], sub = kind.stacked(reg, ws, subgradient)
                 if sub is not None:
-                    subs.append((runs, sub, lam_w, add_where))
-            obj = fit + lam * value
+                    subs.append((gs, sub, lam_w, add_where))
+            obj = np.add(total / n, lam * value, out=history[0, t])
             if not np.isfinite(obj).all():
                 s = int(np.flatnonzero(~np.isfinite(obj))[0])
                 where = f"run {s}: " if S > 1 else ""
@@ -466,22 +492,26 @@ def train_many(
                     NetParams(tuple(b[s] for b in best)),
                     run=s,
                 )
-            history[0, t] = obj
-            history[1, t] = np.add.reduce((preds - y) ** 2, axis=-1) / n
+            # Half squared errors sum to half the squared error's sum: halving
+            # is exact, short of subnormal halves.
+            sq = 2.0 * total if loss_kind.half_square else np.add.reduce(resid * resid, axis=-1)
+            np.divide(sq, n, out=history[1, t])
             better = obj < best_obj
             if better.any():
                 best_obj = np.where(better, obj, best_obj)
-                for b, w in zip(best, arrs):
-                    np.copyto(b, w, where=better[:, None, None])
+                np.copyto(best_block, block, where=True if better.all() else better[run_of])
 
-            grads = stacked_backprop(arrs, act, hs, zs, loss.dpred(preds, y) / n)
+            upstream = loss_kind.dpred(loss, preds, y, resid) / n
+            stacked_backprop(arrs, act, hs, zs, upstream, out=grads)
             # Held into the next forward pass, the layer activations would
             # double the peak memory of a wide network.
             del hs, zs
-            for runs, sub, lam_w, add_where in subs:
-                for g, r in zip(grads, sub):
-                    g = g[runs]
-                    np.add(g, lam_w * r, out=g, where=add_where)
+            for gs, sub, lam_w, add_where in subs:
+                for g, r in zip(gs, sub):
+                    if add_where is True:
+                        np.add(g, lam_w * r, out=g)
+                    else:
+                        np.add(g, lam_w * r, out=g, where=add_where)
             if opt.tolerance > 0.0:
                 gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
                 tnorm = np.sqrt(sum(np.sum(w * w, axis=(1, 2)) for w in arrs))
@@ -491,12 +521,12 @@ def train_many(
                     active &= ~done
                     if not active.any():
                         break
-                    update_where = active[:, None, None]
+                    update_where = active[run_of]
             step = opt.step_size
             if opt.schedule == "inv_sqrt":
                 step /= math.sqrt(t + 1.0)
-            for w, g in zip(arrs, grads):
-                np.subtract(w, step * g, out=w, where=update_where)
+            np.multiply(grad_block, step, out=grad_block)
+            np.subtract(block, grad_block, out=block, where=update_where)
 
     return [
         TrainResult(

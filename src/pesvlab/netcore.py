@@ -57,8 +57,8 @@ def parse_spec(
     and numeric arguments.
 
     ``kinds`` maps each accepted kind to the argument counts it takes; an
-    unknown kind, a wrong count or a non-numeric argument raises
-    ``ValueError`` with a message naming ``what`` the spec describes.
+    unknown kind, a wrong count or a non-numeric or non-finite argument
+    raises ``ValueError`` with a message naming ``what`` the spec describes.
     """
     text = text.strip()
     if text.endswith(")") and "(" in text:
@@ -73,9 +73,12 @@ def parse_spec(
         counts = " or ".join(str(n) for n in sorted(kinds[kind]))
         raise ValueError(f"{what} {kind!r} takes {counts} arguments, got {len(raw)}")
     try:
-        return kind, tuple(float(v) for v in raw)
+        args = tuple(float(v) for v in raw)
     except ValueError:
         raise ValueError(f"{what} spec {text!r} has a non-numeric argument") from None
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"{what} spec {text!r} has a non-finite argument")
+    return kind, args
 
 
 @dataclass(frozen=True)
@@ -454,10 +457,18 @@ def stacked_forward(
     the activations of relu, are written there instead of into new arrays,
     with the same bits; the returned lists then hold views of those buffers.
     """
-    runs, n = len(layers[0]), inputs.shape[-2]
-    shared = inputs.ndim == 2
     hs = [inputs]
     zs = []
+    if inputs.ndim == 3 and buffers is None:
+        # Per-run inputs without buffers: one matmul per run and layer.
+        h = inputs
+        for w in layers[:-1]:
+            zs.append(h @ w.transpose(0, 2, 1))
+            h = act(zs[-1])
+            hs.append(h)
+        return (h @ layers[-1].transpose(0, 2, 1))[..., 0], hs, zs
+    runs, n = len(layers[0]), inputs.shape[-2]
+    shared = inputs.ndim == 2
     below = inputs
     outs = buffers or repeat((None, None, None))
     for w, (z_buf, h_buf, _) in zip(layers[:-1], outs):
@@ -497,7 +508,7 @@ def expand_upstream(upstream, runs: int, m: int, out=None) -> ExpandedUpstream:
 
 
 def stacked_backprop(
-    layers, act: ActivationSpec, hs, zs, upstream, buffers=None
+    layers, act: ActivationSpec, hs, zs, upstream, buffers=None, out=None
 ) -> list[np.ndarray]:
     """Gradient of ``sum_i upstream_i * f_s(x_i)`` for each stacked network
     ``s``, from the layer inputs ``hs`` and preactivations ``zs`` of
@@ -512,16 +523,28 @@ def stacked_backprop(
     first-layer gradient of all runs is one GEMM, ``delta.T @ X``, where
     :func:`stacked_forward` made the first layer one.  With ``buffers`` from
     :func:`stacked_buffers` each hidden layer's delta is written there.
+    With ``out``, C-contiguous arrays shaped like ``layers``, the gradients
+    are written into those, with the same bits.
     """
     wide = None
     if isinstance(upstream, ExpandedUpstream):
         upstream, wide = upstream
     depth = len(layers)
     x = hs[0]
+    grads = [None] * depth if out is None else list(out)
+    if x.ndim == 3 and buffers is None:
+        # Per-run inputs without buffers: one matmul per run and layer.
+        grads[-1] = np.matmul(upstream[..., None, :], hs[-1], out=grads[-1])
+        delta = upstream[..., :, None] * layers[-1]
+        for k in range(depth - 2, -1, -1):
+            _times_derivative(act, delta, zs[k])
+            grads[k] = np.matmul(delta.transpose(0, 2, 1), hs[k], out=grads[k])
+            if k:
+                delta = delta @ layers[k]
+        return grads
     runs, n = len(layers[0]), x.shape[-2]
     delta_bufs = [b[2] for b in buffers] if buffers else [None] * (depth - 1)
-    grads: list[np.ndarray] = [np.empty(0)] * depth
-    grads[-1] = upstream[..., None, :] @ _per_run(hs[-1], runs)
+    grads[-1] = np.matmul(upstream[..., None, :], _per_run(hs[-1], runs), out=grads[-1])
     delta = _lead(delta_bufs[-1], zs[-1].shape)
     if delta.ndim == 2:
         m = layers[-1].shape[-1]
@@ -532,14 +555,15 @@ def stacked_backprop(
     _times_derivative(act, delta, zs[-1])
     for k in range(depth - 2, 0, -1):
         d = _per_run(delta, runs)
-        grads[k] = d.transpose(0, 2, 1) @ _per_run(hs[k], runs)
+        grads[k] = np.matmul(d.transpose(0, 2, 1), _per_run(hs[k], runs), out=grads[k])
         delta = _lead(delta_bufs[k - 1], zs[k - 1].shape)
         np.matmul(d, layers[k], out=_per_run(delta, runs))
         _times_derivative(act, delta, zs[k - 1])
     if _one_gemm(x, delta):
-        grads[0] = (delta.T @ x).reshape(layers[0].shape)
+        g0 = None if out is None else out[0].reshape(-1, x.shape[1])
+        grads[0] = np.matmul(delta.T, x, out=g0).reshape(layers[0].shape)
     else:
-        grads[0] = _per_run(delta, runs).transpose(0, 2, 1) @ x
+        grads[0] = np.matmul(_per_run(delta, runs).transpose(0, 2, 1), x, out=grads[0])
     return grads
 
 

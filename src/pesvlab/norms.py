@@ -93,9 +93,12 @@ def pesv_stacked(layers, grad: bool = True) -> tuple[np.ndarray, list[np.ndarray
         return value, None
     upvecs = outgoing_weights(abs_upper)
     norms_col = row_norms[..., None]
-    unit_rows = np.divide(
-        layers[0], norms_col, out=np.zeros_like(layers[0]), where=norms_col > 0.0
-    )
+    if (row_norms > 0.0).all():
+        unit_rows = layers[0] / norms_col
+    else:
+        unit_rows = np.divide(
+            layers[0], norms_col, out=np.zeros_like(layers[0]), where=norms_col > 0.0
+        )
     grads = [upvecs[0][..., None] * unit_rows]
     for k in range(1, len(layers) - 1):
         outer = upvecs[k][..., None] * down[k - 1].transpose(0, 2, 1)
@@ -124,10 +127,10 @@ def weight_decay_stacked(
 
 def _row_pnorms(w: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
-        return np.sum(np.abs(w), axis=-1)
+        return np.add.reduce(np.abs(w), axis=-1)
     if p == 2.0:
         return np.sqrt(np.add.reduce(w * w, axis=-1))
-    return np.sum(np.abs(w) ** p, axis=-1) ** (1.0 / p)
+    return np.add.reduce(np.abs(w) ** p, axis=-1) ** (1.0 / p)
 
 
 def mixed_max_norm(params, p: float = 1.0, q: float = 2.0) -> float:
@@ -155,18 +158,19 @@ def mixed_max_stacked(
     scan = [(idx, p) for idx in range(1, len(layers))] + [(0, q)]
     row_norms = [_row_pnorms(layers[idx], r) for idx, r in scan]
     flat = np.concatenate(row_norms, axis=-1)
-    runs = np.arange(flat.shape[0])
-    pick = np.argmax(flat, axis=-1)
-    value = flat[runs, pick]
+    pick = flat.argmax(axis=-1)
+    value = flat[np.arange(flat.shape[0]), pick]
     if not grad:
         return value, None
     grads = [np.zeros_like(w) for w in layers]
+    # Runs with a positive max, by the row they pick, in run order.
+    picked = [(s, j) for s, (j, v) in enumerate(zip(pick.tolist(), value.tolist())) if v > 0.0]
     start = 0
     for (idx, r), nr in zip(scan, row_norms):
         stop = start + nr.shape[-1]
-        sel = runs[(pick >= start) & (pick < stop) & (value > 0.0)]
-        if sel.size:
-            j = pick[sel] - start
+        hits = [(s, j - start) for s, j in picked if start <= j < stop]
+        if hits:
+            sel, j = zip(*hits)
             rows = layers[idx][sel, j]
             g = np.sign(rows)
             if r != 1.0:

@@ -11,7 +11,7 @@ import pytest
 from pesvlab import cli, config, erm, theory
 from pesvlab.config import nonnegative, positive, sample_count
 from pesvlab.erm import documented_teacher
-from pesvlab.netcore import save_network
+from pesvlab.netcore import ActivationSpec, save_network
 
 
 BOUND_CFG = """\
@@ -331,6 +331,30 @@ class TestSweepCommand:
             direct = theory.gen_bound_encompassing(cfg, (int(r["m"]),)).total
             assert float(r["bound_total"]) == direct
 
+    def test_loss_kind_is_read(self, train_cfg, tmp_path):
+        """A ``[loss] kind`` of ``huber:0.01`` changes every row's objective to
+        the one ``train`` reaches with that loss, over the working range
+        derived from the teacher."""
+        rows = {}
+        for kind in ("mse", "huber:0.01"):
+            cfg = tmp_path / "loss.cfg"
+            cfg.write_text(TRAIN_CFG.replace("kind = mse", f"kind = {kind}"))
+            out = tmp_path / "sweep.csv"
+            argv = ["sweep", "--config", str(cfg), "--out", str(out), "--no-timestamp"]
+            assert cli.main(argv) == 0
+            rows[kind] = read_csv_rows(out)
+        teacher = documented_teacher(d=2)  # teacher_widths = 2, teacher_seed = 11
+        loss = erm.LossSpec.parse("huber:0.01", erm.LossSpec.mse_for(teacher, 0.05).range_bound)
+        for mse_row, huber_row in zip(rows["mse"], rows["huber:0.01"], strict=True):
+            assert mse_row["objective"] != huber_row["objective"]
+            m, seed = int(huber_row["m"]), int(huber_row["seed"])
+            ds = erm.sample_dataset(teacher, 24, 0.05, seed=seed)
+            res = erm.train(
+                erm.init_params((m,), 2, seed=seed), ds, 0.01, loss, erm.Penalty("pesv"),
+                erm.OptimizerConfig(step_size=0.3, max_iters=1500), ActivationSpec.relu(),
+            )
+            assert huber_row["objective"] == repr(res.best_objective)
+
     def test_zero_trials_usage_error(self, train_cfg):
         assert cli.main(["sweep", "--config", str(train_cfg), "--trials", "0"]) == 2
 
@@ -468,6 +492,12 @@ class TestConfigValues:
             ("train", "optimizer", "lambda = 0.01", "lambda = nan"),
             ("train", "problem", "sigma_eps = 0.05", "sigma_eps = inf"),
             ("train", "loss", "kind = mse", "kind = mse\nrange_bound = inf"),
+            # Spec arguments that are not finite.
+            ("train", "loss", "kind = mse", "kind = huber:nan"),
+            ("train", "loss", "kind = mse", "kind = huber:inf"),
+            ("train", "network", "activation = relu", "activation = leaky_relu:nan"),
+            ("train", "optimizer", "regularizer = pesv", "regularizer = mixed_max:nan:2"),
+            ("train", "optimizer", "regularizer = pesv", "regularizer = mixed_max:1:inf"),
             # Empty integer lists.
             ("train", "problem", "teacher_widths = 2", "teacher_widths = ,"),
             ("bound", "bounds", "pattern = 1", "pattern = ,"),

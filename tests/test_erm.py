@@ -83,6 +83,11 @@ class TestLossSpec:
         np.testing.assert_allclose(lhs, 0.5 * (f - fs) ** 2, atol=1e-12)
         assert loss.gamma == 1.0 and loss.B == 1.0
 
+    @pytest.mark.parametrize("spec", ["huber:nan", "huber:inf"])
+    def test_parse_rejects_non_finite_arguments(self, spec):
+        with pytest.raises(ValueError, match="non-finite argument"):
+            erm.LossSpec.parse(spec, 2.0)
+
     def test_huber_derivative_clips(self):
         loss = erm.LossSpec.huber(0.5, 2.0)
         assert loss.dpred(3.0, 0.0) == 0.5
@@ -443,6 +448,62 @@ class TestTrainMany:
             assert_same_result(res, single_loop_train(init, ds, lam, loss, reg, opt, RELU))
             assert_same_result(erm.train(init, ds, lam, loss, reg, opt, RELU), res)
 
+    def test_three_penalty_groups_each_with_an_unpenalized_run(self):
+        """Three groups of three runs, each with a zero-lambda run at another
+        place, under a tolerance that stops two runs of every group: each run
+        equals its own single-run loop."""
+        teacher = documented_teacher(d=2)
+        seeds = (3, 0, 1) * 3
+        datasets = [erm.sample_dataset(teacher, 12, 0.0, seed=s) for s in seeds]
+        inits = [erm.init_params((3,), 2, seed=s) for s in seeds]
+        lams = [0.001, 0.0, 0.002, 0.0, 0.0005, 0.001, 0.001, 0.002, 0.0]
+        regs = [
+            erm.Penalty.parse(r)
+            for r in ["pesv"] * 3 + ["weight_decay"] * 3 + ["mixed_max:1:2"] * 3
+        ]
+        loss = erm.LossSpec.mse(2.0)
+        opt = erm.OptimizerConfig(
+            step_size=0.5, max_iters=60, tolerance=0.004, schedule="constant"
+        )
+        batch = erm.train_many(inits, datasets, lams, loss, regs, opt, RELU)
+        assert [(r.iterations, r.converged) for r in batch] == [
+            (20, True), (32, True), (60, False)
+        ] * 2 + [(20, True), (33, True), (60, False)]
+        for res, init, ds, lam, reg in zip(batch, inits, datasets, lams, regs, strict=True):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, reg, opt, RELU))
+
+    @pytest.mark.parametrize("reg, best_at", [("pesv", [57, 59, 59]), ("mixed_max:1:2", [15, 59, 59])])
+    def test_best_iterate_kept_per_run(self, reg, best_at):
+        """A long constant step makes the objectives oscillate: a run keeps
+        its own best iterate while the others still improve."""
+        datasets, lams = three_runs()
+        inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
+        loss = erm.LossSpec.mse(2.0)
+        pen = erm.Penalty.parse(reg)
+        opt = erm.OptimizerConfig(step_size=1.5, max_iters=60, schedule="constant")
+        batch = erm.train_many(inits, datasets, lams, loss, [pen] * 3, opt, RELU)
+        assert [int(np.argmin(r.trace[:, 1])) for r in batch] == best_at
+        for res, init, ds, lam in zip(batch, inits, datasets, lams, strict=True):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, pen, opt, RELU))
+
+    @pytest.mark.parametrize("reg", ["pesv", "weight_decay", "mixed_max:1:2"])
+    def test_logistic_loss(self, reg):
+        """Labels of +-1 under the logistic loss, whose value and derivative
+        need the predictions and labels, not only the residual."""
+        datasets, lams = three_runs()
+        datasets = [
+            erm.Dataset(ds.inputs, np.where(ds.targets > np.median(ds.targets), 1.0, -1.0),
+                        ds.noise_std, ds.seed)
+            for ds in datasets
+        ]
+        inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
+        loss = erm.LossSpec.logistic(2.0)
+        pen = erm.Penalty.parse(reg)
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
+        batch = erm.train_many(inits, datasets, lams, loss, [pen] * 3, opt, RELU)
+        for res, init, ds, lam in zip(batch, inits, datasets, lams, strict=True):
+            assert_same_result(res, single_loop_train(init, ds, lam, loss, pen, opt, RELU))
+
     def test_groups_split_on_penalty_parameters(self):
         """Equal kinds with other exponents are other penalties."""
         datasets, lams = three_runs()
@@ -559,3 +620,13 @@ class TestPenaltyParse:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             erm.Penalty.parse("lasso")
+
+    @pytest.mark.parametrize("p, q", [(float("nan"), 2.0), (1.0, float("nan")), (0.5, 2.0)])
+    def test_rejects_exponents_below_one_or_nan(self, p, q):
+        with pytest.raises(ValueError, match="at least 1"):
+            erm.Penalty("mixed_max", p, q)
+
+    @pytest.mark.parametrize("spec", ["mixed_max:nan:2", "mixed_max:1:inf", "mixed_max(-inf,2)"])
+    def test_rejects_non_finite_spec_arguments(self, spec):
+        with pytest.raises(ValueError, match="non-finite argument"):
+            erm.Penalty.parse(spec)

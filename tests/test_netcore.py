@@ -60,6 +60,11 @@ class TestActivationSpec:
         with pytest.raises(ValueError):
             ActivationSpec.leaky_relu(-0.2)
 
+    @pytest.mark.parametrize("spec", ["leaky_relu:nan", "leaky_relu:inf", "leaky_relu(-inf)"])
+    def test_spec_rejects_non_finite_arguments(self, spec):
+        with pytest.raises(ValueError, match=r"activation spec .* has a non-finite argument"):
+            ActivationSpec.parse(spec)
+
     def test_derivative_convention_at_kink(self):
         assert ActivationSpec.relu().derivative(0.0) == 0.0
         assert ActivationSpec.leaky_relu(0.3).derivative(0.0) == 0.3
@@ -285,6 +290,28 @@ class TestStackedBuffers:
                 assert h.ctypes.data == layer[1].ctypes.data
                 # the delta went into the buffer's start
                 assert np.isfinite(layer[2][: z.size]).all()
+
+
+@pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
+@pytest.mark.parametrize("buffered", [False, True], ids=["new-arrays", "buffers"])
+def test_gradients_written_into_out(per_run, buffered):
+    """Gradients written through ``out`` into views of one flat block, at an
+    odd offset and filled with NaN, have the bits of new arrays.  Four runs
+    of four first-layer units make the shared first layer one GEMM."""
+    rng = np.random.default_rng(11)
+    widths = (4, 6)
+    layers, X, u = stacked_case(rng, 4, widths, 7, 2, per_run)
+    act = STACKED_ACTS["relu"]
+    buffers = nc.stacked_buffers(4, 7, widths) if buffered else None
+    _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+    ref = nc.stacked_backprop(layers, act, hs, zs, u, buffers)
+    block = np.full(1 + sum(w.size for w in layers), np.nan)
+    ends = np.cumsum([1] + [w.size for w in layers])
+    out = [block[lo:hi].reshape(w.shape) for lo, hi, w in zip(ends, ends[1:], layers)]
+    grads = nc.stacked_backprop(layers, act, hs, zs, u, buffers, out=out)
+    assert all(np.shares_memory(g, o) for g, o in zip(grads, out))
+    assert all(same_bits(o, r) for o, r in zip(out, ref))
+    assert np.isnan(block[0])
 
 
 def assert_shared_equals_repeated(act, runs, widths, n, d, seed, buffered):

@@ -217,6 +217,72 @@ class TestMixedMaxNorm:
         np.testing.assert_array_equal(stacked[0][1], [[0.6, 0.8], [0.0, 0.0]])
 
 
+@st.composite
+def stacked_nets_picking_each_layer(draw):
+    """2 to 6 stacked networks of depth 2 to 4 with small integer weights,
+    so rows tie often.  Run ``s`` scales layer ``s % depth`` by 1000, so the
+    maximal rows of the runs lie in different layers, and zeroes one row of
+    the next layer; the last run may be all zeros."""
+    runs = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    shapes = nc.layer_shapes(widths, d + 1)
+    ints = st.integers(-3, 3).map(float)
+    layers = [draw(hnp.arrays(np.float64, (runs, *shape), elements=ints)) for shape in shapes]
+    for s in range(runs):
+        layers[s % len(shapes)][s] *= 1000.0
+        zero = layers[(s + 1) % len(shapes)][s]
+        zero[draw(st.integers(0, zero.shape[0] - 1))] = 0.0
+    if draw(st.booleans()):
+        for w in layers:
+            w[-1] = 0.0
+    return layers
+
+
+def mixed_max_one_row_at_a_time(layers, p, q):
+    """Value and subgradient of each stacked network, from a loop over its
+    rows in scan order (layers above the first, then the first), keeping
+    the first row of the largest norm.  Each norm stays a 1-element array:
+    the power of a numpy scalar may round differently from an array's."""
+    values, grads = [], [np.zeros_like(w) for w in layers]
+    for s in range(len(layers[0])):
+        best = None
+        for k, r in [(k, p) for k in range(1, len(layers))] + [(0, q)]:
+            for i, row in enumerate(layers[k][s]):
+                if r == 1.0:
+                    norm = np.add.reduce(np.abs(row), keepdims=True)
+                elif r == 2.0:
+                    norm = np.sqrt(np.add.reduce(row * row, keepdims=True))
+                else:
+                    norm = np.add.reduce(np.abs(row) ** r, keepdims=True) ** (1.0 / r)
+                if best is None or norm[0] > best[0][0]:
+                    best = (norm, k, i, r)
+        norm, k, i, r = best
+        values.append(norm[0])
+        if norm > 0.0:
+            row = layers[k][s, i]
+            g = np.sign(row)
+            if r != 1.0:
+                g = g * (np.abs(row) / norm) ** (r - 1.0)
+            grads[k][s, i] = g
+    return np.array(values), grads
+
+
+class TestMixedMaxStackedProperty:
+    @DERANDOMIZED
+    @given(
+        stacked_nets_picking_each_layer(),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_equals_one_row_at_a_time(self, layers, p, q):
+        value, grads = norms.mixed_max_stacked(layers, p, q)
+        ref_value, ref_grads = mixed_max_one_row_at_a_time(layers, p, q)
+        assert value.tobytes() == ref_value.tobytes()
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert g.tobytes() == ref.tobytes()
+
+
 class TestRescaleNeuron:
     def test_identity_when_c_is_one(self):
         rng = np.random.default_rng(6)
