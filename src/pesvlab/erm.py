@@ -294,31 +294,16 @@ class Penalty:
 
 class _PenaltyKind(NamedTuple):
     value: Callable[[Penalty, object], float]
-    # Value of each of ``S`` stacked networks and, when asked, a subgradient
-    # of each divided by ``scale`` (see :func:`norms.pesv_stacked`); None for
-    # the path norm, which ``train_many`` evaluates for every run's trace.
-    stacked: Callable[[Penalty, list, bool], tuple] | None
     spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
-    scale: float = 1.0
 
 
-# Every regularizer kind.  The ``norms`` functions are looked up per call,
-# so a wrapper installed on the module sees every call.  Weight decay's
-# subgradient ``2 w`` is its layers scaled by 2: ``(2 lam) w`` has the bits
-# of ``lam (2 w)``, since doubling is exact.
+# Every regularizer kind, by its ``norms.PenaltyGroup`` kind.  The ``norms``
+# functions are looked up per call, so a wrapper installed on the module
+# sees every call.
 _PENALTIES = {
-    "pesv": _PenaltyKind(lambda r, w: norms.pesv_norm(w), None, (0,)),
-    "weight_decay": _PenaltyKind(
-        lambda r, w: norms.weight_decay_norm(w),
-        lambda r, ws, g: (norms.weight_decay_stacked(ws, grad=False)[0], ws if g else None),
-        (0,),
-        2.0,
-    ),
-    "mixed_max": _PenaltyKind(
-        lambda r, w: norms.mixed_max_norm(w, r.p, r.q),
-        lambda r, ws, g: norms.mixed_max_stacked(ws, r.p, r.q, g),
-        (0, 2),
-    ),
+    "pesv": _PenaltyKind(lambda r, w: norms.pesv_norm(w), (0,)),
+    "weight_decay": _PenaltyKind(lambda r, w: norms.weight_decay_norm(w), (0,)),
+    "mixed_max": _PenaltyKind(lambda r, w: norms.mixed_max_norm(w, r.p, r.q), (0, 2)),
 }
 
 
@@ -344,8 +329,10 @@ class OptimizerConfig:
     schedule: str = "inv_sqrt"
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0 or self.max_iters < 1:
-            raise ValueError("need positive step size and at least one iteration")
+        if not 0.0 < self.step_size < math.inf or self.max_iters < 1:
+            raise ValueError("need a finite positive step size and at least one iteration")
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError("need a finite nonnegative tolerance")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -419,16 +406,16 @@ def train_many(
     lam = np.array(lams, dtype=np.float64)
     if np.any(lam < 0):
         raise ValueError("lambda must be nonnegative")
-    # The layers, their gradients and the best iterate each live in one
-    # layer-major block: layer k of every run is a C-contiguous (S, rows,
-    # cols) view, the layout np.stack gives.  The layers are updated in
-    # place, so the views stay current.
+    # The layers, their gradients, the best iterate and the penalty
+    # subgradients each live in one layer-major block: layer k of every run
+    # is a C-contiguous (S, rows, cols) view, the layout np.stack gives.  The
+    # layers are updated in place, so the views stay current.
     shapes = [(S, *w.shape) for w in inits[0].layers]
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    block, grad_block, best_block = np.empty((3, ends[-1]))
-    arrs, grads, best = (
+    block, grad_block, best_block, pen_block = np.zeros((4, ends[-1]))
+    arrs, grads, best, pens = (
         [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
-        for flat in (block, grad_block, best_block)
+        for flat in (block, grad_block, best_block, pen_block)
     )
     for w, ws in zip(arrs, zip(*(p.layers for p in inits))):
         np.stack(ws, out=w)
@@ -438,28 +425,25 @@ def train_many(
     # A run with lam = 0 takes no penalty subgradient, and a stopped run no
     # step; the masks stay True (no masking) while every run takes them.
     penalized = lam > 0.0
+    lam_flat = lam[run_of]
+    add_penalty = bool(penalized.any())
+    add_where = True if penalized.all() else penalized[run_of]
     update_where = True
-    # Runs lo..hi-1 of each group share one penalty; a uniform batch is one group.
+    # Runs lo..hi-1 of each group share one penalty; a uniform batch is one
+    # group.  One pass gives every run's trace path norm and penalty value,
+    # and writes the subgradients of the groups with a penalized run.
     cuts = [0] + [s for s in range(1, S) if regs[s] != regs[s - 1]] + [S]
-    groups = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        runs = slice(lo, hi)
-        on = penalized[runs]
-        kind = _PENALTIES[regs[lo].kind]
-        groups.append((
-            runs, [w[runs] for w in arrs], [g[runs] for g in grads], regs[lo], kind,
-            bool(on.any()), kind.scale * lam[runs, None, None],
-            True if on.all() else on[:, None, None],
-        ))
-    # One path-norm evaluation of the whole batch gives every run's trace
-    # value and the path-norm groups' values and subgradients; each run's
-    # numbers are those of its own evaluation.
-    pesv_grad = any(reg.kind == "pesv" and on for reg, on in zip(regs, penalized))
+    groups = [
+        norms.PenaltyGroup(
+            slice(lo, hi), regs[lo].kind, regs[lo].p, regs[lo].q, bool(penalized[lo:hi].any())
+        )
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
     loss_kind = _LOSSES[loss.kind]
     best_obj = np.full(S, math.inf)
+    better = np.empty(S, dtype=bool)
     # Per iteration and run: objective, empirical_mse and nu.
     history = np.empty((3, opt.max_iters, S))
-    value = np.empty(S)
     iters = np.full(S, opt.max_iters)
     active = np.ones(S, dtype=bool)
 
@@ -470,21 +454,12 @@ def train_many(
             preds, hs, zs = stacked_forward(arrs, act, x)
             resid = preds - y
             total = np.add.reduce(loss_kind.value(loss, preds, y, resid), axis=-1)
-            nu, nu_sub = norms.pesv_stacked(arrs, grad=pesv_grad)
-            history[2, t] = nu
-            # Each group's penalty values go into its slice; its subgradients
-            # wait for the backward pass.
-            subs = []
-            for runs, ws, gs, reg, kind, subgradient, lam_w, add_where in groups:
-                if kind.stacked is None:
-                    value[runs] = nu[runs]
-                    sub = [g[runs] for g in nu_sub] if subgradient else None
-                else:
-                    value[runs], sub = kind.stacked(reg, ws, subgradient)
-                if sub is not None:
-                    subs.append((gs, sub, lam_w, add_where))
+            # The subgradients wait in their block for the backward pass.
+            history[2, t], value = norms.penalty_stacked(arrs, groups, pens)
             obj = np.add(total / n, lam * value, out=history[0, t])
-            if not np.isfinite(obj).all():
+            # A finite sum means finite objectives; an overflowing one is
+            # checked run by run.
+            if not math.isfinite(np.add.reduce(obj)) and not np.isfinite(obj).all():
                 s = int(np.flatnonzero(~np.isfinite(obj))[0])
                 where = f"run {s}: " if S > 1 else ""
                 raise DivergenceError(
@@ -496,25 +471,25 @@ def train_many(
             # is exact, short of subnormal halves.
             sq = 2.0 * total if loss_kind.half_square else np.add.reduce(resid * resid, axis=-1)
             np.divide(sq, n, out=history[1, t])
-            better = obj < best_obj
-            if better.any():
-                best_obj = np.where(better, obj, best_obj)
-                np.copyto(best_block, block, where=True if better.all() else better[run_of])
+            np.less(obj, best_obj, out=better)
+            improved = np.count_nonzero(better)
+            if improved:
+                np.copyto(best_obj, obj, where=better)
+                np.copyto(best_block, block, where=True if improved == S else better[run_of])
 
             upstream = loss_kind.dpred(loss, preds, y, resid) / n
             stacked_backprop(arrs, act, hs, zs, upstream, out=grads)
             # Held into the next forward pass, the layer activations would
             # double the peak memory of a wide network.
             del hs, zs
-            for gs, sub, lam_w, add_where in subs:
-                for g, r in zip(gs, sub):
-                    if add_where is True:
-                        np.add(g, lam_w * r, out=g)
-                    else:
-                        np.add(g, lam_w * r, out=g, where=add_where)
+            if add_penalty:
+                np.multiply(pen_block, lam_flat, out=pen_block)
+                np.add(grad_block, pen_block, out=grad_block, where=add_where)
             if opt.tolerance > 0.0:
-                gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
-                tnorm = np.sqrt(sum(np.sum(w * w, axis=(1, 2)) for w in arrs))
+                gnorm, tnorm = (
+                    np.sqrt(sum(np.add.reduce((w * w).reshape(S, -1), axis=-1) for w in ws))
+                    for ws in (grads, arrs)
+                )
                 done = active & (gnorm <= opt.tolerance * (1.0 + tnorm))
                 if done.any():
                     iters[done] = t + 1

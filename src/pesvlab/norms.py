@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .netcore import ActivationSpec, NetParams, UnsupportedActivationError, as_layers
@@ -12,6 +14,8 @@ __all__ = [
     "mixed_max_stacked",
     "mixed_max_subgradient",
     "outgoing_weights",
+    "PenaltyGroup",
+    "penalty_stacked",
     "pesv_matrixproduct_variant",
     "pesv_norm",
     "pesv_stacked",
@@ -82,29 +86,40 @@ def pesv_stacked(layers, grad: bool = True) -> tuple[np.ndarray, list[np.ndarray
     """:func:`pesv_norm` of each of ``S`` networks stacked on a leading run
     axis (``(S, rows, cols)`` layers), shape ``(S,)``, and with ``grad`` the
     :func:`pesv_subgradient` of each, layer by layer; ``None`` without."""
+    abs_upper, row_norms, down, value = _pesv_pieces(layers)
+    if not grad:
+        return value, None
+    grads = [np.empty_like(w) for w in layers]
+    _pesv_grad(layers, abs_upper, row_norms, down, grads)
+    return value, grads
+
+
+def _pesv_pieces(layers):
+    """``|layers[1:]|``, the first-layer row 2-norms ``v``, the chain
+    ``down[k] = |layers[k]| ... |layers[1]| v`` as columns, and the path norm."""
     abs_upper = [np.abs(w) for w in layers[1:]]
     row_norms = _row_pnorms(layers[0], 2.0)
-    # down[k] = |layers[k]| ... |layers[1]| v as columns, v the first-layer row norms.
     down = [row_norms[..., None]]
     for w in abs_upper[:-1]:
         down.append(w @ down[-1])
-    value = (abs_upper[-1] @ down[-1])[:, 0, 0]
-    if not grad:
-        return value, None
+    return abs_upper, row_norms, down, (abs_upper[-1] @ down[-1])[:, 0, 0]
+
+
+def _pesv_grad(layers, abs_upper, row_norms, down, out) -> None:
+    """Write the path-norm subgradient of each stacked network into ``out``."""
     upvecs = outgoing_weights(abs_upper)
     norms_col = row_norms[..., None]
     if (row_norms > 0.0).all():
-        unit_rows = layers[0] / norms_col
+        np.divide(layers[0], norms_col, out=out[0])
     else:
-        unit_rows = np.divide(
-            layers[0], norms_col, out=np.zeros_like(layers[0]), where=norms_col > 0.0
-        )
-    grads = [upvecs[0][..., None] * unit_rows]
+        out[0].fill(0.0)
+        np.divide(layers[0], norms_col, out=out[0], where=norms_col > 0.0)
+    np.multiply(upvecs[0][..., None], out[0], out=out[0])
     for k in range(1, len(layers) - 1):
         outer = upvecs[k][..., None] * down[k - 1].transpose(0, 2, 1)
-        grads.append(np.sign(layers[k]) * outer)
-    grads.append(np.sign(layers[-1]) * down[-1].transpose(0, 2, 1))
-    return value, grads
+        np.multiply(np.sign(layers[k], out=out[k]), outer, out=out[k])
+    np.sign(layers[-1], out=out[-1])
+    np.multiply(out[-1], down[-1].transpose(0, 2, 1), out=out[-1])
 
 
 def weight_decay_norm(params) -> float:
@@ -151,33 +166,99 @@ def mixed_max_stacked(
     """:func:`mixed_max_norm` of each stacked network, and with ``grad`` the
     :func:`mixed_max_subgradient` of each, as :func:`pesv_stacked` does for
     the path norm."""
-    if p < 1.0 or q < 1.0:
+    grads = [np.empty_like(w) for w in layers] if grad else None
+    return _mixed_max(layers, p, q, _scan_row_norms(layers, p, q), grads), grads
+
+
+def _scan_row_norms(layers, p, q, abs_upper=None, l2_rows=None) -> list[np.ndarray]:
+    """Row norms in the mixed max's scan order: ``l_p`` rows of the layers
+    above the first, then ``l_q`` rows of the first.  Given ``|layers[1:]|``
+    and the first layer's ``l_2`` rows, the ``l_1`` and ``l_2`` rows are
+    taken from them: the same calls as ``_row_pnorms``, so the same bits."""
+    if not (p >= 1.0 and q >= 1.0):
         raise ValueError("p and q must be at least 1")
-    # Rows in scan order, upper layers first: argmax picks the first row
-    # attaining the max.
-    scan = [(idx, p) for idx in range(1, len(layers))] + [(0, q)]
-    row_norms = [_row_pnorms(layers[idx], r) for idx, r in scan]
+    if p == 1.0 and abs_upper is not None:
+        rows = [np.add.reduce(a, axis=-1) for a in abs_upper]
+    else:
+        rows = [_row_pnorms(w, p) for w in layers[1:]]
+    rows.append(l2_rows if q == 2.0 and l2_rows is not None else _row_pnorms(layers[0], q))
+    return rows
+
+
+def _mixed_max(layers, p, q, row_norms, out) -> np.ndarray:
+    """The mixed max of each stacked network from its scan-order row norms;
+    with ``out``, its subgradient is written there."""
     flat = np.concatenate(row_norms, axis=-1)
-    pick = flat.argmax(axis=-1)
-    value = flat[np.arange(flat.shape[0]), pick]
-    if not grad:
-        return value, None
-    grads = [np.zeros_like(w) for w in layers]
-    # Runs with a positive max, by the row they pick, in run order.
-    picked = [(s, j) for s, (j, v) in enumerate(zip(pick.tolist(), value.tolist())) if v > 0.0]
+    pick = flat.argmax(axis=-1)  # the first row attaining the max
+    runs = np.arange(flat.shape[0])
+    value = flat[runs, pick]
+    if out is None:
+        return value
+    # The row each run picks, where its max is positive.  Elementwise ops
+    # masked by it give the picked rows the bits of a gathered computation.
+    hit = np.zeros(flat.shape, dtype=bool)
+    hit[runs, pick] = value > 0.0
     start = 0
-    for (idx, r), nr in zip(scan, row_norms):
+    for idx, nr in zip([*range(1, len(layers)), 0], row_norms):
         stop = start + nr.shape[-1]
-        hits = [(s, j - start) for s, j in picked if start <= j < stop]
-        if hits:
-            sel, j = zip(*hits)
-            rows = layers[idx][sel, j]
-            g = np.sign(rows)
-            if r != 1.0:
-                g = g * (np.abs(rows) / nr[sel, j][:, None]) ** (r - 1.0)
-            grads[idx][sel, j] = g
+        w, g, rows = layers[idx], out[idx], hit[:, start:stop, None]
+        g.fill(0.0)
+        np.sign(w, out=g, where=rows)
+        r = q if idx == 0 else p
+        if r != 1.0 and rows.any():
+            ratio = np.zeros_like(w)  # zero off the picked rows: no overflow
+            np.divide(np.abs(w), value[:, None, None], out=ratio, where=rows)
+            np.multiply(g, ratio ** (r - 1.0), out=g, where=rows)
         start = stop
-    return value, grads
+    return value
+
+
+class PenaltyGroup(NamedTuple):
+    """Runs ``runs`` of a stacked batch and the penalty they share:
+    ``kind`` is ``"pesv"``, ``"weight_decay"`` or ``"mixed_max"`` (with
+    exponents ``p`` and ``q``); with ``grad`` their subgradients are written."""
+
+    runs: slice
+    kind: str
+    p: float = 1.0
+    q: float = 2.0
+    grad: bool = True
+
+
+def penalty_stacked(layers, groups, out) -> tuple[np.ndarray, np.ndarray]:
+    """The path norm of each of ``S`` stacked networks and the penalty of
+    each, shapes ``(S,)``: a run takes the penalty of the
+    :class:`PenaltyGroup` that holds it.  The subgradient of every run of a
+    group with ``grad`` is written into its slices of ``out``, ``(S, rows,
+    cols)`` arrays; the slices of the other groups may be written too.
+
+    Every number has the bits of the group's own :func:`pesv_stacked`,
+    :func:`weight_decay_stacked` or :func:`mixed_max_stacked` call: the path
+    norm's ``|layers[1:]|``, first-layer row 2-norms and down chain are
+    computed once for the whole batch and sliced for each group, and the
+    mixed max takes its ``l_1`` and ``l_2`` rows from them."""
+    abs_upper, l2_rows, down, nu = _pesv_pieces(layers)
+    if any(grad for _, kind, _, _, grad in groups if kind == "pesv"):
+        # For the whole batch, in fewer calls than group by group; the other
+        # groups then write over their slices.
+        _pesv_grad(layers, abs_upper, l2_rows, down, out)
+    value = nu.copy()  # the path-norm groups' values
+    for runs, kind, p, q, grad in groups:
+        if kind == "pesv":
+            continue
+        ws = [w[runs] for w in layers]
+        gs = [g[runs] for g in out] if grad else None
+        if kind == "weight_decay":
+            value[runs] = weight_decay_stacked(ws, grad=False)[0]
+            if grad:
+                for w, g in zip(ws, gs):
+                    np.multiply(w, 2.0, out=g)
+        elif kind == "mixed_max":
+            rows = _scan_row_norms(ws, p, q, [a[runs] for a in abs_upper], l2_rows[runs])
+            value[runs] = _mixed_max(ws, p, q, rows, gs)
+        else:
+            raise ValueError(f"unknown penalty kind {kind!r}")
+    return nu, value
 
 
 def rescale_neuron(params: NetParams, layer: int, index: int, c: float) -> NetParams:

@@ -441,7 +441,8 @@ def rademacher_mc(
             if it == inner_steps:  # the final iterates are scored, not stepped
                 break
             grads = stacked_backprop(arrs, act, hs, zs, rho, buffers)
-            gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
+            sq = (np.add.reduce((g * g).reshape(len(g), -1), axis=-1) for g in grads)
+            gnorm = np.sqrt(sum(sq))
             step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):
                 w += step[:, None, None] * g

@@ -504,11 +504,15 @@ class TestTrainMany:
         for res, init, ds, lam in zip(batch, inits, datasets, lams, strict=True):
             assert_same_result(res, single_loop_train(init, ds, lam, loss, pen, opt, RELU))
 
-    def test_groups_split_on_penalty_parameters(self):
-        """Equal kinds with other exponents are other penalties."""
+    @pytest.mark.parametrize("other", ["mixed_max:3:1.5", "mixed_max:1.5:3", "mixed_max:1:3"])
+    def test_groups_split_on_penalty_parameters(self, other):
+        """Equal kinds with other exponents are other penalties.  The
+        ``(1, 2)`` group takes its row norms from the path norm's pieces; the
+        other group computes its own (both for ``1.5:3``, the ``l_3`` rows
+        for ``1:3``)."""
         datasets, lams = three_runs()
         inits = [erm.init_params((4, 3), 2, seed=s) for s in (4, 5, 6)]
-        regs = [erm.Penalty.parse(r) for r in ("mixed_max:1:2",) * 2 + ("mixed_max:3:1.5",)]
+        regs = [erm.Penalty.parse(r) for r in ("mixed_max:1:2",) * 2 + (other,)]
         loss = erm.LossSpec.mse(2.0)
         opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
         batch = erm.train_many(inits, datasets, lams, loss, regs, opt, RELU)
@@ -606,6 +610,30 @@ class TestErrorMeasures:
         g1, se1 = erm.generalization_error_mc(p, RELU, teacher, 2000, seed=3)
         g2, _ = erm.generalization_error_mc(p, RELU, teacher, 20_000, seed=4)
         assert abs(g1 - g2) <= 3 * se1
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"step_size": 0.0},
+            {"step_size": -0.1},
+            {"step_size": math.nan},
+            {"step_size": math.inf},
+            {"max_iters": 0},
+            {"tolerance": -1.0},
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
+            {"schedule": "cosine"},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            erm.OptimizerConfig(**kwargs)
+
+    def test_accepts_edges(self):
+        opt = erm.OptimizerConfig(step_size=1e-300, max_iters=1, tolerance=0.0)
+        assert (opt.step_size, opt.max_iters, opt.tolerance) == (1e-300, 1, 0.0)
 
 
 class TestPenaltyParse:

@@ -1,5 +1,7 @@
 """Regularizers, subgradients, and output-preserving rescalings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -178,10 +180,17 @@ class TestMixedMaxNorm:
         p = NetParams.from_arrays([np.zeros((2, 3)), np.array([[0.0, 7.0]])])
         assert norms.mixed_max_norm(p, 1, 2) == 7.0
 
-    def test_rejects_bad_exponents(self):
-        p = NetParams.from_arrays([np.ones((1, 2)), np.ones((1, 1))])
-        with pytest.raises(ValueError):
-            norms.mixed_max_norm(p, 0.5, 2)
+    @pytest.mark.parametrize("p, q", [(0.5, 2.0), (1.0, 0.5), (math.nan, 2.0), (1.0, math.nan)])
+    def test_rejects_bad_exponents(self, p, q):
+        net = NetParams.from_arrays([np.ones((1, 2)), np.ones((1, 1))])
+        with pytest.raises(ValueError, match="at least 1"):
+            norms.mixed_max_norm(net, p, q)
+        with pytest.raises(ValueError, match="at least 1"):
+            norms.mixed_max_subgradient(net, p, q)
+        layers = [w[None] for w in net.layers]
+        group = norms.PenaltyGroup(slice(0, 1), "mixed_max", p, q)
+        with pytest.raises(ValueError, match="at least 1"):
+            norms.penalty_stacked(layers, [group], [np.empty_like(w) for w in layers])
 
     def test_subgradient_matches_fd(self):
         rng = np.random.default_rng(5)
@@ -220,14 +229,15 @@ class TestMixedMaxNorm:
 @st.composite
 def stacked_nets_picking_each_layer(draw):
     """2 to 6 stacked networks of depth 2 to 4 with small integer weights,
-    so rows tie often.  Run ``s`` scales layer ``s % depth`` by 1000, so the
-    maximal rows of the runs lie in different layers, and zeroes one row of
-    the next layer; the last run may be all zeros."""
+    signed zeros among them, so rows tie often.  Run ``s`` scales layer
+    ``s % depth`` by 1000, so the maximal rows of the runs lie in different
+    layers, and zeroes one row of the next layer; the last run may be all
+    zeros."""
     runs = draw(st.integers(2, 6))
     d = draw(st.integers(1, 3))
     widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     shapes = nc.layer_shapes(widths, d + 1)
-    ints = st.integers(-3, 3).map(float)
+    ints = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
     layers = [draw(hnp.arrays(np.float64, (runs, *shape), elements=ints)) for shape in shapes]
     for s in range(runs):
         layers[s % len(shapes)][s] *= 1000.0
@@ -281,6 +291,51 @@ class TestMixedMaxStackedProperty:
         assert value.tobytes() == ref_value.tobytes()
         for g, ref in zip(grads, ref_grads, strict=True):
             assert g.tobytes() == ref.tobytes()
+
+
+@st.composite
+def penalty_groups(draw, runs):
+    """Consecutive groups over ``runs`` stacked networks, each of a drawn
+    kind (mixed max with ``p`` and ``q`` in {1, 1.5, 2, 3}).  A group takes
+    subgradients when one of its runs has a positive lambda, so a group may
+    hold runs with lambda 0 and still take them, or take none."""
+    cuts = sorted(draw(st.sets(st.integers(1, runs - 1), max_size=runs - 1)))
+    exps = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+    groups = []
+    for lo, hi in zip([0, *cuts], [*cuts, runs]):
+        kind = draw(st.sampled_from(["pesv", "weight_decay", "mixed_max"]))
+        p, q = (draw(exps), draw(exps)) if kind == "mixed_max" else (1.0, 2.0)
+        lams = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=hi - lo, max_size=hi - lo))
+        groups.append(norms.PenaltyGroup(slice(lo, hi), kind, p, q, max(lams) > 0.0))
+    return groups
+
+
+class TestPenaltyStackedProperty:
+    @DERANDOMIZED
+    @given(st.data())
+    def test_equals_per_group_calls(self, data):
+        """Path norms, values and subgradients have the bits of each group's
+        own stacked call, signs of zeros included.  The subgradient block is
+        reused, as training reuses it: stale values from an earlier call on
+        other networks must not survive."""
+        layers = data.draw(stacked_nets_picking_each_layer())
+        groups = data.draw(penalty_groups(len(layers[0])))
+        out = [np.full_like(w, np.nan) for w in layers]
+        norms.penalty_stacked([-7.0 * w[::-1] for w in layers], groups, out)
+        nu, value = norms.penalty_stacked(layers, groups, out)
+        assert nu.tobytes() == norms.pesv_stacked(layers, grad=False)[0].tobytes()
+        for runs, kind, p, q, grad in groups:
+            ws = [w[runs] for w in layers]
+            if kind == "pesv":
+                ref_value, ref_grads = norms.pesv_stacked(ws)
+            elif kind == "weight_decay":
+                ref_value, ref_grads = norms.weight_decay_stacked(ws)
+            else:
+                ref_value, ref_grads = norms.mixed_max_stacked(ws, p, q)
+            assert value[runs].tobytes() == ref_value.tobytes()
+            if grad:
+                for g, ref in zip(out, ref_grads, strict=True):
+                    assert g[runs].tobytes() == ref.tobytes()
 
 
 class TestRescaleNeuron:
