@@ -7,7 +7,6 @@ from .netcore import (
     NetParams,
     WidthVector,
     absorb_bias,
-    backprop,
     forward,
     max_nondecreasing_component,
     normalize_activation,
@@ -17,7 +16,6 @@ from .norms import (
     mixed_max_norm,
     pesv_matrixproduct_variant,
     pesv_norm,
-    pesv_subgradient,
     rescale_neuron,
     weight_decay_norm,
 )

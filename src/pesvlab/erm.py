@@ -80,8 +80,8 @@ class LossSpec:
         norm at most ``2 sqrt(2) R``; the ``y``-derivative is ``sqrt(2)``-
         Lipschitz in the pair, its second derivative is 1, and the modulus of
         convexity in ``f`` is exactly 1."""
-        if range_bound <= 0:
-            raise ValueError("range bound must be positive")
+        if not 0 < range_bound < math.inf:
+            raise ValueError("range bound must be positive and finite")
         return cls("mse", 2.0 * _SQRT2 * range_bound, _SQRT2, 1.0, 1.0, range_bound)
 
     @classmethod
@@ -96,8 +96,8 @@ class LossSpec:
 
     @classmethod
     def huber(cls, delta: float, range_bound: float) -> "LossSpec":
-        if delta <= 0 or range_bound <= 0:
-            raise ValueError("delta and range bound must be positive")
+        if not (0 < delta < math.inf and 0 < range_bound < math.inf):
+            raise ValueError("delta and range bound must be positive and finite")
         gamma = 1.0 if 2.0 * range_bound <= delta else 0.0
         return cls("huber", _SQRT2 * delta, _SQRT2, 1.0, gamma, range_bound, delta)
 
@@ -110,8 +110,8 @@ class LossSpec:
         modulus exists for unconstrained labels, so the recorded ``gamma``
         is the working-set one.
         """
-        if range_bound <= 0:
-            raise ValueError("range bound must be positive")
+        if not 0 < range_bound < math.inf:
+            raise ValueError("range bound must be positive and finite")
         r = range_bound
         fs = np.linspace(-r, r, grid)
         ys = np.array([-1.0, 1.0])
@@ -247,8 +247,8 @@ def sample_dataset(
 ) -> Dataset:
     """Draw ``y_i = f*(x_i) + eps_i`` with ``x_i`` uniform in the unit ball
     (or user-given) and independent Gaussian noise; deterministic per seed."""
-    if n < 1 or sigma_eps < 0:
-        raise ValueError("need n >= 1 and sigma_eps >= 0")
+    if not (n >= 1 and 0 <= sigma_eps < math.inf):
+        raise ValueError("need n >= 1 and a finite sigma_eps >= 0")
     d = teacher.teacher.input_dim
     rng = np.random.default_rng(seed)
     if inputs is not None:

@@ -24,7 +24,6 @@ __all__ = [
     "WidthVector",
     "absorb_bias",
     "as_layers",
-    "backprop",
     "expand_upstream",
     "forward",
     "forward_biased",
@@ -121,8 +120,8 @@ class ActivationSpec:
 
     @classmethod
     def leaky_relu(cls, alpha: float) -> "ActivationSpec":
-        if alpha <= 0:
-            raise ValueError("leaky slope must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("leaky slope must be positive and finite")
         return cls("leaky_relu", max(1.0, alpha), 0.0, alpha=alpha)
 
     @classmethod
@@ -565,23 +564,6 @@ def stacked_backprop(
     else:
         grads[0] = np.matmul(_per_run(delta, runs).transpose(0, 2, 1), x, out=grads[0])
     return grads
-
-
-def backprop(params, act: ActivationSpec, inputs, upstream) -> list[np.ndarray]:
-    """Gradient of ``sum_i upstream_i * f(x_i)`` with respect to every weight.
-
-    Returns matrices shaped exactly like the network layers.  Requires an
-    activation with an almost-everywhere derivative.
-    """
-    layers = [np.asarray(w, dtype=np.float64)[None] for w in as_layers(params)]
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    u = np.asarray(upstream, dtype=np.float64).ravel()
-    if u.shape[0] != x.shape[0]:
-        raise ValueError("one upstream value per sample is required")
-    _, hs, zs = stacked_forward(layers, act, x)
-    return [g[0] for g in stacked_backprop(layers, act, hs, zs, u)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -11,19 +12,14 @@ from .netcore import ActivationSpec, NetParams, UnsupportedActivationError, as_l
 __all__ = [
     "balance_relu",
     "mixed_max_norm",
-    "mixed_max_stacked",
-    "mixed_max_subgradient",
     "outgoing_weights",
     "PenaltyGroup",
     "penalty_stacked",
     "pesv_matrixproduct_variant",
     "pesv_norm",
     "pesv_stacked",
-    "pesv_subgradient",
     "rescale_neuron",
     "weight_decay_norm",
-    "weight_decay_stacked",
-    "weight_decay_subgradient",
 ]
 
 _HOMOGENEOUS_KINDS = {"relu", "leaky_relu", "identity"}
@@ -43,7 +39,7 @@ def pesv_norm(params) -> float:
     ``|a| |w^{L-1}| ... |w^2| v`` with ``v_k = ||w^1_k||_2``; for depth 2
     this is the scaled variation norm ``sum_k |a_k| ||w^1_k||_2``.
     """
-    return float(pesv_stacked(_stack_one(params), grad=False)[0][0])
+    return float(pesv_stacked(_stack_one(params))[0])
 
 
 def pesv_matrixproduct_variant(params) -> float:
@@ -77,21 +73,10 @@ def outgoing_weights(upper) -> list[np.ndarray]:
     return out
 
 
-def pesv_subgradient(params) -> list[np.ndarray]:
-    """A subgradient of :func:`pesv_norm`; zero at sign kinks and zero rows."""
-    return [g[0] for g in pesv_stacked(_stack_one(params))[1]]
-
-
-def pesv_stacked(layers, grad: bool = True) -> tuple[np.ndarray, list[np.ndarray] | None]:
+def pesv_stacked(layers) -> np.ndarray:
     """:func:`pesv_norm` of each of ``S`` networks stacked on a leading run
-    axis (``(S, rows, cols)`` layers), shape ``(S,)``, and with ``grad`` the
-    :func:`pesv_subgradient` of each, layer by layer; ``None`` without."""
-    abs_upper, row_norms, down, value = _pesv_pieces(layers)
-    if not grad:
-        return value, None
-    grads = [np.empty_like(w) for w in layers]
-    _pesv_grad(layers, abs_upper, row_norms, down, grads)
-    return value, grads
+    axis (``(S, rows, cols)`` layers), shape ``(S,)``."""
+    return _pesv_pieces(layers)[3]
 
 
 def _pesv_pieces(layers):
@@ -106,7 +91,8 @@ def _pesv_pieces(layers):
 
 
 def _pesv_grad(layers, abs_upper, row_norms, down, out) -> None:
-    """Write the path-norm subgradient of each stacked network into ``out``."""
+    """Write the path-norm subgradient of each stacked network into ``out``:
+    zero at sign kinks and on zero first-layer rows."""
     upvecs = outgoing_weights(abs_upper)
     norms_col = row_norms[..., None]
     if (row_norms > 0.0).all():
@@ -124,20 +110,12 @@ def _pesv_grad(layers, abs_upper, row_norms, down, out) -> None:
 
 def weight_decay_norm(params) -> float:
     """Sum of squares of every weight."""
-    return float(weight_decay_stacked(_stack_one(params), grad=False)[0][0])
+    return float(_weight_decay(_stack_one(params))[0])
 
 
-def weight_decay_subgradient(params) -> list[np.ndarray]:
-    return [g[0] for g in weight_decay_stacked(_stack_one(params))[1]]
-
-
-def weight_decay_stacked(
-    layers, grad: bool = True
-) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """:func:`weight_decay_norm` of each stacked network, and with ``grad``
-    its gradient, as :func:`pesv_stacked` does for the path norm."""
-    value = sum(np.add.reduce(w * w, axis=(1, 2)) for w in layers)
-    return value, [2.0 * w for w in layers] if grad else None
+def _weight_decay(layers) -> np.ndarray:
+    """:func:`weight_decay_norm` of each stacked network."""
+    return reduce(np.add, (np.add.reduce(w * w, axis=(1, 2)) for w in layers))
 
 
 def _row_pnorms(w: np.ndarray, p: float) -> np.ndarray:
@@ -151,23 +129,8 @@ def _row_pnorms(w: np.ndarray, p: float) -> np.ndarray:
 def mixed_max_norm(params, p: float = 1.0, q: float = 2.0) -> float:
     """Max over per-unit incoming norms: ``l_p`` rows for layers >= 2 joined
     with ``l_q`` rows of the first layer."""
-    return float(mixed_max_stacked(_stack_one(params), p, q, grad=False)[0][0])
-
-
-def mixed_max_subgradient(params, p: float = 1.0, q: float = 2.0) -> list[np.ndarray]:
-    """Subgradient of :func:`mixed_max_norm`: gradient of the first row
-    attaining the max, scanned upper layers first; zero elsewhere."""
-    return [g[0] for g in mixed_max_stacked(_stack_one(params), p, q)[1]]
-
-
-def mixed_max_stacked(
-    layers, p: float = 1.0, q: float = 2.0, grad: bool = True
-) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """:func:`mixed_max_norm` of each stacked network, and with ``grad`` the
-    :func:`mixed_max_subgradient` of each, as :func:`pesv_stacked` does for
-    the path norm."""
-    grads = [np.empty_like(w) for w in layers] if grad else None
-    return _mixed_max(layers, p, q, _scan_row_norms(layers, p, q), grads), grads
+    layers = _stack_one(params)
+    return float(_mixed_max(layers, p, q, _scan_row_norms(layers, p, q), None)[0])
 
 
 def _scan_row_norms(layers, p, q, abs_upper=None, l2_rows=None) -> list[np.ndarray]:
@@ -187,7 +150,8 @@ def _scan_row_norms(layers, p, q, abs_upper=None, l2_rows=None) -> list[np.ndarr
 
 def _mixed_max(layers, p, q, row_norms, out) -> np.ndarray:
     """The mixed max of each stacked network from its scan-order row norms;
-    with ``out``, its subgradient is written there."""
+    with ``out``, its subgradient is written there: the gradient of the
+    first row attaining the max, zero elsewhere."""
     flat = np.concatenate(row_norms, axis=-1)
     pick = flat.argmax(axis=-1)  # the first row attaining the max
     runs = np.arange(flat.shape[0])
@@ -232,11 +196,11 @@ def penalty_stacked(layers, groups, out) -> tuple[np.ndarray, np.ndarray]:
     group with ``grad`` is written into its slices of ``out``, ``(S, rows,
     cols)`` arrays; the slices of the other groups may be written too.
 
-    Every number has the bits of the group's own :func:`pesv_stacked`,
-    :func:`weight_decay_stacked` or :func:`mixed_max_stacked` call: the path
-    norm's ``|layers[1:]|``, first-layer row 2-norms and down chain are
-    computed once for the whole batch and sliced for each group, and the
-    mixed max takes its ``l_1`` and ``l_2`` rows from them."""
+    Every number has the bits of the group computed alone, by a call on its
+    own slices: the path norm's ``|layers[1:]|``, first-layer row 2-norms
+    and down chain are computed once for the whole batch and sliced for
+    each group, and the mixed max takes its ``l_1`` and ``l_2`` rows from
+    them."""
     abs_upper, l2_rows, down, nu = _pesv_pieces(layers)
     if any(grad for _, kind, _, _, grad in groups if kind == "pesv"):
         # For the whole batch, in fewer calls than group by group; the other
@@ -249,7 +213,7 @@ def penalty_stacked(layers, groups, out) -> tuple[np.ndarray, np.ndarray]:
         ws = [w[runs] for w in layers]
         gs = [g[runs] for g in out] if grad else None
         if kind == "weight_decay":
-            value[runs] = weight_decay_stacked(ws, grad=False)[0]
+            value[runs] = _weight_decay(ws)
             if grad:
                 for w, g in zip(ws, gs):
                     np.multiply(w, 2.0, out=g)

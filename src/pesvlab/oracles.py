@@ -321,7 +321,7 @@ def random_unit_norm_nets(
     for r, c in shapes:
         layers.append(flat[:, start : start + r * c].reshape(count, r, c))
         start += r * c
-    nu = norms.pesv_stacked(layers, grad=False)[0]
+    nu = norms.pesv_stacked(layers)
     good = nu > 0
     if good.all():
         layers[-1] = layers[-1] / nu[:, None, None]
@@ -446,7 +446,7 @@ def rademacher_mc(
             step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):
                 w += step[:, None, None] * g
-            nu = norms.pesv_stacked(arrs, grad=False)[0][:, None, None]
+            nu = norms.pesv_stacked(arrs)[:, None, None]
             np.divide(arrs[-1], nu, out=arrs[-1], where=nu > 1.0)
         per_trial[t0 : t0 + k] = best
 

@@ -55,14 +55,15 @@ class BoundConfig:
     C1: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.d < 1 or self.L < 2:
-            raise ValueError("need d >= 1 and L >= 2")
-        if self.L_sigma <= 0 or self.c <= 0 or self.C <= 0 or self.C1 <= 0:
-            raise ValueError("L_sigma, c, C, C1 must be positive")
-        if self.sigma_eps < 0 or self.M < 0:
-            raise ValueError("sigma_eps and M must be nonnegative")
+        # Each check is written so that nan fails it.
+        if not 2 <= self.n < math.inf:
+            raise ValueError("need a finite n >= 2")
+        if not (1 <= self.d < math.inf and 2 <= self.L < math.inf):
+            raise ValueError("need a finite d >= 1 and L >= 2")
+        if not all(0 < v < math.inf for v in (self.L_sigma, self.c, self.C, self.C1)):
+            raise ValueError("L_sigma, c, C, C1 must be positive and finite")
+        if not (0 <= self.sigma_eps < math.inf and 0 <= self.M < math.inf):
+            raise ValueError("sigma_eps and M must be nonnegative and finite")
 
     @property
     def D_sigma(self) -> float:

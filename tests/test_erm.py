@@ -83,6 +83,19 @@ class TestLossSpec:
         np.testing.assert_allclose(lhs, 0.5 * (f - fs) ** 2, atol=1e-12)
         assert loss.gamma == 1.0 and loss.B == 1.0
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: erm.LossSpec.mse(math.nan), lambda: erm.LossSpec.mse(math.inf),
+         lambda: erm.LossSpec.huber(math.nan, 2.0), lambda: erm.LossSpec.huber(math.inf, 2.0),
+         lambda: erm.LossSpec.huber(1.0, math.nan), lambda: erm.LossSpec.huber(1.0, math.inf),
+         lambda: erm.LossSpec.logistic(math.nan), lambda: erm.LossSpec.logistic(math.inf)],
+        ids=["mse-nan", "mse-inf", "huber-delta-nan", "huber-delta-inf", "huber-range-nan",
+             "huber-range-inf", "logistic-nan", "logistic-inf"],
+    )
+    def test_rejects_non_finite_constants(self, make):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make()
+
     @pytest.mark.parametrize("spec", ["huber:nan", "huber:inf"])
     def test_parse_rejects_non_finite_arguments(self, spec):
         with pytest.raises(ValueError, match="non-finite argument"):
@@ -141,6 +154,11 @@ class TestTeacherAndDataset:
         a, b = (erm.sample_dataset(teacher, 32, 0.2, seed=7) for _ in range(2))
         assert a.inputs.tobytes() == b.inputs.tobytes()
         assert a.targets.tobytes() == b.targets.tobytes()
+
+    @pytest.mark.parametrize("sigma_eps", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_noise_level(self, sigma_eps):
+        with pytest.raises(ValueError, match="finite sigma_eps"):
+            erm.sample_dataset(documented_teacher(d=2), 4, sigma_eps)
 
     def test_user_inputs_validated(self):
         teacher = documented_teacher(d=2)
@@ -287,16 +305,35 @@ class TestTrain:
         assert medians[1] <= medians[0]
 
 
-_SUBGRADIENTS = {
-    "pesv": lambda reg, w: norms.pesv_subgradient(w),
-    "weight_decay": lambda reg, w: norms.weight_decay_subgradient(w),
-    "mixed_max": lambda reg, w: norms.mixed_max_subgradient(w, reg.p, reg.q),
-}
+def backprop_2d(layers, act, x, upstream):
+    """Gradient of ``sum_i upstream_i f(x_i)`` for one network, by plain
+    backpropagation over 2-D arrays."""
+    hs, zs = [x], []
+    for w in layers[:-1]:
+        zs.append(hs[-1] @ w.T)
+        hs.append(act(zs[-1]))
+    grads = [None] * len(layers)
+    delta = upstream[:, None]
+    for k in range(len(layers) - 1, -1, -1):
+        grads[k] = delta.T @ hs[k]
+        if k:
+            delta = (delta @ layers[k]) * act.derivative(zs[k - 1])
+    return grads
+
+
+def penalty_subgradient(reg, layers):
+    """The penalty subgradient of one network, from a one-run
+    ``norms.penalty_stacked`` call."""
+    stacked = [w[None] for w in layers]
+    out = [np.empty_like(w) for w in stacked]
+    group = norms.PenaltyGroup(slice(0, 1), reg.kind, reg.p, reg.q)
+    norms.penalty_stacked(stacked, [group], out)
+    return [g[0] for g in out]
 
 
 def single_loop_train(init, dataset, lam, loss, reg, opt, act):
-    """Reference: one network at a time, through the 2-D public functions
-    (forward, backprop, the penalty value and subgradient)."""
+    """Reference: one network at a time, through 2-D arrays (forward, a
+    test-local backprop, the penalty value and subgradient)."""
     x, y = dataset.inputs, dataset.targets
     arrs = [np.array(w) for w in init.layers]
     best = [w.copy() for w in arrs]
@@ -314,9 +351,9 @@ def single_loop_train(init, dataset, lam, loss, reg, opt, act):
         if obj < best_obj:
             best_obj = obj
             best = [w.copy() for w in arrs]
-        grads = nc.backprop(arrs, act, x, loss.dpred(preds, y) / dataset.n)
+        grads = backprop_2d(arrs, act, x, loss.dpred(preds, y) / dataset.n)
         if lam > 0.0:
-            for g, r in zip(grads, _SUBGRADIENTS[reg.kind](reg, arrs)):
+            for g, r in zip(grads, penalty_subgradient(reg, arrs)):
                 g += lam * r
         if opt.tolerance > 0.0:
             gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))

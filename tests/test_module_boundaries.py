@@ -95,16 +95,33 @@ def test_no_private_access_across_modules(module):
     assert not leaks
 
 
-@pytest.mark.parametrize("module", sorted(TREES))
-def test_all_names_exist(module):
-    exported = []
+def exported(module: str) -> list[str]:
+    """The names a module lists in ``__all__``, or none without one."""
     for node in TREES[module].body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = ast.literal_eval(node.value)
-    missing = [name for name in exported if name not in BOUND[module]]
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_all_names_exist(module):
+    missing = [name for name in exported(module) if name not in BOUND[module]]
     assert not missing
+
+
+def test_package_exports_are_module_exports():
+    """Every name the package imports from a module is in that module's
+    ``__all__``, so a name removed from a module leaves the package too."""
+    unlisted = [
+        f"__init__.py:{node.lineno} imports {node.module}.{a.name}"
+        for node in TREES["__init__"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+        if a.name not in exported(node.module)
+    ]
+    assert not unlisted
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

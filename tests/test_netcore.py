@@ -1,6 +1,7 @@
 """Network evaluation, gradients, and structural transforms."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ class TestActivationSpec:
     def test_leaky_requires_positive_slope(self):
         with pytest.raises(ValueError):
             ActivationSpec.leaky_relu(-0.2)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_leaky_rejects_non_finite_slope(self, alpha):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ActivationSpec.leaky_relu(alpha)
 
     @pytest.mark.parametrize("spec", ["leaky_relu:nan", "leaky_relu:inf", "leaky_relu(-inf)"])
     def test_spec_rejects_non_finite_arguments(self, spec):
@@ -134,62 +140,76 @@ class TestForward:
             )
 
 
+STACKED_ACTS = {
+    "relu": ActivationSpec.relu(),
+    "leaky": ActivationSpec.leaky_relu(0.1),
+    "identity": ActivationSpec.identity(),
+    "tabulated": ActivationSpec.tabulated([-2.0, -0.5, 0.5, 2.0], [-1.0, 0.0, 0.3, 2.5]),
+}
+
+
+def stacked_grads(layers, act, x, u):
+    """Gradients of ``sum_i u_i f(x_i)`` for stacked networks evaluated on
+    ``x`` by :func:`nc.stacked_forward` and :func:`nc.stacked_backprop`."""
+    _, hs, zs = nc.stacked_forward(layers, act, x)
+    return nc.stacked_backprop(layers, act, hs, zs, u)
+
+
 class TestBackprop:
     def test_zero_weights_zero_gradient(self):
-        p = NetParams.from_arrays([np.zeros((2, 3)), np.zeros((1, 2))])
-        grads = nc.backprop(p, ActivationSpec.relu(), np.ones((4, 3)), np.ones(4))
+        layers = [np.zeros((1, 2, 3)), np.zeros((1, 1, 2))]
+        grads = stacked_grads(layers, ActivationSpec.relu(), np.ones((4, 3)), np.ones(4))
         for g in grads:
             assert np.all(g == 0.0)
 
     def test_linear_model_gradient(self):
-        p = NetParams.from_arrays([np.array([[1.0, 0.0]]), np.array([[1.0]])])
-        g = nc.backprop(p, ActivationSpec.identity(), np.array([[3.0, 1.0]]), [1.0])
-        np.testing.assert_allclose(g[1], [[3.0]])
-        np.testing.assert_allclose(g[0], [[3.0, 1.0]])
+        layers = [np.array([[[1.0, 0.0]]]), np.array([[[1.0]]])]
+        g = stacked_grads(layers, ActivationSpec.identity(), np.array([[3.0, 1.0]]), np.ones(1))
+        np.testing.assert_allclose(g[1], [[[3.0]]])
+        np.testing.assert_allclose(g[0], [[[3.0, 1.0]]])
 
-    @pytest.mark.parametrize("kind", ["relu", "leaky", "identity", "tabulated"])
-    def test_matches_central_differences(self, kind):
-        """Finite-difference oracle away from activation kinks."""
-        acts = {
-            "relu": ActivationSpec.relu(),
-            "leaky": ActivationSpec.leaky_relu(0.1),
-            "identity": ActivationSpec.identity(),
-            "tabulated": ActivationSpec.tabulated(
-                [-6.0, -0.5, 0.5, 6.0], [-1.2, -0.1, 0.4, 4.0]
-            ),
-        }
-        act = acts[kind]
-        rng = np.random.default_rng(7)
-        layers = [rng.normal(size=(3, 4)), rng.normal(size=(2, 3)), rng.normal(size=(1, 2))]
-        X = rng.normal(size=(6, 4)) * 0.7
-        u = rng.normal(size=6)
+    # Kinks of each activation, away from which central differences hold.
+    KINKS = dict(relu=[0.0], leaky=[0.0], identity=[], tabulated=STACKED_ACTS["tabulated"].grid[0])
+
+    @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
+    @pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
+    def test_matches_central_differences(self, kind, per_run):
+        """Every run of an S = 3 stack against central differences of
+        :func:`nc.forward` on that run alone, away from activation kinks.
+        Shared inputs take the side-by-side layout with a one-GEMM first
+        layer (3 runs of 8 units); per-run inputs take one product per run,
+        as training does."""
+        act = STACKED_ACTS[kind]
+        runs, widths, n, d = 3, (8, 4), 5, 3
+        rng = np.random.default_rng(8)
+        layers = [rng.normal(size=(runs, *shape)) for shape in nc.layer_shapes(widths, d + 1)]
+        X = rng.normal(size=(runs, n, d + 1) if per_run else (n, d + 1)) * 0.7
+        u = rng.normal(size=(runs, n))
+        _, hs, zs = nc.stacked_forward(layers, act, X)
         # keep every preactivation clear of kinks at step 1e-4
-        p = NetParams.from_arrays(layers)
-        h = X
-        for w in layers[:-1]:
-            z = h @ w.T
-            assert np.min(np.abs(z)) > 1e-2
-            h = act(z)
-        grads = nc.backprop(p, act, X, u)
+        for z in zs:
+            for kink in self.KINKS[kind]:
+                assert np.min(np.abs(z - kink)) > 1e-2
+        grads = nc.stacked_backprop(layers, act, hs, zs, u)
         eps = 1e-4
-        for li in range(len(layers)):
-            for i in range(layers[li].shape[0]):
-                for j in range(layers[li].shape[1]):
-                    hi = [w.copy() for w in layers]
-                    lo = [w.copy() for w in layers]
-                    hi[li][i, j] += eps
-                    lo[li][i, j] -= eps
-                    fd = (
-                        float(u @ nc.forward(hi, act, X))
-                        - float(u @ nc.forward(lo, act, X))
-                    ) / (2 * eps)
-                    assert abs(fd - grads[li][i, j]) <= 1e-5 * max(abs(fd), 1.0)
+        for s in range(runs):
+            net = [w[s] for w in layers]
+            x = X[s] if per_run else X
+            for li, w in enumerate(net):
+                for idx in np.ndindex(w.shape):
+                    hi = [v.copy() for v in net]
+                    lo = [v.copy() for v in net]
+                    hi[li][idx] += eps
+                    lo[li][idx] -= eps
+                    up, down = (u[s] @ nc.forward(v, act, x) for v in (hi, lo))
+                    fd = (up - down) / (2 * eps)
+                    assert abs(fd - grads[li][s][idx]) <= 1e-5 * max(abs(fd), 1.0)
 
     def test_tabulated_without_derivative_unsupported(self):
         act = ActivationSpec.tabulated([-1.0, 1.0], [0.0, 1.0], differentiable=False)
-        p = NetParams.from_arrays([np.ones((1, 2)), np.ones((1, 1))])
+        layers = [np.ones((1, 1, 2)), np.ones((1, 1, 1))]
         with pytest.raises(UnsupportedActivationError):
-            nc.backprop(p, act, np.ones((1, 2)), [1.0])
+            stacked_grads(layers, act, np.ones((1, 2)), np.ones(1))
 
 
 def same_bits(a, b) -> bool:
@@ -212,14 +232,6 @@ def stacked_case(rng, runs, widths, n, d, per_run):
     X[..., -1] = 1.0
     u = rng.choice([-1.0, 1.0], size=shape[:-1])
     return layers, X, u
-
-
-STACKED_ACTS = {
-    "relu": ActivationSpec.relu(),
-    "leaky": ActivationSpec.leaky_relu(0.1),
-    "identity": ActivationSpec.identity(),
-    "tabulated": ActivationSpec.tabulated([-2.0, -0.5, 0.5, 2.0], [-1.0, 0.0, 0.3, 2.5]),
-}
 
 
 class TestStackedBuffers:

@@ -13,6 +13,20 @@ from pesvlab.netcore import ActivationSpec, NetParams, UnsupportedActivationErro
 from test_netcore import random_net
 
 
+def penalty_alone(layers, kind, p=1.0, q=2.0):
+    """Values and subgradients of ``(S, rows, cols)`` stacked networks under
+    one penalty: :func:`norms.penalty_stacked` with a single group."""
+    out = [np.empty_like(w) for w in layers]
+    group = norms.PenaltyGroup(slice(0, len(layers[0])), kind, p, q)
+    return norms.penalty_stacked(layers, [group], out)[1], out
+
+
+def subgradient(params, kind, p=1.0, q=2.0):
+    """The subgradient of one network under one penalty."""
+    layers = [np.asarray(w, dtype=np.float64)[None] for w in nc.as_layers(params)]
+    return [g[0] for g in penalty_alone(layers, kind, p, q)[1]]
+
+
 class TestPesvNorm:
     def test_zero_weights(self):
         p = NetParams.from_arrays([np.zeros((3, 4)), np.zeros((1, 3))])
@@ -72,13 +86,13 @@ class TestMatrixProductVariant:
 class TestPesvSubgradient:
     def test_two_layer_hand_eval(self):
         p = NetParams.from_arrays([np.array([[3.0, 4.0]]), np.array([[2.0]])])
-        g = norms.pesv_subgradient(p)
+        g = subgradient(p, "pesv")
         np.testing.assert_allclose(g[1], [[5.0]])
         np.testing.assert_allclose(g[0], [[2 * 0.6, 2 * 0.8]])
 
     def test_zero_params_zero_subgradient(self):
         p = NetParams.from_arrays([np.zeros((2, 3)), np.zeros((1, 2))])
-        for g in norms.pesv_subgradient(p):
+        for g in subgradient(p, "pesv"):
             assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self):
@@ -89,7 +103,7 @@ class TestPesvSubgradient:
             np.abs(rng.normal(size=(2, 3))) + 0.1,
             np.abs(rng.normal(size=(1, 2))) + 0.1,
         ]
-        g = norms.pesv_subgradient(layers)
+        g = subgradient(layers, "pesv")
         eps = 1e-6
         for li in range(3):
             for i in range(layers[li].shape[0]):
@@ -135,7 +149,7 @@ class TestPesvSubgradientProperty:
     @DERANDOMIZED
     @given(signed_nets_off_kinks())
     def test_matches_central_differences(self, layers):
-        g = norms.pesv_subgradient(layers)
+        g = subgradient(layers, "pesv")
         f = norms.pesv_norm(layers)
         for li, w in enumerate(layers):
             for idx in np.ndindex(w.shape):
@@ -160,7 +174,7 @@ class TestWeightDecay:
     def test_subgradient_is_gradient(self):
         rng = np.random.default_rng(4)
         p = random_net(rng, (3,), 2)
-        for g, w in zip(norms.weight_decay_subgradient(p), p.layers):
+        for g, w in zip(subgradient(p, "weight_decay"), p.layers):
             np.testing.assert_array_equal(g, 2.0 * w)
 
 
@@ -185,8 +199,6 @@ class TestMixedMaxNorm:
         net = NetParams.from_arrays([np.ones((1, 2)), np.ones((1, 1))])
         with pytest.raises(ValueError, match="at least 1"):
             norms.mixed_max_norm(net, p, q)
-        with pytest.raises(ValueError, match="at least 1"):
-            norms.mixed_max_subgradient(net, p, q)
         layers = [w[None] for w in net.layers]
         group = norms.PenaltyGroup(slice(0, 1), "mixed_max", p, q)
         with pytest.raises(ValueError, match="at least 1"):
@@ -195,7 +207,7 @@ class TestMixedMaxNorm:
     def test_subgradient_matches_fd(self):
         rng = np.random.default_rng(5)
         layers = [rng.normal(size=(3, 4)), rng.normal(size=(1, 3))]
-        g = norms.mixed_max_subgradient(layers, 1, 2)
+        g = subgradient(layers, "mixed_max", 1, 2)
         eps = 1e-7
         base = norms.mixed_max_norm(layers, 1, 2)
         # directional check: moving along the subgradient increases the max norm
@@ -211,17 +223,15 @@ class TestMixedMaxNorm:
         also when stacked next to a run without a tie."""
         tie = [np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([[2.0, -3.0]])]
         no_tie = [np.array([[6.0, 8.0], [0.0, 1.0]]), np.array([[2.0, -3.0]])]
-        g = norms.mixed_max_subgradient(tie, 1, 2)
+        g = subgradient(tie, "mixed_max", 1, 2)
         np.testing.assert_array_equal(g[0], np.zeros((2, 2)))
         np.testing.assert_array_equal(g[1], [[1.0, -1.0]])
-        value, stacked = norms.mixed_max_stacked(
-            [np.stack(ws) for ws in zip(tie, no_tie)], 1, 2
-        )
+        value, stacked = penalty_alone([np.stack(ws) for ws in zip(tie, no_tie)], "mixed_max", 1, 2)
         assert list(value) == [5.0, 10.0]
         for k in range(2):
             np.testing.assert_array_equal(stacked[k][0], g[k])
             np.testing.assert_array_equal(
-                stacked[k][1], norms.mixed_max_subgradient(no_tie, 1, 2)[k]
+                stacked[k][1], subgradient(no_tie, "mixed_max", 1, 2)[k]
             )
         np.testing.assert_array_equal(stacked[0][1], [[0.6, 0.8], [0.0, 0.0]])
 
@@ -286,7 +296,7 @@ class TestMixedMaxStackedProperty:
         st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     )
     def test_equals_one_row_at_a_time(self, layers, p, q):
-        value, grads = norms.mixed_max_stacked(layers, p, q)
+        value, grads = penalty_alone(layers, "mixed_max", p, q)
         ref_value, ref_grads = mixed_max_one_row_at_a_time(layers, p, q)
         assert value.tobytes() == ref_value.tobytes()
         for g, ref in zip(grads, ref_grads, strict=True):
@@ -314,8 +324,10 @@ class TestPenaltyStackedProperty:
     @DERANDOMIZED
     @given(st.data())
     def test_equals_per_group_calls(self, data):
-        """Path norms, values and subgradients have the bits of each group's
-        own stacked call, signs of zeros included.  The subgradient block is
+        """Path norms, values and subgradients have the bits of each group
+        computed alone, by a call on its own slices, signs of zeros included.
+        Those calls share no pieces with other groups, and no other group
+        writes over their subgradients.  The subgradient block is
         reused, as training reuses it: stale values from an earlier call on
         other networks must not survive."""
         layers = data.draw(stacked_nets_picking_each_layer())
@@ -323,15 +335,9 @@ class TestPenaltyStackedProperty:
         out = [np.full_like(w, np.nan) for w in layers]
         norms.penalty_stacked([-7.0 * w[::-1] for w in layers], groups, out)
         nu, value = norms.penalty_stacked(layers, groups, out)
-        assert nu.tobytes() == norms.pesv_stacked(layers, grad=False)[0].tobytes()
+        assert nu.tobytes() == norms.pesv_stacked(layers).tobytes()
         for runs, kind, p, q, grad in groups:
-            ws = [w[runs] for w in layers]
-            if kind == "pesv":
-                ref_value, ref_grads = norms.pesv_stacked(ws)
-            elif kind == "weight_decay":
-                ref_value, ref_grads = norms.weight_decay_stacked(ws)
-            else:
-                ref_value, ref_grads = norms.mixed_max_stacked(ws, p, q)
+            ref_value, ref_grads = penalty_alone([w[runs] for w in layers], kind, p, q)
             assert value[runs].tobytes() == ref_value.tobytes()
             if grad:
                 for g, ref in zip(out, ref_grads, strict=True):

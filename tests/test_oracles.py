@@ -363,7 +363,7 @@ def rademacher_mc_one_trial_at_a_time(
             step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):
                 w += step[:, None, None] * g
-            nu = norms.pesv_stacked(arrs, grad=False)[0][:, None, None]
+            nu = norms.pesv_stacked(arrs)[:, None, None]
             np.divide(arrs[-1], nu, out=arrs[-1], where=nu > 1.0)
         per_trial[t] = best
     mean = float(per_trial.mean())
@@ -495,7 +495,7 @@ class TestRandomUnitNormNets:
     )
     def test_equals_one_net_at_a_time(self, widths, in_size, count):
         got = self.assert_same_draws(widths, in_size, count, seed=count)
-        np.testing.assert_allclose(norms.pesv_stacked(got, grad=False)[0], 1.0, rtol=1e-14)
+        np.testing.assert_allclose(norms.pesv_stacked(got), 1.0, rtol=1e-14)
 
     def test_single_net_wrapper(self):
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
@@ -514,9 +514,8 @@ class TestRandomUnitNormNets:
         markers = raw[0][[2, 6], 0, 0]
         real = norms.pesv_stacked
 
-        def zero_at_markers(layers, grad=True):
-            value, grads = real(layers, grad)
-            return np.where(np.isin(layers[0][:, 0, 0], markers), 0.0, value), grads
+        def zero_at_markers(layers):
+            return np.where(np.isin(layers[0][:, 0, 0], markers), 0.0, real(layers))
 
         monkeypatch.setattr(norms, "pesv_stacked", zero_at_markers)
         got = self.assert_same_draws(widths, in_size, count, seed=4)

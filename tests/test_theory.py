@@ -412,6 +412,17 @@ class TestBoundConfigValidation:
         with pytest.raises(ValueError):
             BoundConfig(n=100, d=1, L=2, sigma_eps=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", math.nan), ("n", math.inf), ("d", math.nan), ("d", math.inf), ("L", math.nan),
+         ("L", math.inf), ("L_sigma", math.nan), ("L_sigma", math.inf), ("sigma_eps", math.nan),
+         ("sigma_eps", math.inf), ("M", math.nan), ("M", math.inf), ("c", math.nan),
+         ("c", math.inf), ("C", math.nan), ("C", math.inf), ("C1", math.nan), ("C1", math.inf)],
+    )
+    def test_rejects_non_finite_constants(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoundConfig(**{"n": 100, "d": 2, "L": 2, field: value})
+
     def test_d_sigma(self):
         assert BoundConfig(n=100, d=1, L=3, L_sigma=2.0).D_sigma == 8.0
 
