@@ -278,8 +278,8 @@ class Penalty:
     def __post_init__(self) -> None:
         if self.kind not in _PENALTIES:
             raise ValueError(f"unknown regularizer {self.kind!r}")
-        if not (self.p >= 1.0 and self.q >= 1.0):
-            raise ValueError("p and q must be at least 1")
+        if not (1.0 <= self.p < math.inf and 1.0 <= self.q < math.inf):
+            raise ValueError("p and q must be finite and at least 1")
 
     @classmethod
     def parse(cls, text: str) -> "Penalty":

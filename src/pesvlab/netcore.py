@@ -100,8 +100,8 @@ class ActivationSpec:
     def __post_init__(self) -> None:
         if self.kind not in _ACTIVATIONS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.lipschitz <= 0:
-            raise ValueError("Lipschitz constant must be positive")
+        if not 0 < self.lipschitz < math.inf:
+            raise ValueError("Lipschitz constant must be positive and finite")
 
     @classmethod
     def parse(cls, text: str) -> "ActivationSpec":
@@ -135,6 +135,8 @@ class ActivationSpec:
         ys = tuple(float(v) for v in ys)
         if len(xs) < 2 or len(xs) != len(ys):
             raise ValueError("need matching grids with at least two knots")
+        if not all(math.isfinite(v) for v in xs + ys):
+            raise ValueError("grid knots must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("grid must be strictly increasing")
         slopes = np.diff(ys) / np.diff(xs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import NamedTuple
 
@@ -138,8 +139,8 @@ def _scan_row_norms(layers, p, q, abs_upper=None, l2_rows=None) -> list[np.ndarr
     above the first, then ``l_q`` rows of the first.  Given ``|layers[1:]|``
     and the first layer's ``l_2`` rows, the ``l_1`` and ``l_2`` rows are
     taken from them: the same calls as ``_row_pnorms``, so the same bits."""
-    if not (p >= 1.0 and q >= 1.0):
-        raise ValueError("p and q must be at least 1")
+    if not (1.0 <= p < math.inf and 1.0 <= q < math.inf):
+        raise ValueError("p and q must be finite and at least 1")
     if p == 1.0 and abs_upper is not None:
         rows = [np.add.reduce(a, axis=-1) for a in abs_upper]
     else:

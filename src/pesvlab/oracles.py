@@ -1,7 +1,9 @@
 """Independent brute-force and Monte Carlo checks of the structural claims.
 
-Every oracle is pure given its seed and returns a small result object with
-a ``report()`` dict of the form ``{name, inputs, outputs, pass, tolerances}``.
+Every oracle is pure given its seed and returns a small result object.  The
+verification suites at the end of the module run the oracles and build each
+``verify`` record, ``{name, inputs, outputs, pass, tolerances}``, from the
+results through one helper, ``_check``.
 """
 
 from __future__ import annotations
@@ -76,15 +78,6 @@ class Lemma1Result:
     lhs2: float
     bound: float
     passed: bool
-
-    def report(self) -> dict:
-        return {
-            "name": "combinatoric_average_inverse_part",
-            "inputs": {"m": self.m, "n": self.n},
-            "outputs": {"lhs1": self.lhs1, "lhs2": self.lhs2, "bound": self.bound},
-            "pass": self.passed,
-            "tolerances": {"comparison": "exact rational"},
-        }
 
 
 def _check_mn(m: int, n: int) -> None:
@@ -174,20 +167,6 @@ class Lemma2Result:
     passed: bool
     paths_agree: bool | None
 
-    def report(self) -> dict:
-        return {
-            "name": "combinatoric_occupancy_inverse_sum",
-            "inputs": {"m": self.m, "n": self.n},
-            "outputs": {
-                "lhs": self.lhs,
-                "lhs_enumeration": self.lhs_enumeration,
-                "lhs_reduction": self.lhs_reduction,
-                "bound": self.bound,
-            },
-            "pass": self.passed,
-            "tolerances": {"dual_path_agreement": "exact rational"},
-        }
-
 
 def lemma2_exact(m: int, n: int, enumerate_limit: int = 14) -> Lemma2Result:
     """Average of ``sum_i 1/k_i`` over multinomial cell counts versus ``5m/n``.
@@ -259,15 +238,6 @@ class MaureyResult:
     trials: int
     m: int
     passed: bool
-
-    def report(self) -> dict:
-        return {
-            "name": "maurey_sampling_error",
-            "inputs": {"m": self.m, "trials": self.trials, "radius": self.radius},
-            "outputs": {"mean_sq_error": self.mean_sq_error, "bound": self.bound},
-            "pass": self.passed,
-            "tolerances": {"mc_slack": "R^2/m * (1 + 3/sqrt(trials))"},
-        }
 
 
 def maurey_sampling_check(
@@ -351,21 +321,6 @@ class RademacherMCResult:
     c_hat: float
     trials: int
     passed: bool
-
-    def report(self) -> dict:
-        return {
-            "name": "rademacher_supremum_mc",
-            "inputs": {"trials": self.trials},
-            "outputs": {
-                "estimate": self.estimate,
-                "stderr": self.stderr,
-                "bound": self.bound,
-                "ratio": self.ratio,
-                "c_hat": self.c_hat,
-            },
-            "pass": self.passed,
-            "tolerances": {"direction": "estimate lower-bounds the supremum"},
-        }
 
 
 # Most values one hidden layer's ``(S, n, m)`` array may hold in a block of
@@ -479,18 +434,6 @@ class PackingResult:
     samples: int
     passed: bool
 
-    def report(self) -> dict:
-        return {
-            "name": "sup_norm_packing_vs_entropy",
-            "inputs": {"delta": self.delta, "samples": self.samples},
-            "outputs": {
-                "packing_count": self.packing_count,
-                "entropy_bound": self.entropy_bound,
-            },
-            "pass": self.passed,
-            "tolerances": {"comparison": "log(count) <= entropy(delta/2)"},
-        }
-
 
 def _ball_grid(d: int, spacing: float) -> np.ndarray:
     axis = np.arange(-1.0, 1.0 + spacing / 2, spacing)
@@ -582,15 +525,6 @@ class PointwiseResult:
     max_ratio: float
     probes: int
     passed: bool
-
-    def report(self) -> dict:
-        return {
-            "name": "pointwise_output_vs_path_norm",
-            "inputs": {"probes": self.probes},
-            "outputs": {"max_ratio": self.max_ratio},
-            "pass": self.passed,
-            "tolerances": {"ratio": "<= 1 + 1e-9"},
-        }
 
 
 def pointwise_norm_check(
@@ -693,19 +627,6 @@ class CollinearityResult:
     global_min: float
     boundary_neurons: tuple[int, ...]
 
-    def report(self) -> dict:
-        return {
-            "name": "same_cone_first_layer_collinearity",
-            "inputs": {"groups": len(self.per_group)},
-            "outputs": {
-                "global_min_abs_cosine": self.global_min,
-                "boundary_neurons": list(self.boundary_neurons),
-                "per_group": [list(g) for g in self.per_group],
-            },
-            "pass": None,
-            "tolerances": {"boundary": "preactivation within 1e-6 of zero"},
-        }
-
 
 def collinearity_report(
     params,
@@ -773,19 +694,6 @@ class EquivalenceResult:
     rows: tuple[dict, ...]
     median_gap_weight_decay: float
     median_gap_mixed_max: float
-
-    def report(self) -> dict:
-        return {
-            "name": "regularizer_equivalence_gaps",
-            "inputs": {"seeds": len(self.rows)},
-            "outputs": {
-                "median_gap_weight_decay": self.median_gap_weight_decay,
-                "median_gap_mixed_max": self.median_gap_mixed_max,
-                "rows": [dict(r) for r in self.rows],
-            },
-            "pass": None,
-            "tolerances": {"documented_gap": "median |gap| <= 5% (soft)"},
-        }
 
 
 def equivalence_check_relu(
@@ -934,90 +842,123 @@ def run_equivalence_experiment(cfg: dict | None = None) -> EquivalenceResult:
     )
 
 
+def _check(name: str, inputs: dict, outputs: dict, passed: bool, tolerances: dict) -> dict:
+    """One ``verify`` record; ``tolerances`` states the rule that decided ``passed``."""
+    return {
+        "name": name,
+        "inputs": inputs,
+        "outputs": outputs,
+        "pass": bool(passed),
+        "tolerances": tolerances,
+    }
+
+
 def _lemma_checks() -> list[dict]:
     ok1, worst1 = lemma1_scan(40)
     ok2, agree2, worst2 = lemma2_scan(12)
     return [
-        {
-            "name": "lemma_binomial_tail_scan",
-            "inputs": {"range": "2<=m<=n<=40"},
-            "outputs": {"worst_ratio": worst1},
-            "pass": ok1,
-            "tolerances": {"comparison": "exact"},
-        },
-        {
-            "name": "lemma_occupancy_scan",
-            "inputs": {"range": "2<=m<=n<=12"},
-            "outputs": {"worst_ratio": worst2, "paths_agree": agree2},
-            "pass": ok2 and agree2,
-            "tolerances": {"dual_path": "exact"},
-        },
+        _check(
+            "lemma_binomial_tail_scan",
+            {"range": "2<=m<=n<=40"},
+            {"worst_ratio": worst1},
+            ok1,
+            {"comparison": "exact"},
+        ),
+        _check(
+            "lemma_occupancy_scan",
+            {"range": "2<=m<=n<=12"},
+            {"worst_ratio": worst2, "paths_agree": agree2},
+            ok2 and agree2,
+            {"dual_path": "exact"},
+        ),
     ]
 
 
 def _maurey_checks() -> list[dict]:
-    res = maurey_sampling_check(np.eye(2), [0.5, 0.5], m=1, trials=10_000, seed=0)
-    rep = res.report()
-    rep["pass"] = res.passed and abs(res.mean_sq_error - 0.5) <= 0.02
-    checks = [rep]
+    def record(r: MaureyResult, passed: bool, **rules: str) -> dict:
+        inputs = {"m": r.m, "trials": r.trials, "radius": r.radius}
+        outputs = {"mean_sq_error": r.mean_sq_error, "bound": r.bound}
+        tolerances = {"mc_slack": "R^2/m * (1 + 3/sqrt(trials))", **rules}
+        return _check("maurey_sampling_error", inputs, outputs, passed, tolerances)
+
+    # Two orthonormal atoms at weight 1/2: the expected error is exactly 1/2.
+    pair = maurey_sampling_check(np.eye(2), [0.5, 0.5], m=1, trials=10_000, seed=0)
+    near_half = abs(pair.mean_sq_error - 0.5) <= 0.02
+    checks = [record(pair, pair.passed and near_half, mean="|mean_sq_error - 0.5| <= 0.02")]
     rng = np.random.default_rng(3)
     atoms = rng.standard_normal((10, 6))
     w = rng.random(10)
     w /= w.sum()
     for m in (1, 4, 16):
         r = maurey_sampling_check(atoms, w, m=m, trials=4000, seed=m)
-        rep = r.report()
-        rep["pass"] = r.mean_sq_error <= r.radius**2 / m * 1.1
-        checks.append(rep)
+        checks.append(record(r, r.passed))
     return checks
 
 
 def _rademacher_checks() -> list[dict]:
     X = erm.uniform_ball(np.random.default_rng(5), 64, 2)
-    return [rademacher_mc((8,), 1.0, X, trials=200, n_starts=16, seed=7).report()]
+    r = rademacher_mc((8,), 1.0, X, trials=200, n_starts=16, seed=7)
+    outputs = {
+        "estimate": r.estimate,
+        "stderr": r.stderr,
+        "bound": r.bound,
+        "ratio": r.ratio,
+        "c_hat": r.c_hat,
+    }
+    rule = {"direction": "estimate lower-bounds the supremum"}
+    return [_check("rademacher_supremum_mc", {"trials": r.trials}, outputs, r.passed, rule)]
 
 
 def _entropy_checks() -> list[dict]:
-    ok = True
-    worst = None
-    for widths in ((1,), (2,)):
-        for delta in (0.5, 0.25):
-            for seed in range(20):
-                r = covering_packing_lower_bound(
-                    widths, delta, d=1, param_samples=200, seed=seed
-                )
-                ok = ok and r.passed
-                if worst is None or r.packing_count > worst.packing_count:
-                    worst = r
-    rep = worst.report()
-    rep["pass"] = ok
-    rep["inputs"]["grid"] = "widths {1,2} x delta {0.5,0.25} x 20 seeds"
-    return [rep]
+    results = [
+        covering_packing_lower_bound(widths, delta, d=1, param_samples=200, seed=seed)
+        for widths in ((1,), (2,))
+        for delta in (0.5, 0.25)
+        for seed in range(20)
+    ]
+    worst = max(results, key=lambda r: r.packing_count)  # the first of the largest
+    inputs = {
+        "delta": worst.delta,
+        "samples": worst.samples,
+        "grid": "widths {1,2} x delta {0.5,0.25} x 20 seeds",
+    }
+    outputs = {"packing_count": worst.packing_count, "entropy_bound": worst.entropy_bound}
+    ok = all(r.passed for r in results)
+    rule = {"comparison": "log(count) <= entropy(delta/2)"}
+    return [_check("sup_norm_packing_vs_entropy", inputs, outputs, ok, rule)]
 
 
 def _pointwise_checks() -> list[dict]:
-    return [pointwise_audit(n_nets=1000, probes=100, seed=0).report()]
+    r = pointwise_audit(n_nets=1000, probes=100, seed=0)
+    outputs = {"max_ratio": r.max_ratio}
+    rule = {"ratio": "<= 1 + 1e-9"}
+    return [_check("pointwise_output_vs_path_norm", {"probes": r.probes}, outputs, r.passed, rule)]
 
 
 def _collinearity_checks() -> list[dict]:
     rows = run_collinearity_experiment()
     good = sum(1 for r in rows if r["ok"])
     return [
-        {
-            "name": "collinearity_documented_config",
-            "inputs": {k: v for k, v in COLLINEARITY_CONFIG.items() if k != "seeds"},
-            "outputs": {"good_seeds": good, "rows": rows},
-            "pass": good >= COLLINEARITY_CONFIG["min_good_seeds"],
-            "tolerances": {"cosine": ">= 0.99 in >= 4/5 seeds"},
-        }
+        _check(
+            "collinearity_documented_config",
+            {k: v for k, v in COLLINEARITY_CONFIG.items() if k != "seeds"},
+            {"good_seeds": good, "rows": rows},
+            good >= COLLINEARITY_CONFIG["min_good_seeds"],
+            {"cosine": ">= 0.99 in >= 4/5 seeds"},
+        )
     ]
 
 
 def _equivalence_checks() -> list[dict]:
     res = run_equivalence_experiment()
-    rep = res.report()
-    rep["pass"] = abs(res.median_gap_weight_decay) <= EQUIVALENCE_CONFIG["max_gap"]
-    return [rep]
+    outputs = {
+        "median_gap_weight_decay": res.median_gap_weight_decay,
+        "median_gap_mixed_max": res.median_gap_mixed_max,
+        "rows": [dict(r) for r in res.rows],
+    }
+    ok = abs(res.median_gap_weight_decay) <= EQUIVALENCE_CONFIG["max_gap"]
+    rule = {"documented_gap": "median |gap| <= 5% (soft)"}
+    return [_check("regularizer_equivalence_gaps", {"seeds": len(res.rows)}, outputs, ok, rule)]
 
 
 # The verification suites in run order: (name, check runner, soft).  A soft

@@ -88,19 +88,6 @@ class BoundReport:
     constants: dict = field(default_factory=dict)
     regime_condition: bool | None = None
 
-    def as_dict(self) -> dict:
-        d = {
-            "bias": self.bias_term,
-            "variance": self.variance_term,
-            "regime": self.regime,
-            "lambda": self.lambda_used,
-            "total": self.total,
-        }
-        if self.regime_condition is not None:
-            d["regime_condition_met"] = self.regime_condition
-        d["constants"] = dict(self.constants)
-        return d
-
 
 def h_of_m(widths, L_sigma: float) -> float:
     """Approximation-rate factor ``sum_i (sqrt5 L_sigma)^(L-1-i) / sqrt(up_i)``

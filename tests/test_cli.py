@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from pesvlab import cli, config, erm, theory
 from pesvlab.config import nonnegative, positive, sample_count
 from pesvlab.erm import documented_teacher
-from pesvlab.netcore import ActivationSpec, save_network
+from pesvlab.netcore import ActivationSpec, NetParams, network_to_json, save_network
 
 
 BOUND_CFG = """\
@@ -244,6 +245,20 @@ class TestTrainCommand:
         assert f"error: {cfg}:4: [problem] teacher_file={str(teacher)!r}: {reason}" in err
         assert "Traceback" not in err
 
+    def test_teacher_file_with_nan_grid_is_usage_error(self, tmp_path, capsys):
+        act = ActivationSpec.tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+        net = NetParams.from_arrays([np.ones((2, 3)), np.ones((1, 2))])
+        doc = json.loads(network_to_json(net, act))
+        doc["activation"]["grid_y"][1] = math.nan
+        teacher = tmp_path / "teacher.json"
+        teacher.write_text(json.dumps(doc))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[problem]\nn = 8\nteacher_file = {teacher}\n")
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "not a saved network (ValueError: grid knots must be finite)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize(
         "extra, reason",
@@ -291,6 +306,14 @@ class TestVerifyCommand:
         assert all(c["pass"] for c in report["checks"])
         stdout = capsys.readouterr().out
         assert "PASS" in stdout
+
+    def test_lemmas_records_have_one_form(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "lemmas", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert checks
+        for check in checks:
+            assert set(check) == {"name", "inputs", "outputs", "pass", "tolerances", "soft"}
 
     def test_maurey_suite_passes(self):
         assert cli.main(["verify", "maurey"]) == 0

@@ -691,6 +691,11 @@ class TestPenaltyParse:
         with pytest.raises(ValueError, match="at least 1"):
             erm.Penalty("mixed_max", p, q)
 
+    @pytest.mark.parametrize("p, q", [(math.inf, 2.0), (1.0, math.inf)])
+    def test_rejects_infinite_exponents(self, p, q):
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            erm.Penalty("mixed_max", p, q)
+
     @pytest.mark.parametrize("spec", ["mixed_max:nan:2", "mixed_max:1:inf", "mixed_max(-inf,2)"])
     def test_rejects_non_finite_spec_arguments(self, spec):
         with pytest.raises(ValueError, match="non-finite argument"):

@@ -71,6 +71,19 @@ class TestActivationSpec:
         with pytest.raises(ValueError, match=r"activation spec .* has a non-finite argument"):
             ActivationSpec.parse(spec)
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([0.0, 1.0], [0.0, math.nan]), ([0.0, math.nan], [0.0, 1.0]), ([0.0, math.inf], [0.0, 1.0])],
+    )
+    def test_tabulated_rejects_non_finite_knots(self, xs, ys):
+        with pytest.raises(ValueError, match="grid knots must be finite"):
+            ActivationSpec.tabulated(xs, ys)
+
+    @pytest.mark.parametrize("lipschitz", [math.nan, math.inf])
+    def test_rejects_non_finite_lipschitz(self, lipschitz):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ActivationSpec("relu", lipschitz, 0.0)
+
     def test_derivative_convention_at_kink(self):
         assert ActivationSpec.relu().derivative(0.0) == 0.0
         assert ActivationSpec.leaky_relu(0.3).derivative(0.0) == 0.3

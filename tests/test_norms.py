@@ -194,7 +194,10 @@ class TestMixedMaxNorm:
         p = NetParams.from_arrays([np.zeros((2, 3)), np.array([[0.0, 7.0]])])
         assert norms.mixed_max_norm(p, 1, 2) == 7.0
 
-    @pytest.mark.parametrize("p, q", [(0.5, 2.0), (1.0, 0.5), (math.nan, 2.0), (1.0, math.nan)])
+    @pytest.mark.parametrize(
+        "p, q",
+        [(0.5, 2.0), (1.0, 0.5), (math.nan, 2.0), (1.0, math.nan), (math.inf, 2.0), (1.0, math.inf)],
+    )
     def test_rejects_bad_exponents(self, p, q):
         net = NetParams.from_arrays([np.ones((1, 2)), np.ones((1, 1))])
         with pytest.raises(ValueError, match="at least 1"):

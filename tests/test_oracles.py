@@ -1,5 +1,6 @@
 """Brute-force and Monte Carlo verification oracles."""
 
+import dataclasses
 import json
 import math
 import os
@@ -729,9 +730,50 @@ class TestDocumentedExperiments:
         ]
 
 
-class TestReports:
-    def test_report_shapes(self):
-        r = oracles.lemma1_exact(2, 4).report()
-        assert set(r) >= {"name", "inputs", "outputs", "pass", "tolerances"}
-        r2 = oracles.maurey_sampling_check(np.eye(2), [0.5, 0.5], 1, 100, 0).report()
-        assert r2["pass"] in (True, False)
+def maurey_rule_holds(check: dict) -> bool:
+    """The rule a Maurey record states, evaluated on its own inputs and outputs."""
+    inp, out = check["inputs"], check["outputs"]
+    slack = inp["radius"] ** 2 / inp["m"] * (1 + 3 / math.sqrt(inp["trials"]))
+    assert check["tolerances"]["mc_slack"] == "R^2/m * (1 + 3/sqrt(trials))"
+    assert out["bound"] == slack
+    holds = out["mean_sq_error"] <= out["bound"]
+    if "mean" in check["tolerances"]:
+        assert check["tolerances"]["mean"] == "|mean_sq_error - 0.5| <= 0.02"
+        holds = holds and abs(out["mean_sq_error"] - 0.5) <= 0.02
+    return holds
+
+
+class TestVerifyRecords:
+    @pytest.mark.parametrize("suite", ["lemmas", "maurey"])
+    def test_record_shape(self, suite):
+        run = next(run for name, run, _ in oracles.SUITES if name == suite)
+        checks = run()
+        assert checks
+        for check in checks:
+            assert set(check) == {"name", "inputs", "outputs", "pass", "tolerances"}
+            assert type(check["pass"]) is bool
+            json.dumps(check)
+
+    def test_maurey_pass_is_its_stated_rule(self):
+        checks = oracles._maurey_checks()
+        assert [("mean" in c["tolerances"]) for c in checks] == [True, False, False, False]
+        for check in checks:
+            assert check["pass"] == maurey_rule_holds(check)
+
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    def test_maurey_pass_follows_the_bound(self, monkeypatch, scale):
+        """An error just past ``bound`` fails every record, one just below it
+        passes the mixtures: the record applies the rule it states, and not a
+        looser one (for m = 1, ``1.1 R^2/m`` is above ``bound``)."""
+        real = oracles.maurey_sampling_check
+
+        def moved(*args, **kwargs):
+            r = real(*args, **kwargs)
+            err = r.bound * scale
+            return dataclasses.replace(r, mean_sq_error=err, passed=err <= r.bound)
+
+        monkeypatch.setattr(oracles, "maurey_sampling_check", moved)
+        checks = oracles._maurey_checks()
+        assert [c["pass"] for c in checks[1:]] == [scale < 1] * 3
+        for check in checks:
+            assert check["pass"] == maurey_rule_holds(check)

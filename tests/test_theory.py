@@ -427,9 +427,9 @@ class TestBoundConfigValidation:
         assert BoundConfig(n=100, d=1, L=3, L_sigma=2.0).D_sigma == 8.0
 
 
-class TestReportSerialization:
+class TestReportConstants:
     def test_constants_echoed(self):
         rep = theory.gen_bound_encompassing(relu_cfg(), (33,))
-        d = rep.as_dict()
-        assert d["constants"]["n"] == 1e4
-        assert d["constants"]["C1"] == 1.0
+        assert rep.constants == relu_cfg().as_dict()
+        assert rep.constants["n"] == 1e4
+        assert rep.constants["C1"] == 1.0
