@@ -29,7 +29,7 @@ for m, n in [(2, 3), (3, 9), (6, 12)]:
         f"paths agree={r.paths_agree}"
     )
 print("  note: the 5m/n bound fails beyond the scoped range, e.g.")
-r = oracles.lemma2_exact(5, 14, enumerate_limit=14)
+r = oracles.lemma2_exact(5, 14)
 print(f"  m=5 n=14: lhs {r.lhs:.4f} > bound {r.bound:.4f} (both paths agree)")
 
 # Sampling a convex combination: m iid draws err like R^2/m in the mean.

@@ -85,13 +85,11 @@ class LossSpec:
         return cls("mse", 2.0 * _SQRT2 * range_bound, _SQRT2, 1.0, 1.0, range_bound)
 
     @classmethod
-    def mse_for(
-        cls, teacher: "TeacherSpec", sigma_eps: float, slack: float = 6.0
-    ) -> "LossSpec":
+    def mse_for(cls, teacher: "TeacherSpec", sigma_eps: float) -> "LossSpec":
         """Half squared error with the working range derived from the teacher:
-        sup |f*| over the input ball plus a ``slack``-sigma noise cap."""
+        sup |f*| over the input ball plus a 6-sigma noise cap."""
         lip = teacher.act.lipschitz ** (teacher.teacher.depth - 1)
-        r0 = lip * _SQRT2 * teacher.nu_teacher + slack * sigma_eps
+        r0 = lip * _SQRT2 * teacher.nu_teacher + 6.0 * sigma_eps
         return cls.mse(max(r0, 1e-12))
 
     @classmethod
@@ -102,10 +100,10 @@ class LossSpec:
         return cls("huber", _SQRT2 * delta, _SQRT2, 1.0, gamma, range_bound, delta)
 
     @classmethod
-    def logistic(cls, range_bound: float, grid: int = 401) -> "LossSpec":
+    def logistic(cls, range_bound: float) -> "LossSpec":
         """Margin logistic loss normalized to vanish on the diagonal.
 
-        Constants are estimated by a dense grid sup over predictors in
+        Constants are estimated by a grid sup over 401 predictors in
         ``[-R, R]`` and hard labels ``{-1, +1}``; no uniform convexity
         modulus exists for unconstrained labels, so the recorded ``gamma``
         is the working-set one.
@@ -113,7 +111,7 @@ class LossSpec:
         if not 0 < range_bound < math.inf:
             raise ValueError("range bound must be positive and finite")
         r = range_bound
-        fs = np.linspace(-r, r, grid)
+        fs = np.linspace(-r, r, 401)
         ys = np.array([-1.0, 1.0])
         F, Y = np.meshgrid(fs, ys, indexing="ij")
 
@@ -237,30 +235,13 @@ def uniform_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return g * (radii / norms_g)[:, None]
 
 
-def sample_dataset(
-    teacher: TeacherSpec,
-    n: int,
-    sigma_eps: float,
-    distribution: str = "uniform",
-    seed: int = 0,
-    inputs=None,
-) -> Dataset:
+def sample_dataset(teacher: TeacherSpec, n: int, sigma_eps: float, seed: int = 0) -> Dataset:
     """Draw ``y_i = f*(x_i) + eps_i`` with ``x_i`` uniform in the unit ball
-    (or user-given) and independent Gaussian noise; deterministic per seed."""
+    and independent Gaussian noise; deterministic per seed."""
     if not (n >= 1 and 0 <= sigma_eps < math.inf):
         raise ValueError("need n >= 1 and a finite sigma_eps >= 0")
-    d = teacher.teacher.input_dim
     rng = np.random.default_rng(seed)
-    if inputs is not None:
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.shape != (n, d):
-            raise ValueError("user inputs must be (n, d) raw coordinates")
-        if np.any(np.linalg.norm(x, axis=1) > 1.0 + 1e-12):
-            raise ValueError("user inputs must lie in the unit ball")
-    elif distribution == "uniform":
-        x = uniform_ball(rng, n, d)
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
+    x = uniform_ball(rng, n, teacher.teacher.input_dim)
     xt = np.hstack([x, np.ones((n, 1))])
     y = forward(teacher.teacher, teacher.act, xt)
     noise = sigma_eps * rng.standard_normal(n)
@@ -310,8 +291,8 @@ _PENALTIES = {
 def objective(params, dataset: Dataset, lam: float, loss: LossSpec, reg: Penalty, act: ActivationSpec) -> float:
     """Penalized empirical risk: mean per-sample loss plus ``lam`` times the
     regularizer (for half squared error this is ``(1/2n) sum (y - g)^2``)."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     preds = forward(params, act, dataset.inputs)
     return float(np.mean(loss.value(preds, dataset.targets))) + lam * reg.value(params)
 
@@ -404,8 +385,8 @@ def train_many(
     x = np.stack([ds.inputs for ds in datasets])
     y = np.stack([ds.targets for ds in datasets])
     lam = np.array(lams, dtype=np.float64)
-    if np.any(lam < 0):
-        raise ValueError("lambda must be nonnegative")
+    if not np.all((lam >= 0.0) & (lam < math.inf)):
+        raise ValueError("lambda must be nonnegative and finite")
     # The layers, their gradients, the best iterate and the penalty
     # subgradients each live in one layer-major block: layer k of every run
     # is a C-contiguous (S, rows, cols) view, the layout np.stack gives.  The

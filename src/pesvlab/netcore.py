@@ -325,11 +325,6 @@ class NetParams:
         return self.layers[0].shape[1] - 1
 
     @property
-    def in_size(self) -> int:
-        """Length of the vectors the network consumes (``d+1``)."""
-        return self.layers[0].shape[1]
-
-    @property
     def width_vector(self) -> WidthVector:
         return WidthVector(tuple(w.shape[0] for w in self.layers[:-1]))
 

@@ -241,12 +241,11 @@ def rescale_neuron(params: NetParams, layer: int, index: int, c: float) -> NetPa
     return NetParams(tuple(layers))
 
 
-def balance_relu(
-    params: NetParams,
-    act: ActivationSpec,
-    tol: float = 1e-10,
-    max_sweeps: int = 10_000,
-) -> NetParams:
+_BALANCE_TOL = 1e-10
+_BALANCE_MAX_SWEEPS = 10_000
+
+
+def balance_relu(params: NetParams, act: ActivationSpec) -> NetParams:
     """Equalize per-neuron incoming/outgoing magnitudes by cyclic sweeps.
 
     Each sweep applies the weight-decay-optimal factor
@@ -254,7 +253,7 @@ def balance_relu(
     neurons (zero incoming or outgoing) have their other side zeroed, which
     is the limit of valid rescalings.  Outputs are preserved (positive
     homogeneity) and the weight-decay norm never increases.  Stops when the
-    relative decrease per sweep drops below ``tol``.
+    relative decrease per sweep drops to ``1e-10``, or after 10,000 sweeps.
     """
     if act.kind not in _HOMOGENEOUS_KINDS:
         raise UnsupportedActivationError(
@@ -262,7 +261,7 @@ def balance_relu(
         )
     layers = [np.array(w) for w in params.layers]
     prev = sum(float(np.sum(w * w)) for w in layers)
-    for _ in range(max_sweeps):
+    for _ in range(_BALANCE_MAX_SWEEPS):
         for l in range(len(layers) - 1):
             w_in, w_out = layers[l], layers[l + 1]
             in_norms = np.linalg.norm(w_in, axis=1)
@@ -279,7 +278,7 @@ def balance_relu(
                 elif no == 0.0 and ni > 0.0:
                     w_in[j, :] = 0.0
         cur = sum(float(np.sum(w * w)) for w in layers)
-        if prev - cur <= tol * max(prev, 1e-300):
+        if prev - cur <= _BALANCE_TOL * max(prev, 1e-300):
             break
         prev = cur
     return NetParams(tuple(layers))

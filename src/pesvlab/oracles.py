@@ -53,7 +53,6 @@ __all__ = [
     "pointwise_audit",
     "pointwise_norm_check",
     "rademacher_mc",
-    "random_unit_norm_net",
     "random_unit_norm_nets",
     "run_collinearity_experiment",
     "run_equivalence_experiment",
@@ -168,11 +167,14 @@ class Lemma2Result:
     paths_agree: bool | None
 
 
-def lemma2_exact(m: int, n: int, enumerate_limit: int = 14) -> Lemma2Result:
+_ENUMERATE_LIMIT = 14
+
+
+def lemma2_exact(m: int, n: int) -> Lemma2Result:
     """Average of ``sum_i 1/k_i`` over multinomial cell counts versus ``5m/n``.
 
     Computed two independent ways in exact rationals: direct enumeration of
-    all positive compositions (for ``n <= enumerate_limit``) and the
+    all positive compositions (for ``n <= 14``) and the
     symmetry reduction ``(m/m^n) sum_k C(n,k)(1/k) Surj(n-k, m-1)`` with the
     surjection count by inclusion-exclusion.  Both must agree exactly.  Each
     path sums integer numerators over the common denominator
@@ -189,7 +191,7 @@ def lemma2_exact(m: int, n: int, enumerate_limit: int = 14) -> Lemma2Result:
     lhs_red = Fraction(m * red, denom)
 
     lhs_enum = None
-    if n <= enumerate_limit:
+    if n <= _ENUMERATE_LIMIT:
         total = sum(
             _multinomial(n, comp) * sum(lcm // k for k in comp)
             for comp in _compositions(n, m)
@@ -282,8 +284,8 @@ def random_unit_norm_nets(
 
     The nets come from one block of normals, drawn net by net in layer
     order.  A net whose path norm is not positive is drawn again, so the
-    nets and the state left in ``rng`` equal those of ``count`` calls of
-    :func:`random_unit_norm_net`.
+    nets and the state left in ``rng`` equal those of drawing and
+    normalizing the nets one at a time.
     """
     shapes = layer_shapes(widths, in_size)
     flat = rng.standard_normal((count, sum(r * c for r, c in shapes)))
@@ -305,13 +307,6 @@ def random_unit_norm_nets(
     return [np.concatenate(pair) for pair in zip(kept, more)]
 
 
-def random_unit_norm_net(
-    rng: np.random.Generator, widths, in_size: int
-) -> list[np.ndarray]:
-    """Gaussian layer matrices rescaled on the output row to path norm 1."""
-    return [w[0] for w in random_unit_norm_nets(rng, widths, in_size, 1)]
-
-
 @dataclass(frozen=True)
 class RademacherMCResult:
     estimate: float
@@ -328,6 +323,7 @@ class RademacherMCResult:
 # 2^18 ran the 8-trial benchmark call equally fast, 2^16 and 2^17 ran the
 # 200-trial ``verify`` call fastest, and 2^18 ran it slower than 2^14.
 _ASCENT_BLOCK_VALUES = 2**16
+_ASCENT_STEP = 0.5  # ascent step t moves this / sqrt(t + 1) along the unit gradient
 
 
 def rademacher_mc(
@@ -337,7 +333,6 @@ def rademacher_mc(
     trials: int,
     n_starts: int = 16,
     inner_steps: int = 120,
-    step_size: float = 0.5,
     seed: int = 0,
     act: ActivationSpec | None = None,
 ) -> RademacherMCResult:
@@ -361,8 +356,8 @@ def rademacher_mc(
     """
     if trials < 1 or n_starts < 1:
         raise ValueError("need trials >= 1 and n_starts >= 1")
-    if inner_steps < 0 or not step_size > 0:
-        raise ValueError("need inner_steps >= 0 and step_size > 0")
+    if inner_steps < 0:
+        raise ValueError("need inner_steps >= 0")
     if not 0.0 <= F < math.inf:
         raise ValueError(f"need a finite radius F >= 0, got {F}")
     act = act or ActivationSpec.relu()
@@ -398,7 +393,7 @@ def rademacher_mc(
             grads = stacked_backprop(arrs, act, hs, zs, rho, buffers)
             sq = (np.add.reduce((g * g).reshape(len(g), -1), axis=-1) for g in grads)
             gnorm = np.sqrt(sum(sq))
-            step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
+            step = _ASCENT_STEP / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):
                 w += step[:, None, None] * g
             nu = norms.pesv_stacked(arrs)[:, None, None]
@@ -464,8 +459,8 @@ def covering_packing_lower_bound(
     pairwise grid-distance > ``delta`` lower-bounds the ``delta/2`` covering
     number, which must stay below ``exp(entropy(delta/2))``.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     act = act or ActivationSpec.relu()
     wv = WidthVector.of(widths)
     L = len(wv) + 1
@@ -535,6 +530,8 @@ def pointwise_norm_check(
     The ratio never exceeds 1 for a normalized activation; probes are
     uniform in the unit ball of the full input space.
     """
+    if probe_count < 1:
+        raise ValueError(f"need probe_count >= 1, got {probe_count}")
     layers = as_layers(params)
     in_size = layers[0].shape[1]
     L = len(layers)
@@ -554,30 +551,28 @@ def pointwise_norm_check(
     )
 
 
-def pointwise_audit(
-    n_nets: int = 1000,
-    probes: int = 100,
-    seed: int = 0,
-    depths: Sequence[int] = (2, 3, 4),
-    max_width: int = 8,
-    dims: Sequence[int] = (1, 2, 3),
-    alphas: Sequence[float] = (0.0, 0.1),
-) -> PointwiseResult:
-    """Randomized audit of the pointwise bound over many small networks."""
+_AUDIT_DEPTHS = (2, 3, 4)
+_AUDIT_DIMS = (1, 2, 3)
+_AUDIT_ACTS = (ActivationSpec.relu(), ActivationSpec.leaky_relu(0.1))
+_AUDIT_MAX_WIDTH = 8
+
+
+def pointwise_audit(n_nets: int = 1000, probes: int = 100, seed: int = 0) -> PointwiseResult:
+    """Randomized audit of the pointwise bound over many small networks:
+    depth 2 to 4, input dimension 1 to 3, hidden widths 1 to 8, and relu or
+    leaky relu 0.1."""
+    if n_nets < 1 or probes < 1:
+        raise ValueError(f"need n_nets >= 1 and probes >= 1, got {n_nets} and {probes}")
     rng = np.random.default_rng(seed)
-    acts = [
-        ActivationSpec.relu() if a == 0.0 else ActivationSpec.leaky_relu(float(a))
-        for a in alphas
-    ]
     worst = 0.0
-    for i in range(n_nets):
+    for _ in range(n_nets):
         # seq[rng.integers(len(seq))] draws what rng.choice(seq) draws and
         # leaves the generator in the same state, without building an array.
-        L = int(depths[int(rng.integers(len(depths)))])
-        d = int(dims[int(rng.integers(len(dims)))])
-        widths = tuple(int(rng.integers(1, max_width + 1)) for _ in range(L - 1))
-        act = acts[int(rng.integers(len(acts)))]
-        arrs = random_unit_norm_net(rng, widths, d + 1)
+        L = _AUDIT_DEPTHS[int(rng.integers(len(_AUDIT_DEPTHS)))]
+        d = _AUDIT_DIMS[int(rng.integers(len(_AUDIT_DIMS)))]
+        widths = tuple(int(rng.integers(1, _AUDIT_MAX_WIDTH + 1)) for _ in range(L - 1))
+        act = _AUDIT_ACTS[int(rng.integers(len(_AUDIT_ACTS)))]
+        arrs = [w[0] for w in random_unit_norm_nets(rng, widths, d + 1, 1)]
         res = pointwise_norm_check(arrs, act, probe_count=probes, seed=int(rng.integers(2**31)))
         worst = max(worst, res.max_ratio)
     return PointwiseResult(
@@ -628,33 +623,32 @@ class CollinearityResult:
     boundary_neurons: tuple[int, ...]
 
 
-def collinearity_report(
-    params,
-    act: ActivationSpec,
-    X,
-    boundary_tol: float = 1e-6,
-    mass_rel_tol: float = 1e-3,
-) -> CollinearityResult:
+_BOUNDARY_TOL = 1e-6
+_MASS_REL_TOL = 1e-3
+
+
+def collinearity_report(params, act: ActivationSpec, X) -> CollinearityResult:
     """Minimum pairwise |cosine| of first-layer rows within each sign-pattern
     cone, excluding boundary-adjacent neurons; singletons count as 1.
 
     A neuron is boundary-adjacent when some preactivation sits within
-    ``boundary_tol`` of zero, or when its accumulated outgoing weight mass
-    is negligible against the largest one (the cone is a product of a
-    preactivation region and an output sign half-space; the collinearity
-    claim concerns interiors only, and a dying neuron oscillating around
-    zero output weight is numerically on the sign boundary).
+    ``1e-6`` of zero, or when its accumulated outgoing weight mass is at
+    most the larger of ``1e-6`` and ``1e-3`` times the largest one (the
+    cone is a product of a preactivation region and an output sign
+    half-space; the collinearity claim concerns interiors only, and a dying
+    neuron oscillating around zero output weight is numerically on the sign
+    boundary).
     """
     layers = as_layers(params)
     X = np.asarray(X, dtype=np.float64)
     labels = sign_pattern_groups(layers, act, X)[0]
     z1 = X @ layers[0].T
     mass = norms.outgoing_weights([np.abs(w) for w in layers[1:]])[0]
-    mass_tol = max(boundary_tol, mass_rel_tol * float(mass.max(initial=0.0)))
+    mass_tol = max(_BOUNDARY_TOL, _MASS_REL_TOL * float(mass.max(initial=0.0)))
     boundary = [
         j
         for j in range(z1.shape[1])
-        if np.min(np.abs(z1[:, j])) <= boundary_tol or mass[j] <= mass_tol
+        if np.min(np.abs(z1[:, j])) <= _BOUNDARY_TOL or mass[j] <= mass_tol
     ]
     boundary_set = set(boundary)
 

@@ -92,6 +92,8 @@ class BoundReport:
 def h_of_m(widths, L_sigma: float) -> float:
     """Approximation-rate factor ``sum_i (sqrt5 L_sigma)^(L-1-i) / sqrt(up_i)``
     over the maximum nondecreasing component ``up`` of the width vector."""
+    if not 0 < L_sigma < math.inf:
+        raise ValueError(f"L_sigma must be positive and finite, got {L_sigma}")
     up = max_nondecreasing_component(widths)
     k = len(up)
     base = math.sqrt(5.0) * L_sigma
@@ -101,8 +103,10 @@ def h_of_m(widths, L_sigma: float) -> float:
 def approx_bound_l2(widths, L_sigma: float, R: float, M: float) -> float:
     """Mean-square approximation error bound ``H * (R + 2) * M`` on a support
     of radius ``R`` for a target of norm ``M``."""
-    if R <= 0:
-        raise ValueError("support radius must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError(f"support radius R must be positive and finite, got {R}")
+    if not 0 <= M < math.inf:
+        raise ValueError(f"target norm M must be nonnegative and finite, got {M}")
     return h_of_m(widths, L_sigma) * (R + 2.0) * M
 
 
@@ -119,8 +123,8 @@ def approx_bound_inf_relu(
 
 def metric_entropy_bound(delta: float, widths, d: int, L_sigma: float) -> float:
     """Sup-norm metric entropy bound of the unit-norm network class."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     wv = WidthVector.of(widths)
     prod_all = wv.product()
     prod_head = 1
@@ -136,16 +140,16 @@ def rademacher_bound(
 ) -> float:
     """Upper bound ``2^(L-1) c L_sigma^(L-1) F sqrt(d n)`` on the expected
     signed-sum supremum over the norm ball of radius ``F``."""
-    if F < 0:
-        raise ValueError("F must be nonnegative")
+    if not 0 <= F < math.inf:
+        raise ValueError(f"F must be nonnegative and finite, got {F}")
     L = len(WidthVector.of(widths)) + 1
     return 2.0 ** (L - 1) * c * L_sigma ** (L - 1) * F * math.sqrt(d * n)
 
 
 def delta_n(n: float, d: int, widths, L_sigma: float) -> float:
     """Parameter-count rate ``(2 L_sigma)^(L-1) (prod m_i) d log(n) / n``."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n < math.inf:
+        raise ValueError(f"need a finite n >= 2, got {n}")
     wv = WidthVector.of(widths)
     L = len(wv) + 1
     return (2.0 * L_sigma) ** (L - 1) * wv.product() * d * math.log(n) / n
@@ -185,11 +189,9 @@ def _bias_term(cfg: BoundConfig, widths) -> float:
 
 
 def _var_over(cfg: BoundConfig) -> float:
-    factor = max(
-        12.0 * cfg.D_sigma,
-        2.0 ** (cfg.L + 1) * cfg.c * cfg.L_sigma ** (cfg.L - 1) * math.sqrt(cfg.d),
-    )
-    return factor * (cfg.sigma_eps**2 + cfg.M**2) * math.sqrt(math.log(cfg.n) / cfg.n)
+    # Doubling is exact, so this is max(12 D_sigma, 2^(L+1) c ...) bit for bit.
+    variance = 2.0 * _overparam_factor(cfg) * (cfg.sigma_eps**2 + cfg.M**2)
+    return variance * math.sqrt(math.log(cfg.n) / cfg.n)
 
 
 def _var_under(cfg: BoundConfig, widths) -> float:
@@ -279,8 +281,8 @@ def _encompassing(cfg: BoundConfig):
 def gen_bound_general_loss(cfg: BoundConfig, loss, widths, T: float) -> BoundReport:
     """Encompassing bound for a general Lipschitz loss with a noise-tail cut
     at ``T``; the bias enters at first power of the approximation factor."""
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     wv = _check_widths(cfg, widths)
     bias = loss.L0 * h_of_m(wv, cfg.L_sigma) * cfg.M
     factor = max(
@@ -316,10 +318,10 @@ def gen_bound_general_loss(cfg: BoundConfig, loss, widths, T: float) -> BoundRep
 
 def lower_bound_shape(n: float, C: float = 1.0) -> float:
     """Information-theoretic floor shape ``C / sqrt(n log n)``."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if C < 0:
-        raise ValueError("C must be nonnegative")
+    if not 2 <= n < math.inf:
+        raise ValueError(f"need a finite n >= 2, got {n}")
+    if not 0 <= C < math.inf:
+        raise ValueError(f"C must be nonnegative and finite, got {C}")
     return C / math.sqrt(n * math.log(n))
 
 

@@ -119,6 +119,17 @@ class TestLossSpec:
             math.sqrt(2) * teacher.nu_teacher + 3.0, rel=1e-12
         )
 
+    def test_constants_pinned(self):
+        """The 6-sigma noise cap of mse_for and the 401-point grid of the
+        logistic constants give these values exactly."""
+        loss = erm.LossSpec.mse_for(documented_teacher(d=2), sigma_eps=0.5)
+        assert loss.range_bound.hex() == "0x1.1a827999fcef3p+2"
+        lg = erm.LossSpec.logistic(2.0)
+        assert [v.hex() for v in (lg.L0, lg.L1y, lg.B, lg.gamma)] == [
+            "0x1.3e56b23da8e35p+1", "0x1.6c9c6d99ef3dfp-2", "0x1.0113647c07580p-2",
+            "0x1.ae0dc0f990c43p-4",
+        ]
+
 
 class TestTeacherAndDataset:
     def test_teacher_norm_invariant(self):
@@ -160,12 +171,6 @@ class TestTeacherAndDataset:
         with pytest.raises(ValueError, match="finite sigma_eps"):
             erm.sample_dataset(documented_teacher(d=2), 4, sigma_eps)
 
-    def test_user_inputs_validated(self):
-        teacher = documented_teacher(d=2)
-        bad = np.full((4, 2), 3.0)
-        with pytest.raises(ValueError):
-            erm.sample_dataset(teacher, 4, 0.0, inputs=bad)
-
 
 class TestObjective:
     def test_perfect_fit_no_penalty(self):
@@ -192,6 +197,15 @@ class TestObjective:
         )
         val = erm.objective(p, ds, 1.0, erm.LossSpec.mse(3.0), erm.Penalty("pesv"), RELU)
         assert val == 2.0
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+    def test_rejects_bad_lambda(self, lam):
+        p = NetParams.from_arrays([np.zeros((1, 2)), np.zeros((1, 1))])
+        ds = erm.Dataset(
+            inputs=np.array([[0.0, 1.0]]), targets=np.array([2.0]), noise_std=0.0, seed=0
+        )
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            erm.objective(p, ds, lam, erm.LossSpec.mse(3.0), erm.Penalty("pesv"), RELU)
 
     def test_rescaling_invariance_relu(self):
         """Both the fit and the path penalty ignore per-neuron rescaling."""
@@ -603,6 +617,17 @@ class TestTrainMany:
         args = (erm.LossSpec.mse(2.0), [erm.Penalty("pesv")] * 3, erm.OptimizerConfig(), RELU)
         with pytest.raises(ValueError, match="lambda must be nonnegative"):
             erm.train_many(inits, datasets, [lams[0], -0.5, lams[2]], *args)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        """Rejected up front, not reported as a divergence at iteration 0."""
+        datasets, lams = three_runs()
+        inits = [erm.init_params((5,), 2, seed=s) for s in (4, 5, 6)]
+        loss, pen, opt = erm.LossSpec.mse(2.0), erm.Penalty("pesv"), erm.OptimizerConfig()
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            erm.train_many(inits, datasets, [lams[0], lam, lams[2]], loss, [pen] * 3, opt, RELU)
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            erm.train(inits[0], datasets[0], lam, loss, pen, opt, RELU)
 
 
 class TestErrorMeasures:

@@ -1,8 +1,9 @@
 """Module boundaries of the package, checked on the source text alone.
 
 No pesvlab module reaches into another one's private names, every name a
-module exports in ``__all__`` exists, and every pesvlab name the demos use
-resolves.  The checks parse the files and execute none of them.
+module exports in ``__all__`` exists, every pesvlab name the demos use
+resolves, and the benchmark calls only exported names.  The checks parse
+the files and execute none of them.
 """
 
 import ast
@@ -14,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pesvlab"
 TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def is_private(name: str) -> bool:
@@ -134,3 +136,18 @@ def test_demo_names_resolve(demo):
         or not (name in BOUND[module] or (module == "__init__" and name in TREES))
     ]
     assert not unresolved
+
+
+@pytest.mark.parametrize("script", PERFBENCH, ids=lambda p: p.name)
+def test_benchmark_uses_only_exported_names(script):
+    """The benchmark calls only names in a module's ``__all__``, plus
+    ``cli.main``, so a change to ``__all__`` that breaks it shows here."""
+    tree = ast.parse(script.read_text(), filename=str(script))
+    unexported = [
+        f"{script.name}:{line} uses {module}.{name}"
+        for module, name, line in pesvlab_uses(tree)
+        if (module, name) != ("cli", "main")
+        and not (module in TREES and name in exported(module))
+        and not (module == "__init__" and name in TREES)
+    ]
+    assert not unexported

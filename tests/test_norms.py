@@ -511,6 +511,20 @@ class TestBalanceRelu:
         assert norms.mixed_max_norm(q, 1, 2) == pytest.approx(t, rel=1e-12)
         assert norms.pesv_norm(q) == pytest.approx(nu, rel=1e-12)
 
+    def test_result_pinned(self):
+        """The stopping tolerance fixes these bits: at 1e-9 or 1e-11 the
+        sweeps stop elsewhere."""
+        rng = np.random.default_rng(12)
+        p = NetParams.from_arrays([rng.standard_normal(s) for s in ((2, 2), (2, 2), (1, 2))])
+        b = norms.balance_relu(p, ActivationSpec.relu())
+        assert [[v.hex() for v in w.ravel()] for w in b.layers] == [
+            ["-0x1.563f1b77522f9p-8", "0x1.99bc77c410d9ap-1", "0x1.8724f27b6f9fdp-1",
+             "0x1.7dd8340e84b3fp-1"],
+            ["0x1.c96b24c2ae601p-2", "-0x1.f9ec35d9e50cap-3", "-0x1.53f95a58868dfp-1",
+             "-0x1.09e52032d27fdp+0"],
+            ["-0x1.055a517042909p-1", "0x1.3b96835d3e419p+0"],
+        ]
+
     def test_rejects_non_homogeneous(self):
         p = NetParams.from_arrays([np.ones((1, 2)), np.ones((1, 1))])
         tab = ActivationSpec.tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 0.9])

@@ -78,7 +78,7 @@ class TestLemma2:
 
     def test_claim_fails_beyond_scoped_range(self):
         """The occupancy bound is false in general; (5, 14) exceeds it."""
-        r = oracles.lemma2_exact(5, 14, enumerate_limit=14)
+        r = oracles.lemma2_exact(5, 14)
         assert not r.passed
         assert r.paths_agree  # the two computations still agree exactly
 
@@ -224,16 +224,14 @@ class TestRademacherMC:
             (dict(trials=0), "trials"),
             (dict(n_starts=0), "n_starts"),
             (dict(inner_steps=-1), "inner_steps"),
-            (dict(step_size=-1.0), "step_size"),
-            (dict(step_size=0.0), "step_size"),
             (dict(inputs=np.zeros((0, 2))), "inputs"),
             (dict(inputs=np.zeros(2)), "inputs"),
             (dict(F=-1.0), "F"),
             (dict(F=math.inf), "F"),
             (dict(F=math.nan), "F"),
         ],
-        ids=["trials=0", "n_starts=0", "inner_steps=-1", "step_size=-1", "step_size=0",
-             "no-inputs", "1-d-inputs", "F=-1", "F=inf", "F=nan"],
+        ids=["trials=0", "n_starts=0", "inner_steps=-1", "no-inputs", "1-d-inputs", "F=-1",
+             "F=inf", "F=nan"],
     )
     def test_rejects_bad_arguments(self, monkeypatch, kw, match):
         """Rejected before the ascent: no net is drawn."""
@@ -427,6 +425,11 @@ class TestPacking:
         r = oracles.covering_packing_lower_bound((2,), 0.5, d=1, param_samples=0)
         assert r.packing_count == 0 and r.passed
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            oracles.covering_packing_lower_bound((2,), delta, d=1)
+
     @pytest.mark.parametrize("d, delta", [(1, 0.25), (1, 0.05), (2, 0.25)])
     @pytest.mark.parametrize("samples", [0, 1, 15, 16, 17, 200])
     def test_blocked_pass_equals_one_candidate_at_a_time(
@@ -498,14 +501,6 @@ class TestRandomUnitNormNets:
         got = self.assert_same_draws(widths, in_size, count, seed=count)
         np.testing.assert_allclose(norms.pesv_stacked(got), 1.0, rtol=1e-14)
 
-    def test_single_net_wrapper(self):
-        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = oracles.random_unit_norm_net(rng, (3, 2), 3)
-        ref = unit_norm_nets_one_by_one(ref_rng, (3, 2), 3, 1)
-        for g, r in zip(got, ref):
-            np.testing.assert_array_equal(g, r[0], strict=True)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
     def test_zero_norm_nets_are_drawn_again(self, monkeypatch):
         """Force the path norm of the raw nets 2 and 6 to zero.  Net 6 is the
         first net drawn after the initial block of 6, so both the block and
@@ -546,6 +541,23 @@ class TestPointwise:
     def test_randomized_audit(self):
         r = oracles.pointwise_audit(n_nets=150, probes=50, seed=1)
         assert r.passed
+
+    def test_audit_grid_pinned(self):
+        """The audit's depths, dimensions, widths and activations fix this
+        ratio, so a change to any of them moves it."""
+        r = oracles.pointwise_audit(n_nets=200, probes=20, seed=3)
+        assert r.max_ratio.hex() == "0x1.fd04631377463p-1" and r.probes == 4000
+
+    @pytest.mark.parametrize("kw", [dict(n_nets=0), dict(probes=0), dict(n_nets=-1)])
+    def test_audit_rejects_empty_counts(self, kw):
+        with pytest.raises(ValueError, match="n_nets >= 1 and probes >= 1"):
+            oracles.pointwise_audit(**{"n_nets": 2, "probes": 2} | kw)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_check_rejects_empty_probe_count(self, count):
+        p = NetParams.from_arrays([np.ones((2, 3)), np.ones((1, 2))])
+        with pytest.raises(ValueError, match="probe_count >= 1"):
+            oracles.pointwise_norm_check(p, RELU, count)
 
     @pytest.mark.parametrize("seq", [(2, 3, 4), (1, 2, 3), (0.0, 0.1), (7,), (0.5, 1, 2, 3, 5)])
     def test_index_draw_equals_choice(self, seq):
@@ -647,6 +659,15 @@ class TestCollinearity:
         r = oracles.collinearity_report(p, RELU, X)
         assert 0 in r.boundary_neurons
         assert r.global_min == 1.0  # survivors form singletons
+
+    def test_boundary_tolerances_pinned(self):
+        """Neuron 0 has a preactivation of 5e-7 and neuron 3 one of 2e-6, on
+        either side of the 1e-6 tolerance; neurons 1 and 2 carry 5e-4 and
+        2e-3 of the largest outgoing mass, on either side of 1e-3."""
+        W = np.array([[1.0, 0.0, 5e-7], [0.3, 1.0, 0.5], [1.0, 1.0, 0.0], [0.0, 1.0, 2e-6]])
+        p = NetParams.from_arrays([W, np.array([[1.0, 5e-4, 2e-3, 1.0]])])
+        X = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 1.0], [0.4, 0.3, 1.0]])
+        assert oracles.collinearity_report(p, RELU, X).boundary_neurons == (0, 1)
 
 
 class TestEquivalence:

@@ -427,6 +427,31 @@ class TestBoundConfigValidation:
         assert BoundConfig(n=100, d=1, L=3, L_sigma=2.0).D_sigma == 8.0
 
 
+# Each formula with one argument left open: (function, argument, call).
+FORMULA_ARGUMENTS = [
+    ("h_of_m", "L_sigma", lambda v: theory.h_of_m((4,), v)),
+    ("approx_bound_l2", "R", lambda v: theory.approx_bound_l2((4,), 1.0, R=v, M=1.0)),
+    ("approx_bound_l2", "M", lambda v: theory.approx_bound_l2((4,), 1.0, R=1.0, M=v)),
+    ("metric_entropy_bound", "delta", lambda v: theory.metric_entropy_bound(v, (2,), 2, 1.0)),
+    ("rademacher_bound", "F", lambda v: theory.rademacher_bound((8,), v, 2, 64, 1.0)),
+    ("delta_n", "n", lambda v: theory.delta_n(v, 2, (3, 3), 1.0)),
+    ("gen_bound_general_loss", "T",
+     lambda v: theory.gen_bound_general_loss(relu_cfg(), erm.LossSpec.mse(2.0), (4,), T=v)),
+    ("lower_bound_shape", "n", lambda v: theory.lower_bound_shape(v, 1.0)),
+    ("lower_bound_shape", "C", lambda v: theory.lower_bound_shape(100, v)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name, call", [(arg, call) for _, arg, call in FORMULA_ARGUMENTS],
+    ids=[f"{fn}-{arg}" for fn, arg, _ in FORMULA_ARGUMENTS],
+)
+def test_formulas_reject_non_finite_arguments(name, call, value):
+    with pytest.raises(ValueError, match=rf"(?=.*\b{name}\b).*finite"):
+        call(value)
+
+
 class TestReportConstants:
     def test_constants_echoed(self):
         rep = theory.gen_bound_encompassing(relu_cfg(), (33,))
