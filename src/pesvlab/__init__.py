@@ -12,6 +12,7 @@ from .netcore import (
     normalize_activation,
 )
 from .norms import (
+    Penalty,
     balance_relu,
     mixed_max_norm,
     pesv_matrixproduct_variant,
@@ -32,7 +33,6 @@ from .erm import (
     Dataset,
     LossSpec,
     OptimizerConfig,
-    Penalty,
     TeacherSpec,
     empirical_error,
     generalization_error_mc,

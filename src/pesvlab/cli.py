@@ -54,21 +54,6 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
         raise ConfigError(f"--widths={args.widths!r}: {exc}") from None
 
 
-def _loss_from_config(cfg: RunConfig, teacher: erm.TeacherSpec, sigma: float) -> erm.LossSpec:
-    """The ``[loss]`` kind over ``range_bound``, or else over the working
-    range derived from the teacher and the noise level."""
-    base = cfg["loss", "range_bound"]
-    if base is None:
-        base = erm.LossSpec.mse_for(teacher, sigma).range_bound
-    return erm.LossSpec.parse(cfg["loss", "kind"], base)
-
-
-def _optimizer_from_config(cfg: RunConfig) -> tuple[erm.OptimizerConfig, float, erm.Penalty]:
-    keys = ("step_size", "max_iters", "tolerance", "schedule")
-    opt = erm.OptimizerConfig(**{key: cfg["optimizer", key] for key in keys})
-    return opt, cfg["optimizer", "lambda"], cfg["optimizer", "regularizer"]
-
-
 def _pool_size(jobs: int, tasks: int) -> int:
     """Worker processes for a sweep: at most one per task and per core."""
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
@@ -174,8 +159,8 @@ def cmd_train(args) -> int:
 
     act = cfg["network", "activation"]
     widths = cfg.need(("network", "widths"))
-    loss = _loss_from_config(cfg, teacher, sigma)
-    opt, lam, reg = _optimizer_from_config(cfg)
+    loss, opt = cfg.loss(teacher), cfg.optimizer()
+    lam, reg = cfg["optimizer", "lambda"], cfg["optimizer", "regularizer"]
     init = erm.init_params(widths, ds.input_dim, seed=cfg["optimizer", "seed"])
 
     diverged = False
@@ -262,9 +247,10 @@ def cmd_sweep(args) -> int:
     teacher, n, sigma, base_seed = _problem_from_config(cfg)
     widths = _width_grid(args, cfg)
     bcfg, pattern = cfg.bound_config()
-    loss = _loss_from_config(cfg, teacher, sigma)
-    opt, lam, reg = _optimizer_from_config(cfg)
+    loss, opt = cfg.loss(teacher), cfg.optimizer()
+    lam, reg = cfg["optimizer", "lambda"], cfg["optimizer", "regularizer"]
     act = cfg["network", "activation"]
+    bounds = dict(zip(widths, theory.double_descent_sweep(bcfg, widths, pattern).totals()))
 
     tasks = [
         (w, base_seed + i, teacher, n, sigma, pattern, loss, opt, lam, reg, act)
@@ -288,8 +274,7 @@ def cmd_sweep(args) -> int:
     ]
     for row in rows:
         w = row[0]
-        bound = theory.gen_bound_encompassing(bcfg, tuple(w * p for p in pattern)).total
-        vals = [str(w), str(row[1])] + [repr(float(v)) for v in row[2:7]] + [repr(float(bound))]
+        vals = [str(w), str(row[1])] + [repr(float(v)) for v in (*row[2:7], bounds[w])]
         out_lines.append(",".join(vals) + "\n")
     _emit(args, args.out, "".join(out_lines))
     diverged = [row for row in rows if row[7] is not None]

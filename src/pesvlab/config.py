@@ -209,6 +209,19 @@ class RunConfig:
         d = self.need(("problem", "d"))
         return erm.documented_teacher(d, tuple(widths), self["problem", "teacher_seed"])
 
+    def loss(self, teacher: erm.TeacherSpec) -> erm.LossSpec:
+        """The ``[loss]`` kind over ``range_bound``, or else over the working
+        range derived from ``teacher`` and ``[problem] sigma_eps``."""
+        base = self["loss", "range_bound"]
+        if base is None:
+            base = erm.LossSpec.mse_for(teacher, self["problem", "sigma_eps"]).range_bound
+        return erm.LossSpec.parse(self["loss", "kind"], base)
+
+    def optimizer(self) -> erm.OptimizerConfig:
+        """The subgradient descent settings of ``[optimizer]``."""
+        keys = ("step_size", "max_iters", "tolerance", "schedule")
+        return erm.OptimizerConfig(**{key: self["optimizer", key] for key in keys})
+
     def bound_config(self) -> tuple[theory.BoundConfig, tuple[int, ...]]:
         """The bound settings and the width pattern; the depth is
         ``len(pattern) + 1``.  Without ``[bounds] n``, ``d`` or ``sigma_eps``

@@ -18,6 +18,7 @@ from .netcore import (
     stacked_backprop,
     stacked_forward,
 )
+from .norms import Penalty
 
 __all__ = [
     "Dataset",
@@ -248,46 +249,6 @@ def sample_dataset(teacher: TeacherSpec, n: int, sigma_eps: float, seed: int = 0
     return Dataset(inputs=xt, targets=y + noise, noise_std=sigma_eps, seed=seed)
 
 
-@dataclass(frozen=True)
-class Penalty:
-    """Regularizer choice: path norm, weight decay, or mixed per-unit max."""
-
-    kind: str
-    p: float = 1.0
-    q: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PENALTIES:
-            raise ValueError(f"unknown regularizer {self.kind!r}")
-        if not (1.0 <= self.p < math.inf and 1.0 <= self.q < math.inf):
-            raise ValueError("p and q must be finite and at least 1")
-
-    @classmethod
-    def parse(cls, text: str) -> "Penalty":
-        """Build from a ``pesv``, ``weight_decay`` or ``mixed_max[:p:q]`` spec."""
-        kinds = {k: v.spec_args for k, v in _PENALTIES.items()}
-        kind, args = parse_spec(text, kinds, "regularizer")
-        return cls(kind, *args)
-
-    def value(self, params) -> float:
-        return _PENALTIES[self.kind].value(self, params)
-
-
-class _PenaltyKind(NamedTuple):
-    value: Callable[[Penalty, object], float]
-    spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
-
-
-# Every regularizer kind, by its ``norms.PenaltyGroup`` kind.  The ``norms``
-# functions are looked up per call, so a wrapper installed on the module
-# sees every call.
-_PENALTIES = {
-    "pesv": _PenaltyKind(lambda r, w: norms.pesv_norm(w), (0,)),
-    "weight_decay": _PenaltyKind(lambda r, w: norms.weight_decay_norm(w), (0,)),
-    "mixed_max": _PenaltyKind(lambda r, w: norms.mixed_max_norm(w, r.p, r.q), (0, 2)),
-}
-
-
 def objective(params, dataset: Dataset, lam: float, loss: LossSpec, reg: Penalty, act: ActivationSpec) -> float:
     """Penalized empirical risk: mean per-sample loss plus ``lam`` times the
     regularizer (for half squared error this is ``(1/2n) sum (y - g)^2``)."""
@@ -415,9 +376,7 @@ def train_many(
     # and writes the subgradients of the groups with a penalized run.
     cuts = [0] + [s for s in range(1, S) if regs[s] != regs[s - 1]] + [S]
     groups = [
-        norms.PenaltyGroup(
-            slice(lo, hi), regs[lo].kind, regs[lo].p, regs[lo].q, bool(penalized[lo:hi].any())
-        )
+        norms.PenaltyGroup(slice(lo, hi), regs[lo], bool(penalized[lo:hi].any()))
         for lo, hi in zip(cuts, cuts[1:])
     ]
     loss_kind = _LOSSES[loss.kind]

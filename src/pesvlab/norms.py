@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .netcore import ActivationSpec, NetParams, UnsupportedActivationError, as_layers
+from .netcore import ActivationSpec, NetParams, UnsupportedActivationError, as_layers, parse_spec
 
 __all__ = [
     "balance_relu",
     "mixed_max_norm",
     "outgoing_weights",
+    "Penalty",
     "PenaltyGroup",
     "penalty_stacked",
     "pesv_matrixproduct_variant",
@@ -130,23 +132,7 @@ def _row_pnorms(w: np.ndarray, p: float) -> np.ndarray:
 def mixed_max_norm(params, p: float = 1.0, q: float = 2.0) -> float:
     """Max over per-unit incoming norms: ``l_p`` rows for layers >= 2 joined
     with ``l_q`` rows of the first layer."""
-    layers = _stack_one(params)
-    return float(_mixed_max(layers, p, q, _scan_row_norms(layers, p, q), None)[0])
-
-
-def _scan_row_norms(layers, p, q, abs_upper=None, l2_rows=None) -> list[np.ndarray]:
-    """Row norms in the mixed max's scan order: ``l_p`` rows of the layers
-    above the first, then ``l_q`` rows of the first.  Given ``|layers[1:]|``
-    and the first layer's ``l_2`` rows, the ``l_1`` and ``l_2`` rows are
-    taken from them: the same calls as ``_row_pnorms``, so the same bits."""
-    if not (1.0 <= p < math.inf and 1.0 <= q < math.inf):
-        raise ValueError("p and q must be finite and at least 1")
-    if p == 1.0 and abs_upper is not None:
-        rows = [np.add.reduce(a, axis=-1) for a in abs_upper]
-    else:
-        rows = [_row_pnorms(w, p) for w in layers[1:]]
-    rows.append(l2_rows if q == 2.0 and l2_rows is not None else _row_pnorms(layers[0], q))
-    return rows
+    return Penalty("mixed_max", p, q).value(params)
 
 
 def _mixed_max(layers, p, q, row_norms, out) -> np.ndarray:
@@ -178,15 +164,42 @@ def _mixed_max(layers, p, q, row_norms, out) -> np.ndarray:
     return value
 
 
-class PenaltyGroup(NamedTuple):
-    """Runs ``runs`` of a stacked batch and the penalty they share:
-    ``kind`` is ``"pesv"``, ``"weight_decay"`` or ``"mixed_max"`` (with
-    exponents ``p`` and ``q``); with ``grad`` their subgradients are written."""
+# Every penalty kind and the argument counts ``Penalty.parse`` accepts.
+_PENALTY_ARGS = {"pesv": (0,), "weight_decay": (0,), "mixed_max": (0, 2)}
 
-    runs: slice
+
+@dataclass(frozen=True)
+class Penalty:
+    """Regularizer choice: path norm, weight decay, or mixed per-unit max."""
+
     kind: str
     p: float = 1.0
     q: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in _PENALTY_ARGS:
+            raise ValueError(f"unknown regularizer {self.kind!r}")
+        if not (1.0 <= self.p < math.inf and 1.0 <= self.q < math.inf):
+            raise ValueError("p and q must be finite and at least 1")
+
+    @classmethod
+    def parse(cls, text: str) -> "Penalty":
+        """Build from a ``pesv``, ``weight_decay`` or ``mixed_max[:p:q]`` spec."""
+        kind, args = parse_spec(text, _PENALTY_ARGS, "regularizer")
+        return cls(kind, *args)
+
+    def value(self, params) -> float:
+        """The penalty of one network."""
+        group = PenaltyGroup(slice(0, 1), self, grad=False)
+        return float(penalty_stacked(_stack_one(params), [group], None)[1][0])
+
+
+class PenaltyGroup(NamedTuple):
+    """Runs ``runs`` of a stacked batch and the :class:`Penalty` they share;
+    with ``grad`` their subgradients are written."""
+
+    runs: slice
+    penalty: Penalty
     grad: bool = True
 
 
@@ -201,28 +214,31 @@ def penalty_stacked(layers, groups, out) -> tuple[np.ndarray, np.ndarray]:
     own slices: the path norm's ``|layers[1:]|``, first-layer row 2-norms
     and down chain are computed once for the whole batch and sliced for
     each group, and the mixed max takes its ``l_1`` and ``l_2`` rows from
-    them."""
+    them: the same calls as ``_row_pnorms``, so the same bits."""
     abs_upper, l2_rows, down, nu = _pesv_pieces(layers)
-    if any(grad for _, kind, _, _, grad in groups if kind == "pesv"):
+    if any(grad for _, pen, grad in groups if pen.kind == "pesv"):
         # For the whole batch, in fewer calls than group by group; the other
         # groups then write over their slices.
         _pesv_grad(layers, abs_upper, l2_rows, down, out)
     value = nu.copy()  # the path-norm groups' values
-    for runs, kind, p, q, grad in groups:
-        if kind == "pesv":
+    for runs, pen, grad in groups:
+        if pen.kind == "pesv":
             continue
         ws = [w[runs] for w in layers]
         gs = [g[runs] for g in out] if grad else None
-        if kind == "weight_decay":
+        if pen.kind == "weight_decay":
             value[runs] = _weight_decay(ws)
             if grad:
                 for w, g in zip(ws, gs):
                     np.multiply(w, 2.0, out=g)
-        elif kind == "mixed_max":
-            rows = _scan_row_norms(ws, p, q, [a[runs] for a in abs_upper], l2_rows[runs])
+        else:  # mixed_max: l_p rows above the first layer, then l_q rows of the first
+            p, q = pen.p, pen.q
+            if p == 1.0:
+                rows = [np.add.reduce(a[runs], axis=-1) for a in abs_upper]
+            else:
+                rows = [_row_pnorms(w, p) for w in ws[1:]]
+            rows.append(l2_rows[runs] if q == 2.0 else _row_pnorms(ws[0], q))
             value[runs] = _mixed_max(ws, p, q, rows, gs)
-        else:
-            raise ValueError(f"unknown penalty kind {kind!r}")
     return nu, value
 
 
@@ -266,17 +282,15 @@ def balance_relu(params: NetParams, act: ActivationSpec) -> NetParams:
             w_in, w_out = layers[l], layers[l + 1]
             in_norms = np.linalg.norm(w_in, axis=1)
             out_norms = np.linalg.norm(w_out, axis=0)
-            for j in range(w_in.shape[0]):
-                ni, no = in_norms[j], out_norms[j]
-                if ni > 0.0 and no > 0.0:
-                    c = np.sqrt(no / ni)
-                    if c != 1.0:
-                        w_in[j, :] *= c
-                        w_out[:, j] /= c
-                elif ni == 0.0 and no > 0.0:
-                    w_out[:, j] = 0.0
-                elif no == 0.0 and ni > 0.0:
-                    w_in[j, :] = 0.0
+            # Each neuron's factor reads norms taken before any rescaling,
+            # and touches only its own row and column.
+            c = np.ones_like(in_norms)
+            np.divide(out_norms, in_norms, out=c, where=(in_norms > 0.0) & (out_norms > 0.0))
+            np.sqrt(c, out=c)
+            w_in *= c[:, None]
+            w_out /= c
+            w_out[:, (in_norms == 0.0) & (out_norms > 0.0)] = 0.0
+            w_in[(out_norms == 0.0) & (in_norms > 0.0)] = 0.0
         cur = sum(float(np.sum(w * w)) for w in layers)
         if prev - cur <= _BALANCE_TOL * max(prev, 1e-300):
             break

@@ -114,17 +114,30 @@ def approx_bound_inf_relu(
     L: int, M_width: int, d: int, M_norm: float, C_d: float = 1.0
 ) -> float:
     """Sup-norm approximation bound for deep relu networks of width ``M_width``."""
-    if L <= 20 or M_width <= 162:
-        raise ValueError("requires depth > 20 and width > 162")
+    if not (20 < L < math.inf and 162 < M_width < math.inf):
+        raise ValueError(f"need a finite depth L > 20 and width M_width > 162, got {L}, {M_width}")
+    if not 1 <= d < math.inf:
+        raise ValueError(f"need a finite d >= 1, got {d}")
+    if not (0 <= M_norm < math.inf and 0 <= C_d < math.inf):
+        raise ValueError(f"M_norm and C_d must be nonnegative and finite, got {M_norm}, {C_d}")
     log3 = math.log(M_width) / math.log(3.0)
     body = (L - 20) ** 2 * (M_width - 162) ** 2 * (log3 - 4.0)
     return C_d * M_norm * body ** (-1.0 / d)
+
+
+def _check_d_and_L_sigma(d, L_sigma) -> None:
+    """Reject a ``d`` below 1 or an ``L_sigma`` not positive; nan fails both."""
+    if not 1 <= d < math.inf:
+        raise ValueError(f"need a finite d >= 1, got {d}")
+    if not 0 < L_sigma < math.inf:
+        raise ValueError(f"L_sigma must be positive and finite, got {L_sigma}")
 
 
 def metric_entropy_bound(delta: float, widths, d: int, L_sigma: float) -> float:
     """Sup-norm metric entropy bound of the unit-norm network class."""
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    _check_d_and_L_sigma(d, L_sigma)
     wv = WidthVector.of(widths)
     prod_all = wv.product()
     prod_head = 1
@@ -142,6 +155,9 @@ def rademacher_bound(
     signed-sum supremum over the norm ball of radius ``F``."""
     if not 0 <= F < math.inf:
         raise ValueError(f"F must be nonnegative and finite, got {F}")
+    _check_d_and_L_sigma(d, L_sigma)
+    if not (1 <= n < math.inf and 0 < c < math.inf):
+        raise ValueError(f"need a finite n >= 1 and a positive finite c, got {n}, {c}")
     L = len(WidthVector.of(widths)) + 1
     return 2.0 ** (L - 1) * c * L_sigma ** (L - 1) * F * math.sqrt(d * n)
 
@@ -150,6 +166,7 @@ def delta_n(n: float, d: int, widths, L_sigma: float) -> float:
     """Parameter-count rate ``(2 L_sigma)^(L-1) (prod m_i) d log(n) / n``."""
     if not 2 <= n < math.inf:
         raise ValueError(f"need a finite n >= 2, got {n}")
+    _check_d_and_L_sigma(d, L_sigma)
     wv = WidthVector.of(widths)
     L = len(wv) + 1
     return (2.0 * L_sigma) ** (L - 1) * wv.product() * d * math.log(n) / n
@@ -280,7 +297,11 @@ def _encompassing(cfg: BoundConfig):
 
 def gen_bound_general_loss(cfg: BoundConfig, loss, widths, T: float) -> BoundReport:
     """Encompassing bound for a general Lipschitz loss with a noise-tail cut
-    at ``T``; the bias enters at first power of the approximation factor."""
+    at ``T``; the bias enters at first power of the approximation factor.
+
+    The over-regime variance factor is
+    ``L1y max{12 D_sigma, 2^(L+2) c L_sigma^(L-1) sqrt(d)}``; its second
+    branch is twice that of ``2 L1y`` times :func:`lambda_overparam`'s factor."""
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     wv = _check_widths(cfg, widths)

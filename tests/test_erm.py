@@ -340,7 +340,7 @@ def penalty_subgradient(reg, layers):
     ``norms.penalty_stacked`` call."""
     stacked = [w[None] for w in layers]
     out = [np.empty_like(w) for w in stacked]
-    group = norms.PenaltyGroup(slice(0, 1), reg.kind, reg.p, reg.q)
+    group = norms.PenaltyGroup(slice(0, 1), reg)
     norms.penalty_stacked(stacked, [group], out)
     return [g[0] for g in out]
 

@@ -17,7 +17,7 @@ def penalty_alone(layers, kind, p=1.0, q=2.0):
     """Values and subgradients of ``(S, rows, cols)`` stacked networks under
     one penalty: :func:`norms.penalty_stacked` with a single group."""
     out = [np.empty_like(w) for w in layers]
-    group = norms.PenaltyGroup(slice(0, len(layers[0])), kind, p, q)
+    group = norms.PenaltyGroup(slice(0, len(layers[0])), norms.Penalty(kind, p, q))
     return norms.penalty_stacked(layers, [group], out)[1], out
 
 
@@ -202,10 +202,8 @@ class TestMixedMaxNorm:
         net = NetParams.from_arrays([np.ones((1, 2)), np.ones((1, 1))])
         with pytest.raises(ValueError, match="at least 1"):
             norms.mixed_max_norm(net, p, q)
-        layers = [w[None] for w in net.layers]
-        group = norms.PenaltyGroup(slice(0, 1), "mixed_max", p, q)
         with pytest.raises(ValueError, match="at least 1"):
-            norms.penalty_stacked(layers, [group], [np.empty_like(w) for w in layers])
+            norms.Penalty("mixed_max", p, q)
 
     def test_subgradient_matches_fd(self):
         rng = np.random.default_rng(5)
@@ -319,7 +317,7 @@ def penalty_groups(draw, runs):
         kind = draw(st.sampled_from(["pesv", "weight_decay", "mixed_max"]))
         p, q = (draw(exps), draw(exps)) if kind == "mixed_max" else (1.0, 2.0)
         lams = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=hi - lo, max_size=hi - lo))
-        groups.append(norms.PenaltyGroup(slice(lo, hi), kind, p, q, max(lams) > 0.0))
+        groups.append(norms.PenaltyGroup(slice(lo, hi), norms.Penalty(kind, p, q), max(lams) > 0.0))
     return groups
 
 
@@ -339,8 +337,8 @@ class TestPenaltyStackedProperty:
         norms.penalty_stacked([-7.0 * w[::-1] for w in layers], groups, out)
         nu, value = norms.penalty_stacked(layers, groups, out)
         assert nu.tobytes() == norms.pesv_stacked(layers).tobytes()
-        for runs, kind, p, q, grad in groups:
-            ref_value, ref_grads = penalty_alone([w[runs] for w in layers], kind, p, q)
+        for runs, pen, grad in groups:
+            ref_value, ref_grads = penalty_alone([w[runs] for w in layers], pen.kind, pen.p, pen.q)
             assert value[runs].tobytes() == ref_value.tobytes()
             if grad:
                 for g, ref in zip(out, ref_grads, strict=True):
@@ -444,7 +442,55 @@ class TestHomogeneityProperties:
         assert np.all(np.abs(nc.forward(layers, act, x)) <= bound * (1.0 + self.TOL))
 
 
+def balance_relu_neuron_by_neuron(params):
+    """Reference: :func:`norms.balance_relu` rescaling one neuron at a time."""
+    layers = [np.array(w) for w in params.layers]
+    prev = sum(float(np.sum(w * w)) for w in layers)
+    for _ in range(norms._BALANCE_MAX_SWEEPS):
+        for l in range(len(layers) - 1):
+            w_in, w_out = layers[l], layers[l + 1]
+            in_norms = np.linalg.norm(w_in, axis=1)
+            out_norms = np.linalg.norm(w_out, axis=0)
+            for j in range(w_in.shape[0]):
+                ni, no = in_norms[j], out_norms[j]
+                if ni > 0.0 and no > 0.0:
+                    c = np.sqrt(no / ni)
+                    if c != 1.0:
+                        w_in[j, :] *= c
+                        w_out[:, j] /= c
+                elif ni == 0.0 and no > 0.0:
+                    w_out[:, j] = 0.0
+                elif no == 0.0 and ni > 0.0:
+                    w_in[j, :] = 0.0
+        cur = sum(float(np.sum(w * w)) for w in layers)
+        if prev - cur <= norms._BALANCE_TOL * max(prev, 1e-300):
+            break
+        prev = cur
+    return NetParams(tuple(layers))
+
+
 class TestBalanceRelu:
+    def test_equals_neuron_by_neuron(self):
+        """Seeded nets of depth 2-4 and widths 1-8, with entries scaled by
+        1e-3 to 1e3 and zeroed entries, rows and columns: the same bits as
+        rescaling one neuron at a time, signs of zeros included."""
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            widths = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
+            layers = [np.array(w) for w in random_net(rng, widths, int(rng.integers(1, 4))).layers]
+            for w in layers:
+                w *= 10.0 ** rng.uniform(-3.0, 3.0, size=w.shape)
+                w[rng.random(w.shape) < 0.15] = 0.0
+                if rng.random() < 0.3:
+                    w[rng.integers(w.shape[0])] = -0.0
+                if rng.random() < 0.3:
+                    w[:, rng.integers(w.shape[1])] = 0.0
+            net = NetParams.from_arrays(layers)
+            got = norms.balance_relu(net, ActivationSpec.relu())
+            ref = balance_relu_neuron_by_neuron(net)
+            for g, r in zip(got.layers, ref.layers, strict=True):
+                assert g.tobytes() == r.tobytes()
+
     def test_two_layer_closed_form(self):
         """|a| = ||w||_2 = sqrt(2) after balancing; weight decay = 2 nu."""
         p = NetParams.from_arrays([np.array([[0.3, 0.4]]), np.array([[4.0]])])

@@ -432,9 +432,23 @@ FORMULA_ARGUMENTS = [
     ("h_of_m", "L_sigma", lambda v: theory.h_of_m((4,), v)),
     ("approx_bound_l2", "R", lambda v: theory.approx_bound_l2((4,), 1.0, R=v, M=1.0)),
     ("approx_bound_l2", "M", lambda v: theory.approx_bound_l2((4,), 1.0, R=1.0, M=v)),
+    ("approx_bound_inf_relu", "L", lambda v: theory.approx_bound_inf_relu(v, 200, 2, 1.0)),
+    ("approx_bound_inf_relu", "M_width", lambda v: theory.approx_bound_inf_relu(25, v, 2, 1.0)),
+    ("approx_bound_inf_relu", "d", lambda v: theory.approx_bound_inf_relu(25, 200, v, 1.0)),
+    ("approx_bound_inf_relu", "M_norm", lambda v: theory.approx_bound_inf_relu(25, 200, 2, v)),
+    ("approx_bound_inf_relu", "C_d",
+     lambda v: theory.approx_bound_inf_relu(25, 200, 2, 1.0, C_d=v)),
     ("metric_entropy_bound", "delta", lambda v: theory.metric_entropy_bound(v, (2,), 2, 1.0)),
+    ("metric_entropy_bound", "d", lambda v: theory.metric_entropy_bound(1.0, (2,), v, 1.0)),
+    ("metric_entropy_bound", "L_sigma", lambda v: theory.metric_entropy_bound(1.0, (2,), 2, v)),
     ("rademacher_bound", "F", lambda v: theory.rademacher_bound((8,), v, 2, 64, 1.0)),
+    ("rademacher_bound", "d", lambda v: theory.rademacher_bound((8,), 1.0, v, 64, 1.0)),
+    ("rademacher_bound", "n", lambda v: theory.rademacher_bound((8,), 1.0, 2, v, 1.0)),
+    ("rademacher_bound", "L_sigma", lambda v: theory.rademacher_bound((8,), 1.0, 2, 64, v)),
+    ("rademacher_bound", "c", lambda v: theory.rademacher_bound((8,), 1.0, 2, 64, 1.0, c=v)),
     ("delta_n", "n", lambda v: theory.delta_n(v, 2, (3, 3), 1.0)),
+    ("delta_n", "d", lambda v: theory.delta_n(100, v, (3, 3), 1.0)),
+    ("delta_n", "L_sigma", lambda v: theory.delta_n(100, 2, (3, 3), v)),
     ("gen_bound_general_loss", "T",
      lambda v: theory.gen_bound_general_loss(relu_cfg(), erm.LossSpec.mse(2.0), (4,), T=v)),
     ("lower_bound_shape", "n", lambda v: theory.lower_bound_shape(v, 1.0)),
