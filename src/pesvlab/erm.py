@@ -16,6 +16,7 @@ from .netcore import (
     layer_shapes,
     parse_spec,
     stacked_backprop,
+    stacked_buffers,
     stacked_forward,
 )
 from .norms import Penalty
@@ -260,6 +261,13 @@ def objective(params, dataset: Dataset, lam: float, loss: LossSpec, reg: Penalty
 
 _SCHEDULES = ("inv_sqrt", "constant")
 
+# A batch whose widest hidden-layer array holds this many values or more
+# writes its hidden layers into buffers allocated once per call.  Allocated
+# anew every step, arrays of 128 KiB or more (glibc's default mmap
+# threshold) are mapped from the kernel and fault on every first touch;
+# smaller ones are cheaper to allocate than to route through the buffers.
+_BUFFER_VALUES = 2**14
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -348,16 +356,17 @@ def train_many(
     lam = np.array(lams, dtype=np.float64)
     if not np.all((lam >= 0.0) & (lam < math.inf)):
         raise ValueError("lambda must be nonnegative and finite")
-    # The layers, their gradients, the best iterate and the penalty
-    # subgradients each live in one layer-major block: layer k of every run
-    # is a C-contiguous (S, rows, cols) view, the layout np.stack gives.  The
-    # layers are updated in place, so the views stay current.
+    # The layers, their gradients, the best iterate, the penalty
+    # subgradients and the two work arrays of the path norm each live in one
+    # layer-major block: layer k of every run is a C-contiguous (S, rows,
+    # cols) view, the layout np.stack gives.  The layers are updated in
+    # place, so the views stay current.
     shapes = [(S, *w.shape) for w in inits[0].layers]
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    block, grad_block, best_block, pen_block = np.zeros((4, ends[-1]))
-    arrs, grads, best, pens = (
+    block, grad_block, best_block, pen_block, abs_block, outer_block = np.zeros((6, ends[-1]))
+    arrs, grads, best, pens, abss, outers = (
         [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
-        for flat in (block, grad_block, best_block, pen_block)
+        for flat in (block, grad_block, best_block, pen_block, abs_block, outer_block)
     )
     for w, ws in zip(arrs, zip(*(p.layers for p in inits))):
         np.stack(ws, out=w)
@@ -379,6 +388,8 @@ def train_many(
         norms.PenaltyGroup(slice(lo, hi), regs[lo], bool(penalized[lo:hi].any()))
         for lo, hi in zip(cuts, cuts[1:])
     ]
+    widths = inits[0].width_vector
+    buffers = stacked_buffers(S, n, widths) if S * n * widths.m >= _BUFFER_VALUES else None
     loss_kind = _LOSSES[loss.kind]
     best_obj = np.full(S, math.inf)
     better = np.empty(S, dtype=bool)
@@ -391,11 +402,11 @@ def train_many(
     # expected, not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opt.max_iters):
-            preds, hs, zs = stacked_forward(arrs, act, x)
+            preds, hs, zs = stacked_forward(arrs, act, x, buffers)
             resid = preds - y
             total = np.add.reduce(loss_kind.value(loss, preds, y, resid), axis=-1)
             # The subgradients wait in their block for the backward pass.
-            history[2, t], value = norms.penalty_stacked(arrs, groups, pens)
+            history[2, t], value = norms.penalty_stacked(arrs, groups, pens, (abss, outers))
             obj = np.add(total / n, lam * value, out=history[0, t])
             # A finite sum means finite objectives; an overflowing one is
             # checked run by run.
@@ -418,9 +429,11 @@ def train_many(
                 np.copyto(best_block, block, where=True if improved == S else better[run_of])
 
             upstream = loss_kind.dpred(loss, preds, y, resid) / n
-            stacked_backprop(arrs, act, hs, zs, upstream, out=grads)
-            # Held into the next forward pass, the layer activations would
-            # double the peak memory of a wide network.
+            stacked_backprop(arrs, act, hs, zs, upstream, buffers, grads)
+            # Held into the next forward pass, the layer arrays that are not
+            # buffer views (all of them in a narrow batch, the activations
+            # of kinds other than relu in a wide one) would double its peak
+            # memory.
             del hs, zs
             if add_penalty:
                 np.multiply(pen_block, lam_flat, out=pen_block)

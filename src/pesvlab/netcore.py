@@ -346,7 +346,9 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
     """Evaluate the network on a batch of ``(d+1)``-vectors.
 
     ``params`` may be a :class:`NetParams` or a raw sequence of layer
-    matrices (fast path used inside optimization loops).
+    matrices.  relu is applied in place on each new preactivation, so a
+    relu network's evaluation holds two hidden arrays at a time, not three;
+    ``inputs`` is never written.
     """
     layers = as_layers(params)
     x = np.asarray(inputs, dtype=np.float64)
@@ -360,7 +362,8 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
         )
     h = x
     for w in layers[:-1]:
-        h = act(h @ w.T)
+        z = h @ w.T
+        h = act(z, out=z)
     out = (h @ layers[-1].T).ravel()
     return out[0] if single else out
 

@@ -82,10 +82,14 @@ def pesv_stacked(layers) -> np.ndarray:
     return _pesv_pieces(layers)[3]
 
 
-def _pesv_pieces(layers):
-    """``|layers[1:]|``, the first-layer row 2-norms ``v``, the chain
-    ``down[k] = |layers[k]| ... |layers[1]| v`` as columns, and the path norm."""
-    abs_upper = [np.abs(w) for w in layers[1:]]
+def _pesv_pieces(layers, abs_out=None):
+    """``|layers[1:]|``, written into ``abs_out[1:]`` when given, the
+    first-layer row 2-norms ``v``, the chain ``down[k] = |layers[k]| ...
+    |layers[1]| v`` as columns, and the path norm."""
+    if abs_out is None:
+        abs_upper = [np.abs(w) for w in layers[1:]]
+    else:
+        abs_upper = [np.abs(w, out=a) for w, a in zip(layers[1:], abs_out[1:])]
     row_norms = _row_pnorms(layers[0], 2.0)
     down = [row_norms[..., None]]
     for w in abs_upper[:-1]:
@@ -93,9 +97,10 @@ def _pesv_pieces(layers):
     return abs_upper, row_norms, down, (abs_upper[-1] @ down[-1])[:, 0, 0]
 
 
-def _pesv_grad(layers, abs_upper, row_norms, down, out) -> None:
+def _pesv_grad(layers, abs_upper, row_norms, down, out, outer_out=None) -> None:
     """Write the path-norm subgradient of each stacked network into ``out``:
-    zero at sign kinks and on zero first-layer rows."""
+    zero at sign kinks and on zero first-layer rows.  Each middle layer's
+    outer product is written into ``outer_out`` when given."""
     upvecs = outgoing_weights(abs_upper)
     norms_col = row_norms[..., None]
     if (row_norms > 0.0).all():
@@ -105,7 +110,10 @@ def _pesv_grad(layers, abs_upper, row_norms, down, out) -> None:
         np.divide(layers[0], norms_col, out=out[0], where=norms_col > 0.0)
     np.multiply(upvecs[0][..., None], out[0], out=out[0])
     for k in range(1, len(layers) - 1):
-        outer = upvecs[k][..., None] * down[k - 1].transpose(0, 2, 1)
+        outer = np.multiply(
+            upvecs[k][..., None], down[k - 1].transpose(0, 2, 1),
+            out=None if outer_out is None else outer_out[k],
+        )
         np.multiply(np.sign(layers[k], out=out[k]), outer, out=out[k])
     np.sign(layers[-1], out=out[-1])
     np.multiply(out[-1], down[-1].transpose(0, 2, 1), out=out[-1])
@@ -203,23 +211,28 @@ class PenaltyGroup(NamedTuple):
     grad: bool = True
 
 
-def penalty_stacked(layers, groups, out) -> tuple[np.ndarray, np.ndarray]:
+def penalty_stacked(layers, groups, out, work=None) -> tuple[np.ndarray, np.ndarray]:
     """The path norm of each of ``S`` stacked networks and the penalty of
     each, shapes ``(S,)``: a run takes the penalty of the
     :class:`PenaltyGroup` that holds it.  The subgradient of every run of a
     group with ``grad`` is written into its slices of ``out``, ``(S, rows,
     cols)`` arrays; the slices of the other groups may be written too.
+    With ``work``, two lists of C-contiguous arrays shaped like ``layers``,
+    the path norm's ``|layers[1:]|`` and the outer products of its
+    subgradient are written there instead of into new arrays, with the same
+    bits.
 
     Every number has the bits of the group computed alone, by a call on its
     own slices: the path norm's ``|layers[1:]|``, first-layer row 2-norms
     and down chain are computed once for the whole batch and sliced for
     each group, and the mixed max takes its ``l_1`` and ``l_2`` rows from
     them: the same calls as ``_row_pnorms``, so the same bits."""
-    abs_upper, l2_rows, down, nu = _pesv_pieces(layers)
+    abs_out, outer_out = work or (None, None)
+    abs_upper, l2_rows, down, nu = _pesv_pieces(layers, abs_out)
     if any(grad for _, pen, grad in groups if pen.kind == "pesv"):
         # For the whole batch, in fewer calls than group by group; the other
         # groups then write over their slices.
-        _pesv_grad(layers, abs_upper, l2_rows, down, out)
+        _pesv_grad(layers, abs_upper, l2_rows, down, out, outer_out)
     value = nu.copy()  # the path-norm groups' values
     for runs, pen, grad in groups:
         if pen.kind == "pesv":

@@ -630,6 +630,117 @@ class TestTrainMany:
             erm.train(inits[0], datasets[0], lam, loss, pen, opt, RELU)
 
 
+TABULATED = ActivationSpec.tabulated([-2.0, -0.5, 0.0, 1.0, 2.0], [-1.0, -0.2, 0.1, 0.9, 1.2])
+
+
+def train_both_ways(monkeypatch, *args):
+    """``erm.train_many(*args)`` with the hidden-layer buffers forced on,
+    then forced off."""
+    monkeypatch.setattr(erm, "_BUFFER_VALUES", 1)
+    buffered = erm.train_many(*args)
+    monkeypatch.setattr(erm, "_BUFFER_VALUES", math.inf)
+    return buffered, erm.train_many(*args)
+
+
+class TestBufferedTrainMany:
+    """A batch whose hidden-layer arrays are large writes them into buffers
+    allocated once per call, with the bits of the unbuffered path."""
+
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("widths", [(64,), (256, 256), (3, 300)])
+    @pytest.mark.parametrize("act", [RELU, ActivationSpec.leaky_relu(0.1), TABULATED])
+    def test_same_bits_as_unbuffered(self, monkeypatch, S, widths, act):
+        """Three runs take three penalties, the middle one at lambda = 0."""
+        teacher = documented_teacher(d=2)
+        datasets = [erm.sample_dataset(teacher, 16, 0.05, seed=s) for s in range(S)]
+        inits = [erm.init_params(widths, 2, seed=s) for s in range(S)]
+        lams = [0.01, 0.0, 0.02][:S]
+        regs = [erm.Penalty.parse(r) for r in ("pesv", "weight_decay", "mixed_max:1:2")][:S]
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=20)
+        args = (inits, datasets, lams, erm.LossSpec.mse(2.0), regs, opt, act)
+        for got, want in zip(*train_both_ways(monkeypatch, *args), strict=True):
+            assert_same_result(got, want)
+
+    def test_runs_stop_early(self, monkeypatch):
+        """Under a tolerance each run stops on its own."""
+        teacher = documented_teacher(d=2)
+        seeds = (3, 0, 1)
+        datasets = [erm.sample_dataset(teacher, 12, 0.0, seed=s) for s in seeds]
+        inits = [erm.init_params((3,), 2, seed=s) for s in seeds]
+        opt = erm.OptimizerConfig(
+            step_size=0.5, max_iters=60, tolerance=0.004, schedule="constant"
+        )
+        args = (inits, datasets, [0.0, 0.001, 0.0], erm.LossSpec.mse(2.0),
+                [erm.Penalty("pesv")] * 3, opt, RELU)
+        buffered, unbuffered = train_both_ways(monkeypatch, *args)
+        assert [(r.iterations, r.converged) for r in buffered] == [
+            (20, True), (32, True), (60, False)
+        ]
+        for got, want in zip(buffered, unbuffered, strict=True):
+            assert_same_result(got, want)
+
+    def test_diverging_run_carries_its_last_finite_iterate(self, monkeypatch):
+        datasets, lams = three_runs()
+        big = datasets[1]
+        datasets[1] = erm.Dataset(big.inputs, big.targets * 1e150, big.noise_std, big.seed)
+        inits = [erm.init_params((64,), 2, seed=s) for s in (4, 5, 6)]
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
+        args = (inits, datasets, lams, erm.LossSpec.mse(2.0), [erm.Penalty("pesv")] * 3,
+                opt, ActivationSpec.identity())
+        errors = []
+        for limit in (1, math.inf):
+            monkeypatch.setattr(erm, "_BUFFER_VALUES", limit)
+            with pytest.raises(erm.DivergenceError) as exc:
+                erm.train_many(*args)
+            errors.append(exc.value)
+        buffered, unbuffered = errors
+        assert (str(buffered), buffered.run) == (str(unbuffered), unbuffered.run)
+        assert buffered.run == 1
+        for a, b in zip(buffered.last_finite.layers, unbuffered.last_finite.layers, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "S, n, widths, buffered",
+        [(1, 64, (256,), True), (1, 64, (255,), False), (1, 63, (256,), False),
+         (2, 32, (3, 256), True), (2, 32, (255, 3), False)],
+    )
+    def test_buffers_engage_from_2_to_the_14_values(self, monkeypatch, S, n, widths, buffered):
+        """The widest hidden layer of the whole batch decides."""
+        seen = []
+        real = erm.stacked_forward
+
+        def recording(layers, act, inputs, buffers=None):
+            seen.append(buffers is not None)
+            return real(layers, act, inputs, buffers)
+
+        monkeypatch.setattr(erm, "stacked_forward", recording)
+        teacher = documented_teacher(d=2)
+        datasets = [erm.sample_dataset(teacher, n, 0.05, seed=s) for s in range(S)]
+        inits = [erm.init_params(widths, 2, seed=s) for s in range(S)]
+        opt = erm.OptimizerConfig(max_iters=2)
+        erm.train_many(inits, datasets, [0.01] * S, erm.LossSpec.mse(2.0),
+                       [erm.Penalty("pesv")] * S, opt, RELU)
+        assert seen == [buffered] * 2
+
+    def test_warm_wide_train_takes_few_page_faults(self, warm_call_faults):
+        """A second ``train`` at widths (256, 256), n = 512 and 100
+        iterations in a fresh process takes about 2,400 minor faults, mostly
+        first touches of the call's buffers.  Allocating the hidden layers
+        and the path norm's temporaries anew every step took about 125,000:
+        arrays of this size are mapped from the kernel and handed back."""
+        faults = warm_call_faults(
+            "from pesvlab import erm, netcore\n"
+            "teacher = erm.documented_teacher(d=2)\n"
+            "ds = erm.sample_dataset(teacher, 512, 0.05, seed=1)\n"
+            "init = erm.init_params((256, 256), 2, seed=2)\n"
+            "opt = erm.OptimizerConfig(step_size=0.2, max_iters=100)\n"
+            "args = (init, ds, 0.01, erm.LossSpec.mse(2.0), erm.Penalty('pesv'), opt,\n"
+            "        netcore.ActivationSpec.relu())",
+            "erm.train(*args)",
+        )
+        assert faults < 10_000
+
+
 class TestErrorMeasures:
     def test_teacher_against_itself(self):
         teacher = documented_teacher(d=2)

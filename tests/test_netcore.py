@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,46 @@ def same_bits(a, b) -> bool:
     """Equal shapes and equal bytes, so signs of zeros and NaN payloads too."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def forward_out_of_place(layers, act, x):
+    """Reference evaluation with every activation in a new array."""
+    h = x
+    for w in layers[:-1]:
+        h = act(h @ w.T)
+    return (h @ layers[-1].T).ravel()
+
+
+class TestForwardInPlace:
+    """``forward`` applies relu in place on each new preactivation."""
+
+    ROWS, WIDTHS = 4096, (256, 256)
+
+    def case(self):
+        rng = np.random.default_rng(0)
+        return random_net(rng, self.WIDTHS, 2), rng.normal(size=(self.ROWS, 3))
+
+    def test_relu_holds_two_hidden_arrays(self):
+        """Out of place, the previous activation, the preactivation and the
+        new activation are alive together: three hidden arrays."""
+        net, x = self.case()
+        hidden = self.ROWS * max(self.WIDTHS) * 8
+        tracemalloc.start()
+        try:
+            nc.forward(net, ActivationSpec.relu(), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * hidden + hidden // 8
+
+    @pytest.mark.parametrize("act", STACKED_ACTS.values(), ids=STACKED_ACTS)
+    def test_same_bits_as_out_of_place(self, act):
+        net, x = self.case()
+        x0 = x.copy()
+        assert same_bits(nc.forward(net, act, x), forward_out_of_place(net.layers, act, x))
+        one = forward_out_of_place(net.layers, act, x[:1])[0]
+        assert same_bits(nc.forward(net.layers, act, x[0]), one)
+        assert same_bits(x, x0)
 
 
 def stacked_case(rng, runs, widths, n, d, per_run):

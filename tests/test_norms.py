@@ -1,6 +1,7 @@
 """Regularizers, subgradients, and output-preserving rescalings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,14 +329,15 @@ class TestPenaltyStackedProperty:
         """Path norms, values and subgradients have the bits of each group
         computed alone, by a call on its own slices, signs of zeros included.
         Those calls share no pieces with other groups, and no other group
-        writes over their subgradients.  The subgradient block is
-        reused, as training reuses it: stale values from an earlier call on
-        other networks must not survive."""
+        writes over their subgradients.  The subgradient block and the work
+        arrays are reused, as training reuses them: stale values from an
+        earlier call on other networks must not survive."""
         layers = data.draw(stacked_nets_picking_each_layer())
         groups = data.draw(penalty_groups(len(layers[0])))
         out = [np.full_like(w, np.nan) for w in layers]
-        norms.penalty_stacked([-7.0 * w[::-1] for w in layers], groups, out)
-        nu, value = norms.penalty_stacked(layers, groups, out)
+        work = tuple([np.full_like(w, np.nan) for w in layers] for _ in range(2))
+        norms.penalty_stacked([-7.0 * w[::-1] for w in layers], groups, out, work)
+        nu, value = norms.penalty_stacked(layers, groups, out, work)
         assert nu.tobytes() == norms.pesv_stacked(layers).tobytes()
         for runs, pen, grad in groups:
             ref_value, ref_grads = penalty_alone([w[runs] for w in layers], pen.kind, pen.p, pen.q)
@@ -343,6 +345,29 @@ class TestPenaltyStackedProperty:
             if grad:
                 for g, ref in zip(out, ref_grads, strict=True):
                     assert g[runs].tobytes() == ref.tobytes()
+
+
+class TestPenaltyStackedWork:
+    def test_work_arrays_hold_the_layer_sized_temporaries(self):
+        """Without ``work``, the path norm of a width-256 network of depth 3
+        takes ``|W|`` and the outer product of its middle layer as new
+        arrays; with it, nothing of a layer's size is allocated (the
+        broadcast multiply's ufunc buffers take a fixed 128 KiB)."""
+        rng = np.random.default_rng(0)
+        layers = [rng.normal(size=(1, *shape)) for shape in nc.layer_shapes((256, 256), 3)]
+        group = [norms.PenaltyGroup(slice(0, 1), norms.Penalty("pesv"))]
+        out = [np.empty_like(w) for w in layers]
+        work = tuple([np.empty_like(w) for w in layers] for _ in range(2))
+        peaks = []
+        for arrays in (None, work):
+            tracemalloc.start()
+            try:
+                norms.penalty_stacked(layers, group, out, arrays)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        middle = layers[1].nbytes
+        assert peaks[1] < middle // 2 and peaks[0] >= 2 * middle
 
 
 class TestRescaleNeuron:

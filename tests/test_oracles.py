@@ -3,11 +3,7 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,31 +304,20 @@ class TestRademacherMC:
         assert max(hidden) <= max(2**16, kw["n_starts"] * n * max(widths))
         assert len(addresses) == 1
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux page faults")
-    def test_warm_call_takes_few_page_faults(self):
+    def test_warm_call_takes_few_page_faults(self, warm_call_faults):
         """A warm call at the oracle_suite configuration, one block of 128
         starts, in a fresh process.  With the buffers reused it takes about
         500 minor faults, mostly first touches of the buffers; allocating the
         hidden-layer arrays anew every step took about 27,000, because the
         allocator hands arrays of this size back to the kernel."""
-        script = (
-            "import resource, numpy as np\n"
+        faults = warm_call_faults(
+            "import numpy as np\n"
             "from pesvlab import erm, oracles\n"
             "X = erm.uniform_ball(np.random.default_rng(5), 64, 2)\n"
-            "kw = dict(trials=8, n_starts=16, inner_steps=120, seed=1)\n"
-            "oracles.rademacher_mc((8,), 1.0, X, **kw)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "oracles.rademacher_mc((8,), 1.0, X, **kw)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "kw = dict(trials=8, n_starts=16, inner_steps=120, seed=1)",
+            "oracles.rademacher_mc((8,), 1.0, X, **kw)",
         )
-        src = str(Path(oracles.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        ))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        )
-        assert int(done.stdout) < 2_000
+        assert faults < 2_000
 
 
 def rademacher_mc_one_trial_at_a_time(
