@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
 4 numerical divergence (``sweep`` still writes every row, with ``nan``
-values for a diverged task).  All emitted CSV bodies are deterministic given
-the configuration and seed; a timestamp comment line can be suppressed with
+values for a diverged task).  Every output's bytes are deterministic for a
+given configuration, seed and BLAS build: ``sweep`` trains each row in a
+worker process that runs BLAS on one thread, so its CSV does not depend on
+``--jobs`` or the cores.  A timestamp comment line can be suppressed with
 ``--no-timestamp``.
 """
 
@@ -22,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import erm, norms, oracles, theory
+from . import erm, oracles, theory
 from .config import ConfigError, RunConfig, parse_config, parse_widths_spec
 from .erm import DivergenceError
 from .netcore import save_network
@@ -74,25 +76,14 @@ def _openblas(verb: str):
     return None
 
 
-def _worker_blas_threads(workers: int) -> int | None:
-    """BLAS threads for each of ``workers`` sweep processes: this process's
-    count, capped so that all workers' threads fit on the cores.  Workers
-    forked with OpenBLAS's default of one thread per core would otherwise
-    put ``workers`` times the cores' threads on them.  None when numpy's BLAS
-    has no thread count to read and set."""
-    get = _openblas("get")
-    if get is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    return max(1, min(get(), (os.cpu_count() or 1) // workers))
-
-
-def _set_blas_threads(threads: int | None) -> None:
-    """Pool initializer: run this worker's BLAS calls on ``threads`` threads."""
-    if threads is not None:
-        set_threads = _openblas("set")
+def _one_blas_thread() -> None:
+    """Pool initializer: run this worker's BLAS calls on one thread, so that a
+    sweep's bytes depend neither on ``--jobs`` nor on the cores.  A no-op
+    when numpy's BLAS has no thread count to set."""
+    set_threads = _openblas("set")
+    if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(threads)
+        set_threads(1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +146,16 @@ def cmd_bound(args) -> int:
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     teacher, n, sigma, seed = _problem_from_config(cfg)
-    ds = erm.sample_dataset(teacher, n, sigma, seed=seed)
-
     act = cfg["network", "activation"]
-    widths = cfg.need(("network", "widths"))
-    loss, opt = cfg.loss(teacher), cfg.optimizer()
-    lam, reg = cfg["optimizer", "lambda"], cfg["optimizer", "regularizer"]
-    init = erm.init_params(widths, ds.input_dim, seed=cfg["optimizer", "seed"])
-
-    diverged = False
     try:
-        res = erm.train(init, ds, lam, loss, reg, opt, act)
-        params = res.params
-        trace = res.trace
-        final_obj = res.best_objective
+        res, nu, emp, gen, gen_se = erm.fit_and_measure(
+            teacher, n, sigma, seed, cfg.need(("network", "widths")), cfg["optimizer", "seed"],
+            cfg["optimizer", "lambda"], cfg.loss(teacher), cfg["optimizer", "regularizer"],
+            cfg.optimizer(), act, 4096,
+        )
+        params, trace = res.params, res.trace
     except DivergenceError as exc:
-        diverged = True
-        params = exc.last_finite
-        trace = np.empty((0, 4))
-        final_obj = math.nan
+        res, params, trace = None, exc.last_finite, np.empty((0, 4))
         print(f"error: {exc}", file=sys.stderr)
 
     if args.out:
@@ -185,13 +167,11 @@ def cmd_train(args) -> int:
             for row in trace
         )
         _emit(args, trace_path, "iteration,objective,empirical_mse,nu\n" + "".join(lines))
-    if diverged:
+    if res is None:
         return 4
 
-    emp = erm.empirical_error(params, act, teacher, ds)
-    gen, gen_se = erm.generalization_error_mc(params, act, teacher, 4096, seed=seed + 1)
-    print(f"final_objective={final_obj!r}")
-    print(f"nu={norms.pesv_norm(params)!r}")
+    print(f"final_objective={res.best_objective!r}")
+    print(f"nu={nu!r}")
     print(f"empirical_error={emp!r}")
     print(f"generalization_mc={gen!r} stderr={gen_se!r}")
     return 0
@@ -221,21 +201,15 @@ def cmd_verify(args) -> int:
     return 0 if all(c["pass"] or c["soft"] for c in checks) else 1
 
 
-def _sweep_task(payload):
-    """One sweep row: ``(m, seed, five measured values, divergence message)``;
-    a diverged run has ``nan`` values and its message, the others ``None``."""
-    (width, seed, teacher, n, sigma, pattern, loss, opt, lam, reg, act) = payload
-    ds = erm.sample_dataset(teacher, n, sigma, seed=seed)
-    student_widths = tuple(width * p for p in pattern)
-    init = erm.init_params(student_widths, ds.input_dim, seed=seed)
+def _sweep_task(fit_args):
+    """One sweep row: ``erm.fit_and_measure(*fit_args)``'s objective and four
+    measurements, then ``None``; for a diverged run, five ``nan`` and the
+    divergence message."""
     try:
-        res = erm.train(init, ds, lam, loss, reg, opt, act)
+        res, *measured = erm.fit_and_measure(*fit_args)
     except DivergenceError as exc:
-        return (width, seed) + (math.nan,) * 5 + (str(exc),)
-    emp = erm.empirical_error(res.params, act, teacher, ds)
-    gen, gen_se = erm.generalization_error_mc(res.params, act, teacher, 2048, seed=seed + 1)
-    nu = norms.pesv_norm(res.params)
-    return (width, seed, res.best_objective, nu, emp, gen, gen_se, None)
+        return (math.nan,) * 5 + (str(exc),)
+    return (res.best_objective, *measured, None)
 
 
 def cmd_sweep(args) -> int:
@@ -252,34 +226,27 @@ def cmd_sweep(args) -> int:
     act = cfg["network", "activation"]
     bounds = dict(zip(widths, theory.double_descent_sweep(bcfg, widths, pattern).totals()))
 
-    tasks = [
-        (w, base_seed + i, teacher, n, sigma, pattern, loss, opt, lam, reg, act)
-        for w in widths
-        for i in range(args.trials)
+    # The grid is strictly ascending, so the rows come out sorted.
+    tasks = [(w, base_seed + i) for w in widths for i in range(args.trials)]
+    fits = [
+        (teacher, n, sigma, seed, tuple(w * p for p in pattern), seed, lam, loss, reg, opt, act,
+         2048)
+        for w, seed in tasks
     ]
     workers = _pool_size(args.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_set_blas_threads,
-            initargs=(_worker_blas_threads(workers),),
-        ) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+        rows = list(pool.map(_sweep_task, fits))
 
     out_lines = [
         "m,seed,objective,nu,empirical_error,generalization_mc,generalization_se,bound_total\n"
     ]
-    for row in rows:
-        w = row[0]
-        vals = [str(w), str(row[1])] + [repr(float(v)) for v in (*row[2:7], bounds[w])]
+    for (w, seed), row in zip(tasks, rows):
+        vals = [str(w), str(seed)] + [repr(float(v)) for v in (*row[:5], bounds[w])]
         out_lines.append(",".join(vals) + "\n")
     _emit(args, args.out, "".join(out_lines))
-    diverged = [row for row in rows if row[7] is not None]
-    for row in diverged:
-        print(f"error: m={row[0]} seed={row[1]}: {row[7]}", file=sys.stderr)
+    diverged = [(w, seed, row[5]) for (w, seed), row in zip(tasks, rows) if row[5] is not None]
+    for w, seed, message in diverged:
+        print(f"error: m={w} seed={seed}: {message}", file=sys.stderr)
     return 4 if diverged else 0
 
 

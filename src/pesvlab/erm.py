@@ -31,6 +31,7 @@ __all__ = [
     "TrainResult",
     "documented_teacher",
     "empirical_error",
+    "fit_and_measure",
     "generalization_error_mc",
     "init_params",
     "objective",
@@ -492,6 +493,35 @@ def generalization_error_mc(
     xt = np.hstack([x, np.ones((n_test, 1))])
     errs = (forward(params, act, xt) - forward(teacher.teacher, teacher.act, xt)) ** 2
     return float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(n_test))
+
+
+def fit_and_measure(
+    teacher: TeacherSpec,
+    n: int,
+    sigma_eps: float,
+    seed: int,
+    widths,
+    init_seed: int,
+    lam: float,
+    loss: LossSpec,
+    reg: Penalty,
+    opt: OptimizerConfig,
+    act: ActivationSpec,
+    n_test: int,
+) -> tuple[TrainResult, float, float, float, float]:
+    """Train a network of hidden ``widths``, initialized with ``init_seed``, on
+    ``sample_dataset(teacher, n, sigma_eps, seed)`` and measure it.
+
+    Returns the :func:`train` result, its path norm, its empirical error and
+    its generalization error with that estimate's standard error, taken on
+    ``n_test`` test points drawn with seed ``seed + 1``.  A run that
+    diverges raises :class:`DivergenceError` as :func:`train` does.
+    """
+    ds = sample_dataset(teacher, n, sigma_eps, seed=seed)
+    res = train(init_params(widths, ds.input_dim, seed=init_seed), ds, lam, loss, reg, opt, act)
+    emp = empirical_error(res.params, act, teacher, ds)
+    gen, gen_se = generalization_error_mc(res.params, act, teacher, n_test, seed=seed + 1)
+    return res, norms.pesv_norm(res.params), emp, gen, gen_se
 
 
 def init_params(widths, d: int, seed: int = 0) -> NetParams:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,24 +94,23 @@ def lemma1_exact(m: int, n: int) -> Lemma1Result:
     ``(m-1)^k`` on the ``1/(n-k)`` term instead would make the second
     average grow like m/n, and the inequality would fail from (m, n) =
     (5, 10) on; that variant is not what the integral identity behind the
-    bound evaluates to.)
+    bound evaluates to.)  Integer true division rounds correctly, and each
+    comparison with ``5/n`` is made by cross-multiplying.
     """
     _check_mn(m, n)
     lcm = math.lcm(*range(1, n + 1))
+    denom = lcm * m**n
     num1 = sum(math.comb(n, k) * (m - 1) ** k * (lcm // k) for k in range(1, n + 1))
     num2 = sum(
         math.comb(n, k) * (m - 1) ** (n - k) * (lcm // (n - k)) for k in range(0, n)
     )
-    lhs1 = Fraction(num1, lcm * m**n)
-    lhs2 = Fraction(num2, lcm * m**n)
-    bound = Fraction(5, n)
     return Lemma1Result(
         m=m,
         n=n,
-        lhs1=float(lhs1),
-        lhs2=float(lhs2),
-        bound=float(bound),
-        passed=lhs1 <= bound and lhs2 <= bound,
+        lhs1=num1 / denom,
+        lhs2=num2 / denom,
+        bound=5 / n,
+        passed=max(num1, num2) * n <= 5 * denom,
     )
 
 
@@ -178,36 +176,35 @@ def lemma2_exact(m: int, n: int) -> Lemma2Result:
     symmetry reduction ``(m/m^n) sum_k C(n,k)(1/k) Surj(n-k, m-1)`` with the
     surjection count by inclusion-exclusion.  Both must agree exactly.  Each
     path sums integer numerators over the common denominator
-    ``lcm(1..n) m^n``.
+    ``lcm(1..n) m^n``, so the paths agree when their numerators are equal;
+    integer true division rounds correctly, and the comparison with ``5m/n``
+    is made by cross-multiplying.
     """
     _check_mn(m, n)
     lcm = math.lcm(*range(1, n + 1))
     denom = lcm * m**n
 
-    red = sum(
+    red = m * sum(
         math.comb(n, k1) * _surjections(n - k1, m - 1) * (lcm // k1)
         for k1 in range(1, n + 1)
     )
-    lhs_red = Fraction(m * red, denom)
 
-    lhs_enum = None
+    enum = None
     if n <= _ENUMERATE_LIMIT:
-        total = sum(
+        enum = sum(
             _multinomial(n, comp) * sum(lcm // k for k in comp)
             for comp in _compositions(n, m)
         )
-        lhs_enum = Fraction(total, denom)
 
-    bound = Fraction(5 * m, n)
-    agree = None if lhs_enum is None else (lhs_enum == lhs_red)
+    agree = None if enum is None else (enum == red)
     return Lemma2Result(
         m=m,
         n=n,
-        lhs=float(lhs_red),
-        lhs_enumeration=None if lhs_enum is None else float(lhs_enum),
-        lhs_reduction=float(lhs_red),
-        bound=float(bound),
-        passed=lhs_red <= bound and (agree is not False),
+        lhs=red / denom,
+        lhs_enumeration=None if enum is None else enum / denom,
+        lhs_reduction=red / denom,
+        bound=5 * m / n,
+        passed=red * n <= 5 * m * denom and (agree is not False),
         paths_agree=agree,
     )
 

@@ -222,36 +222,38 @@ def _var_under(cfg: BoundConfig, widths) -> float:
     )
 
 
-def gen_bound_over(cfg: BoundConfig, widths) -> BoundReport:
-    """Generalization bound with the ``sqrt(log n / n)`` variance cap."""
-    wv = _check_widths(cfg, widths)
-    bias = _bias_term(cfg, wv)
-    var = _var_over(cfg)
-    cond = h_of_m(wv, cfg.L_sigma) <= math.sqrt(_overparam_factor(cfg) / cfg.C1)
+def _report(cfg: BoundConfig, bias, var, regime, lam, consts, cond=None) -> BoundReport:
+    """The report of bias ``bias`` and variance ``var``, with its total."""
     return BoundReport(
         bias_term=bias,
         variance_term=var,
-        regime="over",
-        lambda_used=lambda_overparam(cfg),
+        regime=regime,
+        lambda_used=lam,
         total=cfg.C * (bias + var),
-        constants=cfg.as_dict(),
+        constants=consts,
         regime_condition=cond,
     )
+
+
+def _smaller_variance(var_u: float, var_o: float) -> tuple[float, str]:
+    """The smaller of the under- and over-regime variances, with its regime;
+    a tie goes to ``under``."""
+    return (var_u, "under") if var_u <= var_o else (var_o, "over")
+
+
+def gen_bound_over(cfg: BoundConfig, widths) -> BoundReport:
+    """Generalization bound with the ``sqrt(log n / n)`` variance cap."""
+    wv = _check_widths(cfg, widths)
+    bias, var = _bias_term(cfg, wv), _var_over(cfg)
+    cond = h_of_m(wv, cfg.L_sigma) <= math.sqrt(_overparam_factor(cfg) / cfg.C1)
+    return _report(cfg, bias, var, "over", lambda_overparam(cfg), cfg.as_dict(), cond)
 
 
 def gen_bound_under(cfg: BoundConfig, widths) -> BoundReport:
     """Generalization bound with the parameter-count variance term."""
     wv = _check_widths(cfg, widths)
-    bias = _bias_term(cfg, wv)
-    var = _var_under(cfg, wv)
-    return BoundReport(
-        bias_term=bias,
-        variance_term=var,
-        regime="under",
-        lambda_used=lambda_underparam(cfg, wv),
-        total=cfg.C * (bias + var),
-        constants=cfg.as_dict(),
-    )
+    bias, var = _bias_term(cfg, wv), _var_under(cfg, wv)
+    return _report(cfg, bias, var, "under", lambda_underparam(cfg, wv), cfg.as_dict())
 
 
 def gen_bound_encompassing(cfg: BoundConfig, widths) -> BoundReport:
@@ -276,21 +278,10 @@ def _encompassing(cfg: BoundConfig):
 
     def at(widths) -> tuple[BoundReport, bool]:
         wv = _check_widths(cfg, widths)
-        bias = _bias_term(cfg, wv)
-        var_u = _var_under(cfg, wv)
-        if var_u <= var_o:
-            var, regime = var_u, "under"
-        else:
-            var, regime = var_o, "over"
-        report = BoundReport(
-            bias_term=bias,
-            variance_term=var,
-            regime=regime,
-            lambda_used=max(lam_o, lambda_underparam(cfg, wv)),
-            total=cfg.C * (bias + var),
-            constants=dict(consts),
-        )
-        return report, var_o <= var_u
+        bias, var_u = _bias_term(cfg, wv), _var_under(cfg, wv)
+        var, regime = _smaller_variance(var_u, var_o)
+        lam = max(lam_o, lambda_underparam(cfg, wv))
+        return _report(cfg, bias, var, regime, lam, dict(consts)), var_o <= var_u
 
     return at
 
@@ -315,26 +306,14 @@ def gen_bound_general_loss(cfg: BoundConfig, loss, widths, T: float) -> BoundRep
         * math.sqrt(cfg.d),
     )
     var_o = factor * (cfg.sigma_eps**2 + cfg.M**2) * math.sqrt(math.log(cfg.n) / cfg.n)
-    var_u = _var_under(cfg, wv)
-    if var_u <= var_o:
-        var, regime = var_u, "under"
-    else:
-        var, regime = var_o, "over"
-    variance = 2.0 * loss.B * T + var
+    var, regime = _smaller_variance(_var_under(cfg, wv), var_o)
     lam = max(
         loss.L1y * lambda_overparam(cfg),
         lambda_underparam(cfg, wv),
     )
     consts = cfg.as_dict()
     consts.update({"L0": loss.L0, "L1y": loss.L1y, "B": loss.B, "T": T})
-    return BoundReport(
-        bias_term=bias,
-        variance_term=variance,
-        regime=regime,
-        lambda_used=lam,
-        total=cfg.C * (bias + variance),
-        constants=consts,
-    )
+    return _report(cfg, bias, 2.0 * loss.B * T + var, regime, lam, consts)
 
 
 def lower_bound_shape(n: float, C: float = 1.0) -> float:

@@ -60,6 +60,42 @@ pattern = 1
 """
 
 
+# A sweep config of the shape of perfbench/wide.cfg, with the sample count
+# left open and a few iterations.
+WIDE_CFG = """\
+[problem]
+d = 2
+n = {n}
+sigma_eps = 0.05
+seed = 1
+teacher_widths = 2
+teacher_seed = 11
+
+[network]
+widths = 256,256
+activation = relu
+
+[loss]
+kind = mse
+
+[optimizer]
+step_size = 0.2
+max_iters = 3
+regularizer = pesv
+lambda = 0.01
+seed = 2
+
+[bounds]
+n = {n}
+d = 2
+L_sigma = 1
+sigma_eps = 0.05
+M = 1
+widths = 64,256,300
+pattern = 1,1
+"""
+
+
 @pytest.fixture
 def bound_cfg(tmp_path):
     p = tmp_path / "bound.cfg"
@@ -417,14 +453,15 @@ class TestSweepCommand:
         assert err == ["error: m=40 seed=3: objective became non-finite at iteration 6"]
 
     def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path, monkeypatch):
-        """``--jobs 2`` on 2 cores runs a pool of 2 workers, each told to run
-        BLAS on one thread, and writes the serial bytes."""
+        """``--jobs 1`` and ``--jobs 2`` on 2 cores both run a process pool,
+        of 1 and 2 workers, each worker told to run BLAS on one thread, and
+        write the same bytes."""
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         pools = []
 
         class CountingPool(cli.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
-                pools.append((max_workers, kwargs["initargs"]))
+                pools.append((max_workers, kwargs["initializer"]))
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
@@ -433,22 +470,86 @@ class TestSweepCommand:
                   "--trials", "2", "--no-timestamp"])
         cli.main(["sweep", "--config", str(train_cfg), "--out", str(b),
                   "--trials", "2", "--jobs", "2", "--no-timestamp"])
-        threads = None if cli._openblas("get") is None else 1
-        assert pools == [(2, (threads,))]
+        assert pools == [(1, cli._one_blas_thread), (2, cli._one_blas_thread)]
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pool_workers_run_the_set_blas_threads(self):
-        """The pool initializer sets each worker's OpenBLAS thread count and
+    @pytest.mark.parametrize("n", [100, 512, 1000])
+    def test_wide_sweep_bytes_ignore_jobs_and_blas_threads(self, tmp_path, n):
+        """A sweep of networks wide enough for OpenBLAS to split their
+        products over threads writes one CSV for ``--jobs`` 1, 2 and 3,
+        with the calling process's OpenBLAS on 1 or 2 threads."""
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(WIDE_CFG.format(n=n))
+        counts = [None] if cli._openblas("get") is None else [1, 2]
+        before = blas_threads_here() if counts != [None] else None
+        outputs = set()
+        try:
+            for threads in counts:
+                if threads is not None:
+                    set_blas_threads_here(threads)
+                for jobs in ("1", "2", "3"):
+                    out = tmp_path / f"sweep-{threads}-{jobs}.csv"
+                    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--trials", "2",
+                            "--jobs", jobs, "--no-timestamp"]
+                    assert cli.main(argv) == 0
+                    outputs.add(out.read_bytes())
+        finally:
+            if before is not None:
+                set_blas_threads_here(before)
+        assert len(outputs) == 1
+
+    def test_train_and_sweep_row_share_one_fit(self, tmp_path, capsys):
+        """``train`` and the sweep row of the same width, data seed and
+        initialization seed report the same objective, path norm and
+        empirical error; only the test-point count differs (4096 and 2048)."""
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text(
+            TRAIN_CFG.replace("seed = 5", "seed = 3").replace("widths = 2,4", "widths = 6")
+        )
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+        [row] = read_csv_rows(out)
+        assert (row["m"], row["seed"]) == ("6", "3")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), "--no-timestamp"]) == 0
+        printed = dict(
+            item.split("=", 1) for line in capsys.readouterr().out.splitlines()
+            for item in line.split()
+        )
+        assert printed["final_objective"] == row["objective"]
+        assert printed["nu"] == row["nu"]
+        assert printed["empirical_error"] == row["empirical_error"]
+        assert printed["generalization_mc"] != row["generalization_mc"]
+
+    def test_one_blas_thread_without_openblas(self, train_cfg, tmp_path, monkeypatch):
+        """When numpy's BLAS has no thread count to set, the pool initializer
+        does nothing and a sweep, whose workers fork from this process,
+        writes its rows as before."""
+        out = tmp_path / "with.csv"
+        assert cli.main(["sweep", "--config", str(train_cfg), "--out", str(out),
+                         "--no-timestamp"]) == 0
+        monkeypatch.setattr(cli, "_openblas", lambda verb: None)
+        assert cli._one_blas_thread() is None
+        alone = tmp_path / "without.csv"
+        assert cli.main(["sweep", "--config", str(train_cfg), "--out", str(alone),
+                         "--no-timestamp"]) == 0
+        assert alone.read_bytes() == out.read_bytes()
+
+    def test_pool_workers_run_blas_on_one_thread(self):
+        """The pool initializer sets each worker's OpenBLAS to one thread and
         leaves the calling process's count alone."""
         if cli._openblas("get") is None:
             pytest.skip("numpy's BLAS is not OpenBLAS")
         before = blas_threads_here()
-        target = 1 if before > 1 else 2
-        with cli.ProcessPoolExecutor(
-            max_workers=2, initializer=cli._set_blas_threads, initargs=(target,)
-        ) as pool:
-            assert list(pool.map(blas_threads_here, range(4), timeout=60)) == [target] * 4
-        assert blas_threads_here() == before
+        set_blas_threads_here(2)
+        try:
+            with cli.ProcessPoolExecutor(
+                max_workers=2, initializer=cli._one_blas_thread
+            ) as pool:
+                assert list(pool.map(blas_threads_here, range(4), timeout=60)) == [1] * 4
+            assert blas_threads_here() == 2
+        finally:
+            set_blas_threads_here(before)
 
 
 def blas_threads_here(_=None):
@@ -456,6 +557,13 @@ def blas_threads_here(_=None):
     get = cli._openblas("get")
     get.argtypes, get.restype = [], ctypes.c_int
     return get()
+
+
+def set_blas_threads_here(threads):
+    """Run this process's OpenBLAS calls on ``threads`` threads."""
+    set_threads = cli._openblas("set")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(threads)
 
 
 class TestConfigValues:
@@ -583,26 +691,3 @@ class TestConfigValues:
     def test_pool_size_clamp(self, monkeypatch, jobs, tasks, cores, expected):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         assert cli._pool_size(jobs, tasks) == expected
-
-    @pytest.mark.parametrize(
-        "threads, workers, cores, expected",
-        [
-            # OpenBLAS's default of one thread per core: the cores are shared out.
-            (2, 2, 2, 1), (16, 2, 16, 8), (16, 3, 16, 5), (16, 16, 16, 1),
-            # A smaller count set for this process (OPENBLAS_NUM_THREADS) is kept.
-            (1, 2, 16, 1), (4, 2, 16, 4),
-            (2, 2, None, 1),
-        ],
-    )
-    def test_worker_blas_threads(self, monkeypatch, threads, workers, cores, expected):
-        def get():
-            return threads
-
-        monkeypatch.setattr(cli, "_openblas", lambda verb: get)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-        assert cli._worker_blas_threads(workers) == expected
-
-    def test_worker_blas_threads_without_openblas(self, monkeypatch):
-        monkeypatch.setattr(cli, "_openblas", lambda verb: None)
-        assert cli._worker_blas_threads(2) is None
-        cli._set_blas_threads(None)

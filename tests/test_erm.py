@@ -785,6 +785,40 @@ class TestErrorMeasures:
         assert abs(g1 - g2) <= 3 * se1
 
 
+class TestFitAndMeasure:
+    def test_equals_the_steps_spelled_out(self):
+        """Sample, initialize, train, then measure on ``n_test`` points drawn
+        with the data seed plus one: the same values, bit for bit."""
+        teacher = documented_teacher(d=2)
+        loss, reg = erm.LossSpec.mse(2.0), erm.Penalty("pesv")
+        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
+        res, nu, emp, gen, gen_se = erm.fit_and_measure(
+            teacher, 24, 0.05, 3, (5, 4), 7, 0.01, loss, reg, opt, RELU, 300
+        )
+        ds = erm.sample_dataset(teacher, 24, 0.05, seed=3)
+        ref = erm.train(erm.init_params((5, 4), 2, seed=7), ds, 0.01, loss, reg, opt, RELU)
+        for w, w_ref in zip(res.params.layers, ref.params.layers, strict=True):
+            np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(res.trace, ref.trace)
+        assert res.best_objective == ref.best_objective
+        assert nu == norms.pesv_norm(ref.params)
+        assert emp == erm.empirical_error(ref.params, RELU, teacher, ds)
+        assert (gen, gen_se) == erm.generalization_error_mc(ref.params, RELU, teacher, 300, seed=4)
+
+    def test_divergence_is_raised(self):
+        teacher = documented_teacher(d=2)
+        opt = erm.OptimizerConfig(step_size=1e9, schedule="constant", max_iters=200)
+        with pytest.raises(erm.DivergenceError) as exc, np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            erm.fit_and_measure(
+                teacher, 8, 0.0, 1, (4,), 0, 0.0, erm.LossSpec.mse(2.0), erm.Penalty("pesv"),
+                opt, ActivationSpec.identity(), 100,
+            )
+        for w in exc.value.last_finite.layers:
+            assert np.all(np.isfinite(w))
+
+
 class TestOptimizerConfig:
     @pytest.mark.parametrize(
         "kwargs",

@@ -151,3 +151,25 @@ def test_benchmark_uses_only_exported_names(script):
         and not (module == "__init__" and name in TREES)
     ]
     assert not unexported
+
+
+def test_cli_trains_and_measures_only_through_fit_and_measure():
+    """The CLI parses and writes: it reaches training and measurement only
+    through ``erm.fit_and_measure`` and does not import ``norms``."""
+    tree = TREES["cli"]
+    uses = {(module, name) for module, name, _ in pesvlab_uses(tree)}
+    steps = {
+        "train", "train_many", "sample_dataset", "init_params", "empirical_error",
+        "generalization_error_mc",
+    }
+    assert ("erm", "fit_and_measure") in uses
+    assert not [f"{module}.{name}" for module, name in uses if name in steps]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (mod := target_module(node)):
+            imported.add(mod)
+            if mod == "__init__":
+                imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not imported & {"norms", "pesvlab.norms"}
