@@ -1,12 +1,16 @@
 """Command-line front end: ``pesvlab {bound|train|verify|sweep}``.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
-4 numerical divergence (``sweep`` still writes every row, with ``nan``
-values for a diverged task).  Every output's bytes are deterministic for a
-given configuration, seed and BLAS build: ``sweep`` trains each row in a
-worker process that runs BLAS on one thread, so its CSV does not depend on
-``--jobs`` or the cores.  A timestamp comment line can be suppressed with
-``--no-timestamp``.
+4 numerical divergence, 5 a ``sweep`` task failed: it raised, or its worker
+process was lost.  ``sweep`` still writes every row, with ``nan`` values
+for a diverged or failed task, and names each such task on stderr.
+
+Every output's bytes are deterministic for a given configuration, seed and
+BLAS build: ``sweep`` trains each row in a worker process that runs BLAS on
+one thread, so its CSV does not depend on ``--jobs`` or the cores.
+``train`` runs BLAS in the calling process, so its bytes can also change
+with the OpenBLAS thread count from about ``n = 1000`` samples on.  A
+timestamp comment line can be suppressed with ``--no-timestamp``.
 """
 
 from __future__ import annotations
@@ -234,8 +238,14 @@ def cmd_sweep(args) -> int:
         for w, seed in tasks
     ]
     workers = _pool_size(args.jobs, len(tasks))
+    rows, failed = [], False
     with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
-        rows = list(pool.map(_sweep_task, fits))
+        for future in [pool.submit(_sweep_task, fit) for fit in fits]:
+            try:
+                rows.append(future.result())
+            except Exception as exc:  # the task raised, or its worker was lost
+                rows.append((math.nan,) * 5 + (f"task failed: {type(exc).__name__}: {exc}",))
+                failed = True
 
     out_lines = [
         "m,seed,objective,nu,empirical_error,generalization_mc,generalization_se,bound_total\n"
@@ -244,10 +254,10 @@ def cmd_sweep(args) -> int:
         vals = [str(w), str(seed)] + [repr(float(v)) for v in (*row[:5], bounds[w])]
         out_lines.append(",".join(vals) + "\n")
     _emit(args, args.out, "".join(out_lines))
-    diverged = [(w, seed, row[5]) for (w, seed), row in zip(tasks, rows) if row[5] is not None]
-    for w, seed, message in diverged:
+    missing = [(w, seed, row[5]) for (w, seed), row in zip(tasks, rows) if row[5] is not None]
+    for w, seed, message in missing:
         print(f"error: m={w} seed={seed}: {message}", file=sys.stderr)
-    return 4 if diverged else 0
+    return 5 if failed else 4 if missing else 0
 
 
 def main(argv=None) -> int:

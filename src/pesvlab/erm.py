@@ -232,8 +232,9 @@ class Dataset:
 def uniform_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """``n`` points drawn uniformly from the unit ball of ``R^d``."""
     g = rng.standard_normal((n, d))
-    norms_g = np.linalg.norm(g, axis=1)
-    norms_g[norms_g == 0.0] = 1.0
+    norms_g = np.sqrt(np.add.reduce(g * g, axis=1))  # the ops of np.linalg.norm(g, axis=1)
+    if not norms_g.all():
+        norms_g[norms_g == 0.0] = 1.0
     radii = rng.random(n) ** (1.0 / d)
     return g * (radii / norms_g)[:, None]
 

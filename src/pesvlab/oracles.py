@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,9 +78,38 @@ class Lemma1Result:
     passed: bool
 
 
-def _check_mn(m: int, n: int) -> None:
+def _check_mn(m: int, n: int) -> tuple[int, int]:
+    """``(m, n)`` as Python ints, for integers with ``2 <= m <= n``."""
+    if not all(isinstance(v, (int, np.integer)) for v in (m, n)):
+        raise ValueError(f"m and n must be integers, got m={m!r} and n={n!r}")
     if m < 2 or n < m:
         raise ValueError("need 2 <= m <= n")
+    return int(m), int(n)
+
+
+def _lemma1_over(n: int, ms: Iterable[int]) -> Iterator[Lemma1Result]:
+    """:func:`lemma1_exact` of each ``m`` in ``ms`` at this ``n``.  The
+    integers that depend on ``n`` alone are built once: ``lcm(1..n)`` and
+    the weights ``C(n,k) lcm/k`` of the first sum and ``C(n,k) lcm/(n-k)``
+    of the second, each from the highest power of ``m - 1`` down to the
+    first, so each sum is a polynomial in ``m - 1`` taken by Horner's rule."""
+    lcm = math.lcm(*range(1, n + 1))
+    first = [math.comb(n, k) * (lcm // k) for k in range(n, 0, -1)]
+    second = [math.comb(n, k) * (lcm // (n - k)) for k in range(0, n)]
+    for m in ms:
+        num1 = num2 = 0
+        for c1, c2 in zip(first, second):
+            num1 = (num1 + c1) * (m - 1)
+            num2 = (num2 + c2) * (m - 1)
+        denom = lcm * m**n
+        yield Lemma1Result(
+            m=m,
+            n=n,
+            lhs1=num1 / denom,
+            lhs2=num2 / denom,
+            bound=5 / n,
+            passed=max(num1, num2) * n <= 5 * denom,
+        )
 
 
 def lemma1_exact(m: int, n: int) -> Lemma1Result:
@@ -90,67 +119,28 @@ def lemma1_exact(m: int, n: int) -> Lemma1Result:
     ``lhs2 = m^-n sum_{k=0}^{n-1} C(n,k)(m-1)^(n-k) / (n-k)``, both in exact
     rational arithmetic.  The two sums coincide under the k <-> n-k
     symmetry but are computed independently, each as an integer numerator
-    over the common denominator ``lcm(1..n) m^n``.  (Putting the weight
+    over the common denominator ``lcm(1..n) m^n``: a polynomial in ``m - 1``
+    whose integer coefficients depend on ``n`` alone.  (Putting the weight
     ``(m-1)^k`` on the ``1/(n-k)`` term instead would make the second
     average grow like m/n, and the inequality would fail from (m, n) =
     (5, 10) on; that variant is not what the integral identity behind the
     bound evaluates to.)  Integer true division rounds correctly, and each
     comparison with ``5/n`` is made by cross-multiplying.
     """
-    _check_mn(m, n)
-    lcm = math.lcm(*range(1, n + 1))
-    denom = lcm * m**n
-    num1 = sum(math.comb(n, k) * (m - 1) ** k * (lcm // k) for k in range(1, n + 1))
-    num2 = sum(
-        math.comb(n, k) * (m - 1) ** (n - k) * (lcm // (n - k)) for k in range(0, n)
-    )
-    return Lemma1Result(
-        m=m,
-        n=n,
-        lhs1=num1 / denom,
-        lhs2=num2 / denom,
-        bound=5 / n,
-        passed=max(num1, num2) * n <= 5 * denom,
-    )
+    m, n = _check_mn(m, n)
+    return next(_lemma1_over(n, [m]))
 
 
 def lemma1_scan(max_n: int = 40) -> tuple[bool, float]:
-    """Scan all 2 <= m <= n <= max_n; returns (all_pass, worst lhs/bound ratio)."""
+    """Scan all 2 <= m <= n <= max_n, building each n's tables once; returns
+    (all_pass, worst lhs/bound ratio)."""
     worst = 0.0
     ok = True
     for n in range(2, max_n + 1):
-        for m in range(2, n + 1):
-            res = lemma1_exact(m, n)
+        for res in _lemma1_over(n, range(2, n + 1)):
             worst = max(worst, res.lhs1 / res.bound, res.lhs2 / res.bound)
             ok = ok and res.passed
     return ok, worst
-
-
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(n: int, ks: Sequence[int]) -> int:
-    out = math.factorial(n)
-    for k in ks:
-        out //= math.factorial(k)
-    return out
-
-
-def _surjections(n_items: int, n_cells: int) -> int:
-    if n_cells == 0:
-        return 1 if n_items == 0 else 0
-    if n_items < n_cells:
-        return 0
-    return sum(
-        (-1) ** i * math.comb(n_cells, i) * (n_cells - i) ** n_items
-        for i in range(n_cells + 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -168,6 +158,54 @@ class Lemma2Result:
 _ENUMERATE_LIMIT = 14
 
 
+def _lemma2_over(n: int, ms: Iterable[int]) -> Iterator[Lemma2Result]:
+    """:func:`lemma2_exact` of each ``m`` in ``ms`` at this ``n``, from the
+    integers that depend on ``n`` alone, built once: ``lcm = lcm(1..n)``,
+    ``lcm/k``, the factorials, the reduction's weights ``C(n,k) lcm/k`` and
+    the surjection counts ``Surj(j, c)`` for ``j, c < n`` by
+    inclusion-exclusion.  The enumeration walks the compositions of ``n``
+    part by part, carrying the product of the parts' factorials and the sum
+    of their ``lcm/k``, and sums the last two parts in one loop."""
+    lcm = math.lcm(*range(1, n + 1))
+    inv = [0] + [lcm // k for k in range(1, n + 1)]
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weights = [math.comb(n, k) * inv[k] for k in range(1, n + 1)]
+    surj = [
+        [
+            sum((-1) ** i * math.comb(c, i) * (c - i) ** j for i in range(c + 1)) if j >= c else 0
+            for j in range(n)
+        ]
+        for c in range(n)
+    ]
+
+    def walk(rest, parts, prod, acc):
+        if parts == 2:
+            return sum([
+                fact[n] // (prod * fact[k] * fact[rest - k]) * (acc + inv[k] + inv[rest - k])
+                for k in range(1, rest)
+            ])
+        return sum([
+            walk(rest - k, parts - 1, prod * fact[k], acc + inv[k])
+            for k in range(1, rest - parts + 2)
+        ])
+
+    for m in ms:
+        red = m * sum(w * surj[m - 1][n - k] for k, w in enumerate(weights, 1))
+        enum = walk(n, m, 1, 0) if n <= _ENUMERATE_LIMIT else None
+        agree = None if enum is None else (enum == red)
+        denom = lcm * m**n
+        yield Lemma2Result(
+            m=m,
+            n=n,
+            lhs=red / denom,
+            lhs_enumeration=None if enum is None else enum / denom,
+            lhs_reduction=red / denom,
+            bound=5 * m / n,
+            passed=red * n <= 5 * m * denom and (agree is not False),
+            paths_agree=agree,
+        )
+
+
 def lemma2_exact(m: int, n: int) -> Lemma2Result:
     """Average of ``sum_i 1/k_i`` over multinomial cell counts versus ``5m/n``.
 
@@ -180,44 +218,18 @@ def lemma2_exact(m: int, n: int) -> Lemma2Result:
     integer true division rounds correctly, and the comparison with ``5m/n``
     is made by cross-multiplying.
     """
-    _check_mn(m, n)
-    lcm = math.lcm(*range(1, n + 1))
-    denom = lcm * m**n
-
-    red = m * sum(
-        math.comb(n, k1) * _surjections(n - k1, m - 1) * (lcm // k1)
-        for k1 in range(1, n + 1)
-    )
-
-    enum = None
-    if n <= _ENUMERATE_LIMIT:
-        enum = sum(
-            _multinomial(n, comp) * sum(lcm // k for k in comp)
-            for comp in _compositions(n, m)
-        )
-
-    agree = None if enum is None else (enum == red)
-    return Lemma2Result(
-        m=m,
-        n=n,
-        lhs=red / denom,
-        lhs_enumeration=None if enum is None else enum / denom,
-        lhs_reduction=red / denom,
-        bound=5 * m / n,
-        passed=red * n <= 5 * m * denom and (agree is not False),
-        paths_agree=agree,
-    )
+    m, n = _check_mn(m, n)
+    return next(_lemma2_over(n, [m]))
 
 
 def lemma2_scan(max_n: int = 12) -> tuple[bool, bool, float]:
-    """Scan 2 <= m <= n <= max_n with both paths; returns
-    (all_pass, all_paths_agree, worst lhs/bound ratio)."""
+    """Scan 2 <= m <= n <= max_n with both paths, building each n's tables
+    once; returns (all_pass, all_paths_agree, worst lhs/bound ratio)."""
     ok = True
     agree = True
     worst = 0.0
     for n in range(2, max_n + 1):
-        for m in range(2, n + 1):
-            res = lemma2_exact(m, n)
+        for res in _lemma2_over(n, range(2, n + 1)):
             ok = ok and res.passed
             agree = agree and bool(res.paths_agree)
             worst = max(worst, res.lhs / res.bound)
@@ -430,14 +442,62 @@ class PackingResult:
 def _ball_grid(d: int, spacing: float) -> np.ndarray:
     axis = np.arange(-1.0, 1.0 + spacing / 2, spacing)
     if d == 1:
-        pts = axis[:, None]
-    elif d <= 3:
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
-    else:
-        raise ValueError("grid surrogate supports d <= 3")
-    return pts
+        return axis[:, None]
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    return pts[np.linalg.norm(pts, axis=1) <= 1.0]
+
+
+# The packing's screen compares two nets on every this-many-th grid point.
+_SCREEN_STRIDE = 8
+
+
+def _within(a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
+    """Whether columns ``a[:, i]`` and ``b[:, j]`` are within ``delta`` in max
+    norm, as a ``(i, j)`` matrix: ``np.abs(a[:, :, None] - b[:, None]).max(axis=0)
+    <= delta``.
+
+    Every pair is screened on every ``_SCREEN_STRIDE``-th row first and
+    compared on all rows only if it passes there.  A max over some rows
+    never exceeds the max over all, and the screen makes the same ``<=``
+    test, so a tie at ``delta`` or a NaN decides as on all rows.
+    """
+    s = _SCREEN_STRIDE
+    near = np.abs(a[::s, :, None] - b[::s, None, :]).max(axis=0) <= delta
+    i, j = np.nonzero(near)
+    near[i, j] = np.abs(a[:, i] - b[:, j]).max(axis=0) <= delta
+    return near
+
+
+def _greedy_packing(cols: np.ndarray, delta: float) -> int:
+    """Size of the greedy packing of the columns of ``cols``: a column is
+    kept unless it is within ``delta`` in max norm of a kept column.
+
+    A column holds one net's values, so the screen's grid points are whole
+    rows and every max runs over the leading axis: over ~10 screened
+    points, a max along the last axis took about 3x as long.  A block of
+    candidates is compared with the kept set in one pass, then its
+    survivors are settled in order against each other.  A block holds at
+    most 32 candidates, and fewer where its comparison with the kept set
+    could reach 2**20 values.
+    """
+    kept = np.empty_like(cols)
+    count, lo = 0, 0
+    while lo < cols.shape[1]:
+        block = max(1, min(32, 2**20 // (max(count, 16) * len(cols))))
+        cand = cols[:, lo : lo + block]
+        lo += block
+        new = cand[:, ~_within(kept[:, :count], cand, delta).any(axis=0)]
+        if new.shape[1] > 1:
+            close = np.triu(_within(new, new, delta), 1)
+            alive = np.ones(new.shape[1], dtype=bool)
+            for i in np.flatnonzero(close.any(axis=1)):  # the ones that can drop a later one
+                if alive[i]:
+                    alive &= ~close[i]
+            new = new[:, alive]
+        kept[:, count : count + new.shape[1]] = new
+        count += new.shape[1]
+    return count
 
 
 def covering_packing_lower_bound(
@@ -454,8 +514,13 @@ def covering_packing_lower_bound(
     the input ball dense enough that the grid sup degrades the true sup by at
     most ``delta/10`` (class Lipschitz constant ``L_sigma^(L-1)``).  A pack of
     pairwise grid-distance > ``delta`` lower-bounds the ``delta/2`` covering
-    number, which must stay below ``exp(entropy(delta/2))``.
+    number, which must stay below ``exp(entropy(delta/2))``.  The grid
+    surrogate covers input dimensions ``d`` from 1 to 3.
     """
+    if not (isinstance(d, (int, np.integer)) and 1 <= d <= 3):
+        raise ValueError(f"d must be an integer from 1 to 3, got {d!r}")
+    if param_samples < 0:
+        raise ValueError(f"need param_samples >= 0, got {param_samples}")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     act = act or ActivationSpec.relu()
@@ -468,34 +533,14 @@ def covering_packing_lower_bound(
 
     rng = np.random.default_rng(seed)
     layers = random_unit_norm_nets(rng, wv, d + 1, param_samples)
-    vals = np.empty((param_samples, X.shape[0]))
+    vals = np.empty((X.shape[0], param_samples))  # one column per net
     # Nets per stacked pass, so a hidden layer's values stay near 8 MB.
     chunk = max(1, 2**20 // (X.shape[0] * max(wv)))
     for lo in range(0, param_samples, chunk):
         part = [w[lo : lo + chunk] for w in layers]
-        vals[lo : lo + chunk] = stacked_forward(part, act, X)[0]
+        vals[:, lo : lo + chunk] = stacked_forward(part, act, X)[0].T
 
-    # Greedy packing: keep a net unless it is within delta of a kept one.  A
-    # block of candidates is screened against the kept set in one pass, then
-    # its survivors are settled in order against each other.  A block holds
-    # at most 16 nets, and fewer where its screen would pass 2**20 values.
-    kept = np.empty_like(vals)
-    count, lo = 0, 0
-    while lo < param_samples:
-        block = max(1, min(16, 2**20 // (max(count, 16) * vals.shape[1])))
-        cand = vals[lo : lo + block]
-        lo += block
-        new = cand[~(np.abs(kept[:count, None] - cand).max(axis=2) <= delta).any(axis=0)]
-        if len(new) > 1:
-            close = np.abs(new[:, None] - new).max(axis=2) <= delta
-            alive = np.ones(len(new), dtype=bool)
-            for i in range(len(new) - 1):
-                if alive[i]:
-                    alive[i + 1 :] &= ~close[i, i + 1 :]
-            new = new[alive]
-        kept[count : count + len(new)] = new
-        count += len(new)
-
+    count = _greedy_packing(vals, delta)
     entropy = theory.metric_entropy_bound(delta / 2.0, wv, d, act.lipschitz)
     passed = math.log(max(count, 1)) <= entropy
     return PackingResult(
@@ -530,22 +575,26 @@ def pointwise_norm_check(
     if probe_count < 1:
         raise ValueError(f"need probe_count >= 1, got {probe_count}")
     layers = as_layers(params)
-    in_size = layers[0].shape[1]
-    L = len(layers)
-    nu = norms.pesv_norm(layers)
+    ratio = _pointwise_ratio(layers, act, norms.pesv_norm(layers), probe_count, seed)
+    return PointwiseResult(max_ratio=ratio, probes=probe_count, passed=ratio <= 1.0 + 1e-9)
+
+
+def _pointwise_ratio(layers, act: ActivationSpec, nu: float, probe_count: int, seed: int) -> float:
+    """The max ratio of :func:`pointwise_norm_check` for ``layers``, whose
+    path norm is ``nu``."""
     rng = np.random.default_rng(seed)
-    X = erm.uniform_ball(rng, probe_count, in_size)
+    X = erm.uniform_ball(rng, probe_count, layers[0].shape[1])
     out = np.abs(forward(layers, act, X))
     if nu == 0.0:
         if float(out.max(initial=0.0)) > 0.0:
             raise InconsistencyError("zero path norm but nonzero outputs")
-        return PointwiseResult(max_ratio=0.0, probes=probe_count, passed=True)
-    scale = act.lipschitz ** (L - 1) * np.linalg.norm(X, axis=1) * nu
+        return 0.0
+    # The row norms take the ops of np.linalg.norm(X, axis=1).
+    scale = act.lipschitz ** (len(layers) - 1) * np.sqrt(np.add.reduce(X * X, axis=1)) * nu
     mask = scale > 0
-    ratio = float(np.max(out[mask] / scale[mask])) if mask.any() else 0.0
-    return PointwiseResult(
-        max_ratio=ratio, probes=probe_count, passed=ratio <= 1.0 + 1e-9
-    )
+    if mask.all():
+        return float((out / scale).max())
+    return float((out[mask] / scale[mask]).max()) if mask.any() else 0.0
 
 
 _AUDIT_DEPTHS = (2, 3, 4)
@@ -569,9 +618,10 @@ def pointwise_audit(n_nets: int = 1000, probes: int = 100, seed: int = 0) -> Poi
         d = _AUDIT_DIMS[int(rng.integers(len(_AUDIT_DIMS)))]
         widths = tuple(int(rng.integers(1, _AUDIT_MAX_WIDTH + 1)) for _ in range(L - 1))
         act = _AUDIT_ACTS[int(rng.integers(len(_AUDIT_ACTS)))]
-        arrs = [w[0] for w in random_unit_norm_nets(rng, widths, d + 1, 1)]
-        res = pointwise_norm_check(arrs, act, probe_count=probes, seed=int(rng.integers(2**31)))
-        worst = max(worst, res.max_ratio)
+        nets = random_unit_norm_nets(rng, widths, d + 1, 1)
+        nu = float(norms.pesv_stacked(nets)[0])  # pesv_norm of the net, from its stacked layers
+        arrs = [w[0] for w in nets]
+        worst = max(worst, _pointwise_ratio(arrs, act, nu, probes, int(rng.integers(2**31))))
     return PointwiseResult(
         max_ratio=worst, probes=n_nets * probes, passed=worst <= 1.0 + 1e-9
     )

@@ -4,6 +4,7 @@ import ctypes
 import hashlib
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -451,6 +452,59 @@ class TestSweepCommand:
             ).total
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: m=40 seed=3: objective became non-finite at iteration 6"]
+
+    NUMERIC = ("objective", "nu", "empirical_error", "generalization_mc", "generalization_se")
+
+    def sweep_with_failing_width(self, train_cfg, tmp_path, monkeypatch, fail):
+        """Run ``sweep --widths 2,4,6`` serially with ``erm.fit_and_measure``
+        patched, before the pool forks, to call ``fail`` on width 4."""
+        real = erm.fit_and_measure
+
+        def failing_on_width_4(*fit_args):
+            hidden_widths = fit_args[4]
+            if hidden_widths == (4,):
+                fail()
+            return real(*fit_args)
+
+        monkeypatch.setattr(erm, "fit_and_measure", failing_on_width_4)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(train_cfg), "--widths", "2,4,6", "--out", str(out),
+                "--no-timestamp"]
+        return cli.main(argv), read_csv_rows(out)
+
+    def test_dead_worker_keeps_the_finished_rows(self, train_cfg, tmp_path, monkeypatch, capsys):
+        """A worker that dies on width 4 breaks the pool: width 2's row is
+        written as usual, widths 4 and 6 read nan, each is named on stderr,
+        and the command exits 5."""
+        rc, rows = self.sweep_with_failing_width(
+            train_cfg, tmp_path, monkeypatch, lambda: os._exit(1)
+        )
+        assert rc == 5
+        assert [(r["m"], r["seed"]) for r in rows] == [("2", "3"), ("4", "3"), ("6", "3")]
+        assert all(np.isfinite(float(rows[0][k])) for k in self.NUMERIC)
+        for r in rows[1:]:
+            assert all(r[k] == "nan" for k in self.NUMERIC)
+            assert np.isfinite(float(r["bound_total"]))
+        err = capsys.readouterr().err.splitlines()
+        assert [line.partition(": task failed: ")[0] for line in err] == [
+            "error: m=4 seed=3", "error: m=6 seed=3"
+        ]
+        assert all("BrokenProcessPool" in line for line in err)
+
+    def test_raising_task_keeps_the_other_rows(self, train_cfg, tmp_path, monkeypatch, capsys):
+        """A task that raises gets a nan row; the tasks after it still run."""
+
+        def fail():
+            raise MemoryError("no room for width 4")
+
+        rc, rows = self.sweep_with_failing_width(train_cfg, tmp_path, monkeypatch, fail)
+        assert rc == 5
+        assert [r["m"] for r in rows] == ["2", "4", "6"]
+        assert all(rows[1][k] == "nan" for k in self.NUMERIC)
+        for r in (rows[0], rows[2]):
+            assert all(np.isfinite(float(r[k])) for k in self.NUMERIC)
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: m=4 seed=3: task failed: MemoryError: no room for width 4"]
 
     def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path, monkeypatch):
         """``--jobs 1`` and ``--jobs 2`` on 2 cores both run a process pool,

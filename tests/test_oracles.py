@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pesvlab import erm, norms, oracles, theory
 from pesvlab import netcore as nc
@@ -38,6 +39,17 @@ class TestLemma1:
             oracles.lemma1_exact(5, 4)
         with pytest.raises(ValueError):
             oracles.lemma1_exact(1, 4)
+
+    @pytest.mark.parametrize("m, n", [(2.5, 3), (2, 3.0), ("2", 3)])
+    def test_rejects_non_integer_m_or_n(self, m, n):
+        with pytest.raises(ValueError, match="m and n must be integers"):
+            oracles.lemma1_exact(m, n)
+
+    def test_numpy_integers_are_exact(self):
+        """``m ** n`` of numpy int64 values would wrap around; the arguments
+        are taken as Python ints."""
+        r = oracles.lemma1_exact(np.int64(30), np.int64(40))
+        assert r == oracles.lemma1_exact(30, 40) and type(r.m) is int
 
     def test_printed_variant_is_false(self):
         """The k-exponent on the 1/(n-k) weight makes the average grow like
@@ -81,6 +93,10 @@ class TestLemma2:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             oracles.lemma2_exact(7, 6)
+
+    def test_rejects_non_integer_n(self):
+        with pytest.raises(ValueError, match="m and n must be integers"):
+            oracles.lemma2_exact(2, 3.0)
 
 
 def lemma1_per_term(m, n):
@@ -140,6 +156,17 @@ class TestLemmaCommonDenominator:
                 assert red == enum
                 assert (r.lhs_reduction, r.lhs_enumeration) == (float(red), float(enum))
                 assert r.passed == (red <= Fraction(5 * m, n)) and r.paths_agree
+
+
+class TestLemmaScansPinned:
+    """The worst ratios of the scans at the sizes ``verify`` and the
+    benchmark run."""
+
+    def test_lemma1_scan_40(self):
+        assert oracles.lemma1_scan(40) == (True, 0.47497395833333333)
+
+    def test_lemma2_scan_12(self):
+        assert oracles.lemma2_scan(12) == (True, True, 0.9064068310601371)
 
 
 class TestMaurey:
@@ -410,6 +437,35 @@ class TestPacking:
         r = oracles.covering_packing_lower_bound((2,), 0.5, d=1, param_samples=0)
         assert r.packing_count == 0 and r.passed
 
+    @pytest.mark.parametrize("d", [0, -1, 4, 1.5])
+    def test_rejects_d_outside_1_to_3(self, d):
+        with pytest.raises(ValueError, match="d must be an integer from 1 to 3"):
+            oracles.covering_packing_lower_bound((2,), 0.5, d=d)
+
+    def test_rejects_negative_param_samples(self):
+        with pytest.raises(ValueError, match="param_samples"):
+            oracles.covering_packing_lower_bound((2,), 0.5, d=1, param_samples=-1)
+
+    # The counts of the c08 grid, which ``verify entropy`` and the benchmark
+    # run: widths (1,) then (2,), delta 0.5 then 0.25, seeds 0 to 19.
+    C08_COUNTS = [
+        15, 14, 16, 14, 15, 13, 15, 14, 13, 15, 15, 14, 15, 15, 14, 15, 16, 15, 16, 13,
+        29, 30, 26, 27, 27, 29, 29, 28, 28, 27, 28, 27, 29, 29, 27, 30, 28, 28, 30, 26,
+        15, 16, 13, 15, 14, 16, 15, 12, 15, 17, 15, 11, 13, 12, 14, 15, 14, 18, 16, 15,
+        62, 54, 45, 55, 51, 54, 52, 42, 51, 50, 56, 49, 52, 50, 47, 53, 48, 50, 44, 50,
+    ]
+
+    def test_pinned_c08_counts(self):
+        counts = [
+            oracles.covering_packing_lower_bound(
+                widths, delta, d=1, param_samples=200, seed=seed
+            ).packing_count
+            for widths in ((1,), (2,))
+            for delta in (0.5, 0.25)
+            for seed in range(20)
+        ]
+        assert counts == self.C08_COUNTS
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(ValueError, match="delta"):
@@ -451,6 +507,56 @@ def greedy_packing_one_by_one(vals, delta):
             kept[count] = v
             count += 1
     return count
+
+
+# Levels a quarter of DELTA apart: differences of exactly DELTA are common.
+DELTA = 0.5
+LEVELS = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def packing_values(draw):
+    """Up to 40 rows over 1 to 20 grid points, each a copy of one of up to
+    three base rows with up to three entries changed, and at times one
+    entry set to NaN."""
+    grid = draw(st.integers(1, 20))
+    bases = draw(st.lists(st.lists(LEVELS, min_size=grid, max_size=grid), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        row = list(draw(st.sampled_from(bases)))
+        for col, value in draw(st.lists(st.tuples(st.integers(0, grid - 1), LEVELS), max_size=3)):
+            row[col] = value
+        rows.append(row)
+    vals = np.array(rows, dtype=np.float64).reshape(len(rows), grid)
+    if rows and draw(st.booleans()):
+        vals[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, grid - 1))] = math.nan
+    return vals
+
+
+def two_rows(grid, col, diff):
+    """A zero row and a copy with ``diff`` at ``col``."""
+    vals = np.zeros((2, grid))
+    vals[1, col] = diff
+    return vals
+
+
+class TestScreenedPacking:
+    """The screened greedy pass gives the count of the one-at-a-time loop.
+    The screen reads every 8th grid point, so column 0 is on it and column
+    3 is off it."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(packing_values())
+    @example(np.empty((0, 9)))  # no candidates
+    @example(np.zeros((1, 13)))
+    @example(two_rows(9, 0, DELTA))  # a tie at delta on the screen
+    @example(two_rows(9, 3, DELTA))  # a tie at delta off the screen
+    @example(two_rows(13, 3, 2 * DELTA))  # equal on the screen, far off it
+    @example(two_rows(17, 16, DELTA + 0.25))  # far on the screen's last point
+    @example(np.ones((3, 10)))  # duplicate rows
+    @example(np.array([[0.0, math.nan, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))  # a NaN row
+    def test_equals_one_candidate_at_a_time(self, vals):
+        assert oracles._greedy_packing(vals.T, DELTA) == greedy_packing_one_by_one(vals, DELTA)
 
 
 def unit_norm_nets_one_by_one(rng, widths, in_size, count):
@@ -526,6 +632,11 @@ class TestPointwise:
     def test_randomized_audit(self):
         r = oracles.pointwise_audit(n_nets=150, probes=50, seed=1)
         assert r.passed
+
+    def test_audit_pinned_at_verify_size(self):
+        """The c02 audit, which ``verify pointwise`` and the benchmark run."""
+        r = oracles.pointwise_audit(n_nets=1000, probes=100, seed=0)
+        assert r.max_ratio.hex() == "0x1.ffff3d10cd5dcp-1" and r.probes == 100_000
 
     def test_audit_grid_pinned(self):
         """The audit's depths, dimensions, widths and activations fix this
