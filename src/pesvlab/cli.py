@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
 4 numerical divergence, 5 a ``sweep`` task failed: it raised, or its worker
-process was lost.  ``sweep`` still writes every row, with ``nan`` values
-for a diverged or failed task, and names each such task on stderr.
+process was lost on its first run and on its rerun, alone in a fresh pool.
+``sweep`` still writes every row, with ``nan`` values for a diverged or
+failed task, and names each such task on stderr.
 
 Every output's bytes are deterministic for a given configuration, seed and
 BLAS build: ``sweep`` trains each row in a worker process that runs BLAS on
@@ -25,6 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -61,8 +63,13 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for a sweep: at most one per task and per core."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    """Worker processes for a sweep: at most one per task and per CPU this
+    process may run on, as its affinity mask says where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, tasks, cpus))
 
 
 def _openblas(verb: str):
@@ -238,14 +245,21 @@ def cmd_sweep(args) -> int:
         for w, seed in tasks
     ]
     workers = _pool_size(args.jobs, len(tasks))
-    rows, failed = [], False
     with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
-        for future in [pool.submit(_sweep_task, fit) for fit in fits]:
-            try:
-                rows.append(future.result())
-            except Exception as exc:  # the task raised, or its worker was lost
-                rows.append((math.nan,) * 5 + (f"task failed: {type(exc).__name__}: {exc}",))
-                failed = True
+        futures = [pool.submit(_sweep_task, fit) for fit in fits]
+    rows, failed = [], False
+    for fit, future in zip(fits, futures):
+        if isinstance(future.exception(), BrokenProcessPool):
+            # A dead worker breaks the pool and loses every unfinished task,
+            # most through no fault of their own: run each once more, alone.
+            with ProcessPoolExecutor(1, initializer=_one_blas_thread) as pool:
+                future = pool.submit(_sweep_task, fit)
+        exc = future.exception()
+        if exc is None:
+            rows.append(future.result())
+        else:  # the task raised, or its worker was lost again
+            rows.append((math.nan,) * 5 + (f"task failed: {type(exc).__name__}: {exc}",))
+            failed = True
 
     out_lines = [
         "m,seed,objective,nu,empirical_error,generalization_mc,generalization_se,bound_total\n"

@@ -29,6 +29,7 @@ __all__ = [
     "Penalty",
     "TeacherSpec",
     "TrainResult",
+    "ball_points",
     "documented_teacher",
     "empirical_error",
     "fit_and_measure",
@@ -231,11 +232,18 @@ class Dataset:
 
 def uniform_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """``n`` points drawn uniformly from the unit ball of ``R^d``."""
-    g = rng.standard_normal((n, d))
+    return ball_points(rng.standard_normal((n, d)), rng.random(n))
+
+
+def ball_points(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The points :func:`uniform_ball` makes of its draws: each row of the
+    standard normals ``g``, ``(n, d)``, scaled to norm ``u ** (1/d)`` by its
+    entry of the uniforms ``u``.  The work is row by row, so a row has the
+    same bits whatever rows come with it."""
     norms_g = np.sqrt(np.add.reduce(g * g, axis=1))  # the ops of np.linalg.norm(g, axis=1)
     if not norms_g.all():
         norms_g[norms_g == 0.0] = 1.0
-    radii = rng.random(n) ** (1.0 / d)
+    radii = u ** (1.0 / g.shape[1])
     return g * (radii / norms_g)[:, None]
 
 

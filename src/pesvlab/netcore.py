@@ -204,6 +204,13 @@ def _tabulated_derivative(act: ActivationSpec, x: np.ndarray) -> np.ndarray:
     return np.where((x < xs[0]) | (x > xs[-1]), 0.0, out)
 
 
+def _leaky_relu(act: ActivationSpec, x: np.ndarray, out=None) -> np.ndarray:
+    """``np.where(x > 0, x, alpha * x)`` with its bits, in two calls: the
+    larger of ``alpha * x`` and ``x`` for ``alpha <= 1``, else the smaller.
+    Ties are equal bits, and a nan ``x`` gives the nan of ``alpha * x``."""
+    return (np.maximum if act.alpha <= 1.0 else np.minimum)(act.alpha * x, x)
+
+
 class _ActivationKind(NamedTuple):
     value: Callable[[ActivationSpec, np.ndarray, np.ndarray | None], np.ndarray]
     derivative: Callable[[ActivationSpec, np.ndarray], np.ndarray]
@@ -220,7 +227,7 @@ _ACTIVATIONS = {
     ),
     "identity": _ActivationKind(lambda a, x, out: x, lambda a, x: np.ones_like(x), (0,)),
     "leaky_relu": _ActivationKind(
-        lambda a, x, out: np.where(x > 0, x, a.alpha * x),
+        _leaky_relu,
         lambda a, x: np.where(x > 0, 1.0, a.alpha),
         (1,),
     ),
@@ -713,22 +720,12 @@ def normalize_activation(
 
 
 def max_nondecreasing_component(widths) -> WidthVector:
-    """Largest elementwise nondecreasing minorant of a width vector.
-
-    Repeatedly locates the minimum of the remaining suffix (ties resolved
-    toward the largest index), fills the prefix with it, and recurses on
-    the rest.
-    """
-    wv = WidthVector.of(widths)
-    ws = list(wv.widths)
-    out: list[int] = []
-    start = 0
-    while start < len(ws):
-        seg = ws[start:]
-        mval = min(seg)
-        idx = max(i for i, v in enumerate(seg) if v == mval)
-        out.extend([mval] * (idx + 1))
-        start += idx + 1
+    """Largest elementwise nondecreasing minorant of a width vector: entry
+    ``i`` is the minimum of the entries from ``i`` on, found in one pass
+    from the right."""
+    out = list(WidthVector.of(widths).widths)
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = min(out[i], out[i + 1])
     return WidthVector(tuple(out))
 
 
@@ -737,14 +734,19 @@ def max_nondecreasing_component(widths) -> WidthVector:
 # ---------------------------------------------------------------------------
 
 
-def network_to_json(params: NetParams, act: ActivationSpec) -> str:
-    doc = {
+def _network_header(params: NetParams, act: ActivationSpec) -> dict:
+    """Every entry of a serialized network but its ``layers``."""
+    return {
         "depth": params.depth,
         "input_dim": params.input_dim,
         "widths": list(params.width_vector.widths),
         "activation": act.as_dict(),
-        "layers": [w.tolist() for w in params.layers],
     }
+
+
+def network_to_json(params: NetParams, act: ActivationSpec) -> str:
+    doc = _network_header(params, act)
+    doc["layers"] = [w.tolist() for w in params.layers]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -758,9 +760,23 @@ def network_from_json(text: str) -> tuple[NetParams, ActivationSpec]:
 
 
 def save_network(path, params: NetParams, act: ActivationSpec) -> None:
+    """Write ``network_to_json(params, act)`` and a newline to ``path``, with
+    one ``json.dumps`` per matrix row, so that the text of the whole model
+    is never held at once."""
+    doc = _network_header(params, act)
     with open(path, "w", newline="\n") as fh:
-        fh.write(network_to_json(params, act))
-        fh.write("\n")
+        for i, key in enumerate(sorted([*doc, "layers"])):
+            fh.write(f"{', ' if i else '{'}{json.dumps(key)}: ")
+            if key != "layers":
+                fh.write(json.dumps(doc[key], sort_keys=True))
+                continue
+            for k, w in enumerate(params.layers):
+                fh.write(", [" if k else "[[")
+                for j, row in enumerate(w):
+                    fh.write(f"{', ' if j else ''}{json.dumps(row.tolist())}")
+                fh.write("]")
+            fh.write("]")
+        fh.write("}\n")
 
 
 def load_network(path) -> tuple[NetParams, ActivationSpec]:

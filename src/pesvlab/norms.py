@@ -21,6 +21,7 @@ __all__ = [
     "pesv_matrixproduct_variant",
     "pesv_norm",
     "pesv_stacked",
+    "pesv_unit_scaled",
     "rescale_neuron",
     "weight_decay_norm",
 ]
@@ -80,6 +81,21 @@ def pesv_stacked(layers) -> np.ndarray:
     """:func:`pesv_norm` of each of ``S`` networks stacked on a leading run
     axis (``(S, rows, cols)`` layers), shape ``(S,)``."""
     return _pesv_pieces(layers)[3]
+
+
+def pesv_unit_scaled(layers) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """Each of ``S`` stacked networks with its output row divided by its
+    path norm ``nu``, and the path norm of each rescaled network, or None
+    when some ``nu`` is not positive.
+
+    The rescaled norms come from the chain that gave ``nu``: only the output
+    row's ``|a / nu| @ down[-1]`` is taken again, so they have the bits of
+    :func:`pesv_stacked` of the returned layers."""
+    _, _, down, nu = _pesv_pieces(layers)
+    if not np.minimum.reduce(nu) > 0.0:  # nan fails too
+        return None
+    top = layers[-1] / nu[:, None, None]
+    return [*layers[:-1], top], (np.abs(top) @ down[-1])[:, 0, 0]
 
 
 def _pesv_pieces(layers, abs_out=None):

@@ -296,12 +296,7 @@ def random_unit_norm_nets(
     nets and the state left in ``rng`` equal those of drawing and
     normalizing the nets one at a time.
     """
-    shapes = layer_shapes(widths, in_size)
-    flat = rng.standard_normal((count, sum(r * c for r, c in shapes)))
-    layers, start = [], 0
-    for r, c in shapes:
-        layers.append(flat[:, start : start + r * c].reshape(count, r, c))
-        start += r * c
+    layers = _normal_layers(rng, layer_shapes(widths, in_size), count)
     nu = norms.pesv_stacked(layers)
     good = nu > 0
     if good.all():
@@ -314,6 +309,31 @@ def random_unit_norm_nets(
     kept[-1] = kept[-1] / nu[good][:, None, None]
     more = random_unit_norm_nets(rng, widths, in_size, count - len(kept[0]))
     return [np.concatenate(pair) for pair in zip(kept, more)]
+
+
+def _normal_layers(rng: np.random.Generator, shapes, count: int) -> list[np.ndarray]:
+    """``count`` nets of layer ``shapes`` from one block of normals, drawn
+    net by net in layer order, as ``(count, rows, cols)`` layers."""
+    flat = rng.standard_normal((count, sum(r * c for r, c in shapes)))
+    layers, start = [], 0
+    for r, c in shapes:
+        layers.append(flat[:, start : start + r * c].reshape(count, r, c))
+        start += r * c
+    return layers
+
+
+def _unit_norm_net(
+    rng: np.random.Generator, widths, in_size: int
+) -> tuple[list[np.ndarray], float]:
+    """The net ``random_unit_norm_nets(rng, widths, in_size, 1)`` draws, as
+    ``(rows, cols)`` layers, with its path norm; ``rng`` is left in the same
+    state.  The norm comes from the chain that normalized the net."""
+    shapes = layer_shapes(widths, in_size)
+    while True:
+        unit = norms.pesv_unit_scaled(_normal_layers(rng, shapes, 1))
+        if unit is not None:
+            layers, nu = unit
+            return [w[0] for w in layers], float(nu[0])
 
 
 @dataclass(frozen=True)
@@ -575,32 +595,44 @@ def pointwise_norm_check(
     if probe_count < 1:
         raise ValueError(f"need probe_count >= 1, got {probe_count}")
     layers = as_layers(params)
-    ratio = _pointwise_ratio(layers, act, norms.pesv_norm(layers), probe_count, seed)
+    ratio = _pointwise_ratio([(layers, act, norms.pesv_norm(layers), seed)], probe_count)
     return PointwiseResult(max_ratio=ratio, probes=probe_count, passed=ratio <= 1.0 + 1e-9)
 
 
-def _pointwise_ratio(layers, act: ActivationSpec, nu: float, probe_count: int, seed: int) -> float:
-    """The max ratio of :func:`pointwise_norm_check` for ``layers``, whose
-    path norm is ``nu``."""
-    rng = np.random.default_rng(seed)
-    X = erm.uniform_ball(rng, probe_count, layers[0].shape[1])
-    out = np.abs(forward(layers, act, X))
-    if nu == 0.0:
-        if float(out.max(initial=0.0)) > 0.0:
+def _pointwise_ratio(nets, probe_count: int) -> float:
+    """The max ratio of :func:`pointwise_norm_check` over ``nets``,
+    ``(layers, act, nu, seed)`` tuples of networks over inputs of one size,
+    each with its path norm ``nu`` and probed by the points that
+    ``erm.uniform_ball(np.random.default_rng(seed), probe_count, size)``
+    draws.  The draws and forward passes go net by net; the rest is
+    elementwise or row by row, so it runs on every net's probes at once
+    with the bits of each net alone.  A probe whose scale is not positive,
+    at the origin or of a net with ``nu == 0``, is skipped."""
+    size = nets[0][0][0].shape[1]
+    g, u = np.empty((len(nets), probe_count, size)), np.empty((len(nets), probe_count))
+    for i, (_, _, _, seed) in enumerate(nets):
+        rng = np.random.default_rng(seed)
+        g[i], u[i] = rng.standard_normal((probe_count, size)), rng.random(probe_count)
+    X = erm.ball_points(g.reshape(-1, size), u.reshape(-1))
+    out = np.empty_like(u)
+    for i, (layers, act, nu, _) in enumerate(nets):
+        out[i] = forward(layers, act, X[i * probe_count : (i + 1) * probe_count])
+        if nu == 0.0 and np.abs(out[i]).max() > 0.0:
             raise InconsistencyError("zero path norm but nonzero outputs")
-        return 0.0
+    np.abs(out, out=out)
+    lip = np.array([[act.lipschitz ** (len(layers) - 1)] for layers, act, _, _ in nets])
+    nus = np.array([[nu] for _, _, nu, _ in nets])
     # The row norms take the ops of np.linalg.norm(X, axis=1).
-    scale = act.lipschitz ** (len(layers) - 1) * np.sqrt(np.add.reduce(X * X, axis=1)) * nu
-    mask = scale > 0
-    if mask.all():
-        return float((out / scale).max())
-    return float((out[mask] / scale[mask]).max()) if mask.any() else 0.0
+    scale = lip * np.sqrt(np.add.reduce(X * X, axis=1)).reshape(out.shape) * nus
+    ratio = np.zeros_like(out)
+    return float(np.maximum.reduce(np.divide(out, scale, out=ratio, where=scale > 0.0), axis=None))
 
 
 _AUDIT_DEPTHS = (2, 3, 4)
 _AUDIT_DIMS = (1, 2, 3)
 _AUDIT_ACTS = (ActivationSpec.relu(), ActivationSpec.leaky_relu(0.1))
 _AUDIT_MAX_WIDTH = 8
+_AUDIT_BLOCK = 128  # nets drawn before their probes are evaluated together
 
 
 def pointwise_audit(n_nets: int = 1000, probes: int = 100, seed: int = 0) -> PointwiseResult:
@@ -611,17 +643,19 @@ def pointwise_audit(n_nets: int = 1000, probes: int = 100, seed: int = 0) -> Poi
         raise ValueError(f"need n_nets >= 1 and probes >= 1, got {n_nets} and {probes}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_nets):
-        # seq[rng.integers(len(seq))] draws what rng.choice(seq) draws and
-        # leaves the generator in the same state, without building an array.
-        L = _AUDIT_DEPTHS[int(rng.integers(len(_AUDIT_DEPTHS)))]
-        d = _AUDIT_DIMS[int(rng.integers(len(_AUDIT_DIMS)))]
-        widths = tuple(int(rng.integers(1, _AUDIT_MAX_WIDTH + 1)) for _ in range(L - 1))
-        act = _AUDIT_ACTS[int(rng.integers(len(_AUDIT_ACTS)))]
-        nets = random_unit_norm_nets(rng, widths, d + 1, 1)
-        nu = float(norms.pesv_stacked(nets)[0])  # pesv_norm of the net, from its stacked layers
-        arrs = [w[0] for w in nets]
-        worst = max(worst, _pointwise_ratio(arrs, act, nu, probes, int(rng.integers(2**31))))
+    for start in range(0, n_nets, _AUDIT_BLOCK):
+        by_size = {}
+        for _ in range(min(_AUDIT_BLOCK, n_nets - start)):
+            # seq[rng.integers(len(seq))] draws what rng.choice(seq) draws and
+            # leaves the generator in the same state, without building an array.
+            L = _AUDIT_DEPTHS[int(rng.integers(len(_AUDIT_DEPTHS)))]
+            d = _AUDIT_DIMS[int(rng.integers(len(_AUDIT_DIMS)))]
+            widths = tuple(int(rng.integers(1, _AUDIT_MAX_WIDTH + 1)) for _ in range(L - 1))
+            act = _AUDIT_ACTS[int(rng.integers(len(_AUDIT_ACTS)))]
+            layers, nu = _unit_norm_net(rng, widths, d + 1)
+            by_size.setdefault(d, []).append((layers, act, nu, int(rng.integers(2**31))))
+        for nets in by_size.values():
+            worst = max(worst, _pointwise_ratio(nets, probes))
     return PointwiseResult(
         max_ratio=worst, probes=n_nets * probes, passed=worst <= 1.0 + 1e-9
     )

@@ -168,8 +168,12 @@ def delta_n(n: float, d: int, widths, L_sigma: float) -> float:
         raise ValueError(f"need a finite n >= 2, got {n}")
     _check_d_and_L_sigma(d, L_sigma)
     wv = WidthVector.of(widths)
-    L = len(wv) + 1
-    return (2.0 * L_sigma) ** (L - 1) * wv.product() * d * math.log(n) / n
+    return _delta_n(n, d, len(wv) + 1, L_sigma, wv.product())
+
+
+def _delta_n(n, d, L, L_sigma, prod) -> float:
+    """:func:`delta_n` of a depth-``L`` width vector whose product is ``prod``."""
+    return (2.0 * L_sigma) ** (L - 1) * prod * d * math.log(n) / n
 
 
 def _overparam_factor(cfg: BoundConfig) -> float:
@@ -187,9 +191,15 @@ def lambda_overparam(cfg: BoundConfig) -> float:
 
 def lambda_underparam(cfg: BoundConfig, widths) -> float:
     """Penalty schedule ``C1 sigma_eps max{delta_n, H^2}`` for the narrow regime."""
-    dn = delta_n(cfg.n, cfg.d, widths, cfg.L_sigma)
-    h2 = h_of_m(widths, cfg.L_sigma) ** 2
-    return cfg.C1 * cfg.sigma_eps * max(dn, h2)
+    wv = WidthVector.of(widths)
+    return _lambda_under(cfg, len(wv) + 1, h_of_m(wv, cfg.L_sigma), wv.product())
+
+
+def _lambda_under(cfg: BoundConfig, L, h, prod) -> float:
+    """:func:`lambda_underparam` of a depth-``L`` width vector whose
+    :func:`h_of_m` is ``h`` and whose product is ``prod``."""
+    dn = _delta_n(cfg.n, cfg.d, L, cfg.L_sigma, prod)
+    return cfg.C1 * cfg.sigma_eps * max(dn, h**2)
 
 
 def _check_widths(cfg: BoundConfig, widths) -> WidthVector:
@@ -201,8 +211,15 @@ def _check_widths(cfg: BoundConfig, widths) -> WidthVector:
     return wv
 
 
-def _bias_term(cfg: BoundConfig, widths) -> float:
-    return h_of_m(widths, cfg.L_sigma) ** 2 * cfg.M**2
+def _width_terms(cfg: BoundConfig, widths) -> tuple[float, int]:
+    """:func:`h_of_m` and the product of a width vector checked against
+    ``cfg``'s depth: the only two numbers the bounds take from it."""
+    wv = _check_widths(cfg, widths)
+    return h_of_m(wv, cfg.L_sigma), wv.product()
+
+
+def _bias_term(cfg: BoundConfig, h) -> float:
+    return h**2 * cfg.M**2
 
 
 def _var_over(cfg: BoundConfig) -> float:
@@ -211,15 +228,8 @@ def _var_over(cfg: BoundConfig) -> float:
     return variance * math.sqrt(math.log(cfg.n) / cfg.n)
 
 
-def _var_under(cfg: BoundConfig, widths) -> float:
-    wv = WidthVector.of(widths)
-    return (
-        (cfg.sigma_eps**2 + cfg.M**2)
-        * wv.product()
-        * cfg.d
-        * math.log(cfg.n)
-        / cfg.n
-    )
+def _var_under(cfg: BoundConfig, prod) -> float:
+    return (cfg.sigma_eps**2 + cfg.M**2) * prod * cfg.d * math.log(cfg.n) / cfg.n
 
 
 def _report(cfg: BoundConfig, bias, var, regime, lam, consts, cond=None) -> BoundReport:
@@ -243,17 +253,17 @@ def _smaller_variance(var_u: float, var_o: float) -> tuple[float, str]:
 
 def gen_bound_over(cfg: BoundConfig, widths) -> BoundReport:
     """Generalization bound with the ``sqrt(log n / n)`` variance cap."""
-    wv = _check_widths(cfg, widths)
-    bias, var = _bias_term(cfg, wv), _var_over(cfg)
-    cond = h_of_m(wv, cfg.L_sigma) <= math.sqrt(_overparam_factor(cfg) / cfg.C1)
+    h, _ = _width_terms(cfg, widths)
+    bias, var = _bias_term(cfg, h), _var_over(cfg)
+    cond = h <= math.sqrt(_overparam_factor(cfg) / cfg.C1)
     return _report(cfg, bias, var, "over", lambda_overparam(cfg), cfg.as_dict(), cond)
 
 
 def gen_bound_under(cfg: BoundConfig, widths) -> BoundReport:
     """Generalization bound with the parameter-count variance term."""
-    wv = _check_widths(cfg, widths)
-    bias, var = _bias_term(cfg, wv), _var_under(cfg, wv)
-    return _report(cfg, bias, var, "under", lambda_underparam(cfg, wv), cfg.as_dict())
+    h, prod = _width_terms(cfg, widths)
+    bias, var = _bias_term(cfg, h), _var_under(cfg, prod)
+    return _report(cfg, bias, var, "under", _lambda_under(cfg, cfg.L, h, prod), cfg.as_dict())
 
 
 def gen_bound_encompassing(cfg: BoundConfig, widths) -> BoundReport:
@@ -271,17 +281,18 @@ def _encompassing(cfg: BoundConfig):
 
     It returns the report and whether the variance cap is active there
     (``var_over <= var_under``).  The terms that depend on ``cfg`` alone are
-    computed once, for every width vector it is called on."""
+    computed once, for every width vector it is called on, and those of a
+    width vector once per call."""
     var_o = _var_over(cfg)
     lam_o = lambda_overparam(cfg)
     consts = cfg.as_dict()
 
     def at(widths) -> tuple[BoundReport, bool]:
-        wv = _check_widths(cfg, widths)
-        bias, var_u = _bias_term(cfg, wv), _var_under(cfg, wv)
+        h, prod = _width_terms(cfg, widths)
+        var_u = _var_under(cfg, prod)
         var, regime = _smaller_variance(var_u, var_o)
-        lam = max(lam_o, lambda_underparam(cfg, wv))
-        return _report(cfg, bias, var, regime, lam, dict(consts)), var_o <= var_u
+        lam = max(lam_o, _lambda_under(cfg, cfg.L, h, prod))
+        return _report(cfg, _bias_term(cfg, h), var, regime, lam, dict(consts)), var_o <= var_u
 
     return at
 
@@ -295,8 +306,8 @@ def gen_bound_general_loss(cfg: BoundConfig, loss, widths, T: float) -> BoundRep
     branch is twice that of ``2 L1y`` times :func:`lambda_overparam`'s factor."""
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
-    wv = _check_widths(cfg, widths)
-    bias = loss.L0 * h_of_m(wv, cfg.L_sigma) * cfg.M
+    h, prod = _width_terms(cfg, widths)
+    bias = loss.L0 * h * cfg.M
     factor = max(
         12.0 * loss.L1y * cfg.D_sigma,
         2.0 ** (cfg.L + 2)
@@ -306,11 +317,8 @@ def gen_bound_general_loss(cfg: BoundConfig, loss, widths, T: float) -> BoundRep
         * math.sqrt(cfg.d),
     )
     var_o = factor * (cfg.sigma_eps**2 + cfg.M**2) * math.sqrt(math.log(cfg.n) / cfg.n)
-    var, regime = _smaller_variance(_var_under(cfg, wv), var_o)
-    lam = max(
-        loss.L1y * lambda_overparam(cfg),
-        lambda_underparam(cfg, wv),
-    )
+    var, regime = _smaller_variance(_var_under(cfg, prod), var_o)
+    lam = max(loss.L1y * lambda_overparam(cfg), _lambda_under(cfg, cfg.L, h, prod))
     consts = cfg.as_dict()
     consts.update({"L0": loss.L0, "L1y": loss.L1y, "B": loss.B, "T": T})
     return _report(cfg, bias, 2.0 * loss.B * T + var, regime, lam, consts)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pesvlab.config import nonnegative, positive, sample_count
 from pesvlab.erm import documented_teacher
 from pesvlab.netcore import ActivationSpec, NetParams, network_to_json, save_network
 
+ROOT = Path(__file__).resolve().parent.parent
 
 BOUND_CFG = """\
 [bounds]
@@ -210,6 +212,30 @@ class TestBoundCommand:
         body_b = [l for l in b.read_text().splitlines() if not l.startswith("#")]
         assert body_a == body_b
         assert a.read_text().startswith("# generated ")
+
+    # sha256 of the CSVs as the curve wrote them when each width built its
+    # width vector four times and took h_of_m twice: any change to a bias,
+    # variance, total, regime or lambda of any row fails.  The second is a
+    # depth-3 curve with both regimes and both branches of the narrow
+    # regime's lambda; its d = 3 makes a regrouped product round differently.
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (None, "ba81fe544d68df9434e471d64d4ebf4bd43d9c49dca74685fc5e9e88557a3e3f"),
+            ("[bounds]\nn = 5000\nd = 3\nL = 3\nL_sigma = 1.3\nsigma_eps = 0.2\nM = 1.5\n"
+             "c = 0.7\nC = 1.2\nC1 = 0.5\nwidths = 1..400\npattern = 1,2\n",
+             "40903996a513639ddcb059485dc96d9d3362dc4e1f0f5f901eedcf87c684d9f9"),
+        ],
+        ids=["perfbench-bound-cfg", "depth-3"],
+    )
+    def test_curve_bytes_pinned(self, tmp_path, text, digest):
+        cfg = ROOT / "perfbench" / "bound.cfg"
+        if text is not None:
+            cfg = tmp_path / "deep.cfg"
+            cfg.write_text(text)
+        out = tmp_path / "curve.csv"
+        assert cli.main(["bound", "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_svg_emission(self, bound_cfg, tmp_path):
         svg = tmp_path / "curve.svg"
@@ -473,23 +499,27 @@ class TestSweepCommand:
         return cli.main(argv), read_csv_rows(out)
 
     def test_dead_worker_keeps_the_finished_rows(self, train_cfg, tmp_path, monkeypatch, capsys):
-        """A worker that dies on width 4 breaks the pool: width 2's row is
-        written as usual, widths 4 and 6 read nan, each is named on stderr,
-        and the command exits 5."""
+        """A worker that dies on width 4 breaks the pool and loses widths 4
+        and 6.  Each lost task runs once more, alone in a fresh pool: width
+        6's row is written as if nothing had failed, width 4 dies again and
+        reads nan, only it is named on stderr, and the command exits 5."""
         rc, rows = self.sweep_with_failing_width(
             train_cfg, tmp_path, monkeypatch, lambda: os._exit(1)
         )
         assert rc == 5
         assert [(r["m"], r["seed"]) for r in rows] == [("2", "3"), ("4", "3"), ("6", "3")]
-        assert all(np.isfinite(float(rows[0][k])) for k in self.NUMERIC)
-        for r in rows[1:]:
-            assert all(r[k] == "nan" for k in self.NUMERIC)
-            assert np.isfinite(float(r["bound_total"]))
+        for r in (rows[0], rows[2]):
+            assert all(np.isfinite(float(r[k])) for k in self.NUMERIC)
+        assert all(rows[1][k] == "nan" for k in self.NUMERIC)
+        assert all(np.isfinite(float(r["bound_total"])) for r in rows)
         err = capsys.readouterr().err.splitlines()
-        assert [line.partition(": task failed: ")[0] for line in err] == [
-            "error: m=4 seed=3", "error: m=6 seed=3"
-        ]
-        assert all("BrokenProcessPool" in line for line in err)
+        assert [line.partition(": task failed: ")[0] for line in err] == ["error: m=4 seed=3"]
+        assert "BrokenProcessPool" in err[0]
+        clean = tmp_path / "clean.csv"
+        monkeypatch.undo()
+        cli.main(["sweep", "--config", str(train_cfg), "--widths", "2,4,6", "--out", str(clean),
+                  "--no-timestamp"])
+        assert rows[2] == read_csv_rows(clean)[2]
 
     def test_raising_task_keeps_the_other_rows(self, train_cfg, tmp_path, monkeypatch, capsys):
         """A task that raises gets a nan row; the tasks after it still run."""
@@ -510,7 +540,7 @@ class TestSweepCommand:
         """``--jobs 1`` and ``--jobs 2`` on 2 cores both run a process pool,
         of 1 and 2 workers, each worker told to run BLAS on one thread, and
         write the same bytes."""
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pools = []
 
         class CountingPool(cli.ProcessPoolExecutor):
@@ -743,5 +773,20 @@ class TestConfigValues:
         [(2, 8, 2, 2), (64, 8, 2, 2), (64, 3, 16, 3), (4, 8, 16, 4), (0, 8, 2, 1), (5, 8, None, 1)],
     )
     def test_pool_size_clamp(self, monkeypatch, jobs, tasks, cores, expected):
+        """Clamped by the CPUs in the affinity mask, or, where the platform
+        has none, by ``os.cpu_count()``, which may be None."""
+        if cores is not None:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                                raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+            assert cli._pool_size(jobs, tasks) == expected
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         assert cli._pool_size(jobs, tasks) == expected
+
+    def test_pool_size_counts_only_cpus_in_the_affinity_mask(self, monkeypatch):
+        """Of 16 CPUs this process may run on 3, so ``--jobs 8`` gets 3
+        workers."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        assert cli._pool_size(8, 20) == 3

@@ -58,6 +58,30 @@ class TestActivationSpec:
         act = ActivationSpec.tabulated([0.0, 1.0, 3.0], [0.0, 2.0, 2.5])
         assert act.lipschitz == 2.0
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-3, 0.1, 0.5, 0.999999, 1.0,
+                                       1.0000001, 2.5, 1e10, 1e300])
+    def test_leaky_has_the_bits_of_where(self, alpha):
+        """The leaky relu's value has the bits of ``np.where(x > 0, x,
+        alpha * x)`` on signed zeros, infinities, quiet and signaling nans
+        of both signs, subnormals, huge values and random bit patterns, for
+        slopes below, at and above 1."""
+        bits = [0x7FF8000000000000, 0xFFF8000000000123, 0x7FF0000000000001,
+                0xFFF4000000000abc, 0x0000000000000001, 0x800FFFFFFFFFFFFF]
+        special = np.array([0.0, -0.0, math.inf, -math.inf, 2.2250738585072014e-308,
+                            -1e-310, 1.7976931348623157e308, -1.7976931348623157e308])
+        rng = np.random.default_rng(11)
+        x = np.concatenate([
+            special,
+            np.array(bits, dtype=np.uint64).view(np.float64),
+            rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(30_000),
+            rng.standard_normal(30_000) * 1e-310,
+        ])
+        with np.errstate(all="ignore"):
+            ref = np.where(x > 0, x, alpha * x)
+            got = ActivationSpec.leaky_relu(alpha)(x)
+        assert got.tobytes() == ref.tobytes()
+
     def test_leaky_requires_positive_slope(self):
         with pytest.raises(ValueError):
             ActivationSpec.leaky_relu(-0.2)
@@ -718,3 +742,44 @@ class TestSerialization:
         assert act2 == act
         for a, b in zip(p.layers, p2.layers):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("widths", [(3,), (4, 1), (2, 5, 3)])
+    @pytest.mark.parametrize(
+        "act",
+        [ActivationSpec.relu(), ActivationSpec.leaky_relu(0.1),
+         ActivationSpec.tabulated([-1.0, 0.0, 2.0], [0.5, 0.0, 4.0], differentiable=False)],
+        ids=["relu", "leaky", "tabulated"],
+    )
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "nan-inf-negzero"])
+    def test_saved_bytes_are_the_json_text(self, tmp_path, widths, act, special):
+        """The streamed file holds ``network_to_json(...) + "\\n"`` byte for
+        byte, for depths 2 to 4, each activation kind, and weights holding
+        nan, infinities and -0.0 (set past ``NetParams``' finiteness check,
+        as the serializer must not care)."""
+        net = random_net(np.random.default_rng(len(widths)), widths, 2)
+        layers = [np.array(w) for w in net.layers]
+        if special:
+            layers[0][0, :3] = [math.nan, -0.0, math.inf]
+            layers[-1][0, -1] = -math.inf
+            layers[len(layers) // 2][-1, 0] = -0.0
+            p = object.__new__(NetParams)
+            object.__setattr__(p, "layers", tuple(layers))
+        else:
+            p = NetParams.from_arrays(layers)
+        path = tmp_path / "net.json"
+        nc.save_network(path, p, act)
+        assert path.read_bytes() == (nc.network_to_json(p, act) + "\n").encode()
+
+    def test_save_streams_the_rows(self, tmp_path):
+        """A depth-3 width-256 model is written with a traced peak below a
+        tenth of its text, which the one-shot ``json.dumps`` holds whole."""
+        p = random_net(np.random.default_rng(3), (256, 256), 2)
+        act = ActivationSpec.relu()
+        size = len(nc.network_to_json(p, act))
+        tracemalloc.start()
+        try:
+            nc.save_network(tmp_path / "net.json", p, act)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 1_000_000 and peak < size / 10

@@ -347,6 +347,48 @@ class TestPenaltyStackedProperty:
                     assert g[runs].tobytes() == ref.tobytes()
 
 
+@st.composite
+def stacked_nets_some_zero(draw):
+    """1 to 5 stacked networks of depth 2 to 4 with normal weights of a
+    drawn scale, signed zeros and subnormals among them.  In one draw of
+    four, some runs get a zero output row, so their path norm is 0."""
+    runs = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    layers = []
+    for shape in nc.layer_shapes(widths, d + 1):
+        w = scale * rng.standard_normal((runs, *shape))
+        w[rng.random(w.shape) < 0.2] = draw(st.sampled_from([0.0, -0.0, 5e-324, -7e-310]))
+        layers.append(w)
+    if draw(st.integers(0, 3)) == 0:
+        for s in draw(st.sets(st.integers(0, runs - 1), min_size=1)):
+            layers[-1][s] = 0.0
+    return layers
+
+
+class TestPesvUnitScaled:
+    @DERANDOMIZED
+    @given(stacked_nets_some_zero())
+    @example([np.ones((2, 1, 2)), np.array([[[1.0]], [[0.0]]])])  # one zero-norm run of two
+    @example([np.array([[[3.0, 4.0]]]), np.array([[[-0.5]]])])  # norm 2.5
+    def test_norms_are_pesv_stacked_of_the_nets(self, layers):
+        """Only the output row changes, divided by the path norm; the norms
+        returned are :func:`norms.pesv_stacked` of the returned nets, bit
+        for bit.  A batch with a path norm that is not positive gives None."""
+        nu = norms.pesv_stacked(layers)
+        got = norms.pesv_unit_scaled(layers)
+        if not (nu > 0.0).all():
+            assert got is None
+            return
+        scaled, unit = got
+        assert len(scaled) == len(layers)
+        assert all(s is w for s, w in zip(scaled[:-1], layers[:-1]))
+        assert scaled[-1].tobytes() == (layers[-1] / nu[:, None, None]).tobytes()
+        assert unit.tobytes() == norms.pesv_stacked(scaled).tobytes()
+
+
 class TestPenaltyStackedWork:
     def test_work_arrays_hold_the_layer_sized_temporaries(self):
         """Without ``work``, the path norm of a width-256 network of depth 3

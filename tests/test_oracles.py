@@ -610,6 +610,60 @@ class TestRandomUnitNormNets:
             np.testing.assert_array_equal(g, r[[0, 1, 3, 4, 5, 7]])
 
 
+class ZeroedNormals:
+    """A generator whose standard normals at the stream positions in
+    ``zeroed`` read 0, however the draws are split into calls."""
+
+    def __init__(self, seed, zeroed):
+        self.rng, self.zeroed, self.drawn = np.random.default_rng(seed), zeroed, 0
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        flat = out.reshape(-1)
+        flat[np.isin(np.arange(self.drawn, self.drawn + flat.size), self.zeroed)] = 0.0
+        self.drawn += flat.size
+        return out
+
+
+class TestUnitNormNet:
+    """The audit's single-net draw gives the net, and the generator state, of
+    ``random_unit_norm_nets(rng, widths, in_size, 1)``, with its path norm
+    taken from the chain that normalized it."""
+
+    def assert_one_net_of_the_block(self, rng, ref_rng, widths, in_size):
+        layers, nu = oracles._unit_norm_net(rng, widths, in_size)
+        ref = oracles.random_unit_norm_nets(ref_rng, widths, in_size, 1)
+        assert len(layers) == len(ref)
+        for w, r in zip(layers, ref):
+            assert w.shape == r.shape[1:] and w.flags.c_contiguous
+            assert w.tobytes() == r.tobytes()
+        assert np.float64(nu).tobytes() == norms.pesv_stacked(ref).tobytes()
+        return layers
+
+    @pytest.mark.parametrize(
+        "widths, in_size", [((1,), 2), ((8,), 3), ((3, 5), 4), ((4, 2, 3), 2), ((8, 8, 8), 4)]
+    )
+    def test_equals_a_block_of_one(self, widths, in_size):
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            self.assert_one_net_of_the_block(rng, ref_rng, widths, in_size)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_zero_norm_net_is_drawn_again(self):
+        """The first net's output row is zeroed, so its path norm is 0; the
+        second net is drawn and returned."""
+        widths, in_size = (3, 2), 2
+        size = sum(r * c for r, c in nc.layer_shapes(widths, in_size))
+        top = range(size - widths[-1], size)
+        rng, ref_rng = ZeroedNormals(5, top), ZeroedNormals(5, top)
+        layers = self.assert_one_net_of_the_block(rng, ref_rng, widths, in_size)
+        assert rng.drawn == ref_rng.drawn == 2 * size
+        assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+        second = unit_norm_nets_one_by_one(np.random.default_rng(5), widths, in_size, 2)
+        for w, r in zip(layers, second):
+            assert w.tobytes() == r[1].tobytes()
+
+
 class TestPointwise:
     def test_linear_net_is_cosine(self):
         """f(x) = w.x with ||w|| = 1: ratio = max |cos angle| <= 1."""
@@ -628,6 +682,36 @@ class TestPointwise:
         monkeypatch.setattr(norms, "pesv_norm", lambda params: 0.0)
         with pytest.raises(InconsistencyError):
             oracles.pointwise_norm_check(p, RELU, 50, seed=0)
+
+    @staticmethod
+    def ratio_one_net(layers, act, nu, probes, seed):
+        """One net's max ratio, computed alone: its own probes, forward pass,
+        row norms and mask."""
+        X = erm.uniform_ball(np.random.default_rng(seed), probes, layers[0].shape[1])
+        out = np.abs(nc.forward(layers, act, X))
+        if nu == 0.0:
+            return 0.0
+        scale = act.lipschitz ** (len(layers) - 1) * np.linalg.norm(X, axis=1) * nu
+        mask = scale > 0
+        return float((out[mask] / scale[mask]).max()) if mask.any() else 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nets_probed_together_have_the_bits_of_each_alone(self, d):
+        """Nets of several depths, widths and activations, one of them zero
+        with path norm 0, probed in one call: the ratio is the largest of
+        the nets' ratios computed one net at a time."""
+        rng = np.random.default_rng(d)
+        acts = [RELU, ActivationSpec.leaky_relu(0.1), ActivationSpec.leaky_relu(2.5)]
+        nets = []
+        for i, widths in enumerate([(3,), (1, 4), (8, 2, 5), (2,), (6, 6)]):
+            layers, nu = oracles._unit_norm_net(rng, widths, d + 1)
+            nets.append((layers, acts[i % 3], nu, 100 + i))
+        zero = [np.zeros_like(w) for w in nets[0][0]]
+        nets.insert(2, (zero, RELU, 0.0, 7))
+        ratios = [self.ratio_one_net(*net[:3], 40, net[3]) for net in nets]
+        assert oracles._pointwise_ratio(nets, 40) == max(ratios)
+        for net, ratio in zip(nets, ratios):
+            assert oracles._pointwise_ratio([net], 40) == ratio
 
     def test_randomized_audit(self):
         r = oracles.pointwise_audit(n_nets=150, probes=50, seed=1)

@@ -353,7 +353,8 @@ class TestDoubleDescentSweep:
         """n = 2, d = 200 puts the variance cap in force from width 1, so the
         total is bias-driven and strictly decreasing: no interior max."""
         cfg = relu_cfg(n=2, d=200, sigma_eps=0.3)
-        assert theory._var_over(cfg) <= theory._var_under(cfg, (1,))
+        assert (theory.gen_bound_over(cfg, (1,)).variance_term
+                <= theory.gen_bound_under(cfg, (1,)).variance_term)
         res = theory.double_descent_sweep(cfg, range(1, 300))
         diffs = np.diff(res.totals())
         assert np.all(diffs <= 0)
@@ -393,11 +394,12 @@ class TestDoubleDescentSweep:
         for w, rep in zip(widths, res.reports):
             wv = tuple(w * p for p in pattern)
             assert rep == theory.gen_bound_encompassing(cfg, wv)
-        switch = next(
-            (w for w in widths
-             if theory._var_over(cfg) <= theory._var_under(cfg, tuple(w * p for p in pattern))),
-            None,
-        )
+        var_over = theory.gen_bound_over(cfg, (1,) * len(pattern)).variance_term
+        var_under = [
+            theory.gen_bound_under(cfg, tuple(w * p for p in pattern)).variance_term
+            for w in widths
+        ]
+        switch = next((w for w, var in zip(widths, var_under) if var_over <= var), None)
         assert switch is not None and res.switch_width == switch
         res.reports[0].constants["n"] = -1.0
         assert all(rep.constants == cfg.as_dict() for rep in res.reports[1:])
