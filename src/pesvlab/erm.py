@@ -272,10 +272,11 @@ def objective(params, dataset: Dataset, lam: float, loss: LossSpec, reg: Penalty
 _SCHEDULES = ("inv_sqrt", "constant")
 
 # A batch whose widest hidden-layer array holds this many values or more
-# writes its hidden layers into buffers allocated once per call.  Allocated
-# anew every step, arrays of 128 KiB or more (glibc's default mmap
-# threshold) are mapped from the kernel and fault on every first touch;
-# smaller ones are cheaper to allocate than to route through the buffers.
+# writes its hidden layers' working arrays into buffers allocated once per
+# call.  Allocated anew every step, arrays of 128 KiB or more (glibc's
+# default mmap threshold) are mapped from the kernel and fault on every
+# first touch; smaller ones are cheaper to allocate than to route through
+# the buffers.
 _BUFFER_VALUES = 2**14
 
 
@@ -439,11 +440,12 @@ def train_many(
                 np.copyto(best_block, block, where=True if improved == S else better[run_of])
 
             upstream = loss_kind.dpred(loss, preds, y, resid) / n
-            stacked_backprop(arrs, act, hs, zs, upstream, buffers, grads)
-            # Held into the next forward pass, the layer arrays that are not
-            # buffer views (all of them in a narrow batch, the activations
-            # of kinds other than relu in a wide one) would double its peak
-            # memory.
+            stacked_backprop(arrs, act, hs, zs, upstream, out=grads)
+            # The backprop consumed hs[1:]: each hidden layer has one working
+            # array, and its delta went over its activation.  Held into the
+            # next forward pass, the layer arrays that are not buffer views
+            # (all of them in a narrow batch, the activations of leaky relu
+            # and tabulated in a wide one) would double its peak memory.
             del hs, zs
             if add_penalty:
                 np.multiply(pen_block, lam_flat, out=pen_block)

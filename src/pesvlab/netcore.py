@@ -375,17 +375,14 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
     return out[0] if single else out
 
 
-def stacked_buffers(runs: int, n: int, widths) -> list[tuple[np.ndarray, ...]]:
-    """Buffers for :func:`stacked_forward` and :func:`stacked_backprop` on up
-    to ``runs`` stacked networks of hidden ``widths`` over ``n`` inputs: for
-    each hidden layer, flat arrays of ``runs * n * width`` values for the
-    preactivation, the activation and the backward delta.  The kernels lay
-    out the leading values as the inputs' layout needs, so one set serves
-    any ``S <= runs`` networks."""
-    return [
-        tuple(np.empty(runs * n * m) for _ in range(3))
-        for m in WidthVector.of(widths)
-    ]
+def stacked_buffers(runs: int, n: int, widths) -> list[np.ndarray]:
+    """Buffers for :func:`stacked_forward` on up to ``runs`` stacked networks
+    of hidden ``widths`` over ``n`` inputs: one flat array of ``runs * n *
+    width`` values per hidden layer, which holds the layer's preactivation,
+    its activation where the activation works in place (relu, identity), and
+    then its backward delta.  The kernels lay out the leading values as the
+    inputs' layout needs, so one set serves any ``S <= runs`` networks."""
+    return [np.empty(runs * n * m) for m in WidthVector.of(widths)]
 
 
 # Narrowest hidden layer that shared inputs lay side by side.  OpenBLAS's
@@ -393,13 +390,6 @@ def stacked_buffers(runs: int, n: int, widths) -> list[tuple[np.ndarray, ...]]:
 # 3 differently from a contiguous per-run one; from width 4 up, on every
 # width, run count and sample count tried, they give the same bits.
 _SIDE_BY_SIDE_WIDTH = 4
-
-
-def _hidden_shape(shared: bool, runs: int, n: int, m: int) -> tuple[int, ...]:
-    """Shape of a hidden layer's arrays: side by side, ``(n, runs * m)``, for
-    shared inputs and a layer at least ``_SIDE_BY_SIDE_WIDTH`` wide, else
-    ``(runs, n, m)``."""
-    return (n, runs * m) if shared and m >= _SIDE_BY_SIDE_WIDTH else (runs, n, m)
 
 
 def _lead(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -427,13 +417,11 @@ def _one_gemm(x: np.ndarray, z: np.ndarray) -> bool:
     return z.ndim == 2 and min(x.shape) > 1 and z.shape[1] % 8 == 0
 
 
-def _times_derivative(act: ActivationSpec, delta: np.ndarray, z: np.ndarray) -> None:
-    """``delta *= act.derivative(z)`` in place.  relu's derivative is applied
-    as the mask ``z > 0``: the same bits, without a float temporary."""
-    if act.kind == "relu":
-        np.multiply(delta, z > 0, out=delta)
-    else:
-        delta *= act.derivative(z)
+def _derivative(act: ActivationSpec, z: np.ndarray) -> np.ndarray:
+    """``act.derivative(z)``, relu's as the mask ``z > 0``: the same bits in a
+    multiply, without a float temporary.  relu's ``z`` may be its activation,
+    which is positive exactly where ``z`` is (nan and both zeros are not)."""
+    return z > 0 if act.kind == "relu" else act.derivative(z)
 
 
 def stacked_forward(
@@ -448,44 +436,50 @@ def stacked_forward(
     takes.  Each run's numbers equal those of the same network evaluated
     alone.
 
+    Each hidden layer has one working array: the activation is applied in
+    place on the preactivation, so for relu and identity ``zs[k]`` is
+    ``hs[k + 1]`` and holds the activation; leaky relu and tabulated
+    activations take new arrays and keep their preactivations.
+
     Per-run inputs take one ``matmul`` slice per run, and every hidden
     layer's arrays are ``(S, n, m)``.  Shared inputs lay the runs side by
-    side: a hidden layer's preactivation and activation are ``(n, S*m)``
-    arrays whose ``(S, n, m)`` view holds run ``s`` at ``[s]``, and the
-    first layer of all runs is one GEMM, ``X @ W1.reshape(S*m1, d+1).T``.
-    Where OpenBLAS would round the new layout differently, the old one
-    stays: a layer narrower than 4 keeps ``(S, n, m)`` arrays, since the
-    output and gradients take vector-matrix products of each run's
-    activations, and the first layer keeps one product per run over one
-    input or one coordinate, or when ``S*m1`` is not a multiple of 8.
+    side: a hidden layer's arrays are ``(n, S*m)`` arrays whose ``(S, n,
+    m)`` view holds run ``s`` at ``[s]``, and the first layer of all runs is
+    one GEMM, ``X @ W1.reshape(S*m1, d+1).T``.  Where OpenBLAS would round
+    the new layout differently, the old one stays: a layer narrower than 4
+    keeps ``(S, n, m)`` arrays, since the output and gradients take
+    vector-matrix products of each run's activations, and the first layer
+    keeps one product per run over one input or one coordinate, or when
+    ``S*m1`` is not a multiple of 8.
 
-    With ``buffers`` from :func:`stacked_buffers` the preactivations, and
-    the activations of relu, are written there instead of into new arrays,
-    with the same bits; the returned lists then hold views of those buffers.
+    With ``buffers`` from :func:`stacked_buffers` the preactivations are
+    written there instead of into new arrays, with the same bits; the
+    returned lists then hold views of those buffers.
     """
     hs = [inputs]
     zs = []
-    if inputs.ndim == 3 and buffers is None:
-        # Per-run inputs without buffers: one matmul per run and layer.
+    bufs = buffers or repeat(None)
+    if inputs.ndim == 3:
+        # Per-run inputs: one matmul per run and layer.
+        runs, n = inputs.shape[:2]
         h = inputs
-        for w in layers[:-1]:
-            zs.append(h @ w.transpose(0, 2, 1))
-            h = act(zs[-1])
+        for w, buf in zip(layers[:-1], bufs):
+            z = np.matmul(h, w.transpose(0, 2, 1), out=_lead(buf, (runs, n, w.shape[1])))
+            h = act(z, out=z)
+            zs.append(z)
             hs.append(h)
         return (h @ layers[-1].transpose(0, 2, 1))[..., 0], hs, zs
-    runs, n = len(layers[0]), inputs.shape[-2]
-    shared = inputs.ndim == 2
+    runs, n = len(layers[0]), inputs.shape[0]
     below = inputs
-    outs = buffers or repeat((None, None, None))
-    for w, (z_buf, h_buf, _) in zip(layers[:-1], outs):
-        shape = _hidden_shape(shared, runs, n, w.shape[1])
-        z = _lead(z_buf, shape)
+    for w, buf in zip(layers[:-1], bufs):
+        m = w.shape[1]
+        z = _lead(buf, (n, runs * m) if m >= _SIDE_BY_SIDE_WIDTH else (runs, n, m))
         if not zs and _one_gemm(inputs, z):
             np.matmul(inputs, w.reshape(z.shape[1], -1).T, out=z)
         else:
             np.matmul(below, w.transpose(0, 2, 1), out=_per_run(z, runs))
         zs.append(z)
-        hs.append(act(z, out=None if h_buf is None else _lead(h_buf, shape)))
+        hs.append(act(z, out=z))
         below = _per_run(hs[-1], runs)
     out = (below @ layers[-1].transpose(0, 2, 1))[..., 0]
     return out, hs, zs
@@ -514,7 +508,7 @@ def expand_upstream(upstream, runs: int, m: int, out=None) -> ExpandedUpstream:
 
 
 def stacked_backprop(
-    layers, act: ActivationSpec, hs, zs, upstream, buffers=None, out=None
+    layers, act: ActivationSpec, hs, zs, upstream, out=None
 ) -> list[np.ndarray]:
     """Gradient of ``sum_i upstream_i * f_s(x_i)`` for each stacked network
     ``s``, from the layer inputs ``hs`` and preactivations ``zs`` of
@@ -523,14 +517,16 @@ def stacked_backprop(
     ``upstream`` is ``(n,)``, shared by every run, ``(S, n)``, or either one
     from :func:`expand_upstream`.  Returns ``(S, rows, cols)`` arrays shaped
     like ``layers``.  Requires an activation with an almost-everywhere
-    derivative.  Each hidden layer's delta takes the layout of its
-    preactivation: with shared inputs the top delta is one multiply of the
-    upstream by the output rows (contiguous when expanded), and the
-    first-layer gradient of all runs is one GEMM, ``delta.T @ X``, where
-    :func:`stacked_forward` made the first layer one.  With ``buffers`` from
-    :func:`stacked_buffers` each hidden layer's delta is written there.
-    With ``out``, C-contiguous arrays shaped like ``layers``, the gradients
-    are written into those, with the same bits.
+    derivative.  Each hidden layer's delta is written over its activation
+    ``hs[k + 1]`` once the gradient of the layer above has read it, and the
+    layer's derivative is taken before that, so this consumes ``hs[1:]``
+    (and relu's and identity's ``zs``): run :func:`stacked_forward` again
+    before another backprop.  The inputs ``hs[0]`` are never written.  With
+    shared inputs the top delta is one multiply of the upstream by the
+    output rows (contiguous when expanded), and the first-layer gradient of
+    all runs is one GEMM, ``delta.T @ X``, where :func:`stacked_forward`
+    made the first layer one.  With ``out``, C-contiguous arrays shaped like
+    ``layers``, the gradients are written into those, with the same bits.
     """
     wide = None
     if isinstance(upstream, ExpandedUpstream):
@@ -538,33 +534,36 @@ def stacked_backprop(
     depth = len(layers)
     x = hs[0]
     grads = [None] * depth if out is None else list(out)
-    if x.ndim == 3 and buffers is None:
-        # Per-run inputs without buffers: one matmul per run and layer.
+    if x.ndim == 3:
+        # Per-run inputs: one matmul per run and layer.
         grads[-1] = np.matmul(upstream[..., None, :], hs[-1], out=grads[-1])
-        delta = upstream[..., :, None] * layers[-1]
+        dz = _derivative(act, zs[-1])
+        delta = np.multiply(upstream[..., :, None], layers[-1], out=hs[-1])
         for k in range(depth - 2, -1, -1):
-            _times_derivative(act, delta, zs[k])
+            np.multiply(delta, dz, out=delta)
             grads[k] = np.matmul(delta.transpose(0, 2, 1), hs[k], out=grads[k])
             if k:
-                delta = delta @ layers[k]
+                dz = _derivative(act, zs[k - 1])
+                delta = np.matmul(delta, layers[k], out=hs[k])
         return grads
-    runs, n = len(layers[0]), x.shape[-2]
-    delta_bufs = [b[2] for b in buffers] if buffers else [None] * (depth - 1)
+    runs, n = len(layers[0]), x.shape[0]
     grads[-1] = np.matmul(upstream[..., None, :], _per_run(hs[-1], runs), out=grads[-1])
-    delta = _lead(delta_bufs[-1], zs[-1].shape)
+    dz = _derivative(act, zs[-1])
+    delta = hs[-1]
     if delta.ndim == 2:
         m = layers[-1].shape[-1]
         top = upstream.T.reshape(n, -1, 1) if wide is None else wide.reshape(n, runs, m)
         np.multiply(top, layers[-1].reshape(runs, m), out=delta.reshape(n, runs, m))
     else:
         np.multiply(upstream[..., :, None], layers[-1], out=delta)
-    _times_derivative(act, delta, zs[-1])
+    np.multiply(delta, dz, out=delta)
     for k in range(depth - 2, 0, -1):
         d = _per_run(delta, runs)
         grads[k] = np.matmul(d.transpose(0, 2, 1), _per_run(hs[k], runs), out=grads[k])
-        delta = _lead(delta_bufs[k - 1], zs[k - 1].shape)
+        dz = _derivative(act, zs[k - 1])
+        delta = hs[k]
         np.matmul(d, layers[k], out=_per_run(delta, runs))
-        _times_derivative(act, delta, zs[k - 1])
+        np.multiply(delta, dz, out=delta)
     if _one_gemm(x, delta):
         g0 = None if out is None else out[0].reshape(-1, x.shape[1])
         grads[0] = np.matmul(delta.T, x, out=g0).reshape(layers[0].shape)

@@ -348,9 +348,11 @@ class RademacherMCResult:
 
 
 # Most values one hidden layer's ``(S, n, m)`` array may hold in a block of
-# ``rademacher_mc``'s trials.  Measured with the buffers in place: 2^15 to
-# 2^18 ran the 8-trial benchmark call equally fast, 2^16 and 2^17 ran the
-# 200-trial ``verify`` call fastest, and 2^18 ran it slower than 2^14.
+# ``rademacher_mc``'s trials.  Measured with one buffer per hidden layer, in
+# alternating in-process pairs on 2 cores against 2^16: 2^15 ran the 8-trial
+# benchmark call and the 200-trial ``verify`` call each about 1.12x as long,
+# 2^17 ran both as fast, and 2^18 ran the ``verify`` call about 1.13x as
+# long (from 2^16 up, the benchmark call is one block of 8 trials).
 _ASCENT_BLOCK_VALUES = 2**16
 _ASCENT_STEP = 0.5  # ascent step t moves this / sqrt(t + 1) along the unit gradient
 
@@ -376,8 +378,8 @@ def rademacher_mc(
     Trials run in blocks, each block as one ascent over its trials' starts
     stacked on the run axis.  A block keeps one hidden layer's ``(S, n, m)``
     array within ``_ASCENT_BLOCK_VALUES`` values, and every step of every
-    block writes its hidden-layer arrays into one set of buffers sized for
-    the largest block, so no step allocates them anew.  The starts share
+    block writes each hidden layer's one working array into a buffer sized
+    for the largest block, so no step allocates them anew.  The starts share
     the inputs, so the kernels lay them side by side; a block's signs are
     fixed, so their expansion for the top-layer delta is built once per
     block, into a buffer of its own.  Every net gets the numbers of a lone
@@ -419,7 +421,7 @@ def rademacher_mc(
             np.fmax(best, score.max(axis=1), out=best)  # a NaN leaves best as is
             if it == inner_steps:  # the final iterates are scored, not stepped
                 break
-            grads = stacked_backprop(arrs, act, hs, zs, rho, buffers)
+            grads = stacked_backprop(arrs, act, hs, zs, rho)
             sq = (np.add.reduce((g * g).reshape(len(g), -1), axis=-1) for g in grads)
             gnorm = np.sqrt(sum(sq))
             step = _ASCENT_STEP / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)

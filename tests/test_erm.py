@@ -1,6 +1,7 @@
 """Loss models, synthetic data, and penalized subgradient training."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -739,6 +740,26 @@ class TestBufferedTrainMany:
             "erm.train(*args)",
         )
         assert faults < 10_000
+
+    def test_warm_wide_train_holds_one_array_per_hidden_layer(self):
+        """A second ``train`` at widths (256, 256), n = 512 traces a peak of
+        about 6.7 MiB: the six parameter blocks and one 1 MiB buffer per
+        hidden layer, which holds its preactivation, relu's activation and
+        the backward delta in turn.  A buffer each for the three peaked at
+        about 10.7 MiB, and relu's activations in new arrays at 8.4 MiB."""
+        teacher = documented_teacher(d=2)
+        ds = erm.sample_dataset(teacher, 512, 0.05, seed=1)
+        init = erm.init_params((256, 256), 2, seed=2)
+        opt = erm.OptimizerConfig(step_size=0.2, max_iters=5)
+        args = (init, ds, 0.01, erm.LossSpec.mse(2.0), erm.Penalty("pesv"), opt, RELU)
+        erm.train(*args)
+        tracemalloc.start()
+        try:
+            erm.train(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
 
 
 class TestErrorMeasures:

@@ -223,12 +223,16 @@ class TestBackprop:
         layers = [rng.normal(size=(runs, *shape)) for shape in nc.layer_shapes(widths, d + 1)]
         X = rng.normal(size=(runs, n, d + 1) if per_run else (n, d + 1)) * 0.7
         u = rng.normal(size=(runs, n))
-        _, hs, zs = nc.stacked_forward(layers, act, X)
-        # keep every preactivation clear of kinks at step 1e-4
-        for z in zs:
-            for kink in self.KINKS[kind]:
-                assert np.min(np.abs(z - kink)) > 1e-2
-        grads = nc.stacked_backprop(layers, act, hs, zs, u)
+        # keep every preactivation clear of kinks at step 1e-4; relu's ``zs``
+        # hold its activations, so the preactivations are taken here
+        for s in range(runs):
+            h = X[s] if per_run else X
+            for w in layers[:-1]:
+                z = h @ w[s].T
+                for kink in self.KINKS[kind]:
+                    assert np.min(np.abs(z - kink)) > 1e-2
+                h = act(z)
+        grads = stacked_grads(layers, act, X, u)
         eps = 1e-4
         for s in range(runs):
             net = [w[s] for w in layers]
@@ -319,23 +323,27 @@ class TestStackedBuffers:
     )
     @pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
     def test_buffered_equals_unbuffered(self, kind, widths, per_run):
-        """Compared byte for byte, so the signs of zeros count as well."""
+        """Compared byte for byte, so the signs of zeros count as well; the
+        layer arrays as the forward pass returns them, before a backprop
+        writes its deltas over the activations."""
         act = STACKED_ACTS[kind]
         rng = np.random.default_rng(len(widths) + 10 * per_run)
         layers, X, u = stacked_case(rng, 4, widths, 7, 2, per_run)
         out, hs, zs = nc.stacked_forward(layers, act, X)
-        grads = nc.stacked_backprop(layers, act, hs, zs, u)
         buffers = nc.stacked_buffers(4, 7, widths)
         b_out, b_hs, b_zs = nc.stacked_forward(layers, act, X, buffers)
-        b_grads = nc.stacked_backprop(layers, act, b_hs, b_zs, u, buffers)
         assert same_bits(b_out, out)
         assert all(same_bits(a, b) for a, b in zip(b_hs + b_zs, hs + zs))
+        # one working array per hidden layer: the preactivation in the
+        # buffer, which relu's and identity's activations overwrite in place
+        in_place = kind in ("relu", "identity")
+        assert all(np.shares_memory(z, b) for z, b in zip(b_zs, buffers))
+        for h, z, b_h, b_z, b in zip(hs[1:], zs, b_hs[1:], b_zs, buffers):
+            assert (h is z) == (b_h is b_z) == in_place
+            assert np.shares_memory(b_h, b) == in_place
+        grads = nc.stacked_backprop(layers, act, hs, zs, u)
+        b_grads = nc.stacked_backprop(layers, act, b_hs, b_zs, u)
         assert all(same_bits(a, b) for a, b in zip(b_grads, grads))
-        # the preactivations, and relu's activations, live in the buffers
-        assert all(np.shares_memory(z, b[0]) for z, b in zip(b_zs, buffers))
-        assert all(
-            np.shares_memory(h, b[1]) == (kind == "relu") for h, b in zip(b_hs[1:], buffers)
-        )
 
     @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
     def test_reused_buffers_keep_no_stale_values(self, kind):
@@ -345,41 +353,44 @@ class TestStackedBuffers:
         rng = np.random.default_rng(3)
         widths = (4, 6)
         buffers = nc.stacked_buffers(5, 7, widths)
-        for layer in buffers:
-            for b in layer:
-                b.fill(np.nan)
+        for b in buffers:
+            b.fill(np.nan)
         for runs in (5, 5, 3, 1):
             layers, X, u = stacked_case(rng, runs, widths, 7, 2, per_run=False)
             out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-            grads = nc.stacked_backprop(layers, act, hs, zs, u, buffers)
+            grads = nc.stacked_backprop(layers, act, hs, zs, u)
             ref_out, ref_hs, ref_zs = nc.stacked_forward(layers, act, X)
             ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
             assert same_bits(out, ref_out)
             assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
 
     def test_buffer_shapes_and_layout(self):
-        """Flat buffers, laid out by the kernels at their start: shared inputs
-        put a layer of width 4 or more side by side as ``(n, S*m)``, and
-        per-run inputs or a narrower layer take ``(S, n, m)``."""
+        """One flat buffer per hidden layer, laid out by the kernels at its
+        start: shared inputs put a layer of width 4 or more side by side as
+        ``(n, S*m)``, and per-run inputs or a narrower layer take ``(S, n,
+        m)``.  relu's preactivation, activation and delta all live there."""
         buffers = nc.stacked_buffers(6, 5, (3, 4))
-        assert [[b.shape for b in layer] for layer in buffers] == [
-            [(90,)] * 3, [(120,)] * 3
-        ]
+        assert [b.shape for b in buffers] == [(90,), (120,)]
         rng = np.random.default_rng(2)
+        relu = STACKED_ACTS["relu"]
         for per_run in (False, True):
-            for b in itertools.chain.from_iterable(buffers):
+            for b in buffers:
                 b.fill(np.nan)
             layers, X, u = stacked_case(rng, 2, (3, 4), 5, 2, per_run)
-            _, hs, zs = nc.stacked_forward(layers, STACKED_ACTS["relu"], X, buffers)
-            nc.stacked_backprop(layers, STACKED_ACTS["relu"], hs, zs, u, buffers)
+            _, hs, zs = nc.stacked_forward(layers, relu, X, buffers)
             wide = (2, 5, 4) if per_run else (5, 8)
             assert [z.shape for z in zs] == [h.shape for h in hs[1:]] == [(2, 5, 3), wide]
-            for layer, z, h in zip(buffers, zs, hs[1:]):
-                assert z.flags.c_contiguous and h.flags.c_contiguous
-                assert z.ctypes.data == layer[0].ctypes.data
-                assert h.ctypes.data == layer[1].ctypes.data
-                # the delta went into the buffer's start
-                assert np.isfinite(layer[2][: z.size]).all()
+            for b, z, h in zip(buffers, zs, hs[1:]):
+                assert z.flags.c_contiguous and h is z
+                assert z.ctypes.data == b.ctypes.data
+                assert np.isnan(b[z.size :]).all()
+            activations = [h.copy() for h in hs[1:]]
+            nc.stacked_backprop(layers, relu, hs, zs, u)
+            # each delta went over its activation, at the buffer's start
+            for b, h, before in zip(buffers, hs[1:], activations):
+                assert h.ctypes.data == b.ctypes.data
+                assert np.isfinite(h).all() and not same_bits(h, before)
+                assert np.isnan(b[h.size :]).all()
 
 
 @pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
@@ -394,11 +405,12 @@ def test_gradients_written_into_out(per_run, buffered):
     act = STACKED_ACTS["relu"]
     buffers = nc.stacked_buffers(4, 7, widths) if buffered else None
     _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-    ref = nc.stacked_backprop(layers, act, hs, zs, u, buffers)
+    ref = nc.stacked_backprop(layers, act, hs, zs, u)
     block = np.full(1 + sum(w.size for w in layers), np.nan)
     ends = np.cumsum([1] + [w.size for w in layers])
     out = [block[lo:hi].reshape(w.shape) for lo, hi, w in zip(ends, ends[1:], layers)]
-    grads = nc.stacked_backprop(layers, act, hs, zs, u, buffers, out=out)
+    _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+    grads = nc.stacked_backprop(layers, act, hs, zs, u, out=out)
     assert all(np.shares_memory(g, o) for g, o in zip(grads, out))
     assert all(same_bits(o, r) for o, r in zip(out, ref))
     assert np.isnan(block[0])
@@ -413,19 +425,20 @@ def assert_shared_equals_repeated(act, runs, widths, n, d, seed, buffered):
     u = rng.choice([-1.0, 1.0], size=(runs, n))
     per_run = np.broadcast_to(X, (runs, n, d + 1))
     ref_out, ref_hs, ref_zs = nc.stacked_forward(layers, act, per_run)
-    ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
     # buffers sized for more runs than there are, filled with NaN
     buffers = nc.stacked_buffers(runs + 3, n, widths) if buffered else None
-    for b in itertools.chain.from_iterable(buffers or []):
+    for b in buffers or []:
         b.fill(np.nan)
     out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-    for upstream in (u, nc.expand_upstream(u, runs, widths[-1])):
-        grads = nc.stacked_backprop(layers, act, hs, zs, upstream, buffers)
-        assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
     assert same_bits(out, ref_out)
     for mine, ref in zip(hs[1:] + zs, ref_hs[1:] + ref_zs):
         assert mine.flags.c_contiguous
         assert same_bits(nc._per_run(mine, runs), ref)
+    ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
+    for upstream in (u, nc.expand_upstream(u, runs, widths[-1])):
+        _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+        grads = nc.stacked_backprop(layers, act, hs, zs, upstream)
+        assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
 
 
 class TestSharedInputs:
@@ -461,10 +474,9 @@ class TestSharedInputs:
         rng = np.random.default_rng(4)
         layers, X, u = stacked_case(rng, 3, (4, 5), 6, 2, per_run=False)
         relu = STACKED_ACTS["relu"]
-        _, hs, zs = nc.stacked_forward(layers, relu, X)
-        ref = nc.stacked_backprop(layers, relu, hs, zs, np.tile(u, (3, 1)))
+        ref = stacked_grads(layers, relu, X, np.tile(u, (3, 1)))
         for upstream in (u, nc.expand_upstream(u, 3, 5)):
-            grads = nc.stacked_backprop(layers, relu, hs, zs, upstream)
+            grads = stacked_grads(layers, relu, X, upstream)
             assert all(same_bits(a, b) for a, b in zip(grads, ref))
 
     def test_expanded_upstream_layout(self):
@@ -476,6 +488,144 @@ class TestSharedInputs:
             e.wide, [[1.0, 1.0, 3.0, 3.0, 5.0, 5.0], [-2.0, -2.0, -4.0, -4.0, -6.0, -6.0]]
         )
         assert np.shares_memory(e.wide, buf) and np.isnan(buf[12:]).all()
+
+
+@pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
+@pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
+@pytest.mark.parametrize("buffered", [False, True], ids=["new-arrays", "buffers"])
+def test_backprop_never_writes_the_inputs(kind, per_run, buffered):
+    """The deltas go over ``hs[1:]``, never over ``hs[0]``: read-only inputs,
+    as a caller's own array may be, keep their bytes.  Widths of 4 and 2
+    over four runs make the shared first layer one GEMM and the second
+    layer per-run."""
+    act = STACKED_ACTS[kind]
+    rng = np.random.default_rng(5)
+    widths = (4, 2)
+    layers, X, u = stacked_case(rng, 4, widths, 6, 2, per_run)
+    before = X.copy()
+    X.flags.writeable = False
+    buffers = nc.stacked_buffers(4, 6, widths) if buffered else None
+    upstreams = [u] if per_run else [u, nc.expand_upstream(u, 4, widths[-1])]
+    for upstream in upstreams:
+        _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+        assert hs[0] is X
+        nc.stacked_backprop(layers, act, hs, zs, upstream)
+        assert same_bits(X, before)
+
+
+def reference_per_run(a, runs):
+    """A hidden layer's array as its ``(runs, n, m)`` view."""
+    return a if a.ndim == 3 else a.reshape(a.shape[0], runs, -1).transpose(1, 0, 2)
+
+
+def reference_forward(layers, act, inputs):
+    """The stacked forward pass with a new preactivation and a new
+    activation per hidden layer, which the backward pass then pairs with a
+    new delta: three arrays per hidden layer, with the layouts and products
+    of :func:`nc.stacked_forward`."""
+    hs, zs = [inputs], []
+    if inputs.ndim == 3:
+        for w in layers[:-1]:
+            zs.append(hs[-1] @ w.transpose(0, 2, 1))
+            hs.append(act(zs[-1]))
+        return (hs[-1] @ layers[-1].transpose(0, 2, 1))[..., 0], hs, zs
+    runs, n = len(layers[0]), len(inputs)
+    below = inputs
+    for w in layers[:-1]:
+        m = w.shape[1]
+        z = np.empty((n, runs * m) if m >= 4 else (runs, n, m))
+        if not zs and z.ndim == 2 and min(inputs.shape) > 1 and z.shape[1] % 8 == 0:
+            np.matmul(inputs, w.reshape(z.shape[1], -1).T, out=z)
+        else:
+            np.matmul(below, w.transpose(0, 2, 1), out=reference_per_run(z, runs))
+        zs.append(z)
+        hs.append(act(z))
+        below = reference_per_run(hs[-1], runs)
+    return (below @ layers[-1].transpose(0, 2, 1))[..., 0], hs, zs
+
+
+def reference_backprop(layers, act, hs, zs, upstream):
+    """The backward pass of :func:`reference_forward`, each delta new."""
+
+    def times_derivative(delta, z):
+        if act.kind == "relu":
+            np.multiply(delta, z > 0, out=delta)
+        else:
+            delta *= act.derivative(z)
+
+    wide = None
+    if isinstance(upstream, nc.ExpandedUpstream):
+        upstream, wide = upstream
+    x, depth = hs[0], len(layers)
+    grads = [None] * depth
+    if x.ndim == 3:
+        grads[-1] = upstream[..., None, :] @ hs[-1]
+        delta = upstream[..., :, None] * layers[-1]
+        for k in range(depth - 2, -1, -1):
+            times_derivative(delta, zs[k])
+            grads[k] = delta.transpose(0, 2, 1) @ hs[k]
+            if k:
+                delta = delta @ layers[k]
+        return grads
+    runs, n = len(layers[0]), len(x)
+    grads[-1] = upstream[..., None, :] @ reference_per_run(hs[-1], runs)
+    delta = np.empty(zs[-1].shape)
+    if delta.ndim == 2:
+        m = layers[-1].shape[-1]
+        top = upstream.T.reshape(n, -1, 1) if wide is None else wide.reshape(n, runs, m)
+        np.multiply(top, layers[-1].reshape(runs, m), out=delta.reshape(n, runs, m))
+    else:
+        np.multiply(upstream[..., :, None], layers[-1], out=delta)
+    times_derivative(delta, zs[-1])
+    for k in range(depth - 2, 0, -1):
+        d = reference_per_run(delta, runs)
+        grads[k] = d.transpose(0, 2, 1) @ reference_per_run(hs[k], runs)
+        delta = np.empty(zs[k - 1].shape)
+        np.matmul(d, layers[k], out=reference_per_run(delta, runs))
+        times_derivative(delta, zs[k - 1])
+    if delta.ndim == 2 and min(x.shape) > 1 and delta.shape[1] % 8 == 0:
+        grads[0] = (delta.T @ x).reshape(layers[0].shape)
+    else:
+        grads[0] = reference_per_run(delta, runs).transpose(0, 2, 1) @ x
+    return grads
+
+
+@st.composite
+def stacked_problems(draw):
+    """Depth 2 to 4, widths 1 to 9, 1 to 6 runs over 1 to 9 inputs of 1 to 4
+    coordinates, shared or per run, every activation, buffers or not, and
+    an upstream per run, shared, or expanded."""
+    widths = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    runs, n, d = draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(0, 3))
+    per_run = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers, X, u = stacked_case(rng, runs, widths, n, d, per_run)
+    upstream = draw(st.sampled_from(["per-run", "shared", "expanded"]))
+    if upstream == "shared":
+        u = u if u.ndim == 1 else u[0]
+    elif upstream == "expanded" and not per_run:
+        u = nc.expand_upstream(rng.choice([-1.0, 1.0], size=(runs, n)), runs, widths[-1])
+    elif u.ndim == 1:
+        u = np.tile(u, (runs, 1))
+    act = draw(st.sampled_from(sorted(STACKED_ACTS)))
+    buffers = nc.stacked_buffers(runs, n, widths) if draw(st.booleans()) else None
+    return layers, STACKED_ACTS[act], X, u, buffers
+
+
+class TestOneWorkingArrayPerLayer:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(stacked_problems())
+    def test_same_bits_as_three_arrays_per_layer(self, problem):
+        """Outputs and gradients byte for byte, and the inputs untouched."""
+        layers, act, X, u, buffers = problem
+        X0 = X.copy()
+        ref_out, ref_hs, ref_zs = reference_forward(layers, act, X)
+        ref_grads = reference_backprop(layers, act, ref_hs, ref_zs, u)
+        out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+        grads = nc.stacked_backprop(layers, act, hs, zs, u)
+        assert same_bits(out, ref_out)
+        assert all(same_bits(a, b) for a, b in zip(grads, ref_grads, strict=True))
+        assert same_bits(X, X0)
 
 
 class TestAbsorbBias:

@@ -227,6 +227,28 @@ class TestRademacherMC:
         with pytest.raises(ValueError):
             oracles.rademacher_mc((4,), 1.0, np.full((8, 2), 2.0), trials=2)
 
+    @pytest.mark.parametrize("widths", [(8,), (5, 3)])
+    def test_keeps_the_callers_inputs(self, monkeypatch, widths):
+        """The caller's own float64 array is every pass's ``hs[0]``, and the
+        backward passes, which write their deltas over ``hs[1:]``, leave it
+        as it was; a read-only one gives the same result."""
+        X = self.inputs(16)
+        before = X.copy()
+        seen = []
+        real = oracles.stacked_backprop
+
+        def recording(layers, act, hs, zs, upstream):
+            seen.append(hs[0] is X)
+            return real(layers, act, hs, zs, upstream)
+
+        monkeypatch.setattr(oracles, "stacked_backprop", recording)
+        kw = dict(trials=3, n_starts=4, inner_steps=5, seed=1)
+        r = oracles.rademacher_mc(widths, 1.0, X, **kw)
+        assert seen and all(seen)
+        assert X.tobytes() == before.tobytes()
+        X.flags.writeable = False
+        assert oracles.rademacher_mc(widths, 1.0, X, **kw) == r
+
     @pytest.mark.parametrize(
         "widths, kw, estimate, stderr",
         [
@@ -322,7 +344,7 @@ class TestRademacherMC:
 
         def recording(layers, act, X, buffers=None):
             hidden.append(max(len(w) * len(X) * w.shape[1] for w in layers[:-1]))
-            addresses.add(buffers[0][0].__array_interface__["data"][0])
+            addresses.add(buffers[0].__array_interface__["data"][0])
             return real(layers, act, X, buffers)
 
         monkeypatch.setattr(oracles, "stacked_forward", recording)
@@ -721,6 +743,43 @@ class TestPointwise:
         """The c02 audit, which ``verify pointwise`` and the benchmark run."""
         r = oracles.pointwise_audit(n_nets=1000, probes=100, seed=0)
         assert r.max_ratio.hex() == "0x1.ffff3d10cd5dcp-1" and r.probes == 100_000
+
+    @staticmethod
+    def scalar_audit_draws(n_nets, seed):
+        """The audit's draws one scalar call at a time: each net's widths and
+        input size with the generator's state where its layers are drawn,
+        and the final state."""
+        rng = np.random.default_rng(seed)
+        calls = []
+        for _ in range(n_nets):
+            L = (2, 3, 4)[int(rng.integers(3))]
+            d = (1, 2, 3)[int(rng.integers(3))]
+            widths = tuple(int(rng.integers(1, 9)) for _ in range(L - 1))
+            rng.integers(2)  # the activation
+            calls.append((widths, d + 1, rng.bit_generator.state))
+            oracles._unit_norm_net(rng, widths, d + 1)
+            rng.integers(2**31)  # the probes' seed
+        return calls, rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7, 123])
+    def test_audit_draws_equal_scalar_draws(self, monkeypatch, seed):
+        """Three blocks of nets, drawn with the shapes and generator states
+        of one bounded scalar call per value: a regrouping of the draws must
+        keep both, and the widths Python ints."""
+        want_calls, want_state = self.scalar_audit_draws(300, seed)
+        calls, rngs = [], []
+        real = oracles._unit_norm_net
+
+        def recording(rng, widths, in_size):
+            assert all(type(w) is int for w in widths)
+            calls.append((widths, in_size, rng.bit_generator.state))
+            rngs.append(rng)
+            return real(rng, widths, in_size)
+
+        monkeypatch.setattr(oracles, "_unit_norm_net", recording)
+        oracles.pointwise_audit(n_nets=300, probes=1, seed=seed)
+        assert calls == want_calls
+        assert rngs[-1].bit_generator.state == want_state
 
     def test_audit_grid_pinned(self):
         """The audit's depths, dimensions, widths and activations fix this
