@@ -10,8 +10,11 @@ Every output's bytes are deterministic for a given configuration, seed and
 BLAS build: ``sweep`` trains each row in a worker process that runs BLAS on
 one thread, so its CSV does not depend on ``--jobs`` or the cores.
 ``train`` runs BLAS in the calling process, so its bytes can also change
-with the OpenBLAS thread count from about ``n = 1000`` samples on.  A
-timestamp comment line can be suppressed with ``--no-timestamp``.
+with the OpenBLAS thread count from about ``n = 1000`` samples on.  Networks
+are evaluated in row blocks (``netcore.forward``), so ``train`` and ``sweep``
+outputs can differ from those of earlier versions in the last digit at some
+widths; they stay deterministic per build and thread count.  A timestamp
+comment line can be suppressed with ``--no-timestamp``.
 """
 
 from __future__ import annotations

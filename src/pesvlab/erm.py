@@ -240,7 +240,7 @@ def ball_points(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     standard normals ``g``, ``(n, d)``, scaled to norm ``u ** (1/d)`` by its
     entry of the uniforms ``u``.  The work is row by row, so a row has the
     same bits whatever rows come with it."""
-    norms_g = np.sqrt(np.add.reduce(g * g, axis=1))  # the ops of np.linalg.norm(g, axis=1)
+    norms_g = np.sqrt(norms.row_sums(g * g))  # the bits of np.linalg.norm(g, axis=1)
     if not norms_g.all():
         norms_g[norms_g == 0.0] = 1.0
     radii = u ** (1.0 / g.shape[1])

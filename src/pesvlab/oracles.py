@@ -395,6 +395,8 @@ def rademacher_mc(
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise ValueError(f"inputs must be a non-empty 2-D array, got shape {X.shape}")
+    if not np.isfinite(X).all():  # a nan coordinate passes the ball check
+        raise ValueError("inputs must be finite")
     if np.any(np.linalg.norm(X, axis=1) > 1.0 + 1e-12):
         raise ValueError("inputs must lie in the unit ball")
     n, dim = X.shape
@@ -597,6 +599,8 @@ def pointwise_norm_check(
     if probe_count < 1:
         raise ValueError(f"need probe_count >= 1, got {probe_count}")
     layers = as_layers(params)
+    if not all(np.isfinite(w).all() for w in layers):  # a nan norm skips every probe
+        raise ValueError("params must have finite weights")
     ratio = _pointwise_ratio([(layers, act, norms.pesv_norm(layers), seed)], probe_count)
     return PointwiseResult(max_ratio=ratio, probes=probe_count, passed=ratio <= 1.0 + 1e-9)
 
@@ -624,8 +628,8 @@ def _pointwise_ratio(nets, probe_count: int) -> float:
     np.abs(out, out=out)
     lip = np.array([[act.lipschitz ** (len(layers) - 1)] for layers, act, _, _ in nets])
     nus = np.array([[nu] for _, _, nu, _ in nets])
-    # The row norms take the ops of np.linalg.norm(X, axis=1).
-    scale = lip * np.sqrt(np.add.reduce(X * X, axis=1)).reshape(out.shape) * nus
+    # The row norms have the bits of np.linalg.norm(X, axis=1).
+    scale = lip * np.sqrt(norms.row_sums(X * X)).reshape(out.shape) * nus
     ratio = np.zeros_like(out)
     return float(np.maximum.reduce(np.divide(out, scale, out=ratio, where=scale > 0.0), axis=None))
 

@@ -99,6 +99,18 @@ pattern = 1,1
 """
 
 
+def perfbench_wide_cfg(tmp_path, iters):
+    """``WIDE_CFG`` at n = 512 with the bound widths of perfbench/wide.cfg
+    (32, 64, 128, 256; pattern 1,1) and ``iters`` iterations."""
+    cfg = tmp_path / "perfbench-wide.cfg"
+    cfg.write_text(
+        WIDE_CFG.format(n=512)
+        .replace("max_iters = 3", f"max_iters = {iters}")
+        .replace("widths = 64,256,300", "widths = 32,64,128,256")
+    )
+    return cfg
+
+
 @pytest.fixture
 def bound_cfg(tmp_path):
     p = tmp_path / "bound.cfg"
@@ -279,6 +291,25 @@ class TestTrainCommand:
             assert rc == 0
             blobs.append((model.read_bytes(), trace.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_wide_bytes_pinned(self, tmp_path, capsys):
+        """sha256 of the model, trace and stdout of a 60-iteration train of
+        the perfbench wide shape, as written when ``forward`` evaluated all
+        rows in one pass: the 512 training and 4096 test points of the (256,
+        256) net now go in blocks of 256 rows, with the same bits."""
+        cfg = perfbench_wide_cfg(tmp_path, 60)
+        model, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+        capsys.readouterr()
+        argv = ["train", "--config", str(cfg), "--out", str(model), "--trace", str(trace),
+                "--no-timestamp"]
+        assert cli.main(argv) == 0
+        digests = [hashlib.sha256(b).hexdigest() for b in
+                   (model.read_bytes(), trace.read_bytes(), capsys.readouterr().out.encode())]
+        assert digests == [
+            "6cfd1af60a753192483166feeddb7b08227076b3fab2eef41c2c5dc3ba367872",
+            "46e79b2cd6bd14033d8a351020a0e6e92b47a5cade8d79a25639e2c48eda169f",
+            "219bf411d11a3631beffa154655450689c0bb1307ee0a247ca2f5b09dd853054",
+        ]
 
     def test_missing_teacher_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -581,6 +612,18 @@ class TestSweepCommand:
             if before is not None:
                 set_blas_threads_here(before)
         assert len(outputs) == 1
+
+    def test_wide_sweep_bytes_pinned(self, tmp_path):
+        """sha256 of the CSV of ``--trials 2 --jobs 2`` on the perfbench
+        wide shape (10 iterations), as written when ``forward`` evaluated
+        all rows in one pass: each row's 2048 test points now go in blocks."""
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(perfbench_wide_cfg(tmp_path, 10)), "--out", str(out),
+                "--trials", "2", "--jobs", "2", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5f4ae0c4e49e0efc4dc53f97283ad6078c141261fd7ce7426094498f3db6d415"
+        )
 
     def test_train_and_sweep_row_share_one_fit(self, tmp_path, capsys):
         """``train`` and the sweep row of the same width, data seed and

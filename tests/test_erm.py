@@ -763,6 +763,23 @@ class TestBufferedTrainMany:
 
 
 class TestErrorMeasures:
+    @pytest.mark.parametrize("widths", [(256, 256), (1000,)])
+    def test_evaluation_memory_does_not_grow_with_the_test_points(self, widths):
+        """A warm 4096-point estimate traces about 1.2 MiB at widths (256,
+        256) and 0.7 MiB at (1000,): the test points and one block of rows
+        of each hidden layer.  Evaluated in one pass, it traced 16.2 and
+        31.4 MiB."""
+        teacher = documented_teacher(d=2)
+        p = erm.init_params(widths, 2, seed=2)
+        erm.generalization_error_mc(p, RELU, teacher, 4096, seed=3)
+        tracemalloc.start()
+        try:
+            erm.generalization_error_mc(p, RELU, teacher, 4096, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_teacher_against_itself(self):
         teacher = documented_teacher(d=2)
         ds = erm.sample_dataset(teacher, 20, 0.3, seed=9)

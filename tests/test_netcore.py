@@ -290,6 +290,21 @@ class TestForwardInPlace:
             tracemalloc.stop()
         assert peak <= 2 * hidden + hidden // 8
 
+    def test_relu_holds_one_block_of_hidden_arrays(self):
+        """In blocks of ``_FORWARD_BLOCK_VALUES // 256`` rows, the evaluation
+        holds one block's two hidden arrays and the ``(n,)`` outputs; in one
+        pass it held two arrays of all 4096 rows, 16 MiB."""
+        net, x = self.case()
+        block = nc._FORWARD_BLOCK_VALUES * 8
+        nc.forward(net, ActivationSpec.relu(), x)
+        tracemalloc.start()
+        try:
+            nc.forward(net, ActivationSpec.relu(), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block + self.ROWS * 8 + block // 8
+
     @pytest.mark.parametrize("act", STACKED_ACTS.values(), ids=STACKED_ACTS)
     def test_same_bits_as_out_of_place(self, act):
         net, x = self.case()
@@ -298,6 +313,80 @@ class TestForwardInPlace:
         one = forward_out_of_place(net.layers, act, x[:1])[0]
         assert same_bits(nc.forward(net.layers, act, x[0]), one)
         assert same_bits(x, x0)
+
+
+def block_rows(n, widest):
+    """The rows of each block of ``forward``: all ``n`` when they fit in
+    ``_FORWARD_BLOCK_VALUES`` values, else the largest power of two that
+    fits (at least 1)."""
+    limit = nc._FORWARD_BLOCK_VALUES
+    if n * widest <= limit:
+        return max(n, 1)
+    rows = 1
+    while 2 * rows * widest <= limit:
+        rows *= 2
+    return rows
+
+
+@st.composite
+def blocked_problems(draw):
+    """Depth 2 to 4 with hidden widths from 197 up with ``width % 8 >= 4``,
+    where OpenBLAS rounds some products differently at different row
+    counts; 1 to 3 input coordinates; every activation; and a row count at,
+    one below or one above a multiple of the block rows."""
+    widths = draw(st.lists(
+        st.integers(197, 420).filter(lambda w: w % 8 >= 4), min_size=1, max_size=3
+    ))
+    d = draw(st.integers(1, 3))
+    rows = block_rows(2**62, max(widths))  # the rows of a block of a long input
+    n = draw(st.integers(1, 3)) * rows + draw(st.sampled_from([-1, 0, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = random_net(rng, widths, d)
+    x = rng.normal(size=(n, d + 1))
+    x[:, -1] = 1.0
+    return net, STACKED_ACTS[draw(st.sampled_from(sorted(STACKED_ACTS)))], x
+
+
+class TestForwardBlocks:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(blocked_problems())
+    def test_each_block_has_the_bits_of_its_rows_alone(self, problem):
+        """Byte for byte against a block-by-block reference that evaluates
+        each block's rows out of place, a 1-row last block included; a 1-D
+        input is one row."""
+        net, act, x = problem
+        x0 = x.copy()
+        rows = block_rows(len(x), max(net.width_vector))
+        ref = np.concatenate([
+            forward_out_of_place(net.layers, act, x[i : i + rows]) for i in range(0, len(x), rows)
+        ])
+        assert same_bits(nc.forward(net, act, x), ref)
+        assert same_bits(nc.forward(net.layers, act, x[-1]), forward_out_of_place(
+            net.layers, act, x[-1:])[0])
+        assert same_bits(x, x0)
+
+    @pytest.mark.parametrize(
+        "n, widest, rows",
+        [(0, 5, 1), (1, 2**17, 1), (2, 2**17, 1), (256, 256, 256), (257, 256, 256),
+         (4096, 1000, 64), (2**16, 1, 2**16), (2**16 + 1, 1, 2**16), (2**14, 5, 2**13)],
+    )
+    def test_block_rows(self, monkeypatch, n, widest, rows):
+        """The rows of each matmul: all of them when they fit in 2^16
+        values, else the largest power of two that fits."""
+        monkeypatch.setattr(nc, "_FORWARD_BLOCK_VALUES", 2**16)
+        seen = []
+        real = np.matmul
+
+        def recording(a, b, out=None):
+            seen.append(len(a))
+            return real(a, b, out=out)
+
+        net = NetParams.from_arrays([np.ones((widest, 2)), np.ones((1, widest))])
+        monkeypatch.setattr(nc.np, "matmul", recording)
+        out = nc.forward(net, ActivationSpec.relu(), np.ones((n, 2)))
+        assert out.shape == (n,)
+        assert seen[:1] == ([rows] if n else [])
+        assert sum(seen) == 2 * n
 
 
 def stacked_case(rng, runs, widths, n, d, per_run):

@@ -412,6 +412,60 @@ class TestPenaltyStackedWork:
         assert peaks[1] < middle // 2 and peaks[0] >= 2 * middle
 
 
+@st.composite
+def row_sum_inputs(draw):
+    """1 to 3 dimensions with 1 to 9 values a row and up to 600 rows, in
+    C order or as a transposed view, holding finite values of any scale,
+    signed zeros, infinities and nans with random payloads and signs."""
+    k = draw(st.integers(1, 9))
+    lead = draw(st.sampled_from([(), (1,), (31,), (64,), (200,), (600,), (3, 50), (16, 32)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(*lead, k)) * np.exp(rng.normal(size=(*lead, k)) * 30)
+    flat = a.reshape(-1)
+    pick = rng.random(flat.size)
+    bits = rng.integers(1, 2**51, size=flat.size, dtype=np.uint64)
+    bits |= np.uint64(0x7FF8000000000000) | rng.integers(0, 2, flat.size, dtype=np.uint64) << 63
+    flat[pick < 0.1] = 0.0
+    flat[pick < 0.05] = -0.0
+    flat[(0.1 <= pick) & (pick < 0.12)] = np.inf
+    flat[(0.12 <= pick) & (pick < 0.14)] = -np.inf
+    nans = (0.14 <= pick) & (pick < 0.17)
+    flat[nans] = bits.view(np.float64)[nans]
+    if draw(st.booleans()):
+        a = np.full(a.shape, -0.0)
+    if draw(st.booleans()) and a.ndim == 2:
+        a = np.ascontiguousarray(a.T).T
+    return a
+
+
+class TestRowSums:
+    @DERANDOMIZED
+    @given(row_sum_inputs())
+    def test_bits_of_add_reduce(self, a):
+        """Byte for byte, nan payloads and the +0.0 of a row of -0.0 too."""
+        with np.errstate(invalid="ignore"):
+            assert norms.row_sums(a).tobytes() == np.add.reduce(a, axis=-1).tobytes()
+            assert norms.row_sums(a).shape == a.shape[:-1]
+
+    @pytest.mark.parametrize(
+        "shape, columns", [((64, 2), True), ((63, 2), False), ((224, 7), True),
+                           ((223, 7), False), ((10, 16, 3), True), ((600, 8), False),
+                           ((600, 1), False)],
+    )
+    def test_columns_from_32_rows_per_column(self, monkeypatch, shape, columns):
+        """Rows of 2 to 7 values are added by column from 32 rows per column."""
+        calls = []
+        real = np.add.reduce
+
+        def recording(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.add, "reduce", recording)
+        norms.row_sums(np.ones(shape))
+        assert calls == ([] if columns else [shape])
+
+
 class TestRescaleNeuron:
     def test_identity_when_c_is_one(self):
         rng = np.random.default_rng(6)

@@ -274,9 +274,10 @@ class TestRademacherMC:
             (dict(F=-1.0), "F"),
             (dict(F=math.inf), "F"),
             (dict(F=math.nan), "F"),
+            (dict(inputs=np.array([[0.1, 0.2], [math.nan, 0.0]] * 4)), "inputs"),
         ],
         ids=["trials=0", "n_starts=0", "inner_steps=-1", "no-inputs", "1-d-inputs", "F=-1",
-             "F=inf", "F=nan"],
+             "F=inf", "F=nan", "nan-inputs"],
     )
     def test_rejects_bad_arguments(self, monkeypatch, kw, match):
         """Rejected before the ascent: no net is drawn."""
@@ -797,6 +798,17 @@ class TestPointwise:
         p = NetParams.from_arrays([np.ones((2, 3)), np.ones((1, 2))])
         with pytest.raises(ValueError, match="probe_count >= 1"):
             oracles.pointwise_norm_check(p, RELU, count)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_check_rejects_non_finite_raw_layers(self, layer, bad):
+        """``NetParams`` rejects these weights; raw layers are checked too.
+        A nan weight made the path norm nan, which skipped every probe and
+        passed with a ratio of 0."""
+        layers = [np.ones((2, 3)), np.ones((1, 2))]
+        layers[layer][0, 0] = bad
+        with pytest.raises(ValueError, match="params"):
+            oracles.pointwise_norm_check(layers, RELU, 10)
 
     @pytest.mark.parametrize("seq", [(2, 3, 4), (1, 2, 3), (0.0, 0.1), (7,), (0.5, 1, 2, 3, 5)])
     def test_index_draw_equals_choice(self, seq):
