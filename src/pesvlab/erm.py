@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -12,12 +13,10 @@ from . import norms
 from .netcore import (
     ActivationSpec,
     NetParams,
+    StackedPass,
     forward,
     layer_shapes,
     parse_spec,
-    stacked_backprop,
-    stacked_buffers,
-    stacked_forward,
 )
 from .norms import Penalty
 
@@ -156,15 +155,28 @@ class LossSpec:
         return _LOSSES[self.kind].dpred(self, f, y, f - y)
 
 
-def _huber_value(loss: LossSpec, f: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _written(value: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``value``, copied into ``out`` when given."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def _huber_value(
+    loss: LossSpec, f: np.ndarray, y: np.ndarray, u: np.ndarray, out=None
+) -> np.ndarray:
     au = np.abs(u)
-    return np.where(au <= loss.delta, 0.5 * u * u, loss.delta * (au - 0.5 * loss.delta))
+    return _written(
+        np.where(au <= loss.delta, 0.5 * u * u, loss.delta * (au - 0.5 * loss.delta)), out
+    )
 
 
 class _LossKind(NamedTuple):
     # Per-sample value and prediction derivative at predictions ``f``,
-    # targets ``y`` and residuals ``f - y``.
-    value: Callable[[LossSpec, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    # targets ``y`` and residuals ``f - y``; the value is written into the
+    # array ``out`` when given.
+    value: Callable[[LossSpec, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
     dpred: Callable[[LossSpec, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     spec_args: tuple[int, ...]  # argument counts ``parse`` accepts
     half_square: bool = False  # the value is half the squared residual
@@ -173,12 +185,19 @@ class _LossKind(NamedTuple):
 # Every loss kind; ``parse`` builds a kind through the classmethod of the
 # same name, with the spec arguments first and the range bound last.
 _LOSSES = {
-    "mse": _LossKind(lambda ls, f, y, u: 0.5 * u**2, lambda ls, f, y, u: u, (0,), True),
+    "mse": _LossKind(
+        lambda ls, f, y, u, out=None: np.multiply(np.square(u, out), 0.5, out),
+        lambda ls, f, y, u: u,
+        (0,),
+        True,
+    ),
     "huber": _LossKind(
         _huber_value, lambda ls, f, y, u: np.clip(u, -ls.delta, ls.delta), (1,)
     ),
     "logistic": _LossKind(
-        lambda ls, f, y, u: np.logaddexp(0.0, -y * f) - np.logaddexp(0.0, -y * y),
+        lambda ls, f, y, u, out=None: _written(
+            np.logaddexp(0.0, -y * f) - np.logaddexp(0.0, -y * y), out
+        ),
         lambda ls, f, y, u: -y / (1.0 + np.exp(y * f)),
         (0,),
     ),
@@ -271,14 +290,6 @@ def objective(params, dataset: Dataset, lam: float, loss: LossSpec, reg: Penalty
 
 _SCHEDULES = ("inv_sqrt", "constant")
 
-# A batch whose widest hidden-layer array holds this many values or more
-# writes its hidden layers' working arrays into buffers allocated once per
-# call.  Allocated anew every step, arrays of 128 KiB or more (glibc's
-# default mmap threshold) are mapped from the kernel and fault on every
-# first touch; smaller ones are cheaper to allocate than to route through
-# the buffers.
-_BUFFER_VALUES = 2**14
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -344,15 +355,22 @@ def train_many(
     starting from ``inits[s]`` on ``datasets[s]`` with ``lams[s]`` and the
     penalty ``regs[s]``.
 
-    The runs advance together, one set of stacked matrix products per
-    iteration, and each result is bitwise equal to its own :func:`train`
-    call.  Each stretch of consecutive equal penalties is evaluated as one
-    stacked group, so runs that share a penalty should sit next to each
-    other.  The datasets must share their sample count and the initial
-    networks their shapes.  Under ``opt.tolerance > 0`` a run that meets it
-    stops updating and recording while the others go on.  The first run to
-    reach a non-finite objective raises :class:`DivergenceError`, carrying
-    its best finite iterate and its index in this batch.
+    - Each result has the bits of the run's own :func:`train` call.  The
+      runs advance together, one set of stacked matrix products per
+      iteration.
+    - The datasets share their sample count and the initial networks their
+      shapes.  Each stretch of consecutive equal penalties is one stacked
+      group, so runs that share a penalty should sit next to each other.
+    - Under ``opt.tolerance > 0`` a run that meets it stops updating and
+      recording while the others go on.  The first run to reach a
+      non-finite objective raises :class:`DivergenceError`, carrying its
+      best finite iterate and its index in this batch.
+    - The call prepares its step once: a :class:`netcore.StackedPass` and a
+      :class:`norms.PenaltyPass` over the layers, which it updates in
+      place.  Whatever the batch's size, every step writes its hidden
+      layers, outputs, loss terms, gradients and penalty pieces into arrays
+      allocated then; huber and logistic also take temporaries for their
+      terms.
     """
     S = len(inits)
     if len(datasets) != S or len(lams) != S or len(regs) != S:
@@ -387,10 +405,6 @@ def train_many(
     # A run with lam = 0 takes no penalty subgradient, and a stopped run no
     # step; the masks stay True (no masking) while every run takes them.
     penalized = lam > 0.0
-    lam_flat = lam[run_of]
-    add_penalty = bool(penalized.any())
-    add_where = True if penalized.all() else penalized[run_of]
-    update_where = True
     # Runs lo..hi-1 of each group share one penalty; a uniform batch is one
     # group.  One pass gives every run's trace path norm and penalty value,
     # and writes the subgradients of the groups with a penalized run.
@@ -399,13 +413,50 @@ def train_many(
         norms.PenaltyGroup(slice(lo, hi), regs[lo], bool(penalized[lo:hi].any()))
         for lo, hi in zip(cuts, cuts[1:])
     ]
-    widths = inits[0].width_vector
-    buffers = stacked_buffers(S, n, widths) if S * n * widths.m >= _BUFFER_VALUES else None
+    # Every working array and view of a step, taken once: the calls from the
+    # layers to the objectives, and from the objectives' derivatives to the
+    # penalized gradients.
+    net = StackedPass.prepare(arrs, act, x, grads)
+    penalty = norms.PenaltyPass(arrs, groups, pens, (abss, outers))
+    preds, upstream, nu, value = net.out, net.upstream, penalty.nu, penalty.value
     loss_kind = _LOSSES[loss.kind]
+    resid, terms = np.empty((2, S, n))
+    total, mean, lam_value, sq = np.empty((4, S))
+    # This step's objective, empirical_mse and nu: row t of the history.
+    step_values = np.empty((3, S))
+    obj, mse = step_values[:2]
+    evaluate = [
+        *net.forward_calls,
+        partial(np.subtract, preds, y, resid),
+        lambda: np.add.reduce(loss_kind.value(loss, preds, y, resid, terms), -1, None, total),
+        *penalty.calls,
+        partial(np.divide, total, n, mean),
+        partial(np.multiply, lam, value, lam_value),
+        partial(np.add, mean, lam_value, obj),
+    ]
+    # Half squared errors sum to half the squared error's sum: halving is
+    # exact, short of subnormal halves.
+    record = [
+        partial(np.multiply, total, 2.0, sq) if loss_kind.half_square
+        else lambda: np.add.reduce(np.multiply(resid, resid, terms), -1, None, sq),
+        partial(np.divide, sq, n, mse),
+        partial(step_values.__setitem__, 2, nu),
+    ]
+    differentiate = [
+        lambda: np.divide(loss_kind.dpred(loss, preds, y, resid), n, upstream),
+        *net.backprop_calls,
+    ]
+    if penalized.any():
+        differentiate += [
+            partial(np.multiply, pen_block, lam[run_of], pen_block),
+            partial(np.add, grad_block, pen_block, grad_block,
+                    where=True if penalized.all() else penalized[run_of]),
+        ]
+    update_where = True
+    history = np.empty((opt.max_iters, 3, S))
     best_obj = np.full(S, math.inf)
     better = np.empty(S, dtype=bool)
-    # Per iteration and run: objective, empirical_mse and nu.
-    history = np.empty((3, opt.max_iters, S))
+    better_flat = np.empty(ends[-1], dtype=bool)
     iters = np.full(S, opt.max_iters)
     active = np.ones(S, dtype=bool)
 
@@ -413,12 +464,8 @@ def train_many(
     # expected, not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opt.max_iters):
-            preds, hs, zs = stacked_forward(arrs, act, x, buffers)
-            resid = preds - y
-            total = np.add.reduce(loss_kind.value(loss, preds, y, resid), axis=-1)
-            # The subgradients wait in their block for the backward pass.
-            history[2, t], value = norms.penalty_stacked(arrs, groups, pens, (abss, outers))
-            obj = np.add(total / n, lam * value, out=history[0, t])
+            for call in evaluate:
+                call()
             # A finite sum means finite objectives; an overflowing one is
             # checked run by run.
             if not math.isfinite(np.add.reduce(obj)) and not np.isfinite(obj).all():
@@ -429,27 +476,19 @@ def train_many(
                     NetParams(tuple(b[s] for b in best)),
                     run=s,
                 )
-            # Half squared errors sum to half the squared error's sum: halving
-            # is exact, short of subnormal halves.
-            sq = 2.0 * total if loss_kind.half_square else np.add.reduce(resid * resid, axis=-1)
-            np.divide(sq, n, out=history[1, t])
-            np.less(obj, best_obj, out=better)
+            for call in record:
+                call()
+            history[t] = step_values
+            np.less(obj, best_obj, better)
             improved = np.count_nonzero(better)
-            if improved:
+            if improved == S:
+                best_obj[...] = obj
+                best_block[...] = block
+            elif improved:
                 np.copyto(best_obj, obj, where=better)
-                np.copyto(best_block, block, where=True if improved == S else better[run_of])
-
-            upstream = loss_kind.dpred(loss, preds, y, resid) / n
-            stacked_backprop(arrs, act, hs, zs, upstream, out=grads)
-            # The backprop consumed hs[1:]: each hidden layer has one working
-            # array, and its delta went over its activation.  Held into the
-            # next forward pass, the layer arrays that are not buffer views
-            # (all of them in a narrow batch, the activations of leaky relu
-            # and tabulated in a wide one) would double its peak memory.
-            del hs, zs
-            if add_penalty:
-                np.multiply(pen_block, lam_flat, out=pen_block)
-                np.add(grad_block, pen_block, out=grad_block, where=add_where)
+                np.copyto(best_block, block, where=better.take(run_of, None, better_flat))
+            for call in differentiate:
+                call()
             if opt.tolerance > 0.0:
                 gnorm, tnorm = (
                     np.sqrt(sum(np.add.reduce((w * w).reshape(S, -1), axis=-1) for w in ws))
@@ -465,13 +504,13 @@ def train_many(
             step = opt.step_size
             if opt.schedule == "inv_sqrt":
                 step /= math.sqrt(t + 1.0)
-            np.multiply(grad_block, step, out=grad_block)
-            np.subtract(block, grad_block, out=block, where=update_where)
+            np.multiply(grad_block, step, grad_block)
+            np.subtract(block, grad_block, block, where=update_where)
 
     return [
         TrainResult(
             params=NetParams(tuple(b[s] for b in best)),
-            trace=np.column_stack((np.arange(k, dtype=np.float64), *history[:, :k, s])),
+            trace=np.column_stack((np.arange(k, dtype=np.float64), *history[:k, :, s].T)),
             best_objective=float(best_obj[s]),
             iterations=int(k),
             converged=bool(not active[s]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
@@ -20,6 +21,7 @@ __all__ = [
     "BiasedNet",
     "ExpandedUpstream",
     "NetParams",
+    "StackedPass",
     "UnsupportedActivationError",
     "WidthVector",
     "absorb_bias",
@@ -151,8 +153,9 @@ class ActivationSpec:
         return self.value_at_zero == 0.0
 
     def __call__(self, x, out: np.ndarray | None = None):
-        """The activation of every entry.  relu writes it into ``out`` when
-        given; the other kinds ignore ``out`` (identity returns ``x``)."""
+        """The activation of every entry, written into ``out`` when given.
+        relu and identity work in place (``out`` may be ``x``); leaky relu
+        and tabulated return a new array when ``out`` is ``x``."""
         return _ACTIVATIONS[self.kind].value(self, np.asarray(x, dtype=np.float64), out)
 
     def derivative(self, x):
@@ -208,7 +211,18 @@ def _leaky_relu(act: ActivationSpec, x: np.ndarray, out=None) -> np.ndarray:
     """``np.where(x > 0, x, alpha * x)`` with its bits, in two calls: the
     larger of ``alpha * x`` and ``x`` for ``alpha <= 1``, else the smaller.
     Ties are equal bits, and a nan ``x`` gives the nan of ``alpha * x``."""
-    return (np.maximum if act.alpha <= 1.0 else np.minimum)(act.alpha * x, x)
+    if out is x:
+        out = None
+    scaled = np.multiply(act.alpha, x, out=out)
+    return (np.maximum if act.alpha <= 1.0 else np.minimum)(scaled, x, out=out)
+
+
+def _into(out: np.ndarray | None, x: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """``value``, copied into ``out`` when that is an array other than ``x``."""
+    if out is None or out is x:
+        return value
+    np.copyto(out, value)
+    return out
 
 
 class _ActivationKind(NamedTuple):
@@ -225,14 +239,16 @@ _ACTIVATIONS = {
         lambda a, x: (x > 0).astype(np.float64),
         (0,),
     ),
-    "identity": _ActivationKind(lambda a, x, out: x, lambda a, x: np.ones_like(x), (0,)),
+    "identity": _ActivationKind(
+        lambda a, x, out: _into(out, x, x), lambda a, x: np.ones_like(x), (0,)
+    ),
     "leaky_relu": _ActivationKind(
         _leaky_relu,
         lambda a, x: np.where(x > 0, 1.0, a.alpha),
         (1,),
     ),
     "tabulated": _ActivationKind(
-        lambda a, x, out: np.interp(x, *a.grid), _tabulated_derivative, ()
+        lambda a, x, out: _into(out, x, np.interp(x, *a.grid)), _tabulated_derivative, ()
     ),
 }
 
@@ -446,11 +462,102 @@ def _one_gemm(x: np.ndarray, z: np.ndarray) -> bool:
     return z.ndim == 2 and min(x.shape) > 1 and z.shape[1] % 8 == 0
 
 
-def _derivative(act: ActivationSpec, z: np.ndarray) -> np.ndarray:
-    """``act.derivative(z)``, relu's as the mask ``z > 0``: the same bits in a
-    multiply, without a float temporary.  relu's ``z`` may be its activation,
-    which is positive exactly where ``z`` is (nan and both zeros are not)."""
-    return z > 0 if act.kind == "relu" else act.derivative(z)
+def _derivative(act: ActivationSpec, z: np.ndarray, out=None) -> np.ndarray:
+    """``act.derivative(z)``, written into ``out`` when given, relu's as the
+    mask ``z > 0``: the same bits in a multiply, without a float temporary.
+    relu's ``z`` may be its activation, which is positive exactly where ``z``
+    is (nan and both zeros are not)."""
+    if act.kind == "relu":
+        return np.greater(z, 0.0, out)
+    return _into(out, z, act.derivative(z))
+
+
+# Activations that :class:`StackedPass` applies in place on the preactivation.
+_IN_PLACE = frozenset({"relu", "identity"})
+
+
+class StackedPass:
+    """The forward and backward passes of ``S`` stacked networks over per-run
+    inputs, as lists of calls whose arrays and views are taken once.
+
+    ``layers`` are ``(S, rows, cols)`` arrays, read at every pass, so a
+    caller that updates them in place steps through one pass.  ``hs[0]``
+    are the ``(S, n, d+1)`` inputs, never written; ``hs[k + 1]`` and
+    ``zs[k]`` are hidden layer ``k``'s ``(S, n, m)`` activation and
+    preactivation, one array for relu and identity, which apply in place.
+    ``forward_calls`` write them and the ``(S, n)`` outputs ``out``.  With
+    ``grads``, arrays shaped like ``layers``, ``backprop_calls`` write there
+    the gradient of ``sum_i upstream[s, i] * f_s(x_i)`` for each run ``s``,
+    from the ``(S, n)`` array ``upstream``; each hidden layer's delta goes
+    over its activation once the gradient of the layer above has read it,
+    so they consume ``hs[1:]``: run the forward calls again before the
+    backward ones.  The calls are the same ufuncs and ``matmul`` products
+    in the same order on arrays of the same layout, whether a pass is used
+    once or once per step, so every result has the same bits.
+    """
+
+    def __init__(self, layers, act: ActivationSpec, hs, zs, grads=None):
+        runs, n = hs[0].shape[:2]
+        self.hs, self.zs, self.grads = hs, zs, grads
+        self.out3 = np.empty((runs, n, 1))
+        self.out = self.out3[..., 0]
+        self.upstream = np.empty((runs, n))
+        apply = _ACTIVATIONS[act.kind].value
+        calls = []
+        h = hs[0]
+        for w, z, a in zip(layers[:-1], zs, hs[1:]):
+            calls += [partial(np.matmul, h, w.transpose(0, 2, 1), z), partial(apply, act, z, a)]
+            h = a
+        calls.append(partial(np.matmul, h, layers[-1].transpose(0, 2, 1), self.out3))
+        self.forward_calls = calls
+        if grads is None:
+            return
+        # One derivative is live at a time, so they share one array.
+        shared = np.empty(max(z.size for z in zs), dtype=bool if act.kind == "relu" else None)
+        dzs = [shared[: z.size].reshape(z.shape) for z in zs]
+        calls = [
+            partial(np.matmul, self.upstream[..., None, :], hs[-1], grads[-1]),
+            partial(_derivative, act, zs[-1], dzs[-1]),
+            partial(np.multiply, self.upstream[..., :, None], layers[-1], hs[-1]),
+        ]
+        for k in range(len(layers) - 2, -1, -1):
+            delta = hs[k + 1]
+            calls += [
+                partial(np.multiply, delta, dzs[k], delta),
+                partial(np.matmul, delta.transpose(0, 2, 1), hs[k], grads[k]),
+            ]
+            if k:
+                calls += [
+                    partial(_derivative, act, zs[k - 1], dzs[k - 1]),
+                    partial(np.matmul, delta, layers[k], hs[k]),
+                ]
+        self.backprop_calls = calls
+
+    @classmethod
+    def prepare(
+        cls, layers, act: ActivationSpec, inputs, grads=None, buffers=None
+    ) -> "StackedPass":
+        """A pass over ``inputs`` whose preactivations lie in the leading
+        values of ``buffers`` from :func:`stacked_buffers`, or in arrays of
+        the pass; leaky relu and tabulated activations take arrays of their
+        own."""
+        runs, n = inputs.shape[:2]
+        bufs = buffers or repeat(None)
+        zs = [_lead(buf, (runs, n, w.shape[1])) for w, buf in zip(layers[:-1], bufs)]
+        hs = [inputs, *(z if act.kind in _IN_PLACE else np.empty(z.shape) for z in zs)]
+        return cls(layers, act, hs, zs, grads)
+
+    def forward(self) -> np.ndarray:
+        """Run the forward calls; returns ``out``."""
+        for call in self.forward_calls:
+            call()
+        return self.out
+
+    def backprop(self) -> list[np.ndarray]:
+        """Run the backward calls; returns ``grads``."""
+        for call in self.backprop_calls:
+            call()
+        return self.grads
 
 
 def stacked_forward(
@@ -470,11 +577,12 @@ def stacked_forward(
     ``hs[k + 1]`` and holds the activation; leaky relu and tabulated
     activations take new arrays and keep their preactivations.
 
-    Per-run inputs take one ``matmul`` slice per run, and every hidden
-    layer's arrays are ``(S, n, m)``.  Shared inputs lay the runs side by
-    side: a hidden layer's arrays are ``(n, S*m)`` arrays whose ``(S, n,
-    m)`` view holds run ``s`` at ``[s]``, and the first layer of all runs is
-    one GEMM, ``X @ W1.reshape(S*m1, d+1).T``.  Where OpenBLAS would round
+    Per-run inputs are one forward pass of a new :class:`StackedPass`: one
+    ``matmul`` slice per run, and every hidden layer's arrays are ``(S, n,
+    m)``.  Shared inputs lay the runs side by side: a hidden layer's arrays
+    are ``(n, S*m)`` arrays whose ``(S, n, m)`` view holds run ``s`` at
+    ``[s]``, and the first layer of all runs is one GEMM, ``X @
+    W1.reshape(S*m1, d+1).T``.  Where OpenBLAS would round
     the new layout differently, the old one stays: a layer narrower than 4
     keeps ``(S, n, m)`` arrays, since the output and gradients take
     vector-matrix products of each run's activations, and the first layer
@@ -485,19 +593,12 @@ def stacked_forward(
     written there instead of into new arrays, with the same bits; the
     returned lists then hold views of those buffers.
     """
+    if inputs.ndim == 3:
+        run = StackedPass.prepare(layers, act, inputs, buffers=buffers)
+        return run.forward(), run.hs, run.zs
     hs = [inputs]
     zs = []
     bufs = buffers or repeat(None)
-    if inputs.ndim == 3:
-        # Per-run inputs: one matmul per run and layer.
-        runs, n = inputs.shape[:2]
-        h = inputs
-        for w, buf in zip(layers[:-1], bufs):
-            z = np.matmul(h, w.transpose(0, 2, 1), out=_lead(buf, (runs, n, w.shape[1])))
-            h = act(z, out=z)
-            zs.append(z)
-            hs.append(h)
-        return (h @ layers[-1].transpose(0, 2, 1))[..., 0], hs, zs
     runs, n = len(layers[0]), inputs.shape[0]
     below = inputs
     for w, buf in zip(layers[:-1], bufs):
@@ -550,31 +651,26 @@ def stacked_backprop(
     ``hs[k + 1]`` once the gradient of the layer above has read it, and the
     layer's derivative is taken before that, so this consumes ``hs[1:]``
     (and relu's and identity's ``zs``): run :func:`stacked_forward` again
-    before another backprop.  The inputs ``hs[0]`` are never written.  With
-    shared inputs the top delta is one multiply of the upstream by the
-    output rows (contiguous when expanded), and the first-layer gradient of
-    all runs is one GEMM, ``delta.T @ X``, where :func:`stacked_forward`
-    made the first layer one.  With ``out``, C-contiguous arrays shaped like
-    ``layers``, the gradients are written into those, with the same bits.
+    before another backprop.  The inputs ``hs[0]`` are never written.
+    Per-run inputs are one backward pass of a new :class:`StackedPass` over
+    ``hs`` and ``zs``.  With shared inputs the top delta is one multiply of
+    the upstream by the output rows (contiguous when expanded), and the
+    first-layer gradient of all runs is one GEMM, ``delta.T @ X``, where
+    :func:`stacked_forward` made the first layer one.  With ``out``,
+    C-contiguous arrays shaped like ``layers``, the gradients are written
+    into those, with the same bits.
     """
     wide = None
     if isinstance(upstream, ExpandedUpstream):
         upstream, wide = upstream
     depth = len(layers)
     x = hs[0]
-    grads = [None] * depth if out is None else list(out)
     if x.ndim == 3:
-        # Per-run inputs: one matmul per run and layer.
-        grads[-1] = np.matmul(upstream[..., None, :], hs[-1], out=grads[-1])
-        dz = _derivative(act, zs[-1])
-        delta = np.multiply(upstream[..., :, None], layers[-1], out=hs[-1])
-        for k in range(depth - 2, -1, -1):
-            np.multiply(delta, dz, out=delta)
-            grads[k] = np.matmul(delta.transpose(0, 2, 1), hs[k], out=grads[k])
-            if k:
-                dz = _derivative(act, zs[k - 1])
-                delta = np.matmul(delta, layers[k], out=hs[k])
-        return grads
+        grads = [np.empty(w.shape) for w in layers] if out is None else list(out)
+        run = StackedPass(layers, act, hs, zs, grads)
+        np.copyto(run.upstream, upstream)
+        return run.backprop()
+    grads = [None] * depth if out is None else list(out)
     runs, n = len(layers[0]), x.shape[0]
     grads[-1] = np.matmul(upstream[..., None, :], _per_run(hs[-1], runs), out=grads[-1])
     dz = _derivative(act, zs[-1])

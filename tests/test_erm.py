@@ -1,11 +1,15 @@
 """Loss models, synthetic data, and penalized subgradient training."""
 
+import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pesvlab import erm, norms, theory
 from pesvlab import netcore as nc
@@ -634,94 +638,51 @@ class TestTrainMany:
 TABULATED = ActivationSpec.tabulated([-2.0, -0.5, 0.0, 1.0, 2.0], [-1.0, -0.2, 0.1, 0.9, 1.2])
 
 
-def train_both_ways(monkeypatch, *args):
-    """``erm.train_many(*args)`` with the hidden-layer buffers forced on,
-    then forced off."""
-    monkeypatch.setattr(erm, "_BUFFER_VALUES", 1)
-    buffered = erm.train_many(*args)
-    monkeypatch.setattr(erm, "_BUFFER_VALUES", math.inf)
-    return buffered, erm.train_many(*args)
-
-
 class TestBufferedTrainMany:
-    """A batch whose hidden-layer arrays are large writes them into buffers
-    allocated once per call, with the bits of the unbuffered path."""
+    """Every batch writes its hidden layers into working arrays allocated
+    once per call.  The bits of the wide batches, a tolerance stop and a
+    divergence are pinned in :class:`TestPinnedBits`."""
 
-    @pytest.mark.parametrize("S", [1, 3])
-    @pytest.mark.parametrize("widths", [(64,), (256, 256), (3, 300)])
-    @pytest.mark.parametrize("act", [RELU, ActivationSpec.leaky_relu(0.1), TABULATED])
-    def test_same_bits_as_unbuffered(self, monkeypatch, S, widths, act):
-        """Three runs take three penalties, the middle one at lambda = 0."""
-        teacher = documented_teacher(d=2)
-        datasets = [erm.sample_dataset(teacher, 16, 0.05, seed=s) for s in range(S)]
-        inits = [erm.init_params(widths, 2, seed=s) for s in range(S)]
-        lams = [0.01, 0.0, 0.02][:S]
-        regs = [erm.Penalty.parse(r) for r in ("pesv", "weight_decay", "mixed_max:1:2")][:S]
-        opt = erm.OptimizerConfig(step_size=0.3, max_iters=20)
-        args = (inits, datasets, lams, erm.LossSpec.mse(2.0), regs, opt, act)
-        for got, want in zip(*train_both_ways(monkeypatch, *args), strict=True):
-            assert_same_result(got, want)
-
-    def test_runs_stop_early(self, monkeypatch):
-        """Under a tolerance each run stops on its own."""
-        teacher = documented_teacher(d=2)
-        seeds = (3, 0, 1)
-        datasets = [erm.sample_dataset(teacher, 12, 0.0, seed=s) for s in seeds]
-        inits = [erm.init_params((3,), 2, seed=s) for s in seeds]
-        opt = erm.OptimizerConfig(
-            step_size=0.5, max_iters=60, tolerance=0.004, schedule="constant"
-        )
-        args = (inits, datasets, [0.0, 0.001, 0.0], erm.LossSpec.mse(2.0),
-                [erm.Penalty("pesv")] * 3, opt, RELU)
-        buffered, unbuffered = train_both_ways(monkeypatch, *args)
-        assert [(r.iterations, r.converged) for r in buffered] == [
-            (20, True), (32, True), (60, False)
-        ]
-        for got, want in zip(buffered, unbuffered, strict=True):
-            assert_same_result(got, want)
-
-    def test_diverging_run_carries_its_last_finite_iterate(self, monkeypatch):
-        datasets, lams = three_runs()
-        big = datasets[1]
-        datasets[1] = erm.Dataset(big.inputs, big.targets * 1e150, big.noise_std, big.seed)
-        inits = [erm.init_params((64,), 2, seed=s) for s in (4, 5, 6)]
-        opt = erm.OptimizerConfig(step_size=0.3, max_iters=60)
-        args = (inits, datasets, lams, erm.LossSpec.mse(2.0), [erm.Penalty("pesv")] * 3,
-                opt, ActivationSpec.identity())
-        errors = []
-        for limit in (1, math.inf):
-            monkeypatch.setattr(erm, "_BUFFER_VALUES", limit)
-            with pytest.raises(erm.DivergenceError) as exc:
-                erm.train_many(*args)
-            errors.append(exc.value)
-        buffered, unbuffered = errors
-        assert (str(buffered), buffered.run) == (str(unbuffered), unbuffered.run)
-        assert buffered.run == 1
-        for a, b in zip(buffered.last_finite.layers, unbuffered.last_finite.layers, strict=True):
-            assert a.tobytes() == b.tobytes()
+    def test_diverging_run_carries_its_last_finite_iterate(self):
+        with pytest.raises(erm.DivergenceError) as exc:
+            erm.train_many(*PINNED_CONFIGS["wide diverging run"]())
+        assert exc.value.run == 1
+        assert str(exc.value) == "run 1: objective became non-finite at iteration 1"
+        assert "diverged " + divergence_digest(exc.value) == PINNED["wide diverging run"]
 
     @pytest.mark.parametrize(
-        "S, n, widths, buffered",
-        [(1, 64, (256,), True), (1, 64, (255,), False), (1, 63, (256,), False),
-         (2, 32, (3, 256), True), (2, 32, (255, 3), False)],
+        "S, n, widths",
+        [(10, 32, (16,)), (1, 64, (256,)), (1, 64, (255,)), (1, 63, (256,)),
+         (2, 32, (3, 256)), (2, 32, (255, 3))],
     )
-    def test_buffers_engage_from_2_to_the_14_values(self, monkeypatch, S, n, widths, buffered):
-        """The widest hidden layer of the whole batch decides."""
-        seen = []
-        real = erm.stacked_forward
+    def test_hidden_arrays_keep_one_address(self, monkeypatch, S, n, widths):
+        """Each hidden layer's products go into one array for the whole call,
+        at ``small_runs``' shape (S = 10, n = 32, width 16) as well as at
+        wide ones.  Every array ``np.matmul`` returns in a hidden layer's
+        shape is kept alive here, so an array allocated anew at some step
+        would show a second address."""
+        hidden = {(S, n, m) for m in widths}
+        seen = {}
+        real = np.matmul
 
-        def recording(layers, act, inputs, buffers=None):
-            seen.append(buffers is not None)
-            return real(layers, act, inputs, buffers)
+        def recording(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if res.shape in hidden:
+                seen.setdefault(res.shape, []).append(res)
+            return res
 
-        monkeypatch.setattr(erm, "stacked_forward", recording)
         teacher = documented_teacher(d=2)
         datasets = [erm.sample_dataset(teacher, n, 0.05, seed=s) for s in range(S)]
         inits = [erm.init_params(widths, 2, seed=s) for s in range(S)]
-        opt = erm.OptimizerConfig(max_iters=2)
-        erm.train_many(inits, datasets, [0.01] * S, erm.LossSpec.mse(2.0),
-                       [erm.Penalty("pesv")] * S, opt, RELU)
-        assert seen == [buffered] * 2
+        args = (inits, datasets, [0.01] * S, erm.LossSpec.mse(2.0),
+                [erm.Penalty("pesv")] * S, erm.OptimizerConfig(max_iters=3), RELU)
+        monkeypatch.setattr(np, "matmul", recording)
+        erm.train_many(*args)
+        monkeypatch.undo()
+        assert set(seen) == hidden
+        for arrays in seen.values():
+            assert len(arrays) >= 3
+            assert len({a.__array_interface__["data"][0] for a in arrays}) == 1
 
     def test_warm_wide_train_takes_few_page_faults(self, warm_call_faults):
         """A second ``train`` at widths (256, 256), n = 512 and 100
@@ -760,6 +721,338 @@ class TestBufferedTrainMany:
         finally:
             tracemalloc.stop()
         assert peak < 7.5 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Pinned bits
+# ---------------------------------------------------------------------------
+
+
+def result_digest(results) -> str:
+    """A digest of ``train_many`` results: each run's trace shape and bytes,
+    its best iterate's bytes, ``best_objective.hex()``, iterations and
+    convergence flag."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr(r.trace.shape).encode() + r.trace.tobytes())
+        for w in r.params.layers:
+            h.update(w.tobytes())
+        h.update(f"{r.best_objective.hex()} {r.iterations} {r.converged}".encode())
+    return h.hexdigest()[:24]
+
+
+def divergence_digest(exc: erm.DivergenceError) -> str:
+    """A digest of a divergence: its message, run index and last finite
+    iterate's bytes."""
+    h = hashlib.sha256(f"{exc} {exc.run}".encode())
+    for w in exc.last_finite.layers:
+        h.update(w.tobytes())
+    return h.hexdigest()[:24]
+
+
+def batch_digest(args) -> str:
+    """The digest of ``erm.train_many(*args)``, or of the divergence it raises."""
+    try:
+        return result_digest(erm.train_many(*args))
+    except erm.DivergenceError as exc:
+        return "diverged " + divergence_digest(exc)
+
+
+LEAKY = ActivationSpec.leaky_relu(0.1)
+IDENTITY = ActivationSpec.identity()
+ACTS = {"relu": RELU, "leaky_relu": LEAKY, "identity": IDENTITY, "tabulated": TABULATED}
+
+
+def blown_up(datasets, run):
+    """``datasets`` with the targets of ``run`` scaled by 1e150."""
+    big = datasets[run]
+    big = erm.Dataset(big.inputs, big.targets * 1e150, big.noise_std, big.seed)
+    return [*datasets[:run], big, *datasets[run + 1 :]]
+
+
+def teacher_batch(seeds, n, sigma, widths, lams, regs, loss, opt, act, d=2, blow_up=None):
+    """Runs on ``documented_teacher(d)`` data, run ``s`` initialized and
+    sampled with ``seeds[s]``; ``blow_up`` scales one run's targets by 1e150."""
+    teacher = documented_teacher(d=d)
+    datasets = [erm.sample_dataset(teacher, n, sigma, seed=s) for s in seeds]
+    if blow_up is not None:
+        datasets = blown_up(datasets, blow_up)
+    inits = [erm.init_params(widths, d, seed=s) for s in seeds]
+    regs = [erm.Penalty.parse(r) for r in regs]
+    return inits, datasets, lams, loss, regs, opt, act
+
+
+def three_run_batch(widths, regs, loss, opt, act, labels=False, blow_up=None):
+    """``three_runs()`` data from inits 4, 5, 6: ``labels`` turns the
+    targets into +-1, ``blow_up`` scales one run's targets by 1e150."""
+    datasets, lams = three_runs()
+    if labels:
+        datasets = [
+            erm.Dataset(ds.inputs, np.where(ds.targets > np.median(ds.targets), 1.0, -1.0),
+                        ds.noise_std, ds.seed)
+            for ds in datasets
+        ]
+    if blow_up is not None:
+        datasets = blown_up(datasets, blow_up)
+    inits = [erm.init_params(widths, 2, seed=s) for s in (4, 5, 6)]
+    return inits, datasets, lams, loss, [erm.Penalty.parse(r) for r in regs], opt, act
+
+
+def pinned_configs() -> dict:
+    """Every pinned batch by name, as a function that builds its
+    ``train_many`` arguments."""
+    mse, opt60 = erm.LossSpec.mse(2.0), erm.OptimizerConfig(step_size=0.3, max_iters=60)
+    stop = erm.OptimizerConfig(step_size=0.5, max_iters=60, tolerance=0.004, schedule="constant")
+    configs = {}
+    # TestTrainMany
+    for widths, act, reg in itertools.product(
+        [(5,), (4, 3)], ["relu", "leaky_relu", "identity"],
+        ["pesv", "weight_decay", "mixed_max:1:2", "mixed_max:3:1.5"],
+    ):
+        configs[f"many {widths} {act} {reg}"] = partial(
+            three_run_batch, widths, [reg] * 3, mse, opt60, ACTS[act]
+        )
+    configs["huber constant"] = lambda: (
+        [erm.init_params((6,), 3, seed=s) for s in (1, 2, 3)], *three_runs(d=3, n=9),
+        erm.LossSpec.huber(0.3, 2.0), [erm.Penalty("pesv")] * 3,
+        erm.OptimizerConfig(step_size=0.2, max_iters=40, schedule="constant"), RELU,
+    )
+    configs["one run stops early"] = partial(
+        teacher_batch, (3, 0, 1), 12, 0.0, (3,), [0.0, 0.001, 0.0], ["pesv"] * 3, mse, stop, RELU
+    )
+    configs["diverging run"] = partial(
+        three_run_batch, (5,), ["pesv"] * 3, mse, opt60, IDENTITY, blow_up=1
+    )
+    configs["mixed penalties"] = partial(
+        teacher_batch, (3, 0, 1, 2, 4), 12, 0.0, (3,), [0.001, 0.0, 0.0005, 0.001, 0.002],
+        ["pesv", "pesv", "weight_decay", "mixed_max:1:2", "pesv"], mse, stop, RELU,
+    )
+    configs["three groups"] = partial(
+        teacher_batch, (3, 0, 1) * 3, 12, 0.0, (3,),
+        [0.001, 0.0, 0.002, 0.0, 0.0005, 0.001, 0.001, 0.002, 0.0],
+        ["pesv"] * 3 + ["weight_decay"] * 3 + ["mixed_max:1:2"] * 3, mse, stop, RELU,
+    )
+    oscillating = erm.OptimizerConfig(step_size=1.5, max_iters=60, schedule="constant")
+    for reg in ("pesv", "mixed_max:1:2"):
+        configs[f"best iterate {reg}"] = partial(
+            three_run_batch, (5,), [reg] * 3, mse, oscillating, RELU
+        )
+    for reg in ("pesv", "weight_decay", "mixed_max:1:2"):
+        configs[f"logistic {reg}"] = partial(
+            three_run_batch, (5,), [reg] * 3, erm.LossSpec.logistic(2.0), opt60, RELU, labels=True
+        )
+    for other in ("mixed_max:3:1.5", "mixed_max:1.5:3", "mixed_max:1:3"):
+        configs[f"groups split {other}"] = partial(
+            three_run_batch, (4, 3), ["mixed_max:1:2"] * 2 + [other], mse, opt60, RELU
+        )
+    configs["mixed diverging run"] = partial(
+        teacher_batch, range(5), 12, 0.05, (5,), [0.02, 0.0, 0.005, 0.01, 0.003],
+        ["pesv", "pesv", "weight_decay", "mixed_max:1:2", "pesv"], mse, opt60, IDENTITY,
+        blow_up=3,
+    )
+    # TestBufferedTrainMany
+    opt20 = erm.OptimizerConfig(step_size=0.3, max_iters=20)
+    for S, widths, act in itertools.product(
+        [1, 3], [(64,), (256, 256), (3, 300)], ["relu", "leaky_relu", "tabulated"]
+    ):
+        configs[f"wide {S} {widths} {act}"] = partial(
+            teacher_batch, range(S), 16, 0.05, widths, [0.01, 0.0, 0.02][:S],
+            ["pesv", "weight_decay", "mixed_max:1:2"][:S], mse, opt20, ACTS[act],
+        )
+    configs["wide diverging run"] = partial(
+        three_run_batch, (64,), ["pesv"] * 3, mse, opt60, IDENTITY, blow_up=1
+    )
+    for S, n, widths in [(1, 64, (256,)), (1, 64, (255,)), (1, 63, (256,)),
+                         (2, 32, (3, 256)), (2, 32, (255, 3))]:
+        configs[f"two steps {S} {n} {widths}"] = partial(
+            teacher_batch, range(S), n, 0.05, widths, [0.01] * S, ["pesv"] * S, mse,
+            erm.OptimizerConfig(max_iters=2), RELU,
+        )
+    # Depths 2 to 4, every activation, loss and penalty, mixed_max:2:3 and
+    # groups with unpenalized runs; small_runs' shape.
+    losses = {"mse": mse, "huber": erm.LossSpec.huber(0.3, 2.0),
+              "logistic": erm.LossSpec.logistic(2.0)}
+    regs = ["pesv", "weight_decay", "mixed_max:2:3", "mixed_max:1:2"]
+    nets = [((6,), "tabulated"), ((4, 5), "identity"), ((5, 3, 4), "relu"),
+            ((3, 6, 2), "leaky_relu")]
+    for (widths, act), loss in itertools.product(nets, losses):
+        configs[f"deep {widths} {act} {loss}"] = partial(
+            teacher_batch, (7, 8, 9, 10, 11, 12, 13, 14), 10, 0.1, widths,
+            [0.01, 0.0, 0.003, 0.02, 0.0, 0.0, 0.01, 0.005],
+            [regs[s // 2] for s in range(8)], losses[loss],
+            erm.OptimizerConfig(step_size=0.2, max_iters=30), ACTS[act], d=3,
+        )
+    configs["deep stop"] = partial(
+        teacher_batch, (3, 0, 1, 2), 12, 0.0, (4, 3, 3), [0.0, 0.001, 0.0, 0.002],
+        ["pesv", "mixed_max:2:3", "mixed_max:2:3", "weight_decay"], mse,
+        erm.OptimizerConfig(step_size=0.3, max_iters=80, tolerance=0.01, schedule="constant"),
+        RELU,
+    )
+    small = erm.OptimizerConfig(step_size=0.5, max_iters=200)
+    configs["small_runs pesv weight_decay"] = partial(
+        teacher_batch, (*range(5, 10),) * 2, 32, 0.05, (16,), [0.01] * 5 + [0.005] * 5,
+        ["pesv"] * 5 + ["weight_decay"] * 5, mse, small, RELU,
+    )
+    configs["small_runs mixed_max"] = partial(
+        teacher_batch, range(5, 10), 32, 0.05, (16,), [0.011, 0.012, 0.009, 0.01, 0.013],
+        ["mixed_max:1:2"] * 5, mse, small, RELU,
+    )
+    configs["wide one run"] = partial(
+        teacher_batch, (2,), 16, 0.05, (256, 256), [0.01], ["pesv"], mse, opt60, RELU,
+    )
+    return configs
+
+
+PINNED_CONFIGS = pinned_configs()
+
+# Digests of every pinned batch, taken before the training step was
+# prepared once per call, with numpy 2.4.6 and its OpenBLAS.  Like every
+# same-bits rule of the kernels, they hold per numpy and BLAS build.
+PINNED = {
+    'best iterate mixed_max:1:2': 'de8320cff25bfcd46a08907c',
+    'best iterate pesv': 'ba8a24a6943c8806115b482f',
+    'deep (3, 6, 2) leaky_relu huber': 'f8e7f72a139fa8a720807d2b',
+    'deep (3, 6, 2) leaky_relu logistic': '6d05aa9b9395e437a32a660d',
+    'deep (3, 6, 2) leaky_relu mse': 'f8e7f72a139fa8a720807d2b',
+    'deep (4, 5) identity huber': '8a211ce334c31de9f90528ec',
+    'deep (4, 5) identity logistic': '1db32a92ea40c22777761fd8',
+    'deep (4, 5) identity mse': '87ea9c97294281038c16a959',
+    'deep (5, 3, 4) relu huber': 'cb9d8f043786b20b87bb33a8',
+    'deep (5, 3, 4) relu logistic': '035284b3d0733b3a3eaca40a',
+    'deep (5, 3, 4) relu mse': 'cb9d8f043786b20b87bb33a8',
+    'deep (6,) tabulated huber': 'c41d5170be2169778bbc9e32',
+    'deep (6,) tabulated logistic': '8e69ff7f80f2d2983433f54d',
+    'deep (6,) tabulated mse': '9af8ea56707cc532f92408c9',
+    'deep stop': '8f3f92f445f4eccd7f71bc75',
+    'diverging run': 'diverged 5a4e7fbe57da206d41a5ea76',
+    'groups split mixed_max:1.5:3': '2ec897b89480b2bf6cf8d8f3',
+    'groups split mixed_max:1:3': '6eb035b8ddb6320a39f57bb2',
+    'groups split mixed_max:3:1.5': '3c293c97d27d3f26b2d24857',
+    'huber constant': '6d931e8df9c9f8ddbc95bb25',
+    'logistic mixed_max:1:2': '718dd119e72c40292350c61a',
+    'logistic pesv': 'e8bd6353187276e603cfffa6',
+    'logistic weight_decay': '91f6fd0b7088c77d36f7fdc8',
+    'many (4, 3) identity mixed_max:1:2': '1fe48cc24252da3989d17df0',
+    'many (4, 3) identity mixed_max:3:1.5': '33b14cea34a1056f5b1748f2',
+    'many (4, 3) identity pesv': 'f2606cb77f70bf3069da9921',
+    'many (4, 3) identity weight_decay': '93c381e044e1229809117e40',
+    'many (4, 3) leaky_relu mixed_max:1:2': 'd1404e9adfd3cd03c81791f6',
+    'many (4, 3) leaky_relu mixed_max:3:1.5': '680c45eb11e959cde6c03963',
+    'many (4, 3) leaky_relu pesv': '3fff4786b69a9f35399934db',
+    'many (4, 3) leaky_relu weight_decay': 'acc40abed16850e0dbcd8c10',
+    'many (4, 3) relu mixed_max:1:2': '6eb035b8ddb6320a39f57bb2',
+    'many (4, 3) relu mixed_max:3:1.5': 'f57b75a3bf5468a3e854f6f1',
+    'many (4, 3) relu pesv': '35d9431d2d98e17c7d650c00',
+    'many (4, 3) relu weight_decay': '44332be309bd76d7aba27d90',
+    'many (5,) identity mixed_max:1:2': 'a907ae0e1576f3f0d0edf1fe',
+    'many (5,) identity mixed_max:3:1.5': 'fff54ee013bdf49a5906c64f',
+    'many (5,) identity pesv': 'a631f38de530ae2cb66f4744',
+    'many (5,) identity weight_decay': '871099213ed586f75e47f3ec',
+    'many (5,) leaky_relu mixed_max:1:2': '38d26727592934b3daca2941',
+    'many (5,) leaky_relu mixed_max:3:1.5': '0254f11bda7081bba4595ab2',
+    'many (5,) leaky_relu pesv': '870e16d2be4a9e2064006286',
+    'many (5,) leaky_relu weight_decay': 'f18c0556242c51bd4d4b130f',
+    'many (5,) relu mixed_max:1:2': '4affa148db6df513ec6e4bd0',
+    'many (5,) relu mixed_max:3:1.5': '71aa48af775f54756d80ca41',
+    'many (5,) relu pesv': 'ce19e78df6899d6946da2d15',
+    'many (5,) relu weight_decay': '3c098dbd20c66e530c93ab54',
+    'mixed diverging run': 'diverged 6ede20e43b063a9a6149c104',
+    'mixed penalties': '6cdd81da8ff644c7699601f6',
+    'one run stops early': 'fd1d9109ad5421e3bd98adb6',
+    'small_runs mixed_max': 'fc6bd99e68c77159ebb94d09',
+    'small_runs pesv weight_decay': 'cfc23ab9eb508ccf692bbe19',
+    'three groups': '51408270ec5b0c2961e28828',
+    'two steps 1 63 (256,)': '61c309d93deb50c16aa9634a',
+    'two steps 1 64 (255,)': 'bbbb783e598a030302cb9fad',
+    'two steps 1 64 (256,)': '479cdbd52258c2cbc03ff1f7',
+    'two steps 2 32 (255, 3)': 'cac4db834e822ddb665daed0',
+    'two steps 2 32 (3, 256)': 'edf4ffd276b9df066616b77a',
+    'wide 1 (256, 256) leaky_relu': 'dca7cbda134e6d046a4c8fa5',
+    'wide 1 (256, 256) relu': '3b97f0e6d0c7e7c13fe12ed3',
+    'wide 1 (256, 256) tabulated': '1202387035e4e346dd7fcfd3',
+    'wide 1 (3, 300) leaky_relu': 'e63acdf94f6d97f69095cc5e',
+    'wide 1 (3, 300) relu': 'eb5f7d27129bd2c9022135bc',
+    'wide 1 (3, 300) tabulated': 'd36454c4800e33cbdcf7eec1',
+    'wide 1 (64,) leaky_relu': '40f76e9d63fbe3f6468cfb9a',
+    'wide 1 (64,) relu': '40c18424071de4c918c57259',
+    'wide 1 (64,) tabulated': '98e04f230c1e198c6f9cc6af',
+    'wide 3 (256, 256) leaky_relu': '6ac9207a280ea4023f29a059',
+    'wide 3 (256, 256) relu': 'f0b99e419adf5ddbe601cba4',
+    'wide 3 (256, 256) tabulated': '10b9272af621f6dd1deda94e',
+    'wide 3 (3, 300) leaky_relu': '18b6940fe890d579cf6df560',
+    'wide 3 (3, 300) relu': 'ee03297d267df6b5551cb330',
+    'wide 3 (3, 300) tabulated': '2a67fe3346d27266d813889f',
+    'wide 3 (64,) leaky_relu': 'd876ff46a2ba219fa258823e',
+    'wide 3 (64,) relu': 'd1bbb816ab0e26b7e85f3a58',
+    'wide 3 (64,) tabulated': 'd0458351a8b6b61f1cf3bcf9',
+    'wide diverging run': 'diverged 2a76629f0665ea5cf5f52727',
+    'wide one run': '768289f0cefdd45d3357f29b',
+}
+
+
+class TestPinnedBits:
+    """``train_many`` keeps the bits its batches had when they were pinned."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_batch_keeps_its_bits(self, name):
+        assert batch_digest(PINNED_CONFIGS[name]()) == PINNED[name]
+
+
+@st.composite
+def training_batches(draw):
+    """A small batch: depth 2 to 4, one activation and loss, a penalty and a
+    lambda (zero at times) per run, and a schedule with or without a
+    tolerance."""
+    S = draw(st.integers(1, 4))
+    widths = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    d = draw(st.integers(1, 3))
+    act = ACTS[draw(st.sampled_from(sorted(ACTS)))]
+    loss = draw(st.sampled_from(["mse", "huber", "logistic"]))
+    regs = [erm.Penalty.parse(r) for r in draw(st.lists(
+        st.sampled_from(["pesv", "weight_decay", "mixed_max:1:2", "mixed_max:2:3"]),
+        min_size=S, max_size=S,
+    ))]
+    lams = draw(st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.05]), min_size=S, max_size=S))
+    seed = draw(st.integers(0, 2**16))
+    opt = erm.OptimizerConfig(
+        step_size=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        max_iters=draw(st.integers(1, 20)),
+        tolerance=draw(st.sampled_from([0.0, 0.02])),
+        schedule=draw(st.sampled_from(["inv_sqrt", "constant"])),
+    )
+    teacher = documented_teacher(d=d)
+    n = draw(st.integers(1, 12))
+    datasets = [erm.sample_dataset(teacher, n, 0.1, seed=seed + s) for s in range(S)]
+    if loss == "logistic":
+        datasets = [erm.Dataset(ds.inputs, np.where(ds.targets > 0.0, 1.0, -1.0),
+                                ds.noise_std, ds.seed) for ds in datasets]
+        loss_spec = erm.LossSpec.logistic(2.0)
+    else:
+        loss_spec = erm.LossSpec.mse(2.0) if loss == "mse" else erm.LossSpec.huber(0.3, 2.0)
+    inits = [erm.init_params(widths, d, seed=seed + 7 * s) for s in range(S)]
+    return inits, datasets, lams, loss_spec, regs, opt, act
+
+
+class TestTrainManyProperty:
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(training_batches())
+    def test_batch_equals_each_run_trained_alone(self, batch):
+        """Each run of a batch has the bits of its own ``train`` call, and a
+        batch that diverges names a run whose own call diverges with the
+        same last finite iterate."""
+        inits, datasets, lams, loss, regs, opt, act = batch
+        runs = list(zip(inits, datasets, lams, regs, strict=True))
+        try:
+            results = erm.train_many(*batch)
+        except erm.DivergenceError as exc:
+            init, ds, lam, reg = runs[exc.run]
+            with pytest.raises(erm.DivergenceError) as alone:
+                erm.train(init, ds, lam, loss, reg, opt, act)
+            pairs = zip(alone.value.last_finite.layers, exc.value.last_finite.layers, strict=True)
+            assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+            return
+        for res, (init, ds, lam, reg) in zip(results, runs, strict=True):
+            assert_same_result(erm.train(init, ds, lam, loss, reg, opt, act), res)
 
 
 class TestErrorMeasures:
