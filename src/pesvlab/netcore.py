@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -19,14 +18,12 @@ import numpy as np
 __all__ = [
     "ActivationSpec",
     "BiasedNet",
-    "ExpandedUpstream",
     "NetParams",
     "StackedPass",
     "UnsupportedActivationError",
     "WidthVector",
     "absorb_bias",
     "as_layers",
-    "expand_upstream",
     "forward",
     "forward_biased",
     "layer_shapes",
@@ -38,7 +35,6 @@ __all__ = [
     "parse_spec",
     "save_network",
     "stacked_backprop",
-    "stacked_buffers",
     "stacked_forward",
 ]
 
@@ -420,16 +416,6 @@ def forward(params, act: ActivationSpec, inputs) -> np.ndarray:
     return out[0, 0] if single else out.ravel()
 
 
-def stacked_buffers(runs: int, n: int, widths) -> list[np.ndarray]:
-    """Buffers for :func:`stacked_forward` on up to ``runs`` stacked networks
-    of hidden ``widths`` over ``n`` inputs: one flat array of ``runs * n *
-    width`` values per hidden layer, which holds the layer's preactivation,
-    its activation where the activation works in place (relu, identity), and
-    then its backward delta.  The kernels lay out the leading values as the
-    inputs' layout needs, so one set serves any ``S <= runs`` networks."""
-    return [np.empty(runs * n * m) for m in WidthVector.of(widths)]
-
-
 # Narrowest hidden layer that shared inputs lay side by side.  OpenBLAS's
 # vector-matrix products round a side-by-side view of a layer of width 1 to
 # 3 differently from a contiguous per-run one; from width 4 up, on every
@@ -437,19 +423,16 @@ def stacked_buffers(runs: int, n: int, widths) -> list[np.ndarray]:
 _SIDE_BY_SIDE_WIDTH = 4
 
 
-def _lead(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading values of a flat buffer as a C-contiguous ``shape`` array,
-    or a new array without a buffer."""
-    if buffer is None:
-        return np.empty(shape)
-    return buffer[: math.prod(shape)].reshape(shape)
-
-
 def _per_run(a: np.ndarray, runs: int) -> np.ndarray:
     """A hidden layer's array as its ``(runs, n, m)`` view."""
     if a.ndim == 3:
         return a
     return a.reshape(a.shape[0], runs, -1).transpose(1, 0, 2)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """An ``(S, rows, cols)`` array as its ``(S*rows, cols)`` view."""
+    return np.reshape(a, (-1, a.shape[-1]), copy=False)
 
 
 def _one_gemm(x: np.ndarray, z: np.ndarray) -> bool:
@@ -462,9 +445,9 @@ def _one_gemm(x: np.ndarray, z: np.ndarray) -> bool:
     return z.ndim == 2 and min(x.shape) > 1 and z.shape[1] % 8 == 0
 
 
-def _derivative(act: ActivationSpec, z: np.ndarray, out=None) -> np.ndarray:
-    """``act.derivative(z)``, written into ``out`` when given, relu's as the
-    mask ``z > 0``: the same bits in a multiply, without a float temporary.
+def _derivative(act: ActivationSpec, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``act.derivative(z)`` written into ``out``, relu's as the mask ``z >
+    0``: the same bits in a multiply, without a float temporary.
     relu's ``z`` may be its activation, which is positive exactly where ``z``
     is (nan and both zeros are not)."""
     if act.kind == "relu":
@@ -477,75 +460,112 @@ _IN_PLACE = frozenset({"relu", "identity"})
 
 
 class StackedPass:
-    """The forward and backward passes of ``S`` stacked networks over per-run
-    inputs, as lists of calls whose arrays and views are taken once.
+    """The forward and backward passes of ``S`` stacked networks, as lists
+    of calls whose arrays and views are taken once.
 
     ``layers`` are ``(S, rows, cols)`` arrays, read at every pass, so a
     caller that updates them in place steps through one pass.  ``hs[0]``
-    are the ``(S, n, d+1)`` inputs, never written; ``hs[k + 1]`` and
-    ``zs[k]`` are hidden layer ``k``'s ``(S, n, m)`` activation and
-    preactivation, one array for relu and identity, which apply in place.
-    ``forward_calls`` write them and the ``(S, n)`` outputs ``out``.  With
-    ``grads``, arrays shaped like ``layers``, ``backprop_calls`` write there
-    the gradient of ``sum_i upstream[s, i] * f_s(x_i)`` for each run ``s``,
-    from the ``(S, n)`` array ``upstream``; each hidden layer's delta goes
-    over its activation once the gradient of the layer above has read it,
-    so they consume ``hs[1:]``: run the forward calls again before the
-    backward ones.  The calls are the same ufuncs and ``matmul`` products
-    in the same order on arrays of the same layout, whether a pass is used
+    are the inputs, never written: ``(S, n, d+1)``, one set per run, or
+    ``(n, d+1)``, shared by every run.  ``hs[k + 1]`` and ``zs[k]`` are
+    hidden layer ``k``'s activation and preactivation, one array for relu
+    and identity, which apply in place.  ``forward_calls`` write them and
+    the ``(S, n)`` outputs ``out``.
+
+    Per-run inputs take one ``matmul`` slice per run, over ``(S, n, m)``
+    hidden arrays.  Shared inputs lay the runs of a hidden layer of width 4
+    or more side by side, as an ``(n, S*m)`` array whose ``(S, n, m)`` view
+    holds run ``s`` at ``[s]``, and the first layer of all runs and its
+    gradient are one GEMM each, ``X @ W1.reshape(S*m1, d+1).T`` and
+    ``delta.T @ X``, where :func:`_one_gemm` allows; such a first layer and
+    its gradient array must be C-contiguous.
+
+    With ``grads``, arrays shaped like ``layers``, ``backprop_calls`` write
+    there the gradient of ``sum_i upstream[s, i] * f_s(x_i)`` for each run
+    ``s``, from the ``(S, n)`` array ``upstream``.  A side-by-side last
+    hidden layer takes its top delta from ``wide``, the upstream expanded
+    once by :meth:`set_upstream`; other layouts read ``upstream``, which a
+    caller may also write directly.  Each hidden layer's delta goes over
+    its activation once the gradient of the layer above has read it, so
+    the backward calls consume ``hs[1:]``: run the forward calls again
+    before them.  The calls are the same ufuncs and ``matmul`` products in
+    the same order on arrays of the same layout, whether a pass is used
     once or once per step, so every result has the same bits.
     """
 
     def __init__(self, layers, act: ActivationSpec, hs, zs, grads=None):
-        runs, n = hs[0].shape[:2]
+        x = hs[0]
+        runs, n = len(layers[0]), x.shape[-2]
         self.hs, self.zs, self.grads = hs, zs, grads
         self.out3 = np.empty((runs, n, 1))
         self.out = self.out3[..., 0]
         self.upstream = np.empty((runs, n))
+        self.wide = None
+        # Each layer's input as its (S, n, m) view; shared inputs broadcast.
+        below = [x, *(_per_run(h, runs) for h in hs[1:])]
+        one_gemm = _one_gemm(x, zs[0])
         apply = _ACTIVATIONS[act.kind].value
         calls = []
-        h = hs[0]
-        for w, z, a in zip(layers[:-1], zs, hs[1:]):
-            calls += [partial(np.matmul, h, w.transpose(0, 2, 1), z), partial(apply, act, z, a)]
-            h = a
-        calls.append(partial(np.matmul, h, layers[-1].transpose(0, 2, 1), self.out3))
+        for k, (w, z, a) in enumerate(zip(layers[:-1], zs, hs[1:])):
+            if k == 0 and one_gemm:
+                calls.append(partial(np.matmul, x, _rows(w).T, z))
+            else:
+                calls.append(partial(np.matmul, below[k], w.transpose(0, 2, 1), _per_run(z, runs)))
+            calls.append(partial(apply, act, z, a))
+        calls.append(partial(np.matmul, below[-1], layers[-1].transpose(0, 2, 1), self.out3))
         self.forward_calls = calls
         if grads is None:
             return
         # One derivative is live at a time, so they share one array.
         shared = np.empty(max(z.size for z in zs), dtype=bool if act.kind == "relu" else None)
         dzs = [shared[: z.size].reshape(z.shape) for z in zs]
+        if hs[-1].ndim == 2:
+            self.wide = np.empty((n, runs, layers[-1].shape[-1]))
+            top = np.reshape(hs[-1], self.wide.shape, copy=False)
+            top_delta = partial(np.multiply, self.wide, layers[-1][:, 0], top)
+        else:
+            top_delta = partial(np.multiply, self.upstream[..., :, None], layers[-1], hs[-1])
         calls = [
-            partial(np.matmul, self.upstream[..., None, :], hs[-1], grads[-1]),
+            partial(np.matmul, self.upstream[..., None, :], below[-1], grads[-1]),
             partial(_derivative, act, zs[-1], dzs[-1]),
-            partial(np.multiply, self.upstream[..., :, None], layers[-1], hs[-1]),
+            top_delta,
         ]
         for k in range(len(layers) - 2, -1, -1):
             delta = hs[k + 1]
-            calls += [
-                partial(np.multiply, delta, dzs[k], delta),
-                partial(np.matmul, delta.transpose(0, 2, 1), hs[k], grads[k]),
-            ]
+            calls.append(partial(np.multiply, delta, dzs[k], delta))
+            if k == 0 and one_gemm:
+                calls.append(partial(np.matmul, delta.T, x, _rows(grads[0])))
+            else:
+                calls.append(
+                    partial(np.matmul, below[k + 1].transpose(0, 2, 1), below[k], grads[k])
+                )
             if k:
                 calls += [
                     partial(_derivative, act, zs[k - 1], dzs[k - 1]),
-                    partial(np.matmul, delta, layers[k], hs[k]),
+                    partial(np.matmul, below[k + 1], layers[k], below[k]),
                 ]
         self.backprop_calls = calls
 
     @classmethod
-    def prepare(
-        cls, layers, act: ActivationSpec, inputs, grads=None, buffers=None
-    ) -> "StackedPass":
-        """A pass over ``inputs`` whose preactivations lie in the leading
-        values of ``buffers`` from :func:`stacked_buffers`, or in arrays of
-        the pass; leaky relu and tabulated activations take arrays of their
-        own."""
-        runs, n = inputs.shape[:2]
-        bufs = buffers or repeat(None)
-        zs = [_lead(buf, (runs, n, w.shape[1])) for w, buf in zip(layers[:-1], bufs)]
+    def prepare(cls, layers, act: ActivationSpec, inputs, grads=None) -> "StackedPass":
+        """A pass over ``inputs``, per-run or shared, with hidden arrays of
+        its own in the layout the inputs' shape gives; leaky relu and
+        tabulated activations take arrays apart from their
+        preactivations."""
+        runs, n = len(layers[0]), inputs.shape[-2]
+        zs = []
+        for w in layers[:-1]:
+            m = w.shape[1]
+            side_by_side = inputs.ndim == 2 and m >= _SIDE_BY_SIDE_WIDTH
+            zs.append(np.empty((n, runs * m) if side_by_side else (runs, n, m)))
         hs = [inputs, *(z if act.kind in _IN_PLACE else np.empty(z.shape) for z in zs)]
         return cls(layers, act, hs, zs, grads)
+
+    def set_upstream(self, upstream) -> None:
+        """Write ``upstream``, ``(S, n)`` or ``(n,)`` for every run, for the
+        backward calls that follow, with its expansion where they read one."""
+        np.copyto(self.upstream, upstream)
+        if self.wide is not None:
+            np.copyto(self.wide, self.upstream.T[..., None])
 
     def forward(self) -> np.ndarray:
         """Run the forward calls; returns ``out``."""
@@ -561,140 +581,37 @@ class StackedPass:
 
 
 def stacked_forward(
-    layers, act: ActivationSpec, inputs, buffers=None
+    layers, act: ActivationSpec, inputs
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Evaluate ``S`` networks stacked on a leading run axis.
+    """Evaluate ``S`` networks stacked on a leading run axis: one forward
+    pass of a new :class:`StackedPass` over ``inputs``, ``(n, d+1)`` shared
+    by every run or ``(S, n, d+1)`` one set per run.
 
-    ``layers`` are ``(S, rows, cols)`` arrays; ``inputs`` are ``(n, d+1)``,
-    shared by every run, or ``(S, n, d+1)``, one set per run.  Returns the
-    ``(S, n)`` outputs together with the input of every layer and the
-    preactivation of every hidden layer, which :func:`stacked_backprop`
-    takes.  Each run's numbers equal those of the same network evaluated
-    alone.
-
-    Each hidden layer has one working array: the activation is applied in
-    place on the preactivation, so for relu and identity ``zs[k]`` is
-    ``hs[k + 1]`` and holds the activation; leaky relu and tabulated
-    activations take new arrays and keep their preactivations.
-
-    Per-run inputs are one forward pass of a new :class:`StackedPass`: one
-    ``matmul`` slice per run, and every hidden layer's arrays are ``(S, n,
-    m)``.  Shared inputs lay the runs side by side: a hidden layer's arrays
-    are ``(n, S*m)`` arrays whose ``(S, n, m)`` view holds run ``s`` at
-    ``[s]``, and the first layer of all runs is one GEMM, ``X @
-    W1.reshape(S*m1, d+1).T``.  Where OpenBLAS would round
-    the new layout differently, the old one stays: a layer narrower than 4
-    keeps ``(S, n, m)`` arrays, since the output and gradients take
-    vector-matrix products of each run's activations, and the first layer
-    keeps one product per run over one input or one coordinate, or when
-    ``S*m1`` is not a multiple of 8.
-
-    With ``buffers`` from :func:`stacked_buffers` the preactivations are
-    written there instead of into new arrays, with the same bits; the
-    returned lists then hold views of those buffers.
+    Returns the ``(S, n)`` outputs together with the input of every layer
+    and the preactivation of every hidden layer, the pass's ``hs`` and
+    ``zs``, which :func:`stacked_backprop` takes.  Each run's numbers equal
+    those of the same network evaluated alone.
     """
-    if inputs.ndim == 3:
-        run = StackedPass.prepare(layers, act, inputs, buffers=buffers)
-        return run.forward(), run.hs, run.zs
-    hs = [inputs]
-    zs = []
-    bufs = buffers or repeat(None)
-    runs, n = len(layers[0]), inputs.shape[0]
-    below = inputs
-    for w, buf in zip(layers[:-1], bufs):
-        m = w.shape[1]
-        z = _lead(buf, (n, runs * m) if m >= _SIDE_BY_SIDE_WIDTH else (runs, n, m))
-        if not zs and _one_gemm(inputs, z):
-            np.matmul(inputs, w.reshape(z.shape[1], -1).T, out=z)
-        else:
-            np.matmul(below, w.transpose(0, 2, 1), out=_per_run(z, runs))
-        zs.append(z)
-        hs.append(act(z, out=z))
-        below = _per_run(hs[-1], runs)
-    out = (below @ layers[-1].transpose(0, 2, 1))[..., 0]
-    return out, hs, zs
+    run = StackedPass.prepare(layers, act, inputs)
+    return run.forward(), run.hs, run.zs
 
 
-class ExpandedUpstream(NamedTuple):
-    """An ``(S, n)`` or ``(n,)`` upstream with its ``(n, S*m)`` expansion for
-    the top-layer delta of ``S`` shared-input stacked networks whose last
-    hidden width is ``m``: ``wide[i, s*m + j] == values[s, i]``."""
-
-    values: np.ndarray
-    wide: np.ndarray
-
-
-def expand_upstream(upstream, runs: int, m: int, out=None) -> ExpandedUpstream:
-    """Expand ``upstream`` for :func:`stacked_backprop` on ``runs`` networks
-    with shared inputs and last hidden width ``m``, into the leading values
-    of the flat array ``out`` when given.  A caller whose upstream stays
-    fixed over many steps builds this once: the top delta is then one
-    contiguous multiply, where from ``upstream`` it is ``n * S`` short ones."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    n = upstream.shape[-1]
-    wide = _lead(out, (n, runs * m))
-    np.copyto(wide.reshape(n, runs, m), upstream.T.reshape(n, -1, 1))
-    return ExpandedUpstream(upstream, wide)
-
-
-def stacked_backprop(
-    layers, act: ActivationSpec, hs, zs, upstream, out=None
-) -> list[np.ndarray]:
+def stacked_backprop(layers, act: ActivationSpec, hs, zs, upstream) -> list[np.ndarray]:
     """Gradient of ``sum_i upstream_i * f_s(x_i)`` for each stacked network
     ``s``, from the layer inputs ``hs`` and preactivations ``zs`` of
-    :func:`stacked_forward`.
+    :func:`stacked_forward`: one backward pass of a new :class:`StackedPass`
+    over them.
 
-    ``upstream`` is ``(n,)``, shared by every run, ``(S, n)``, or either one
-    from :func:`expand_upstream`.  Returns ``(S, rows, cols)`` arrays shaped
-    like ``layers``.  Requires an activation with an almost-everywhere
-    derivative.  Each hidden layer's delta is written over its activation
-    ``hs[k + 1]`` once the gradient of the layer above has read it, and the
-    layer's derivative is taken before that, so this consumes ``hs[1:]``
-    (and relu's and identity's ``zs``): run :func:`stacked_forward` again
-    before another backprop.  The inputs ``hs[0]`` are never written.
-    Per-run inputs are one backward pass of a new :class:`StackedPass` over
-    ``hs`` and ``zs``.  With shared inputs the top delta is one multiply of
-    the upstream by the output rows (contiguous when expanded), and the
-    first-layer gradient of all runs is one GEMM, ``delta.T @ X``, where
-    :func:`stacked_forward` made the first layer one.  With ``out``,
-    C-contiguous arrays shaped like ``layers``, the gradients are written
-    into those, with the same bits.
+    ``upstream`` is ``(n,)``, shared by every run, or ``(S, n)``.  Returns
+    new ``(S, rows, cols)`` arrays shaped like ``layers``.  Requires an
+    activation with an almost-everywhere derivative.  The pass consumes
+    ``hs[1:]`` (and relu's and identity's ``zs``): run
+    :func:`stacked_forward` again before another backprop.  The inputs
+    ``hs[0]`` are never written.
     """
-    wide = None
-    if isinstance(upstream, ExpandedUpstream):
-        upstream, wide = upstream
-    depth = len(layers)
-    x = hs[0]
-    if x.ndim == 3:
-        grads = [np.empty(w.shape) for w in layers] if out is None else list(out)
-        run = StackedPass(layers, act, hs, zs, grads)
-        np.copyto(run.upstream, upstream)
-        return run.backprop()
-    grads = [None] * depth if out is None else list(out)
-    runs, n = len(layers[0]), x.shape[0]
-    grads[-1] = np.matmul(upstream[..., None, :], _per_run(hs[-1], runs), out=grads[-1])
-    dz = _derivative(act, zs[-1])
-    delta = hs[-1]
-    if delta.ndim == 2:
-        m = layers[-1].shape[-1]
-        top = upstream.T.reshape(n, -1, 1) if wide is None else wide.reshape(n, runs, m)
-        np.multiply(top, layers[-1].reshape(runs, m), out=delta.reshape(n, runs, m))
-    else:
-        np.multiply(upstream[..., :, None], layers[-1], out=delta)
-    np.multiply(delta, dz, out=delta)
-    for k in range(depth - 2, 0, -1):
-        d = _per_run(delta, runs)
-        grads[k] = np.matmul(d.transpose(0, 2, 1), _per_run(hs[k], runs), out=grads[k])
-        dz = _derivative(act, zs[k - 1])
-        delta = hs[k]
-        np.matmul(d, layers[k], out=_per_run(delta, runs))
-        np.multiply(delta, dz, out=delta)
-    if _one_gemm(x, delta):
-        g0 = None if out is None else out[0].reshape(-1, x.shape[1])
-        grads[0] = np.matmul(delta.T, x, out=g0).reshape(layers[0].shape)
-    else:
-        grads[0] = np.matmul(_per_run(delta, runs).transpose(0, 2, 1), x, out=grads[0])
-    return grads
+    run = StackedPass(layers, act, hs, zs, [np.empty(w.shape) for w in layers])
+    run.set_upstream(upstream)
+    return run.backprop()
 
 
 # ---------------------------------------------------------------------------

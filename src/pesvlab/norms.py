@@ -102,7 +102,7 @@ def pesv_unit_scaled(layers) -> tuple[list[np.ndarray], np.ndarray] | None:
     :func:`pesv_stacked` of the returned layers."""
     chain = _PathChain(layers)
     nu = chain()
-    if not np.minimum.reduce(nu) > 0.0:  # nan fails too
+    if not np.minimum.reduce(nu, initial=math.inf) > 0.0:  # nan fails too
         return None
     top = layers[-1] / nu[:, None, None]
     return [*layers[:-1], top], (np.abs(top) @ chain.down[-1])[:, 0, 0]
@@ -374,6 +374,8 @@ class PenaltyPass:
     slices of the other groups may be written too.  With ``work``, two
     lists of C-contiguous arrays shaped like ``layers``, the path norm's
     ``|layers[1:]|`` and the outer products of its subgradient go there.
+    Building the pass computes the path norms once, which allocates the
+    chain's arrays; ``calls[0]`` computes them again.
 
     Every number has the bits of the group computed alone: the path norm's
     pieces are computed once for the whole batch and sliced for each group,
@@ -407,10 +409,13 @@ class PenaltyPass:
 
 
 def penalty_stacked(layers, groups, out, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """One :class:`PenaltyPass` call on ``layers``: the path norm and the
-    penalty of each of ``S`` stacked networks, with the subgradients of the
-    groups with ``grad`` written into ``out``."""
-    return PenaltyPass(layers, groups, out, work)()
+    """The path norm and the penalty of each of ``S`` stacked networks, with
+    the subgradients of the groups with ``grad`` written into ``out``: one
+    pass of a new :class:`PenaltyPass`, whose building computed the path
+    norms, so only the calls after the chain run."""
+    penalty = PenaltyPass(layers, groups, out, work)
+    _run(penalty.calls[1:])
+    return penalty.nu, penalty.value
 
 
 def rescale_neuron(params: NetParams, layer: int, index: int, c: float) -> NetParams:

@@ -17,14 +17,12 @@ import numpy as np
 from . import erm, norms, theory
 from .netcore import (
     ActivationSpec,
+    StackedPass,
     UnsupportedActivationError,
     WidthVector,
     as_layers,
-    expand_upstream,
     forward,
     layer_shapes,
-    stacked_backprop,
-    stacked_buffers,
     stacked_forward,
 )
 
@@ -287,28 +285,30 @@ def maurey_sampling_check(
 
 def random_unit_norm_nets(
     rng: np.random.Generator, widths, in_size: int, count: int
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """``count`` networks of Gaussian layer matrices, each rescaled on the
-    output row to path norm 1, as ``(count, rows, cols)`` layers.
+    output row to path norm 1, as C-contiguous ``(count, rows, cols)``
+    layers, and the path norm of each rescaled net, taken from the chain
+    that rescaled it (:func:`norms.pesv_unit_scaled`).
 
     The nets come from one block of normals, drawn net by net in layer
     order.  A net whose path norm is not positive is drawn again, so the
     nets and the state left in ``rng`` equal those of drawing and
     normalizing the nets one at a time.
     """
-    layers = _normal_layers(rng, layer_shapes(widths, in_size), count)
+    shapes = layer_shapes(widths, in_size)
+    layers = _normal_layers(rng, shapes, count)
     nu = norms.pesv_stacked(layers)
-    good = nu > 0
-    if good.all():
-        layers[-1] = layers[-1] / nu[:, None, None]
-        return [np.ascontiguousarray(w) for w in layers]
-    # One net at a time, a rejected net is drawn again from the normals that
-    # follow it, which are the next rows: keep the accepted rows in order and
-    # draw as many more nets as were rejected.
-    kept = [w[good] for w in layers]
-    kept[-1] = kept[-1] / nu[good][:, None, None]
-    more = random_unit_norm_nets(rng, widths, in_size, count - len(kept[0]))
-    return [np.concatenate(pair) for pair in zip(kept, more)]
+    while not np.minimum.reduce(nu, initial=math.inf) > 0.0:  # nan fails too
+        # One net at a time, a rejected net is drawn again from the normals
+        # that follow it, which are the next rows: keep the accepted rows in
+        # order and draw as many more nets as were rejected.
+        good = nu > 0.0
+        more = _normal_layers(rng, shapes, count - np.count_nonzero(good))
+        layers = [np.concatenate((w[good], new)) for w, new in zip(layers, more)]
+        nu = norms.pesv_stacked(layers)
+    layers, nu = norms.pesv_unit_scaled(layers)
+    return [np.ascontiguousarray(w) for w in layers], nu
 
 
 def _normal_layers(rng: np.random.Generator, shapes, count: int) -> list[np.ndarray]:
@@ -320,20 +320,6 @@ def _normal_layers(rng: np.random.Generator, shapes, count: int) -> list[np.ndar
         layers.append(flat[:, start : start + r * c].reshape(count, r, c))
         start += r * c
     return layers
-
-
-def _unit_norm_net(
-    rng: np.random.Generator, widths, in_size: int
-) -> tuple[list[np.ndarray], float]:
-    """The net ``random_unit_norm_nets(rng, widths, in_size, 1)`` draws, as
-    ``(rows, cols)`` layers, with its path norm; ``rng`` is left in the same
-    state.  The norm comes from the chain that normalized the net."""
-    shapes = layer_shapes(widths, in_size)
-    while True:
-        unit = norms.pesv_unit_scaled(_normal_layers(rng, shapes, 1))
-        if unit is not None:
-            layers, nu = unit
-            return [w[0] for w in layers], float(nu[0])
 
 
 @dataclass(frozen=True)
@@ -357,6 +343,20 @@ _ASCENT_BLOCK_VALUES = 2**16
 _ASCENT_STEP = 0.5  # ascent step t moves this / sqrt(t + 1) along the unit gradient
 
 
+def _prepare_ascent(act: ActivationSpec, X: np.ndarray, shapes, runs: int):
+    """The layers and gradients of ``runs`` stacked starts, each in one
+    layer-major block, with the network pass over the shared inputs ``X``
+    and the path-norm pass prepared over those layers."""
+    ends = np.cumsum([runs * r * c for r, c in shapes])
+    layers, grads = (
+        [part.reshape(runs, r, c) for part, (r, c) in zip(np.split(flat, ends[:-1]), shapes)]
+        for flat in np.zeros((2, ends[-1]))
+    )
+    net = StackedPass.prepare(layers, act, X, grads)
+    group = norms.PenaltyGroup(slice(0, runs), norms.Penalty("pesv"), grad=False)
+    return layers, grads, net, norms.PenaltyPass(layers, [group], None)
+
+
 def rademacher_mc(
     widths,
     F: float,
@@ -376,14 +376,13 @@ def rademacher_mc(
     direction against the closed-form upper bound.
 
     Trials run in blocks, each block as one ascent over its trials' starts
-    stacked on the run axis.  A block keeps one hidden layer's ``(S, n, m)``
-    array within ``_ASCENT_BLOCK_VALUES`` values, and every step of every
-    block writes each hidden layer's one working array into a buffer sized
-    for the largest block, so no step allocates them anew.  The starts share
-    the inputs, so the kernels lay them side by side; a block's signs are
-    fixed, so their expansion for the top-layer delta is built once per
-    block, into a buffer of its own.  Every net gets the numbers of a lone
-    trial, so the result does not depend on the blocking.
+    stacked on the run axis, which share the inputs.  A block keeps one
+    hidden layer's ``(S, n, m)`` array within ``_ASCENT_BLOCK_VALUES``
+    values.  Each block size prepares its pass once: a
+    :class:`netcore.StackedPass` with the block's signs as its fixed
+    upstream, and a :class:`norms.PenaltyPass` for the projection's path
+    norms, over layers it updates in place.  Every net gets the numbers of
+    a lone trial, so the result does not depend on the blocking.
     """
     if trials < 1 or n_starts < 1:
         raise ValueError("need trials >= 1 and n_starts >= 1")
@@ -405,31 +404,35 @@ def rademacher_mc(
     rng = np.random.default_rng(seed)
 
     block = min(trials, max(1, _ASCENT_BLOCK_VALUES // (n_starts * n * wv.m)))
-    buffers = stacked_buffers(block * n_starts, n, wv)
-    wide = np.empty(block * n_starts * n * wv[-1])
+    shapes = layer_shapes(wv, dim)
     per_trial = np.empty(trials)
+    runs = 0  # the starts the prepared pass holds
     for t0 in range(0, trials, block):
         k = min(block, trials - t0)
         signs, nets = [], []
         for _ in range(k):  # each trial's signs, then its starts
             signs.append(rng.integers(0, 2, size=n) * 2.0 - 1.0)
-            nets.append(random_unit_norm_nets(rng, wv, dim, n_starts))
-        rho = expand_upstream(np.repeat(signs, n_starts, axis=0), k * n_starts, wv[-1], wide)
-        arrs = [np.concatenate(ws) for ws in zip(*nets)]
+            nets.append(random_unit_norm_nets(rng, wv, dim, n_starts)[0])
+        if k * n_starts != runs:
+            runs = k * n_starts
+            arrs, grads, net, path = _prepare_ascent(act, X, shapes, runs)
+        for w, ws in zip(arrs, zip(*nets)):
+            np.concatenate(ws, out=w)
+        net.set_upstream(np.repeat(signs, n_starts, axis=0))
+        rho = net.upstream[:, None, :]
         best = np.zeros(k)  # the zero network is feasible
         for it in range(inner_steps + 1):
-            out, hs, zs = stacked_forward(arrs, act, X, buffers)
-            score = (rho.values[:, None, :] @ out[..., None]).reshape(k, n_starts)
+            score = (rho @ net.forward()[..., None]).reshape(k, n_starts)
             np.fmax(best, score.max(axis=1), out=best)  # a NaN leaves best as is
             if it == inner_steps:  # the final iterates are scored, not stepped
                 break
-            grads = stacked_backprop(arrs, act, hs, zs, rho)
+            net.backprop()
             sq = (np.add.reduce((g * g).reshape(len(g), -1), axis=-1) for g in grads)
             gnorm = np.sqrt(sum(sq))
             step = _ASCENT_STEP / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):
                 w += step[:, None, None] * g
-            nu = norms.pesv_stacked(arrs)[:, None, None]
+            nu = path()[0][:, None, None]
             np.divide(arrs[-1], nu, out=arrs[-1], where=nu > 1.0)
         per_trial[t0 : t0 + k] = best
 
@@ -556,7 +559,7 @@ def covering_packing_lower_bound(
     X = np.hstack([pts, np.ones((pts.shape[0], 1))])
 
     rng = np.random.default_rng(seed)
-    layers = random_unit_norm_nets(rng, wv, d + 1, param_samples)
+    layers, _ = random_unit_norm_nets(rng, wv, d + 1, param_samples)
     vals = np.empty((X.shape[0], param_samples))  # one column per net
     # Nets per stacked pass, so a hidden layer's values stay near 8 MB.
     chunk = max(1, 2**20 // (X.shape[0] * max(wv)))
@@ -658,8 +661,9 @@ def pointwise_audit(n_nets: int = 1000, probes: int = 100, seed: int = 0) -> Poi
             d = _AUDIT_DIMS[int(rng.integers(len(_AUDIT_DIMS)))]
             widths = tuple(int(rng.integers(1, _AUDIT_MAX_WIDTH + 1)) for _ in range(L - 1))
             act = _AUDIT_ACTS[int(rng.integers(len(_AUDIT_ACTS)))]
-            layers, nu = _unit_norm_net(rng, widths, d + 1)
-            by_size.setdefault(d, []).append((layers, act, nu, int(rng.integers(2**31))))
+            layers, nu = random_unit_norm_nets(rng, widths, d + 1, 1)
+            net = ([w[0] for w in layers], act, float(nu[0]), int(rng.integers(2**31)))
+            by_size.setdefault(d, []).append(net)
         for nets in by_size.values():
             worst = max(worst, _pointwise_ratio(nets, probes))
     return PointwiseResult(

@@ -405,134 +405,162 @@ def stacked_case(rng, runs, widths, n, d, per_run):
     return layers, X, u
 
 
-class TestStackedBuffers:
+def layer_major(layers):
+    """Copies of ``layers`` as views of one flat block, layer after layer:
+    the layout that a caller updating its layers in place keeps them in."""
+    block = np.concatenate([w.ravel() for w in layers])
+    ends = np.cumsum([0] + [w.size for w in layers])
+    return [block[lo:hi].reshape(w.shape) for lo, hi, w in zip(ends, ends[1:], layers)]
+
+
+def new_grads(layers):
+    return [np.empty(w.shape) for w in layers]
+
+
+def one_shot(layers, act, X, u):
+    """The outputs, the hidden arrays as the forward pass leaves them
+    (copied) and the gradients of fresh one-shot passes."""
+    out, hs, zs = nc.stacked_forward(layers, act, X)
+    arrays = [a.copy() for a in hs[1:] + zs]
+    return out, arrays, nc.stacked_backprop(layers, act, hs, zs, u)
+
+
+def run_prepared(run, u=None):
+    """The same from the prepared pass ``run``, copied; a new upstream ``u``
+    is set before its backward calls."""
+    out = run.forward().copy()
+    arrays = [a.copy() for a in run.hs[1:] + run.zs]
+    if u is not None:
+        run.set_upstream(u)
+    return out, arrays, [g.copy() for g in run.backprop()]
+
+
+def assert_same(got, ref):
+    for mine, theirs in zip(got, ref, strict=True):
+        if isinstance(mine, list):
+            assert all(same_bits(a, b) for a, b in zip(mine, theirs, strict=True))
+        else:
+            assert same_bits(mine, theirs)
+
+
+def assert_shared_equals_repeated(act, runs, widths, n, d, seed, prepared):
+    """Shared inputs give the bytes of the same inputs repeated per run, in
+    the outputs, the gradients, and the activations and preactivations
+    compared through their per-run view: from one-shot passes, or from one
+    prepared pass run twice."""
+    rng = np.random.default_rng(seed)
+    layers, X, _ = stacked_case(rng, runs, widths, n, d, per_run=False)
+    u = rng.choice([-1.0, 1.0], size=(runs, n))
+    ref_out, ref_arrays, ref_grads = one_shot(layers, act, np.broadcast_to(X, (runs, n, d + 1)), u)
+    if prepared:
+        run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
+        results = [run_prepared(run, u), run_prepared(run)]
+    else:
+        results = [one_shot(layers, act, X, u)]
+    for out, arrays, grads in results:
+        assert same_bits(out, ref_out)
+        for mine, ref in zip(arrays, ref_arrays, strict=True):
+            assert same_bits(nc._per_run(mine, runs), ref)
+        assert all(same_bits(a, b) for a, b in zip(grads, ref_grads, strict=True))
+
+
+class TestStackedPass:
+    """One prepared pass serves per-run and shared inputs, with the bits of
+    the one-shot functions, whose passes are its own."""
+
     @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
     @pytest.mark.parametrize(
         "widths", [(5,), (4, 6), (3, 5, 2)], ids=["depth-2", "depth-3", "depth-4"]
     )
     @pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
-    def test_buffered_equals_unbuffered(self, kind, widths, per_run):
+    def test_prepared_equals_one_shot(self, kind, widths, per_run):
         """Compared byte for byte, so the signs of zeros count as well; the
-        layer arrays as the forward pass returns them, before a backprop
-        writes its deltas over the activations."""
+        hidden arrays as the forward pass leaves them, before a backprop
+        writes its deltas over the activations.  Each hidden layer has one
+        working array, which relu's and identity's activations overwrite in
+        place."""
         act = STACKED_ACTS[kind]
         rng = np.random.default_rng(len(widths) + 10 * per_run)
         layers, X, u = stacked_case(rng, 4, widths, 7, 2, per_run)
-        out, hs, zs = nc.stacked_forward(layers, act, X)
-        buffers = nc.stacked_buffers(4, 7, widths)
-        b_out, b_hs, b_zs = nc.stacked_forward(layers, act, X, buffers)
-        assert same_bits(b_out, out)
-        assert all(same_bits(a, b) for a, b in zip(b_hs + b_zs, hs + zs))
-        # one working array per hidden layer: the preactivation in the
-        # buffer, which relu's and identity's activations overwrite in place
+        run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
         in_place = kind in ("relu", "identity")
-        assert all(np.shares_memory(z, b) for z, b in zip(b_zs, buffers))
-        for h, z, b_h, b_z, b in zip(hs[1:], zs, b_hs[1:], b_zs, buffers):
-            assert (h is z) == (b_h is b_z) == in_place
-            assert np.shares_memory(b_h, b) == in_place
-        grads = nc.stacked_backprop(layers, act, hs, zs, u)
-        b_grads = nc.stacked_backprop(layers, act, b_hs, b_zs, u)
-        assert all(same_bits(a, b) for a, b in zip(b_grads, grads))
+        assert all((h is z) == in_place for h, z in zip(run.hs[1:], run.zs))
+        assert_same(run_prepared(run, u), one_shot(layers, act, X, u))
 
     @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
-    def test_reused_buffers_keep_no_stale_values(self, kind):
-        """One set of buffers, first filled with NaN, serves calls on changed
-        weights and on fewer runs than it was sized for."""
+    def test_reused_pass_keeps_no_stale_values(self, kind):
+        """One shared-input pass, its hidden arrays first filled with NaN,
+        serves calls on weights and upstreams changed in place."""
         act = STACKED_ACTS[kind]
         rng = np.random.default_rng(3)
-        widths = (4, 6)
-        buffers = nc.stacked_buffers(5, 7, widths)
-        for b in buffers:
-            b.fill(np.nan)
-        for runs in (5, 5, 3, 1):
-            layers, X, u = stacked_case(rng, runs, widths, 7, 2, per_run=False)
-            out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-            grads = nc.stacked_backprop(layers, act, hs, zs, u)
-            ref_out, ref_hs, ref_zs = nc.stacked_forward(layers, act, X)
-            ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
-            assert same_bits(out, ref_out)
-            assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
+        layers, X, _ = stacked_case(rng, 5, (4, 6), 7, 2, per_run=False)
+        layers = layer_major(layers)
+        run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
+        for a in run.hs[1:] + run.zs:
+            a.fill(np.nan)
+        for _ in range(3):
+            new, _, u = stacked_case(rng, 5, (4, 6), 7, 2, per_run=False)
+            for w, v in zip(layers, new):
+                np.copyto(w, v)
+            assert_same(run_prepared(run, u), one_shot(layers, act, X, u))
 
-    def test_buffer_shapes_and_layout(self):
-        """One flat buffer per hidden layer, laid out by the kernels at its
-        start: shared inputs put a layer of width 4 or more side by side as
-        ``(n, S*m)``, and per-run inputs or a narrower layer take ``(S, n,
-        m)``.  relu's preactivation, activation and delta all live there."""
-        buffers = nc.stacked_buffers(6, 5, (3, 4))
-        assert [b.shape for b in buffers] == [(90,), (120,)]
+    def test_layout(self):
+        """Shared inputs put a layer of width 4 or more side by side as ``(n,
+        S*m)`` and a narrower one as ``(S, n, m)``; per-run inputs take
+        ``(S, n, m)``.  relu's preactivation, activation and delta share one
+        C-contiguous array, and only a side-by-side last hidden layer takes
+        an expanded upstream."""
         rng = np.random.default_rng(2)
         relu = STACKED_ACTS["relu"]
         for per_run in (False, True):
-            for b in buffers:
-                b.fill(np.nan)
             layers, X, u = stacked_case(rng, 2, (3, 4), 5, 2, per_run)
-            _, hs, zs = nc.stacked_forward(layers, relu, X, buffers)
+            run = nc.StackedPass.prepare(layers, relu, X, new_grads(layers))
             wide = (2, 5, 4) if per_run else (5, 8)
-            assert [z.shape for z in zs] == [h.shape for h in hs[1:]] == [(2, 5, 3), wide]
-            for b, z, h in zip(buffers, zs, hs[1:]):
-                assert z.flags.c_contiguous and h is z
-                assert z.ctypes.data == b.ctypes.data
-                assert np.isnan(b[z.size :]).all()
-            activations = [h.copy() for h in hs[1:]]
-            nc.stacked_backprop(layers, relu, hs, zs, u)
-            # each delta went over its activation, at the buffer's start
-            for b, h, before in zip(buffers, hs[1:], activations):
-                assert h.ctypes.data == b.ctypes.data
+            assert [z.shape for z in run.zs] == [h.shape for h in run.hs[1:]] == [(2, 5, 3), wide]
+            assert all(h is z and z.flags.c_contiguous for h, z in zip(run.hs[1:], run.zs))
+            assert (run.wide is None) == per_run
+            run.forward()
+            activations = [h.copy() for h in run.hs[1:]]
+            run.set_upstream(u)
+            run.backprop()
+            # each delta went over its activation
+            for h, before in zip(run.hs[1:], activations):
                 assert np.isfinite(h).all() and not same_bits(h, before)
-                assert np.isnan(b[h.size :]).all()
 
+    def test_set_upstream_expands_it(self):
+        """A side-by-side last hidden layer reads ``wide[i, s, j] ==
+        upstream[s, i]``; an ``(n,)`` upstream is every run's."""
+        u = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, -6.0]])
+        layers, X, _ = stacked_case(np.random.default_rng(4), 3, (4,), 2, 1, per_run=False)
+        run = nc.StackedPass.prepare(layers, STACKED_ACTS["relu"], X, new_grads(layers))
+        for upstream in (u, u[1]):
+            run.set_upstream(upstream)
+            every = np.broadcast_to(upstream, u.shape)
+            assert same_bits(run.upstream, every)
+            np.testing.assert_array_equal(run.wide, np.repeat(every.T[:, :, None], 4, axis=2))
 
-@pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
-@pytest.mark.parametrize("buffered", [False, True], ids=["new-arrays", "buffers"])
-def test_gradients_written_into_out(per_run, buffered):
-    """Gradients written through ``out`` into views of one flat block, at an
-    odd offset and filled with NaN, have the bits of new arrays.  Four runs
-    of four first-layer units make the shared first layer one GEMM."""
-    rng = np.random.default_rng(11)
-    widths = (4, 6)
-    layers, X, u = stacked_case(rng, 4, widths, 7, 2, per_run)
-    act = STACKED_ACTS["relu"]
-    buffers = nc.stacked_buffers(4, 7, widths) if buffered else None
-    _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-    ref = nc.stacked_backprop(layers, act, hs, zs, u)
-    block = np.full(1 + sum(w.size for w in layers), np.nan)
-    ends = np.cumsum([1] + [w.size for w in layers])
-    out = [block[lo:hi].reshape(w.shape) for lo, hi, w in zip(ends, ends[1:], layers)]
-    _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-    grads = nc.stacked_backprop(layers, act, hs, zs, u, out=out)
-    assert all(np.shares_memory(g, o) for g, o in zip(grads, out))
-    assert all(same_bits(o, r) for o, r in zip(out, ref))
-    assert np.isnan(block[0])
-
-
-def assert_shared_equals_repeated(act, runs, widths, n, d, seed, buffered):
-    """Shared inputs give the bytes of the same inputs repeated per run, in
-    the outputs, the gradients from a plain and an expanded upstream, and
-    the activations and preactivations compared through their per-run view."""
-    rng = np.random.default_rng(seed)
-    layers, X, _ = stacked_case(rng, runs, widths, n, d, per_run=False)
-    u = rng.choice([-1.0, 1.0], size=(runs, n))
-    per_run = np.broadcast_to(X, (runs, n, d + 1))
-    ref_out, ref_hs, ref_zs = nc.stacked_forward(layers, act, per_run)
-    # buffers sized for more runs than there are, filled with NaN
-    buffers = nc.stacked_buffers(runs + 3, n, widths) if buffered else None
-    for b in buffers or []:
-        b.fill(np.nan)
-    out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-    assert same_bits(out, ref_out)
-    for mine, ref in zip(hs[1:] + zs, ref_hs[1:] + ref_zs):
-        assert mine.flags.c_contiguous
-        assert same_bits(nc._per_run(mine, runs), ref)
-    ref_grads = nc.stacked_backprop(layers, act, ref_hs, ref_zs, u)
-    for upstream in (u, nc.expand_upstream(u, runs, widths[-1])):
-        _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
-        grads = nc.stacked_backprop(layers, act, hs, zs, upstream)
-        assert all(same_bits(a, b) for a, b in zip(grads, ref_grads))
-
-
-class TestSharedInputs:
-    """Shared ``(n, d+1)`` inputs lay the runs side by side; the same inputs
-    repeated per run keep one product per run.  Both give the same bytes."""
+    @pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
+    @pytest.mark.parametrize(
+        "widths", [(4, 6), (3, 6)], ids=["one-gemm-first-layer", "per-run-first-layer"]
+    )
+    def test_gradients_written_into_grads(self, per_run, widths):
+        """Gradients written into a caller's views of one flat block, at an
+        odd offset and filled with NaN, have the bits of new arrays.  Four
+        shared runs of four first-layer units make the first layer one
+        GEMM."""
+        rng = np.random.default_rng(11)
+        layers, X, u = stacked_case(rng, 4, widths, 7, 2, per_run)
+        act = STACKED_ACTS["relu"]
+        ref = one_shot(layers, act, X, u)[2]
+        block = np.full(1 + sum(w.size for w in layers), np.nan)
+        ends = np.cumsum([1] + [w.size for w in layers])
+        grads = [block[lo:hi].reshape(w.shape) for lo, hi, w in zip(ends, ends[1:], layers)]
+        run = nc.StackedPass.prepare(layers, act, X, grads)
+        run.forward()
+        run.set_upstream(u)
+        assert run.backprop() is grads
+        assert all(same_bits(g, r) for g, r in zip(grads, ref))
+        assert np.isnan(block[0])
 
     @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
     @pytest.mark.parametrize(
@@ -542,10 +570,13 @@ class TestSharedInputs:
         ids=lambda w: "widths-" + "-".join(map(str, w)),
     )
     @pytest.mark.parametrize("n, d", [(7, 2), (16, 0), (1, 2), (9, 3)], ids=lambda v: str(v))
-    @pytest.mark.parametrize("buffered", [False, True], ids=["new-arrays", "buffers"])
-    def test_shared_equals_repeated_per_run(self, kind, widths, n, d, buffered):
+    @pytest.mark.parametrize("prepared", [False, True], ids=["one-shot", "prepared"])
+    def test_shared_equals_repeated_per_run(self, kind, widths, n, d, prepared):
+        """Shared ``(n, d+1)`` inputs lay the runs side by side; the same
+        inputs repeated per run keep one product per run.  Both give the
+        same bytes."""
         seed = len(widths) + 7 * n + d
-        assert_shared_equals_repeated(STACKED_ACTS[kind], 5, widths, n, d, seed, buffered)
+        assert_shared_equals_repeated(STACKED_ACTS[kind], 5, widths, n, d, seed, prepared)
 
     @pytest.mark.parametrize(
         "runs, widths, n, d",
@@ -559,46 +590,39 @@ class TestSharedInputs:
         assert_shared_equals_repeated(STACKED_ACTS["relu"], runs, widths, n, d, runs, True)
 
     def test_shared_upstream_vector(self):
-        """An ``(n,)`` upstream, plain or expanded, is every run's."""
+        """An ``(n,)`` upstream is every run's, in one-shot and prepared
+        passes."""
         rng = np.random.default_rng(4)
         layers, X, u = stacked_case(rng, 3, (4, 5), 6, 2, per_run=False)
         relu = STACKED_ACTS["relu"]
-        ref = stacked_grads(layers, relu, X, np.tile(u, (3, 1)))
-        for upstream in (u, nc.expand_upstream(u, 3, 5)):
-            grads = stacked_grads(layers, relu, X, upstream)
-            assert all(same_bits(a, b) for a, b in zip(grads, ref))
-
-    def test_expanded_upstream_layout(self):
-        u = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, -6.0]])
-        buf = np.full(20, np.nan)
-        e = nc.expand_upstream(u, 3, 2, out=buf)
-        assert same_bits(e.values, u)
-        np.testing.assert_array_equal(
-            e.wide, [[1.0, 1.0, 3.0, 3.0, 5.0, 5.0], [-2.0, -2.0, -4.0, -4.0, -6.0, -6.0]]
-        )
-        assert np.shares_memory(e.wide, buf) and np.isnan(buf[12:]).all()
+        ref = one_shot(layers, relu, X, np.tile(u, (3, 1)))
+        run = nc.StackedPass.prepare(layers, relu, X, new_grads(layers))
+        for got in (one_shot(layers, relu, X, u), run_prepared(run, u)):
+            assert_same(got, ref)
 
 
 @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
 @pytest.mark.parametrize("per_run", [False, True], ids=["shared-inputs", "per-run-inputs"])
-@pytest.mark.parametrize("buffered", [False, True], ids=["new-arrays", "buffers"])
-def test_backprop_never_writes_the_inputs(kind, per_run, buffered):
+@pytest.mark.parametrize("prepared", [False, True], ids=["one-shot", "prepared"])
+def test_backprop_never_writes_the_inputs(kind, per_run, prepared):
     """The deltas go over ``hs[1:]``, never over ``hs[0]``: read-only inputs,
     as a caller's own array may be, keep their bytes.  Widths of 4 and 2
     over four runs make the shared first layer one GEMM and the second
     layer per-run."""
     act = STACKED_ACTS[kind]
     rng = np.random.default_rng(5)
-    widths = (4, 2)
-    layers, X, u = stacked_case(rng, 4, widths, 6, 2, per_run)
+    layers, X, u = stacked_case(rng, 4, (4, 2), 6, 2, per_run)
     before = X.copy()
     X.flags.writeable = False
-    buffers = nc.stacked_buffers(4, 6, widths) if buffered else None
-    upstreams = [u] if per_run else [u, nc.expand_upstream(u, 4, widths[-1])]
-    for upstream in upstreams:
-        _, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+    run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
+    for _ in range(2):
+        if prepared:
+            run_prepared(run, u)
+            hs = run.hs
+        else:
+            _, hs, zs = nc.stacked_forward(layers, act, X)
+            nc.stacked_backprop(layers, act, hs, zs, u)
         assert hs[0] is X
-        nc.stacked_backprop(layers, act, hs, zs, upstream)
         assert same_bits(X, before)
 
 
@@ -642,9 +666,6 @@ def reference_backprop(layers, act, hs, zs, upstream):
         else:
             delta *= act.derivative(z)
 
-    wide = None
-    if isinstance(upstream, nc.ExpandedUpstream):
-        upstream, wide = upstream
     x, depth = hs[0], len(layers)
     grads = [None] * depth
     if x.ndim == 3:
@@ -661,7 +682,7 @@ def reference_backprop(layers, act, hs, zs, upstream):
     delta = np.empty(zs[-1].shape)
     if delta.ndim == 2:
         m = layers[-1].shape[-1]
-        top = upstream.T.reshape(n, -1, 1) if wide is None else wide.reshape(n, runs, m)
+        top = upstream.T.reshape(n, -1, 1)
         np.multiply(top, layers[-1].reshape(runs, m), out=delta.reshape(n, runs, m))
     else:
         np.multiply(upstream[..., :, None], layers[-1], out=delta)
@@ -682,23 +703,37 @@ def reference_backprop(layers, act, hs, zs, upstream):
 @st.composite
 def stacked_problems(draw):
     """Depth 2 to 4, widths 1 to 9, 1 to 6 runs over 1 to 9 inputs of 1 to 4
-    coordinates, shared or per run, every activation, buffers or not, and
-    an upstream per run, shared, or expanded."""
+    coordinates, shared or per run, every activation, and an upstream per
+    run or shared."""
     widths = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
     runs, n, d = draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(0, 3))
     per_run = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layers, X, u = stacked_case(rng, runs, widths, n, d, per_run)
-    upstream = draw(st.sampled_from(["per-run", "shared", "expanded"]))
-    if upstream == "shared":
+    if draw(st.booleans()):
         u = u if u.ndim == 1 else u[0]
-    elif upstream == "expanded" and not per_run:
-        u = nc.expand_upstream(rng.choice([-1.0, 1.0], size=(runs, n)), runs, widths[-1])
     elif u.ndim == 1:
         u = np.tile(u, (runs, 1))
     act = draw(st.sampled_from(sorted(STACKED_ACTS)))
-    buffers = nc.stacked_buffers(runs, n, widths) if draw(st.booleans()) else None
-    return layers, STACKED_ACTS[act], X, u, buffers
+    return layers, STACKED_ACTS[act], X, u
+
+
+@st.composite
+def stepped_shared_problems(draw):
+    """Stacked layers over shared inputs, shaped as in
+    :func:`stacked_problems`, in one layer-major block, with every
+    activation and 1 to 4 steps' upstreams: the same for every step, as the
+    ascent's signs, or some new."""
+    widths = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    runs, n, d = draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers, X, u = stacked_case(rng, runs, widths, n, d, per_run=False)
+    upstreams = [np.tile(u, (runs, 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        fresh = draw(st.booleans())
+        upstreams.append(rng.choice([-1.0, 1.0], size=(runs, n)) if fresh else upstreams[-1])
+    act = draw(st.sampled_from(sorted(STACKED_ACTS)))
+    return layer_major(layers), STACKED_ACTS[act], X, upstreams
 
 
 class TestOneWorkingArrayPerLayer:
@@ -706,15 +741,39 @@ class TestOneWorkingArrayPerLayer:
     @given(stacked_problems())
     def test_same_bits_as_three_arrays_per_layer(self, problem):
         """Outputs and gradients byte for byte, and the inputs untouched."""
-        layers, act, X, u, buffers = problem
+        layers, act, X, u = problem
         X0 = X.copy()
         ref_out, ref_hs, ref_zs = reference_forward(layers, act, X)
         ref_grads = reference_backprop(layers, act, ref_hs, ref_zs, u)
-        out, hs, zs = nc.stacked_forward(layers, act, X, buffers)
+        out, hs, zs = nc.stacked_forward(layers, act, X)
         grads = nc.stacked_backprop(layers, act, hs, zs, u)
         assert same_bits(out, ref_out)
         assert all(same_bits(a, b) for a, b in zip(grads, ref_grads, strict=True))
         assert same_bits(X, X0)
+
+
+class TestSteppedPass:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(stepped_shared_problems())
+    def test_equals_fresh_one_shot_passes(self, problem):
+        """A prepared shared-input pass, stepped with its layers updated in
+        place and its upstream set only when it changes, has at every step
+        the bits of fresh one-shot passes and of the reference with three
+        arrays per hidden layer."""
+        layers, act, X, upstreams = problem
+        grads = new_grads(layers)
+        run = nc.StackedPass.prepare(layers, act, X, grads)
+        last = None
+        for u in upstreams:
+            got = run_prepared(run, None if u is last else u)
+            last = u
+            assert_same(got, one_shot(layers, act, X, u))
+            ref_out, ref_hs, ref_zs = reference_forward(layers, act, X)
+            assert same_bits(got[0], ref_out)
+            ref_grads = reference_backprop(layers, act, ref_hs, ref_zs, u)
+            assert all(same_bits(a, b) for a, b in zip(got[2], ref_grads, strict=True))
+            for w, g in zip(layers, grads):
+                w -= 0.25 * g
 
 
 class TestAbsorbBias:

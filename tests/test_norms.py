@@ -411,6 +411,28 @@ class TestPenaltyStackedWork:
         middle = layers[1].nbytes
         assert peaks[1] < middle // 2 and peaks[0] >= 2 * middle
 
+    @pytest.mark.parametrize(
+        "penalty",
+        [norms.Penalty("pesv"), norms.Penalty("weight_decay"), norms.Penalty("mixed_max", 1.0, 3.0)],
+        ids=["pesv", "weight_decay", "mixed_max"],
+    )
+    def test_one_shot_pass_runs_the_chain_once(self, monkeypatch, penalty):
+        """Preparing a pass allocates the path-norm chain's arrays without
+        computing it, so a one-shot value computes the chain once."""
+        runs = []
+        real = norms._PathChain.__call__
+
+        def counting(chain):
+            runs.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(norms._PathChain, "__call__", counting)
+        params = random_net(np.random.default_rng(1), (3, 4), 2)
+        value = penalty.value(params)
+        assert len(runs) == 1
+        monkeypatch.undo()
+        assert value == penalty.value(params)
+
 
 @st.composite
 def row_sum_inputs(draw):

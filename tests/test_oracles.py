@@ -235,13 +235,13 @@ class TestRademacherMC:
         X = self.inputs(16)
         before = X.copy()
         seen = []
-        real = oracles.stacked_backprop
 
-        def recording(layers, act, hs, zs, upstream):
-            seen.append(hs[0] is X)
-            return real(layers, act, hs, zs, upstream)
+        class Recording(nc.StackedPass):
+            def backprop(self):
+                seen.append(self.hs[0] is X)
+                return super().backprop()
 
-        monkeypatch.setattr(oracles, "stacked_backprop", recording)
+        monkeypatch.setattr(oracles, "StackedPass", Recording)
         kw = dict(trials=3, n_starts=4, inner_steps=5, seed=1)
         r = oracles.rademacher_mc(widths, 1.0, X, **kw)
         assert seen and all(seen)
@@ -338,21 +338,22 @@ class TestRademacherMC:
     def test_blocks_stay_within_block_limit(self, monkeypatch, widths, n, kw, blocks):
         """Each stacked pass holds at most 2^16 values in any hidden layer
         unless one trial's starts hold more, a block runs one ascent of
-        ``inner_steps + 1`` passes, and every pass writes into one set of
-        buffers."""
-        hidden, addresses = [], set()
-        real = oracles.stacked_forward
+        ``inner_steps + 1`` passes, and every pass of a block size writes
+        into the one set of working arrays prepared for it."""
+        hidden, addresses, sizes = [], set(), set()
 
-        def recording(layers, act, X, buffers=None):
-            hidden.append(max(len(w) * len(X) * w.shape[1] for w in layers[:-1]))
-            addresses.add(buffers[0].__array_interface__["data"][0])
-            return real(layers, act, X, buffers)
+        class Recording(nc.StackedPass):
+            def forward(self):
+                hidden.append(max(z.size for z in self.zs))
+                addresses.add(tuple(z.ctypes.data for z in self.hs[1:] + self.zs))
+                sizes.add(len(self.out))
+                return super().forward()
 
-        monkeypatch.setattr(oracles, "stacked_forward", recording)
+        monkeypatch.setattr(oracles, "StackedPass", Recording)
         oracles.rademacher_mc(widths, 1.0, self.inputs(n), **kw)
         assert len(hidden) == blocks * (kw["inner_steps"] + 1)
         assert max(hidden) <= max(2**16, kw["n_starts"] * n * max(widths))
-        assert len(addresses) == 1
+        assert len(addresses) == len(sizes)
 
     def test_warm_call_takes_few_page_faults(self, warm_call_faults):
         """A warm call at the oracle_suite configuration, one block of 128
@@ -385,7 +386,7 @@ def rademacher_mc_one_trial_at_a_time(
     per_trial = np.empty(trials)
     for t in range(trials):
         rho = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        arrs = oracles.random_unit_norm_nets(rng, wv, dim, n_starts)
+        arrs, _ = oracles.random_unit_norm_nets(rng, wv, dim, n_starts)
         best = 0.0
         for it in range(inner_steps + 1):
             out, hs, zs = nc.stacked_forward(arrs, act, per_start)
@@ -598,12 +599,13 @@ def unit_norm_nets_one_by_one(rng, widths, in_size, count):
 class TestRandomUnitNormNets:
     def assert_same_draws(self, widths, in_size, count, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = oracles.random_unit_norm_nets(rng, widths, in_size, count)
+        got, nu = oracles.random_unit_norm_nets(rng, widths, in_size, count)
         ref = unit_norm_nets_one_by_one(ref_rng, widths, in_size, count)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert g.shape == r.shape and g.flags.c_contiguous
             np.testing.assert_array_equal(g, r, strict=True)
+        assert nu.tobytes() == norms.pesv_stacked(got).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         return got
 
@@ -649,19 +651,19 @@ class ZeroedNormals:
 
 
 class TestUnitNormNet:
-    """The audit's single-net draw gives the net, and the generator state, of
-    ``random_unit_norm_nets(rng, widths, in_size, 1)``, with its path norm
-    taken from the chain that normalized it."""
+    """The audit's single-net draw, ``random_unit_norm_nets(rng, widths,
+    in_size, 1)``, gives the net and the generator state of one net drawn
+    alone, with its path norm taken from the chain that normalized it."""
 
     def assert_one_net_of_the_block(self, rng, ref_rng, widths, in_size):
-        layers, nu = oracles._unit_norm_net(rng, widths, in_size)
-        ref = oracles.random_unit_norm_nets(ref_rng, widths, in_size, 1)
+        layers, nu = oracles.random_unit_norm_nets(rng, widths, in_size, 1)
+        ref = unit_norm_nets_one_by_one(ref_rng, widths, in_size, 1)
         assert len(layers) == len(ref)
         for w, r in zip(layers, ref):
-            assert w.shape == r.shape[1:] and w.flags.c_contiguous
+            assert w.shape == r.shape and w.flags.c_contiguous
             assert w.tobytes() == r.tobytes()
-        assert np.float64(nu).tobytes() == norms.pesv_stacked(ref).tobytes()
-        return layers
+        assert nu.tobytes() == norms.pesv_stacked(ref).tobytes()
+        return [w[0] for w in layers]
 
     @pytest.mark.parametrize(
         "widths, in_size", [((1,), 2), ((8,), 3), ((3, 5), 4), ((4, 2, 3), 2), ((8, 8, 8), 4)]
@@ -727,8 +729,8 @@ class TestPointwise:
         acts = [RELU, ActivationSpec.leaky_relu(0.1), ActivationSpec.leaky_relu(2.5)]
         nets = []
         for i, widths in enumerate([(3,), (1, 4), (8, 2, 5), (2,), (6, 6)]):
-            layers, nu = oracles._unit_norm_net(rng, widths, d + 1)
-            nets.append((layers, acts[i % 3], nu, 100 + i))
+            layers, nu = oracles.random_unit_norm_nets(rng, widths, d + 1, 1)
+            nets.append(([w[0] for w in layers], acts[i % 3], float(nu[0]), 100 + i))
         zero = [np.zeros_like(w) for w in nets[0][0]]
         nets.insert(2, (zero, RELU, 0.0, 7))
         ratios = [self.ratio_one_net(*net[:3], 40, net[3]) for net in nets]
@@ -758,7 +760,7 @@ class TestPointwise:
             widths = tuple(int(rng.integers(1, 9)) for _ in range(L - 1))
             rng.integers(2)  # the activation
             calls.append((widths, d + 1, rng.bit_generator.state))
-            oracles._unit_norm_net(rng, widths, d + 1)
+            oracles.random_unit_norm_nets(rng, widths, d + 1, 1)
             rng.integers(2**31)  # the probes' seed
         return calls, rng.bit_generator.state
 
@@ -769,15 +771,15 @@ class TestPointwise:
         keep both, and the widths Python ints."""
         want_calls, want_state = self.scalar_audit_draws(300, seed)
         calls, rngs = [], []
-        real = oracles._unit_norm_net
+        real = oracles.random_unit_norm_nets
 
-        def recording(rng, widths, in_size):
-            assert all(type(w) is int for w in widths)
+        def recording(rng, widths, in_size, count):
+            assert all(type(w) is int for w in widths) and count == 1
             calls.append((widths, in_size, rng.bit_generator.state))
             rngs.append(rng)
-            return real(rng, widths, in_size)
+            return real(rng, widths, in_size, count)
 
-        monkeypatch.setattr(oracles, "_unit_norm_net", recording)
+        monkeypatch.setattr(oracles, "random_unit_norm_nets", recording)
         oracles.pointwise_audit(n_nets=300, probes=1, seed=seed)
         assert calls == want_calls
         assert rngs[-1].bit_generator.state == want_state
