@@ -416,7 +416,7 @@ def train_many(
     # Every working array and view of a step, taken once: the calls from the
     # layers to the objectives, and from the objectives' derivatives to the
     # penalized gradients.
-    net = StackedPass.prepare(arrs, act, x, grads)
+    net = StackedPass(arrs, act, x, grads)
     penalty = norms.PenaltyPass(arrs, groups, pens, (abss, outers))
     preds, upstream, nu, value = net.out, net.upstream, penalty.nu, penalty.value
     loss_kind = _LOSSES[loss.kind]

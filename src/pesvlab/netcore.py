@@ -34,8 +34,6 @@ __all__ = [
     "normalize_activation",
     "parse_spec",
     "save_network",
-    "stacked_backprop",
-    "stacked_forward",
 ]
 
 # Candidate probe points for constant-carrier units; the first one with a
@@ -464,12 +462,14 @@ class StackedPass:
     of calls whose arrays and views are taken once.
 
     ``layers`` are ``(S, rows, cols)`` arrays, read at every pass, so a
-    caller that updates them in place steps through one pass.  ``hs[0]``
-    are the inputs, never written: ``(S, n, d+1)``, one set per run, or
-    ``(n, d+1)``, shared by every run.  ``hs[k + 1]`` and ``zs[k]`` are
-    hidden layer ``k``'s activation and preactivation, one array for relu
-    and identity, which apply in place.  ``forward_calls`` write them and
-    the ``(S, n)`` outputs ``out``.
+    caller that updates them in place steps through one pass.  ``inputs``
+    are ``(S, n, d+1)``, one set per run, or ``(n, d+1)``, shared by every
+    run, and are never written; they are ``hs[0]``.  The pass allocates its
+    hidden arrays once, in the layout the inputs' shape gives: ``hs[k + 1]``
+    and ``zs[k]`` are hidden layer ``k``'s activation and preactivation,
+    one array for relu and identity, which apply in place, and two for
+    leaky relu and tabulated.  ``forward_calls`` write them and the
+    ``(S, n)`` outputs ``out``.
 
     Per-run inputs take one ``matmul`` slice per run, over ``(S, n, m)``
     hidden arrays.  Shared inputs lay the runs of a hidden layer of width 4
@@ -492,9 +492,15 @@ class StackedPass:
     once or once per step, so every result has the same bits.
     """
 
-    def __init__(self, layers, act: ActivationSpec, hs, zs, grads=None):
-        x = hs[0]
+    def __init__(self, layers, act: ActivationSpec, inputs, grads=None):
+        x = inputs
         runs, n = len(layers[0]), x.shape[-2]
+        zs = []
+        for w in layers[:-1]:
+            m = w.shape[1]
+            side_by_side = x.ndim == 2 and m >= _SIDE_BY_SIDE_WIDTH
+            zs.append(np.empty((n, runs * m) if side_by_side else (runs, n, m)))
+        hs = [x, *(z if act.kind in _IN_PLACE else np.empty(z.shape) for z in zs)]
         self.hs, self.zs, self.grads = hs, zs, grads
         self.out3 = np.empty((runs, n, 1))
         self.out = self.out3[..., 0]
@@ -545,21 +551,6 @@ class StackedPass:
                 ]
         self.backprop_calls = calls
 
-    @classmethod
-    def prepare(cls, layers, act: ActivationSpec, inputs, grads=None) -> "StackedPass":
-        """A pass over ``inputs``, per-run or shared, with hidden arrays of
-        its own in the layout the inputs' shape gives; leaky relu and
-        tabulated activations take arrays apart from their
-        preactivations."""
-        runs, n = len(layers[0]), inputs.shape[-2]
-        zs = []
-        for w in layers[:-1]:
-            m = w.shape[1]
-            side_by_side = inputs.ndim == 2 and m >= _SIDE_BY_SIDE_WIDTH
-            zs.append(np.empty((n, runs * m) if side_by_side else (runs, n, m)))
-        hs = [inputs, *(z if act.kind in _IN_PLACE else np.empty(z.shape) for z in zs)]
-        return cls(layers, act, hs, zs, grads)
-
     def set_upstream(self, upstream) -> None:
         """Write ``upstream``, ``(S, n)`` or ``(n,)`` for every run, for the
         backward calls that follow, with its expansion where they read one."""
@@ -578,40 +569,6 @@ class StackedPass:
         for call in self.backprop_calls:
             call()
         return self.grads
-
-
-def stacked_forward(
-    layers, act: ActivationSpec, inputs
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Evaluate ``S`` networks stacked on a leading run axis: one forward
-    pass of a new :class:`StackedPass` over ``inputs``, ``(n, d+1)`` shared
-    by every run or ``(S, n, d+1)`` one set per run.
-
-    Returns the ``(S, n)`` outputs together with the input of every layer
-    and the preactivation of every hidden layer, the pass's ``hs`` and
-    ``zs``, which :func:`stacked_backprop` takes.  Each run's numbers equal
-    those of the same network evaluated alone.
-    """
-    run = StackedPass.prepare(layers, act, inputs)
-    return run.forward(), run.hs, run.zs
-
-
-def stacked_backprop(layers, act: ActivationSpec, hs, zs, upstream) -> list[np.ndarray]:
-    """Gradient of ``sum_i upstream_i * f_s(x_i)`` for each stacked network
-    ``s``, from the layer inputs ``hs`` and preactivations ``zs`` of
-    :func:`stacked_forward`: one backward pass of a new :class:`StackedPass`
-    over them.
-
-    ``upstream`` is ``(n,)``, shared by every run, or ``(S, n)``.  Returns
-    new ``(S, rows, cols)`` arrays shaped like ``layers``.  Requires an
-    activation with an almost-everywhere derivative.  The pass consumes
-    ``hs[1:]`` (and relu's and identity's ``zs``): run
-    :func:`stacked_forward` again before another backprop.  The inputs
-    ``hs[0]`` are never written.
-    """
-    run = StackedPass(layers, act, hs, zs, [np.empty(w.shape) for w in layers])
-    run.set_upstream(upstream)
-    return run.backprop()
 
 
 # ---------------------------------------------------------------------------

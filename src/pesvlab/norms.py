@@ -18,7 +18,6 @@ __all__ = [
     "Penalty",
     "PenaltyGroup",
     "PenaltyPass",
-    "penalty_stacked",
     "pesv_matrixproduct_variant",
     "pesv_norm",
     "pesv_stacked",
@@ -349,7 +348,9 @@ class Penalty:
     def value(self, params) -> float:
         """The penalty of one network."""
         group = PenaltyGroup(slice(0, 1), self, grad=False)
-        return float(penalty_stacked(_stack_one(params), [group], None)[1][0])
+        penalty = PenaltyPass(_stack_one(params), [group], None)
+        _run(penalty.calls[1:])  # building the pass computed the path norm
+        return float(penalty.value[0])
 
 
 class PenaltyGroup(NamedTuple):
@@ -406,16 +407,6 @@ class PenaltyPass:
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
         _run(self.calls)
         return self.nu, self.value
-
-
-def penalty_stacked(layers, groups, out, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """The path norm and the penalty of each of ``S`` stacked networks, with
-    the subgradients of the groups with ``grad`` written into ``out``: one
-    pass of a new :class:`PenaltyPass`, whose building computed the path
-    norms, so only the calls after the chain run."""
-    penalty = PenaltyPass(layers, groups, out, work)
-    _run(penalty.calls[1:])
-    return penalty.nu, penalty.value
 
 
 def rescale_neuron(params: NetParams, layer: int, index: int, c: float) -> NetParams:

@@ -23,7 +23,6 @@ from .netcore import (
     as_layers,
     forward,
     layer_shapes,
-    stacked_forward,
 )
 
 __all__ = [
@@ -59,6 +58,16 @@ __all__ = [
 
 class InconsistencyError(RuntimeError):
     """An internal cross-check that can only fail on an implementation bug did."""
+
+
+def _require_zero_at_zero(act: ActivationSpec) -> None:
+    """Reject an activation with ``sigma(0) != 0``: the bounds the oracles
+    check against hold only for ``sigma(0) = 0``."""
+    if not act.normalized:
+        raise ValueError(
+            f"the bound needs sigma(0) = 0, got sigma(0) = {act.value_at_zero}; "
+            "rewrite the network with netcore.normalize_activation"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +303,21 @@ def random_unit_norm_nets(
     The nets come from one block of normals, drawn net by net in layer
     order.  A net whose path norm is not positive is drawn again, so the
     nets and the state left in ``rng`` equal those of drawing and
-    normalizing the nets one at a time.
+    normalizing the nets one at a time.  When every norm is positive, the
+    draw computes one path-norm chain.
     """
     shapes = layer_shapes(widths, in_size)
     layers = _normal_layers(rng, shapes, count)
-    nu = norms.pesv_stacked(layers)
-    while not np.minimum.reduce(nu, initial=math.inf) > 0.0:  # nan fails too
+    scaled = norms.pesv_unit_scaled(layers)
+    while scaled is None:
         # One net at a time, a rejected net is drawn again from the normals
         # that follow it, which are the next rows: keep the accepted rows in
         # order and draw as many more nets as were rejected.
-        good = nu > 0.0
+        good = norms.pesv_stacked(layers) > 0.0  # nan fails too
         more = _normal_layers(rng, shapes, count - np.count_nonzero(good))
         layers = [np.concatenate((w[good], new)) for w, new in zip(layers, more)]
-        nu = norms.pesv_stacked(layers)
-    layers, nu = norms.pesv_unit_scaled(layers)
+        scaled = norms.pesv_unit_scaled(layers)
+    layers, nu = scaled
     return [np.ascontiguousarray(w) for w in layers], nu
 
 
@@ -352,7 +362,7 @@ def _prepare_ascent(act: ActivationSpec, X: np.ndarray, shapes, runs: int):
         [part.reshape(runs, r, c) for part, (r, c) in zip(np.split(flat, ends[:-1]), shapes)]
         for flat in np.zeros((2, ends[-1]))
     )
-    net = StackedPass.prepare(layers, act, X, grads)
+    net = StackedPass(layers, act, X, grads)
     group = norms.PenaltyGroup(slice(0, runs), norms.Penalty("pesv"), grad=False)
     return layers, grads, net, norms.PenaltyPass(layers, [group], None)
 
@@ -391,6 +401,7 @@ def rademacher_mc(
     if not 0.0 <= F < math.inf:
         raise ValueError(f"need a finite radius F >= 0, got {F}")
     act = act or ActivationSpec.relu()
+    _require_zero_at_zero(act)
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise ValueError(f"inputs must be a non-empty 2-D array, got shape {X.shape}")
@@ -551,6 +562,7 @@ def covering_packing_lower_bound(
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     act = act or ActivationSpec.relu()
+    _require_zero_at_zero(act)
     wv = WidthVector.of(widths)
     L = len(wv) + 1
     lip = act.lipschitz ** (L - 1)
@@ -565,7 +577,7 @@ def covering_packing_lower_bound(
     chunk = max(1, 2**20 // (X.shape[0] * max(wv)))
     for lo in range(0, param_samples, chunk):
         part = [w[lo : lo + chunk] for w in layers]
-        vals[:, lo : lo + chunk] = stacked_forward(part, act, X)[0].T
+        vals[:, lo : lo + chunk] = StackedPass(part, act, X).forward().T
 
     count = _greedy_packing(vals, delta)
     entropy = theory.metric_entropy_bound(delta / 2.0, wv, d, act.lipschitz)
@@ -596,11 +608,12 @@ def pointwise_norm_check(
 ) -> PointwiseResult:
     """Max over random probes of ``|f(x)| / (L_sigma^(L-1) ||x|| nu)``.
 
-    The ratio never exceeds 1 for a normalized activation; probes are
-    uniform in the unit ball of the full input space.
+    The ratio never exceeds 1; an activation with ``sigma(0) != 0`` is
+    rejected.  Probes are uniform in the unit ball of the full input space.
     """
     if probe_count < 1:
         raise ValueError(f"need probe_count >= 1, got {probe_count}")
+    _require_zero_at_zero(act)
     layers = as_layers(params)
     if not all(np.isfinite(w).all() for w in layers):  # a nan norm skips every probe
         raise ValueError("params must have finite weights")

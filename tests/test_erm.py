@@ -341,12 +341,12 @@ def backprop_2d(layers, act, x, upstream):
 
 
 def penalty_subgradient(reg, layers):
-    """The penalty subgradient of one network, from a one-run
-    ``norms.penalty_stacked`` call."""
+    """The penalty subgradient of one network, from a fresh one-run
+    ``norms.PenaltyPass``."""
     stacked = [w[None] for w in layers]
     out = [np.empty_like(w) for w in stacked]
     group = norms.PenaltyGroup(slice(0, 1), reg)
-    norms.penalty_stacked(stacked, [group], out)
+    norms.PenaltyPass(stacked, [group], out)()
     return [g[0] for g in out]
 
 

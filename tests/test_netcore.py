@@ -188,9 +188,8 @@ STACKED_ACTS = {
 
 def stacked_grads(layers, act, x, u):
     """Gradients of ``sum_i u_i f(x_i)`` for stacked networks evaluated on
-    ``x`` by :func:`nc.stacked_forward` and :func:`nc.stacked_backprop`."""
-    _, hs, zs = nc.stacked_forward(layers, act, x)
-    return nc.stacked_backprop(layers, act, hs, zs, u)
+    ``x`` by a fresh :class:`nc.StackedPass`."""
+    return one_shot(layers, act, x, u)[2]
 
 
 class TestBackprop:
@@ -418,11 +417,9 @@ def new_grads(layers):
 
 
 def one_shot(layers, act, X, u):
-    """The outputs, the hidden arrays as the forward pass leaves them
-    (copied) and the gradients of fresh one-shot passes."""
-    out, hs, zs = nc.stacked_forward(layers, act, X)
-    arrays = [a.copy() for a in hs[1:] + zs]
-    return out, arrays, nc.stacked_backprop(layers, act, hs, zs, u)
+    """The outputs, the hidden arrays as the forward pass leaves them and
+    the gradients of a fresh pass used once, copied."""
+    return run_prepared(nc.StackedPass(layers, act, X, new_grads(layers)), u)
 
 
 def run_prepared(run, u=None):
@@ -446,14 +443,14 @@ def assert_same(got, ref):
 def assert_shared_equals_repeated(act, runs, widths, n, d, seed, prepared):
     """Shared inputs give the bytes of the same inputs repeated per run, in
     the outputs, the gradients, and the activations and preactivations
-    compared through their per-run view: from one-shot passes, or from one
+    compared through their per-run view: from fresh passes, or from one
     prepared pass run twice."""
     rng = np.random.default_rng(seed)
     layers, X, _ = stacked_case(rng, runs, widths, n, d, per_run=False)
     u = rng.choice([-1.0, 1.0], size=(runs, n))
     ref_out, ref_arrays, ref_grads = one_shot(layers, act, np.broadcast_to(X, (runs, n, d + 1)), u)
     if prepared:
-        run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
+        run = nc.StackedPass(layers, act, X, new_grads(layers))
         results = [run_prepared(run, u), run_prepared(run)]
     else:
         results = [one_shot(layers, act, X, u)]
@@ -466,7 +463,7 @@ def assert_shared_equals_repeated(act, runs, widths, n, d, seed, prepared):
 
 class TestStackedPass:
     """One prepared pass serves per-run and shared inputs, with the bits of
-    the one-shot functions, whose passes are its own."""
+    fresh passes used once."""
 
     @pytest.mark.parametrize("kind", sorted(STACKED_ACTS))
     @pytest.mark.parametrize(
@@ -482,7 +479,7 @@ class TestStackedPass:
         act = STACKED_ACTS[kind]
         rng = np.random.default_rng(len(widths) + 10 * per_run)
         layers, X, u = stacked_case(rng, 4, widths, 7, 2, per_run)
-        run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
+        run = nc.StackedPass(layers, act, X, new_grads(layers))
         in_place = kind in ("relu", "identity")
         assert all((h is z) == in_place for h, z in zip(run.hs[1:], run.zs))
         assert_same(run_prepared(run, u), one_shot(layers, act, X, u))
@@ -495,7 +492,7 @@ class TestStackedPass:
         rng = np.random.default_rng(3)
         layers, X, _ = stacked_case(rng, 5, (4, 6), 7, 2, per_run=False)
         layers = layer_major(layers)
-        run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
+        run = nc.StackedPass(layers, act, X, new_grads(layers))
         for a in run.hs[1:] + run.zs:
             a.fill(np.nan)
         for _ in range(3):
@@ -514,7 +511,7 @@ class TestStackedPass:
         relu = STACKED_ACTS["relu"]
         for per_run in (False, True):
             layers, X, u = stacked_case(rng, 2, (3, 4), 5, 2, per_run)
-            run = nc.StackedPass.prepare(layers, relu, X, new_grads(layers))
+            run = nc.StackedPass(layers, relu, X, new_grads(layers))
             wide = (2, 5, 4) if per_run else (5, 8)
             assert [z.shape for z in run.zs] == [h.shape for h in run.hs[1:]] == [(2, 5, 3), wide]
             assert all(h is z and z.flags.c_contiguous for h, z in zip(run.hs[1:], run.zs))
@@ -532,7 +529,7 @@ class TestStackedPass:
         upstream[s, i]``; an ``(n,)`` upstream is every run's."""
         u = np.array([[1.0, -2.0], [3.0, -4.0], [5.0, -6.0]])
         layers, X, _ = stacked_case(np.random.default_rng(4), 3, (4,), 2, 1, per_run=False)
-        run = nc.StackedPass.prepare(layers, STACKED_ACTS["relu"], X, new_grads(layers))
+        run = nc.StackedPass(layers, STACKED_ACTS["relu"], X, new_grads(layers))
         for upstream in (u, u[1]):
             run.set_upstream(upstream)
             every = np.broadcast_to(upstream, u.shape)
@@ -555,7 +552,7 @@ class TestStackedPass:
         block = np.full(1 + sum(w.size for w in layers), np.nan)
         ends = np.cumsum([1] + [w.size for w in layers])
         grads = [block[lo:hi].reshape(w.shape) for lo, hi, w in zip(ends, ends[1:], layers)]
-        run = nc.StackedPass.prepare(layers, act, X, grads)
+        run = nc.StackedPass(layers, act, X, grads)
         run.forward()
         run.set_upstream(u)
         assert run.backprop() is grads
@@ -590,13 +587,13 @@ class TestStackedPass:
         assert_shared_equals_repeated(STACKED_ACTS["relu"], runs, widths, n, d, runs, True)
 
     def test_shared_upstream_vector(self):
-        """An ``(n,)`` upstream is every run's, in one-shot and prepared
+        """An ``(n,)`` upstream is every run's, in fresh and reused
         passes."""
         rng = np.random.default_rng(4)
         layers, X, u = stacked_case(rng, 3, (4, 5), 6, 2, per_run=False)
         relu = STACKED_ACTS["relu"]
         ref = one_shot(layers, relu, X, np.tile(u, (3, 1)))
-        run = nc.StackedPass.prepare(layers, relu, X, new_grads(layers))
+        run = nc.StackedPass(layers, relu, X, new_grads(layers))
         for got in (one_shot(layers, relu, X, u), run_prepared(run, u)):
             assert_same(got, ref)
 
@@ -614,15 +611,12 @@ def test_backprop_never_writes_the_inputs(kind, per_run, prepared):
     layers, X, u = stacked_case(rng, 4, (4, 2), 6, 2, per_run)
     before = X.copy()
     X.flags.writeable = False
-    run = nc.StackedPass.prepare(layers, act, X, new_grads(layers))
+    run = nc.StackedPass(layers, act, X, new_grads(layers))
     for _ in range(2):
-        if prepared:
-            run_prepared(run, u)
-            hs = run.hs
-        else:
-            _, hs, zs = nc.stacked_forward(layers, act, X)
-            nc.stacked_backprop(layers, act, hs, zs, u)
-        assert hs[0] is X
+        if not prepared:
+            run = nc.StackedPass(layers, act, X, new_grads(layers))
+        run_prepared(run, u)
+        assert run.hs[0] is X
         assert same_bits(X, before)
 
 
@@ -635,7 +629,7 @@ def reference_forward(layers, act, inputs):
     """The stacked forward pass with a new preactivation and a new
     activation per hidden layer, which the backward pass then pairs with a
     new delta: three arrays per hidden layer, with the layouts and products
-    of :func:`nc.stacked_forward`."""
+    of :class:`nc.StackedPass`."""
     hs, zs = [inputs], []
     if inputs.ndim == 3:
         for w in layers[:-1]:
@@ -745,8 +739,7 @@ class TestOneWorkingArrayPerLayer:
         X0 = X.copy()
         ref_out, ref_hs, ref_zs = reference_forward(layers, act, X)
         ref_grads = reference_backprop(layers, act, ref_hs, ref_zs, u)
-        out, hs, zs = nc.stacked_forward(layers, act, X)
-        grads = nc.stacked_backprop(layers, act, hs, zs, u)
+        out, _, grads = one_shot(layers, act, X, u)
         assert same_bits(out, ref_out)
         assert all(same_bits(a, b) for a, b in zip(grads, ref_grads, strict=True))
         assert same_bits(X, X0)
@@ -758,11 +751,11 @@ class TestSteppedPass:
     def test_equals_fresh_one_shot_passes(self, problem):
         """A prepared shared-input pass, stepped with its layers updated in
         place and its upstream set only when it changes, has at every step
-        the bits of fresh one-shot passes and of the reference with three
+        the bits of fresh passes used once and of the reference with three
         arrays per hidden layer."""
         layers, act, X, upstreams = problem
         grads = new_grads(layers)
-        run = nc.StackedPass.prepare(layers, act, X, grads)
+        run = nc.StackedPass(layers, act, X, grads)
         last = None
         for u in upstreams:
             got = run_prepared(run, None if u is last else u)

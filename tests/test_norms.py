@@ -16,10 +16,10 @@ from test_netcore import random_net
 
 def penalty_alone(layers, kind, p=1.0, q=2.0):
     """Values and subgradients of ``(S, rows, cols)`` stacked networks under
-    one penalty: :func:`norms.penalty_stacked` with a single group."""
+    one penalty: a fresh :class:`norms.PenaltyPass` with a single group."""
     out = [np.empty_like(w) for w in layers]
     group = norms.PenaltyGroup(slice(0, len(layers[0])), norms.Penalty(kind, p, q))
-    return norms.penalty_stacked(layers, [group], out)[1], out
+    return norms.PenaltyPass(layers, [group], out)()[1], out
 
 
 def subgradient(params, kind, p=1.0, q=2.0):
@@ -336,8 +336,8 @@ class TestPenaltyStackedProperty:
         groups = data.draw(penalty_groups(len(layers[0])))
         out = [np.full_like(w, np.nan) for w in layers]
         work = tuple([np.full_like(w, np.nan) for w in layers] for _ in range(2))
-        norms.penalty_stacked([-7.0 * w[::-1] for w in layers], groups, out, work)
-        nu, value = norms.penalty_stacked(layers, groups, out, work)
+        norms.PenaltyPass([-7.0 * w[::-1] for w in layers], groups, out, work)()
+        nu, value = norms.PenaltyPass(layers, groups, out, work)()
         assert nu.tobytes() == norms.pesv_stacked(layers).tobytes()
         for runs, pen, grad in groups:
             ref_value, ref_grads = penalty_alone([w[runs] for w in layers], pen.kind, pen.p, pen.q)
@@ -404,7 +404,7 @@ class TestPenaltyStackedWork:
         for arrays in (None, work):
             tracemalloc.start()
             try:
-                norms.penalty_stacked(layers, group, out, arrays)
+                norms.PenaltyPass(layers, group, out, arrays)()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -15,6 +15,8 @@ from pesvlab.netcore import ActivationSpec, NetParams, UnsupportedActivationErro
 from pesvlab.oracles import InconsistencyError
 
 RELU = ActivationSpec.relu()
+# sigma(0) = 5: the oracles' bounds do not hold for it.
+OFFSET = ActivationSpec.tabulated([-1.0, 0.0, 1.0], [5.0, 5.0, 6.0])
 
 
 class TestLemma1:
@@ -286,6 +288,13 @@ class TestRademacherMC:
         with pytest.raises(ValueError, match=match):
             oracles.rademacher_mc((4,), **args)
 
+    def test_rejects_nonzero_activation_at_zero(self, monkeypatch):
+        """The bound holds for sigma(0) = 0 only; on such an activation the
+        estimate read 1.69 times it.  Rejected before the ascent."""
+        monkeypatch.setattr(oracles, "random_unit_norm_nets", None)
+        with pytest.raises(ValueError, match="normalize_activation"):
+            oracles.rademacher_mc((4,), 1.0, self.inputs(), trials=2, n_starts=2, act=OFFSET)
+
     @pytest.mark.parametrize(
         "widths, n, d, kw",
         [
@@ -389,11 +398,13 @@ def rademacher_mc_one_trial_at_a_time(
         arrs, _ = oracles.random_unit_norm_nets(rng, wv, dim, n_starts)
         best = 0.0
         for it in range(inner_steps + 1):
-            out, hs, zs = nc.stacked_forward(arrs, act, per_start)
+            run = nc.StackedPass(arrs, act, per_start, [np.empty(w.shape) for w in arrs])
+            out = run.forward()
             best = max(best, float(np.max(rho @ out[..., None])))
             if it == inner_steps:
                 break
-            grads = nc.stacked_backprop(arrs, act, hs, zs, rho)
+            run.set_upstream(rho)
+            grads = run.backprop()
             gnorm = np.sqrt(sum(np.sum(g * g, axis=(1, 2)) for g in grads))
             step = step_size / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):
@@ -470,6 +481,13 @@ class TestPacking:
         with pytest.raises(ValueError, match="param_samples"):
             oracles.covering_packing_lower_bound((2,), 0.5, d=1, param_samples=-1)
 
+    def test_rejects_nonzero_activation_at_zero(self, monkeypatch):
+        """The entropy bound holds for sigma(0) = 0 only.  Rejected before
+        any net is drawn."""
+        monkeypatch.setattr(oracles, "random_unit_norm_nets", None)
+        with pytest.raises(ValueError, match="normalize_activation"):
+            oracles.covering_packing_lower_bound((2,), 0.5, d=1, act=OFFSET)
+
     # The counts of the c08 grid, which ``verify entropy`` and the benchmark
     # run: widths (1,) then (2,), delta 0.5 then 0.25, seeds 0 to 19.
     C08_COUNTS = [
@@ -504,14 +522,13 @@ class TestPacking:
         at 200 samples the kept set spans several blocks of 16, and for d = 2
         its ~10^4 grid points shrink the blocks below 16."""
         outputs = []
-        real = oracles.stacked_forward
 
-        def recording(layers, act, X):
-            out = real(layers, act, X)
-            outputs.append(out[0])
-            return out
+        class Recording(nc.StackedPass):
+            def forward(self):
+                outputs.append(super().forward())
+                return self.out
 
-        monkeypatch.setattr(oracles, "stacked_forward", recording)
+        monkeypatch.setattr(oracles, "StackedPass", Recording)
         r = oracles.covering_packing_lower_bound((2,), delta, d, param_samples=samples, seed=1)
         vals = np.concatenate(outputs) if outputs else np.empty((0, 1))
         assert len(vals) == samples
@@ -597,8 +614,7 @@ def unit_norm_nets_one_by_one(rng, widths, in_size, count):
 
 
 class TestRandomUnitNormNets:
-    def assert_same_draws(self, widths, in_size, count, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    def assert_same_draws(self, widths, in_size, count, rng, ref_rng):
         got, nu = oracles.random_unit_norm_nets(rng, widths, in_size, count)
         ref = unit_norm_nets_one_by_one(ref_rng, widths, in_size, count)
         assert len(got) == len(ref)
@@ -614,25 +630,52 @@ class TestRandomUnitNormNets:
         [((1,), 2, 1), ((2,), 2, 200), ((8,), 3, 16), ((3, 5), 4, 7), ((4, 2, 3), 2, 9)],
     )
     def test_equals_one_net_at_a_time(self, widths, in_size, count):
-        got = self.assert_same_draws(widths, in_size, count, seed=count)
+        rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+        got = self.assert_same_draws(widths, in_size, count, rng, ref_rng)
         np.testing.assert_allclose(norms.pesv_stacked(got), 1.0, rtol=1e-14)
 
-    def test_zero_norm_nets_are_drawn_again(self, monkeypatch):
-        """Force the path norm of the raw nets 2 and 6 to zero.  Net 6 is the
-        first net drawn after the initial block of 6, so both the block and
-        the redraw reject one net."""
+    def test_zero_norm_nets_are_drawn_again(self):
+        """The output rows of the raw nets 2 and 6 are zeroed, so their path
+        norm is 0.  Net 6 is the first net drawn after the initial block of
+        6, so both the block and the redraw reject one net."""
         widths, in_size, count = (3,), 2, 6
         raw = unit_norm_nets_one_by_one(np.random.default_rng(4), widths, in_size, 8)
-        markers = raw[0][[2, 6], 0, 0]
-        real = norms.pesv_stacked
-
-        def zero_at_markers(layers):
-            return np.where(np.isin(layers[0][:, 0, 0], markers), 0.0, real(layers))
-
-        monkeypatch.setattr(norms, "pesv_stacked", zero_at_markers)
-        got = self.assert_same_draws(widths, in_size, count, seed=4)
+        size = sum(r * c for r, c in nc.layer_shapes(widths, in_size))
+        zeroed = [k * size + i for k in (2, 6) for i in range(size - widths[-1], size)]
+        rng, ref_rng = ZeroedNormals(4, zeroed), ZeroedNormals(4, zeroed)
+        got = self.assert_same_draws(widths, in_size, count, rng, ref_rng)
         for g, r in zip(got, raw):
             np.testing.assert_array_equal(g, r[[0, 1, 3, 4, 5, 7]])
+
+    def test_positive_norms_take_one_chain(self, monkeypatch):
+        """With every norm positive, a draw computes one path-norm chain and
+        never calls :func:`norms.pesv_stacked`, and gives the nets and norms
+        of one net at a time: a block of 7 nets, the audit's single-net draw,
+        and the audit itself."""
+        cases = [((3, 5), 4, 7), ((3, 5), 4, 1)]
+        refs = [unit_norm_nets_one_by_one(np.random.default_rng(c), w, i, c) for w, i, c in cases]
+        ref_nus = [norms.pesv_stacked(ref) for ref in refs]
+        audit = oracles.pointwise_audit(n_nets=50, probes=10, seed=2)
+        chains = []
+        real = norms._PathChain.__call__
+
+        def counting(chain):
+            chains.append(chain)
+            return real(chain)
+
+        def refuse(layers):
+            raise AssertionError("pesv_stacked called on nets of positive norm")
+
+        monkeypatch.setattr(norms._PathChain, "__call__", counting)
+        monkeypatch.setattr(norms, "pesv_stacked", refuse)
+        for (widths, in_size, count), ref, ref_nu in zip(cases, refs, ref_nus):
+            chains.clear()
+            rng = np.random.default_rng(count)
+            got, nu = oracles.random_unit_norm_nets(rng, widths, in_size, count)
+            assert len(chains) == 1
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref, strict=True))
+            assert nu.tobytes() == ref_nu.tobytes()
+        assert oracles.pointwise_audit(n_nets=50, probes=10, seed=2) == audit
 
 
 class ZeroedNormals:
@@ -641,6 +684,7 @@ class ZeroedNormals:
 
     def __init__(self, seed, zeroed):
         self.rng, self.zeroed, self.drawn = np.random.default_rng(seed), zeroed, 0
+        self.bit_generator = self.rng.bit_generator
 
     def standard_normal(self, shape):
         out = self.rng.standard_normal(shape)
@@ -800,6 +844,14 @@ class TestPointwise:
         p = NetParams.from_arrays([np.ones((2, 3)), np.ones((1, 2))])
         with pytest.raises(ValueError, match="probe_count >= 1"):
             oracles.pointwise_norm_check(p, RELU, count)
+
+    def test_check_rejects_nonzero_activation_at_zero(self, monkeypatch):
+        """The pointwise bound holds for sigma(0) = 0 only.  Rejected before
+        any probe is drawn."""
+        monkeypatch.setattr(oracles, "_pointwise_ratio", None)
+        p = NetParams.from_arrays([np.ones((2, 3)), np.ones((1, 2))])
+        with pytest.raises(ValueError, match="normalize_activation"):
+            oracles.pointwise_norm_check(p, OFFSET, 10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("layer", [0, 1])
