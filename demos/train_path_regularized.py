@@ -17,7 +17,7 @@ from pesvlab.netcore import ActivationSpec
 act = ActivationSpec.relu()
 teacher = documented_teacher(d=2, widths=(2,), seed=11)
 print(f"teacher: depth {teacher.teacher.depth}, widths "
-      f"{teacher.teacher.width_vector.widths}, path norm {teacher.nu_teacher:.4f}")
+      f"{teacher.teacher.widths}, path norm {teacher.nu_teacher:.4f}")
 
 n, sigma = 64, 0.1
 ds = erm.sample_dataset(teacher, n, sigma, seed=0)

@@ -5,8 +5,8 @@ from .netcore import (
     ActivationSpec,
     BiasedNet,
     NetParams,
-    WidthVector,
     absorb_bias,
+    as_widths,
     forward,
     max_nondecreasing_component,
     normalize_activation,

@@ -15,6 +15,7 @@ from .netcore import (
     NetParams,
     StackedPass,
     forward,
+    layer_blocks,
     layer_shapes,
     parse_spec,
 )
@@ -385,23 +386,17 @@ def train_many(
     lam = np.array(lams, dtype=np.float64)
     if not np.all((lam >= 0.0) & (lam < math.inf)):
         raise ValueError("lambda must be nonnegative and finite")
-    # The layers, their gradients, the best iterate, the penalty
-    # subgradients and the two work arrays of the path norm each live in one
-    # layer-major block: layer k of every run is a C-contiguous (S, rows,
-    # cols) view, the layout np.stack gives.  The layers are updated in
-    # place, so the views stay current.
-    shapes = [(S, *w.shape) for w in inits[0].layers]
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    block, grad_block, best_block, pen_block, abs_block, outer_block = np.zeros((6, ends[-1]))
-    arrs, grads, best, pens, abss, outers = (
-        [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
-        for flat in (block, grad_block, best_block, pen_block, abs_block, outer_block)
+    # The layers, their gradients, the best iterate and the penalty
+    # subgradients each live in one layer-major block.  The layers are
+    # updated in place, so the views stay current.
+    (block, arrs), (grad_block, grads), (best_block, best), (pen_block, pens) = layer_blocks(
+        [w.shape for w in inits[0].layers], S, 4
     )
     for w, ws in zip(arrs, zip(*(p.layers for p in inits))):
         np.stack(ws, out=w)
     best_block[:] = block
     # The run of every value of a block, for masks over whole blocks.
-    run_of = np.concatenate([np.repeat(np.arange(S), math.prod(shape[1:])) for shape in shapes])
+    run_of = np.concatenate([np.repeat(np.arange(S), w[0].size) for w in arrs])
     # A run with lam = 0 takes no penalty subgradient, and a stopped run no
     # step; the masks stay True (no masking) while every run takes them.
     penalized = lam > 0.0
@@ -417,7 +412,7 @@ def train_many(
     # layers to the objectives, and from the objectives' derivatives to the
     # penalized gradients.
     net = StackedPass(arrs, act, x, grads)
-    penalty = norms.PenaltyPass(arrs, groups, pens, (abss, outers))
+    penalty = norms.PenaltyPass(arrs, groups, pens)
     preds, upstream, nu, value = net.out, net.upstream, penalty.nu, penalty.value
     loss_kind = _LOSSES[loss.kind]
     resid, terms = np.empty((2, S, n))
@@ -456,7 +451,7 @@ def train_many(
     history = np.empty((opt.max_iters, 3, S))
     best_obj = np.full(S, math.inf)
     better = np.empty(S, dtype=bool)
-    better_flat = np.empty(ends[-1], dtype=bool)
+    better_flat = np.empty(block.size, dtype=bool)
     iters = np.full(S, opt.max_iters)
     active = np.ones(S, dtype=bool)
 
@@ -490,10 +485,7 @@ def train_many(
             for call in differentiate:
                 call()
             if opt.tolerance > 0.0:
-                gnorm, tnorm = (
-                    np.sqrt(sum(np.add.reduce((w * w).reshape(S, -1), axis=-1) for w in ws))
-                    for ws in (grads, arrs)
-                )
+                gnorm, tnorm = norms.stacked_l2(grads), norms.stacked_l2(arrs)
                 done = active & (gnorm <= opt.tolerance * (1.0 + tnorm))
                 if done.any():
                     iters[done] = t + 1

@@ -21,11 +21,12 @@ __all__ = [
     "NetParams",
     "StackedPass",
     "UnsupportedActivationError",
-    "WidthVector",
     "absorb_bias",
     "as_layers",
+    "as_widths",
     "forward",
     "forward_biased",
+    "layer_blocks",
     "layer_shapes",
     "load_network",
     "max_nondecreasing_component",
@@ -247,49 +248,19 @@ _ACTIVATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class WidthVector:
-    """Hidden-layer sizes of a network, with their max and min."""
-
-    widths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.widths) < 1:
-            raise ValueError("need at least one hidden layer")
-        if any(int(w) != w or w < 1 for w in self.widths):
-            raise ValueError("widths must be integers >= 1")
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-
-    @classmethod
-    def of(cls, ws) -> "WidthVector":
-        if isinstance(ws, WidthVector):
-            return ws
-        if isinstance(ws, int):
-            return cls((ws,))
-        return cls(tuple(ws))
-
-    @property
-    def m(self) -> int:
-        return max(self.widths)
-
-    @property
-    def b(self) -> int:
-        return min(self.widths)
-
-    def product(self) -> int:
-        p = 1
-        for w in self.widths:
-            p *= w
-        return p
-
-    def __len__(self) -> int:
-        return len(self.widths)
-
-    def __iter__(self):
-        return iter(self.widths)
-
-    def __getitem__(self, i):
-        return self.widths[i]
+def as_widths(widths) -> tuple[int, ...]:
+    """The hidden-layer sizes ``widths``, an int (a numpy integer too) for
+    one hidden layer or a sequence, as a tuple of ints; at least one, each
+    an integer >= 1, else ``ValueError``."""
+    try:
+        ws = tuple(widths)
+    except TypeError:
+        ws = (widths,)
+    if not ws:
+        raise ValueError("need at least one hidden layer")
+    if any(int(w) != w or w < 1 for w in ws):
+        raise ValueError("widths must be integers >= 1")
+    return tuple(int(w) for w in ws)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -342,8 +313,8 @@ class NetParams:
         return self.layers[0].shape[1] - 1
 
     @property
-    def width_vector(self) -> WidthVector:
-        return WidthVector(tuple(w.shape[0] for w in self.layers[:-1]))
+    def widths(self) -> tuple[int, ...]:
+        return tuple(w.shape[0] for w in self.layers[:-1])
 
 
 def as_layers(params) -> tuple[np.ndarray, ...]:
@@ -355,8 +326,21 @@ def as_layers(params) -> tuple[np.ndarray, ...]:
 
 def layer_shapes(widths, in_size: int) -> list[tuple[int, int]]:
     """Matrix shapes of a network with hidden ``widths`` over ``in_size``-vectors."""
-    ws = WidthVector.of(widths).widths
+    ws = as_widths(widths)
     return list(zip(ws + (1,), (in_size,) + ws))
+
+
+def layer_blocks(shapes, runs: int, count: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """``count`` zeroed flat blocks, each with its views as the layers of
+    ``runs`` stacked networks of layer ``shapes`` (``(rows, cols)`` pairs).
+    The views are layer-major: layer ``k`` of every run is a C-contiguous
+    ``(runs, *shapes[k])`` view, the layout ``np.stack`` gives, so an
+    operation on a whole block acts on every layer of every run."""
+    ends = np.cumsum([runs * r * c for r, c in shapes])
+    return [
+        (flat, [part.reshape(runs, r, c) for part, (r, c) in zip(np.split(flat, ends[:-1]), shapes)])
+        for flat in np.zeros((count, ends[-1]))
+    ]
 
 
 # Most values the widest hidden array of one ``forward`` block holds.  An
@@ -717,14 +701,14 @@ def normalize_activation(
     return NetParams(tuple(new_layers)), act2
 
 
-def max_nondecreasing_component(widths) -> WidthVector:
+def max_nondecreasing_component(widths) -> tuple[int, ...]:
     """Largest elementwise nondecreasing minorant of a width vector: entry
     ``i`` is the minimum of the entries from ``i`` on, found in one pass
     from the right."""
-    out = list(WidthVector.of(widths).widths)
+    out = list(as_widths(widths))
     for i in range(len(out) - 2, -1, -1):
         out[i] = min(out[i], out[i + 1])
-    return WidthVector(tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +721,7 @@ def _network_header(params: NetParams, act: ActivationSpec) -> dict:
     return {
         "depth": params.depth,
         "input_dim": params.input_dim,
-        "widths": list(params.width_vector.widths),
+        "widths": list(params.widths),
         "activation": act.as_dict(),
     }
 

@@ -24,6 +24,7 @@ __all__ = [
     "pesv_unit_scaled",
     "rescale_neuron",
     "row_sums",
+    "stacked_l2",
     "weight_decay_norm",
 ]
 
@@ -78,11 +79,6 @@ def outgoing_weights(upper, out=None) -> list[np.ndarray]:
         res.append(acc)
     res.reverse()
     return res
-
-
-def _run(calls) -> None:
-    for call in calls:
-        call()
 
 
 def pesv_stacked(layers) -> np.ndarray:
@@ -157,36 +153,36 @@ def _row_pnorms(w: np.ndarray, p: float, out=None, powers=None) -> np.ndarray:
 
 class _PathChain:
     """The path norm of ``S`` stacked networks, with its pieces:
-    ``|layers[1:]|`` (written into ``abs_out[1:]`` when given), the squares
-    of the first layer and their row 2-norms ``l2``, the chain ``down[k] =
-    |layers[k]| ... |layers[1]| l2`` as columns, and the path norms.  Each
-    call computes them from the current layers, into the arrays of the
-    first call, and returns the path norms."""
+    ``|layers[1:]|`` as ``abs_upper``, the squares of the first layer and
+    their row 2-norms ``l2``, the chain ``down[k] = |layers[k]| ...
+    |layers[1]| l2`` as columns, and the path norms.  Building the chain
+    allocates their arrays; each call computes them from the current
+    layers and returns the path norms."""
 
-    def __init__(self, layers, abs_out=None):
+    def __init__(self, layers):
+        runs = len(layers[0])
         self.layers = layers
-        self.abs_upper = [None] * (len(layers) - 1) if abs_out is None else list(abs_out[1:])
+        self.abs_upper = [np.empty(w.shape) for w in layers[1:]]
         self.squares = np.empty(layers[0].shape)
-        self.l2 = self.nu3 = None
-        self.down = [None] * (len(layers) - 1)
+        self.l2 = np.empty(layers[0].shape[:-1])
+        self.down = [self.l2[..., None], *(np.empty((runs, w.shape[1], 1)) for w in layers[1:-1])]
+        self.nu3 = np.empty((runs, 1, 1))
 
     def __call__(self) -> np.ndarray:
         layers, abs_upper, down = self.layers, self.abs_upper, self.down
-        for k, w in enumerate(layers[1:]):
-            abs_upper[k] = np.abs(w, abs_upper[k])
-        self.l2 = _row_pnorms(layers[0], 2.0, self.l2, self.squares)
-        down[0] = self.l2[..., None]
+        for w, a in zip(layers[1:], abs_upper):
+            np.abs(w, a)
+        _row_pnorms(layers[0], 2.0, self.l2, self.squares)
         for k, a in enumerate(abs_upper[:-1]):
-            down[k + 1] = np.matmul(a, down[k], down[k + 1])
-        self.nu3 = np.matmul(abs_upper[-1], down[-1], self.nu3)
+            np.matmul(a, down[k], down[k + 1])
+        np.matmul(abs_upper[-1], down[-1], self.nu3)
         return self.nu3[:, 0, 0]
 
 
-def _path_grad_calls(chain: _PathChain, out, outer_out=None) -> list:
+def _path_grad_calls(chain: _PathChain, out) -> list:
     """The calls that write the path-norm subgradient of each network of
     ``chain`` into ``out``, after a call of the chain: zero at sign kinks
-    and on zero first-layer rows.  The middle layers' outer products go
-    into ``outer_out[k]`` when given, else into arrays of their own."""
+    and on zero first-layer rows."""
     layers, upper, down = chain.layers, chain.abs_upper, chain.down
     runs = len(layers[0])
     products = [np.empty((runs, 1, w.shape[-1])) for w in upper[-2::-1]]
@@ -204,7 +200,7 @@ def _path_grad_calls(chain: _PathChain, out, outer_out=None) -> list:
     calls = [partial(outgoing_weights, upper, products)] if products else []
     calls += [first_layer, partial(np.multiply, ups[0][..., None], out[0], out[0])]
     for k in range(1, len(layers) - 1):
-        outer = np.empty(layers[k].shape) if outer_out is None else outer_out[k]
+        outer = np.empty(layers[k].shape)
         calls += [
             partial(np.multiply, ups[k][..., None], down[k - 1].transpose(0, 2, 1), outer),
             partial(np.sign, layers[k], out[k]),
@@ -219,21 +215,25 @@ def _path_grad_calls(chain: _PathChain, out, outer_out=None) -> list:
 
 def weight_decay_norm(params) -> float:
     """Sum of squares of every weight."""
-    value = np.empty(1)
-    _run(_weight_decay_calls(_stack_one(params), slice(0, 1), value))
-    return float(value[0])
+    return Penalty("weight_decay").value(params)
 
 
-def _weight_decay_calls(layers, runs: slice, value: np.ndarray, out=None, first=None) -> list:
+def stacked_l2(layers) -> np.ndarray:
+    """The Euclidean norm of all the weights of each of ``S`` stacked
+    networks (``(S, rows, cols)`` layers), shape ``(S,)``: each layer's
+    squares are summed run by run, and the layers' sums added in layer
+    order."""
+    return np.sqrt(sum(np.add.reduce((w * w).reshape(len(w), -1), axis=-1) for w in layers))
+
+
+def _weight_decay_calls(layers, runs: slice, value: np.ndarray, first, out=None) -> list:
     """The calls that write the weight decay of runs ``runs`` of the stacked
     networks ``layers`` into ``value[runs]``, and with ``out`` their
     subgradients into ``out[k][runs]``.  ``first`` holds the first layer's
-    squares when a :class:`_PathChain` computed them (its ``squares``)."""
+    squares, which a :class:`_PathChain` computes (its ``squares``)."""
     ws = [w[runs] for w in layers]
-    squares = [np.empty(w.shape) for w in ws]
-    calls = [partial(np.multiply, w, w, sq) for w, sq in zip(ws, squares)]
-    if first is not None:
-        squares[0], calls = first[runs], calls[1:]
+    squares = [first[runs], *(np.empty(w.shape) for w in ws[1:])]
+    calls = [partial(np.multiply, w, w, sq) for w, sq in zip(ws[1:], squares[1:])]
     sums = [np.empty(len(ws[0])) for _ in ws]
     value = value[runs]
     calls += [
@@ -348,9 +348,7 @@ class Penalty:
     def value(self, params) -> float:
         """The penalty of one network."""
         group = PenaltyGroup(slice(0, 1), self, grad=False)
-        penalty = PenaltyPass(_stack_one(params), [group], None)
-        _run(penalty.calls[1:])  # building the pass computed the path norm
-        return float(penalty.value[0])
+        return float(PenaltyPass(_stack_one(params), [group], None)()[1][0])
 
 
 class PenaltyGroup(NamedTuple):
@@ -372,40 +370,36 @@ class PenaltyPass:
     ``(nu, value)``.  A run takes the penalty of the :class:`PenaltyGroup`
     that holds it.  The subgradient of every run of a group with ``grad``
     is written into its slices of ``out``, ``(S, rows, cols)`` arrays; the
-    slices of the other groups may be written too.  With ``work``, two
-    lists of C-contiguous arrays shaped like ``layers``, the path norm's
-    ``|layers[1:]|`` and the outer products of its subgradient go there.
-    Building the pass computes the path norms once, which allocates the
-    chain's arrays; ``calls[0]`` computes them again.
+    slices of the other groups may be written too.  Building the pass
+    allocates the arrays the calls write and computes nothing, so a call
+    allocates only the ufuncs' buffers and a few small temporaries.
 
     Every number has the bits of the group computed alone: the path norm's
     pieces are computed once for the whole batch and sliced for each group,
     with the same calls as the group's own.
     """
 
-    def __init__(self, layers, groups, out, work=None):
-        abs_out, outer_out = work or (None, None)
-        chain = _PathChain(layers, abs_out)
-        # The first call allocates the chain's arrays, which the calls below
-        # read and the later calls write again.
-        self.nu, self.value = chain(), np.empty(len(layers[0]))
+    def __init__(self, layers, groups, out):
+        chain = _PathChain(layers)
+        self.nu, self.value = chain.nu3[:, 0, 0], np.empty(len(layers[0]))
         calls = [chain]
         if any(grad for _, pen, grad in groups if pen.kind == "pesv"):
             # For the whole batch, in fewer calls than group by group; the
             # other groups then write over their slices.
-            calls += _path_grad_calls(chain, out, outer_out)
+            calls += _path_grad_calls(chain, out)
         calls.append(partial(self.value.__setitem__, Ellipsis, self.nu))
         for runs, pen, grad in groups:
             if pen.kind == "weight_decay":
                 calls += _weight_decay_calls(
-                    layers, runs, self.value, out if grad else None, chain.squares
+                    layers, runs, self.value, chain.squares, out if grad else None
                 )
             elif pen.kind == "mixed_max":
                 calls += _mixed_max_calls(chain, runs, pen, self.value, out if grad else None)
         self.calls = calls
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        _run(self.calls)
+        for call in self.calls:
+            call()
         return self.nu, self.value
 
 

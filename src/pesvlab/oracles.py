@@ -19,9 +19,10 @@ from .netcore import (
     ActivationSpec,
     StackedPass,
     UnsupportedActivationError,
-    WidthVector,
     as_layers,
+    as_widths,
     forward,
+    layer_blocks,
     layer_shapes,
 )
 
@@ -353,20 +354,6 @@ _ASCENT_BLOCK_VALUES = 2**16
 _ASCENT_STEP = 0.5  # ascent step t moves this / sqrt(t + 1) along the unit gradient
 
 
-def _prepare_ascent(act: ActivationSpec, X: np.ndarray, shapes, runs: int):
-    """The layers and gradients of ``runs`` stacked starts, each in one
-    layer-major block, with the network pass over the shared inputs ``X``
-    and the path-norm pass prepared over those layers."""
-    ends = np.cumsum([runs * r * c for r, c in shapes])
-    layers, grads = (
-        [part.reshape(runs, r, c) for part, (r, c) in zip(np.split(flat, ends[:-1]), shapes)]
-        for flat in np.zeros((2, ends[-1]))
-    )
-    net = StackedPass(layers, act, X, grads)
-    group = norms.PenaltyGroup(slice(0, runs), norms.Penalty("pesv"), grad=False)
-    return layers, grads, net, norms.PenaltyPass(layers, [group], None)
-
-
 def rademacher_mc(
     widths,
     F: float,
@@ -410,12 +397,12 @@ def rademacher_mc(
     if np.any(np.linalg.norm(X, axis=1) > 1.0 + 1e-12):
         raise ValueError("inputs must lie in the unit ball")
     n, dim = X.shape
-    wv = WidthVector.of(widths)
-    L = len(wv) + 1
+    widths = as_widths(widths)
+    L = len(widths) + 1
     rng = np.random.default_rng(seed)
 
-    block = min(trials, max(1, _ASCENT_BLOCK_VALUES // (n_starts * n * wv.m)))
-    shapes = layer_shapes(wv, dim)
+    block = min(trials, max(1, _ASCENT_BLOCK_VALUES // (n_starts * n * max(widths))))
+    shapes = layer_shapes(widths, dim)
     per_trial = np.empty(trials)
     runs = 0  # the starts the prepared pass holds
     for t0 in range(0, trials, block):
@@ -423,10 +410,13 @@ def rademacher_mc(
         signs, nets = [], []
         for _ in range(k):  # each trial's signs, then its starts
             signs.append(rng.integers(0, 2, size=n) * 2.0 - 1.0)
-            nets.append(random_unit_norm_nets(rng, wv, dim, n_starts)[0])
-        if k * n_starts != runs:
+            nets.append(random_unit_norm_nets(rng, widths, dim, n_starts)[0])
+        if k * n_starts != runs:  # the starts' layers and gradients, each in one block
             runs = k * n_starts
-            arrs, grads, net, path = _prepare_ascent(act, X, shapes, runs)
+            (_, arrs), (_, grads) = layer_blocks(shapes, runs, 2)
+            net = StackedPass(arrs, act, X, grads)
+            group = norms.PenaltyGroup(slice(0, runs), norms.Penalty("pesv"), grad=False)
+            path = norms.PenaltyPass(arrs, [group], None)
         for w, ws in zip(arrs, zip(*nets)):
             np.concatenate(ws, out=w)
         net.set_upstream(np.repeat(signs, n_starts, axis=0))
@@ -438,8 +428,7 @@ def rademacher_mc(
             if it == inner_steps:  # the final iterates are scored, not stepped
                 break
             net.backprop()
-            sq = (np.add.reduce((g * g).reshape(len(g), -1), axis=-1) for g in grads)
-            gnorm = np.sqrt(sum(sq))
+            gnorm = norms.stacked_l2(grads)
             step = _ASCENT_STEP / math.sqrt(it + 1.0) / np.maximum(gnorm, 1e-12)
             for w, g in zip(arrs, grads):
                 w += step[:, None, None] * g
@@ -450,7 +439,7 @@ def rademacher_mc(
     unit_mean = float(per_trial.mean())
     unit_se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     scale = 2.0 ** (L - 1) * act.lipschitz ** (L - 1) * math.sqrt(dim * n)
-    bound = theory.rademacher_bound(wv, F, dim, n, act.lipschitz, c=1.0)
+    bound = theory.rademacher_bound(widths, F, dim, n, act.lipschitz, c=1.0)
     estimate = F * unit_mean
     return RademacherMCResult(
         estimate=estimate,
@@ -563,24 +552,24 @@ def covering_packing_lower_bound(
         raise ValueError(f"delta must be positive and finite, got {delta}")
     act = act or ActivationSpec.relu()
     _require_zero_at_zero(act)
-    wv = WidthVector.of(widths)
-    L = len(wv) + 1
+    widths = as_widths(widths)
+    L = len(widths) + 1
     lip = act.lipschitz ** (L - 1)
     spacing = delta / (10.0 * lip * math.sqrt(d))
     pts = _ball_grid(d, spacing)
     X = np.hstack([pts, np.ones((pts.shape[0], 1))])
 
     rng = np.random.default_rng(seed)
-    layers, _ = random_unit_norm_nets(rng, wv, d + 1, param_samples)
+    layers, _ = random_unit_norm_nets(rng, widths, d + 1, param_samples)
     vals = np.empty((X.shape[0], param_samples))  # one column per net
     # Nets per stacked pass, so a hidden layer's values stay near 8 MB.
-    chunk = max(1, 2**20 // (X.shape[0] * max(wv)))
+    chunk = max(1, 2**20 // (X.shape[0] * max(widths)))
     for lo in range(0, param_samples, chunk):
         part = [w[lo : lo + chunk] for w in layers]
         vals[:, lo : lo + chunk] = StackedPass(part, act, X).forward().T
 
     count = _greedy_packing(vals, delta)
-    entropy = theory.metric_entropy_bound(delta / 2.0, wv, d, act.lipschitz)
+    entropy = theory.metric_entropy_bound(delta / 2.0, widths, d, act.lipschitz)
     passed = math.log(max(count, 1)) <= entropy
     return PackingResult(
         packing_count=count,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .netcore import WidthVector, max_nondecreasing_component
+from .netcore import as_widths, max_nondecreasing_component
 
 __all__ = [
     "BoundConfig",
@@ -138,14 +138,10 @@ def metric_entropy_bound(delta: float, widths, d: int, L_sigma: float) -> float:
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     _check_d_and_L_sigma(d, L_sigma)
-    wv = WidthVector.of(widths)
-    prod_all = wv.product()
-    prod_head = 1
-    for w in wv.widths[:-1]:
-        prod_head *= w
-    L = len(wv) + 1
-    count = d * wv[0] + prod_all
-    return count * math.log1p(4.0 * prod_head * L_sigma ** (L - 1) / delta)
+    widths = as_widths(widths)
+    L = len(widths) + 1
+    count = d * widths[0] + math.prod(widths)
+    return count * math.log1p(4.0 * math.prod(widths[:-1]) * L_sigma ** (L - 1) / delta)
 
 
 def rademacher_bound(
@@ -158,7 +154,7 @@ def rademacher_bound(
     _check_d_and_L_sigma(d, L_sigma)
     if not (1 <= n < math.inf and 0 < c < math.inf):
         raise ValueError(f"need a finite n >= 1 and a positive finite c, got {n}, {c}")
-    L = len(WidthVector.of(widths)) + 1
+    L = len(as_widths(widths)) + 1
     return 2.0 ** (L - 1) * c * L_sigma ** (L - 1) * F * math.sqrt(d * n)
 
 
@@ -167,8 +163,8 @@ def delta_n(n: float, d: int, widths, L_sigma: float) -> float:
     if not 2 <= n < math.inf:
         raise ValueError(f"need a finite n >= 2, got {n}")
     _check_d_and_L_sigma(d, L_sigma)
-    wv = WidthVector.of(widths)
-    return _delta_n(n, d, len(wv) + 1, L_sigma, wv.product())
+    widths = as_widths(widths)
+    return _delta_n(n, d, len(widths) + 1, L_sigma, math.prod(widths))
 
 
 def _delta_n(n, d, L, L_sigma, prod) -> float:
@@ -191,8 +187,8 @@ def lambda_overparam(cfg: BoundConfig) -> float:
 
 def lambda_underparam(cfg: BoundConfig, widths) -> float:
     """Penalty schedule ``C1 sigma_eps max{delta_n, H^2}`` for the narrow regime."""
-    wv = WidthVector.of(widths)
-    return _lambda_under(cfg, len(wv) + 1, h_of_m(wv, cfg.L_sigma), wv.product())
+    widths = as_widths(widths)
+    return _lambda_under(cfg, len(widths) + 1, h_of_m(widths, cfg.L_sigma), math.prod(widths))
 
 
 def _lambda_under(cfg: BoundConfig, L, h, prod) -> float:
@@ -202,20 +198,13 @@ def _lambda_under(cfg: BoundConfig, L, h, prod) -> float:
     return cfg.C1 * cfg.sigma_eps * max(dn, h**2)
 
 
-def _check_widths(cfg: BoundConfig, widths) -> WidthVector:
-    wv = WidthVector.of(widths)
-    if len(wv) != cfg.L - 1:
-        raise ValueError(
-            f"width vector of length {len(wv)} does not match depth {cfg.L}"
-        )
-    return wv
-
-
 def _width_terms(cfg: BoundConfig, widths) -> tuple[float, int]:
     """:func:`h_of_m` and the product of a width vector checked against
     ``cfg``'s depth: the only two numbers the bounds take from it."""
-    wv = _check_widths(cfg, widths)
-    return h_of_m(wv, cfg.L_sigma), wv.product()
+    widths = as_widths(widths)
+    if len(widths) != cfg.L - 1:
+        raise ValueError(f"width vector of length {len(widths)} does not match depth {cfg.L}")
+    return h_of_m(widths, cfg.L_sigma), math.prod(widths)
 
 
 def _bias_term(cfg: BoundConfig, h) -> float:

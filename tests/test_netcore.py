@@ -9,13 +9,12 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pesvlab import netcore as nc
+from pesvlab import erm, netcore as nc, theory
 from pesvlab.netcore import (
     ActivationSpec,
     BiasedNet,
     NetParams,
     UnsupportedActivationError,
-    WidthVector,
 )
 
 
@@ -114,16 +113,50 @@ class TestActivationSpec:
         assert ActivationSpec.leaky_relu(0.3).derivative(0.0) == 0.3
 
 
-class TestWidthVector:
-    def test_max_min(self):
-        wv = WidthVector((3, 1, 5))
-        assert wv.m == 5 and wv.b == 1 and len(wv) == 3
+class TestAsWidths:
+    def test_int_or_sequence_as_a_tuple_of_ints(self):
+        for widths, expect in [((3, 1, 5), (3, 1, 5)), ([2.0, 4], (2, 4)), (7, (7,))]:
+            got = nc.as_widths(widths)
+            assert got == expect and all(type(w) is int for w in got)
 
-    def test_rejects_bad_entries(self):
+    @pytest.mark.parametrize("bad", [(0, 2), (), 0, 2.5, (3, 2.5)])
+    def test_rejects_bad_entries(self, bad):
         with pytest.raises(ValueError):
-            WidthVector((0, 2))
-        with pytest.raises(ValueError):
-            WidthVector(())
+            nc.as_widths(bad)
+
+    def test_numpy_integer_is_one_hidden_layer(self):
+        """A numpy integer scalar is one hidden layer, as an int is, through
+        every entry that takes widths."""
+        w = np.int64(3)
+        assert nc.as_widths(w) == (3,)
+        assert nc.layer_shapes(w, 2) == nc.layer_shapes(3, 2)
+        assert all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(erm.init_params(w, 2).layers, erm.init_params(3, 2).layers, strict=True)
+        )
+        assert theory.h_of_m(w, 1.0) == theory.h_of_m(3, 1.0)
+
+
+class TestLayerBlocks:
+    def test_views_lay_out_each_block_as_np_stack_does(self):
+        """Each block is zeroed, its views are C-contiguous ``(runs, rows,
+        cols)`` layers, and writing the layers of stacked nets through the
+        views writes the block as the layers stacked by ``np.stack`` and
+        joined layer after layer."""
+        shapes, runs = nc.layer_shapes((3, 5), 4), 2
+        blocks = nc.layer_blocks(shapes, runs, 3)
+        assert len(blocks) == 3
+        rng = np.random.default_rng(0)
+        for flat, views in blocks:
+            assert flat.shape == (runs * sum(r * c for r, c in shapes),) and not flat.any()
+            assert [v.shape for v in views] == [(runs, *shape) for shape in shapes]
+            assert all(v.flags.c_contiguous and np.shares_memory(v, flat) for v in views)
+            nets = [[rng.normal(size=shape) for shape in shapes] for _ in range(runs)]
+            for v, ws in zip(views, zip(*nets)):
+                v[...] = np.stack(ws)
+            expect = np.concatenate([np.stack(ws).ravel() for ws in zip(*nets)])
+            assert flat.tobytes() == expect.tobytes()
+        assert not any(np.shares_memory(a[0], b[0]) for a, b in itertools.combinations(blocks, 2))
 
 
 class TestNetParams:
@@ -355,7 +388,7 @@ class TestForwardBlocks:
         input is one row."""
         net, act, x = problem
         x0 = x.copy()
-        rows = block_rows(len(x), max(net.width_vector))
+        rows = block_rows(len(x), max(net.widths))
         ref = np.concatenate([
             forward_out_of_place(net.layers, act, x[i : i + rows]) for i in range(0, len(x), rows)
         ])
@@ -825,7 +858,7 @@ class TestNormalizeActivation:
         p = NetParams.from_arrays([rng.normal(size=(3, 3)), rng.normal(size=(1, 3))])
         p2, act2 = nc.normalize_activation(p, act)
         assert act2.value_at_zero == 0.0
-        assert p2.width_vector.widths == (4,)
+        assert p2.widths == (4,)
         xs = np.hstack([rng.normal(size=(1000, 2)) * 0.5, np.ones((1000, 1))])
         diff = np.abs(nc.forward(p, act, xs) - nc.forward(p2, act2, xs))
         assert np.max(diff) < 1e-12
@@ -843,7 +876,7 @@ class TestNormalizeActivation:
             [rng.normal(size=(3, 3)), rng.normal(size=(2, 3)), rng.normal(size=(1, 2))]
         )
         p2, act2 = nc.normalize_activation(p, act)
-        assert p2.width_vector.widths == (4, 3)
+        assert p2.widths == (4, 3)
         xs = np.hstack([rng.normal(size=(500, 2)) * 0.4, np.ones((500, 1))])
         diff = np.abs(nc.forward(p, act, xs) - nc.forward(p2, act2, xs))
         assert np.max(diff) < 1e-12
@@ -939,7 +972,7 @@ class TestTransformProperties:
         p = nc.absorb_bias(net, act)
         hidden = [w.shape[0] for w in net.weights[:-1]]
         carriers = [1] * (len(hidden) - 1) + [int(output_bias)]
-        assert p.width_vector.widths == tuple(h + c for h, c in zip(hidden, carriers))
+        assert p.widths == tuple(h + c for h, c in zip(hidden, carriers))
         x1 = np.hstack([x, np.ones((len(x), 1))])
         slack = self.TOL * 2 * rounding_scale(p.layers, act, x1)
         diff = np.abs(nc.forward(p, act, x1) - nc.forward_biased(net, act, x))
@@ -962,7 +995,7 @@ class TestTransformProperties:
         except UnsupportedActivationError:
             reject()  # the shifted table vanishes at every carrier probe
         assert act2.value_at_zero == 0.0
-        assert p2.width_vector.widths == tuple(w + 1 for w in widths)
+        assert p2.widths == tuple(w + 1 for w in widths)
         xs, ys = act.grid
         value_bound = max(map(abs, ys)) + abs(act.value_at_zero) + act.lipschitz * max(
             map(abs, xs)
@@ -987,14 +1020,14 @@ class TestMaxNondecreasingComponent:
         ],
     )
     def test_hand_cases(self, widths, expect):
-        assert nc.max_nondecreasing_component(widths).widths == expect
+        assert nc.max_nondecreasing_component(widths) == expect
 
     def test_maximality_exhaustive(self):
         """Against brute force over every nondecreasing minorant, for all
         width vectors of length <= 4 with entries <= 5."""
         for length in (1, 2, 3, 4):
             for widths in itertools.product(range(1, 6), repeat=length):
-                up = nc.max_nondecreasing_component(widths).widths
+                up = nc.max_nondecreasing_component(widths)
                 assert all(a <= b for a, b in zip(up, up[1:]))
                 assert all(u <= w for u, w in zip(up, widths))
                 # dominates every nondecreasing minorant

@@ -329,15 +329,18 @@ class TestPenaltyStackedProperty:
         """Path norms, values and subgradients have the bits of each group
         computed alone, by a call on its own slices, signs of zeros included.
         Those calls share no pieces with other groups, and no other group
-        writes over their subgradients.  The subgradient block and the work
-        arrays are reused, as training reuses them: stale values from an
-        earlier call on other networks must not survive."""
+        writes over their subgradients.  The pass and its subgradient block
+        are reused, as training reuses them: stale values from an earlier
+        call on other networks must not survive."""
         layers = data.draw(stacked_nets_picking_each_layer())
         groups = data.draw(penalty_groups(len(layers[0])))
         out = [np.full_like(w, np.nan) for w in layers]
-        work = tuple([np.full_like(w, np.nan) for w in layers] for _ in range(2))
-        norms.PenaltyPass([-7.0 * w[::-1] for w in layers], groups, out, work)()
-        nu, value = norms.PenaltyPass(layers, groups, out, work)()
+        arrs = [-7.0 * w[::-1] for w in layers]
+        penalty = norms.PenaltyPass(arrs, groups, out)
+        penalty()
+        for a, w in zip(arrs, layers):
+            a[...] = w
+        nu, value = penalty()
         assert nu.tobytes() == norms.pesv_stacked(layers).tobytes()
         for runs, pen, grad in groups:
             ref_value, ref_grads = penalty_alone([w[runs] for w in layers], pen.kind, pen.p, pen.q)
@@ -389,33 +392,47 @@ class TestPesvUnitScaled:
         assert unit.tobytes() == norms.pesv_stacked(scaled).tobytes()
 
 
+class TestStackedL2:
+    @DERANDOMIZED
+    @given(stacked_nets_some_zero())
+    def test_each_run_has_the_bits_of_the_run_alone(self, layers):
+        """Each run's norm is that of its weights alone: each layer's
+        squares summed, then the layers' sums added in layer order."""
+        got = norms.stacked_l2(layers)
+        assert got.shape == (len(layers[0]),)
+        for s in range(len(layers[0])):
+            alone = np.sqrt(sum(np.add.reduce((w[s] * w[s]).ravel()) for w in layers))
+            assert got[s].tobytes() == alone.tobytes()
+
+
+THREE_PENALTIES = pytest.mark.parametrize(
+    "penalty",
+    [norms.Penalty("pesv"), norms.Penalty("weight_decay"), norms.Penalty("mixed_max", 1.0, 3.0)],
+    ids=["pesv", "weight_decay", "mixed_max"],
+)
+
+
 class TestPenaltyStackedWork:
-    def test_work_arrays_hold_the_layer_sized_temporaries(self):
-        """Without ``work``, the path norm of a width-256 network of depth 3
-        takes ``|W|`` and the outer product of its middle layer as new
-        arrays; with it, nothing of a layer's size is allocated (the
-        broadcast multiply's ufunc buffers take a fixed 128 KiB)."""
+    @THREE_PENALTIES
+    def test_a_call_allocates_under_half_a_middle_layer(self, penalty):
+        """Building a pass allocates the arrays its calls write, so one call
+        on a width-256 network of depth 3 allocates nothing of a layer's
+        size: only ufunc buffers (the broadcast multiply's take a fixed
+        128 KiB) and small temporaries."""
         rng = np.random.default_rng(0)
         layers = [rng.normal(size=(1, *shape)) for shape in nc.layer_shapes((256, 256), 3)]
-        group = [norms.PenaltyGroup(slice(0, 1), norms.Penalty("pesv"))]
+        group = [norms.PenaltyGroup(slice(0, 1), penalty)]
         out = [np.empty_like(w) for w in layers]
-        work = tuple([np.empty_like(w) for w in layers] for _ in range(2))
-        peaks = []
-        for arrays in (None, work):
-            tracemalloc.start()
-            try:
-                norms.PenaltyPass(layers, group, out, arrays)()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        middle = layers[1].nbytes
-        assert peaks[1] < middle // 2 and peaks[0] >= 2 * middle
+        run = norms.PenaltyPass(layers, group, out)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < layers[1].nbytes // 2
 
-    @pytest.mark.parametrize(
-        "penalty",
-        [norms.Penalty("pesv"), norms.Penalty("weight_decay"), norms.Penalty("mixed_max", 1.0, 3.0)],
-        ids=["pesv", "weight_decay", "mixed_max"],
-    )
+    @THREE_PENALTIES
     def test_one_shot_pass_runs_the_chain_once(self, monkeypatch, penalty):
         """Preparing a pass allocates the path-norm chain's arrays without
         computing it, so a one-shot value computes the chain once."""

@@ -390,7 +390,7 @@ def rademacher_mc_one_trial_at_a_time(
     X = np.asarray(inputs, dtype=np.float64)
     n, dim = X.shape
     per_start = np.broadcast_to(X, (n_starts, n, dim))
-    wv = nc.WidthVector.of(widths)
+    wv = nc.as_widths(widths)
     rng = np.random.default_rng(seed)
     per_trial = np.empty(trials)
     for t in range(trials):
