@@ -1,14 +1,18 @@
 """Command-line front end: ``pesvlab {bound|train|verify|sweep}``.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
-4 numerical divergence, 5 a ``sweep`` task failed: it raised, or its worker
-process was lost on its first run and on its rerun, alone in a fresh pool.
-``sweep`` still writes every row, with ``nan`` values for a diverged or
-failed task, and names each such task on stderr.
+Exit codes: 0 success, 1 a hard ``verify`` check failed, 2 usage or
+configuration error, 3 I/O error, 4 numerical divergence, 5 a ``sweep`` or
+``verify`` task failed: it raised, or its worker process was lost on its
+first run and on its rerun, alone in a fresh pool.  ``sweep`` still writes
+every row, with ``nan`` values for a diverged or failed task, and ``verify``
+every other suite's records; each failed task is named on stderr.
 
-Every output's bytes are deterministic for a given configuration, seed and
-BLAS build: ``sweep`` trains each row in a worker process that runs BLAS on
-one thread, so its CSV does not depend on ``--jobs`` or the cores.
+``sweep`` (one task per row) and ``verify`` (one task per suite) run their
+tasks in a bounded pool of worker processes, each running BLAS on one
+thread, and write the results in task order once all are in.  Every
+output's bytes are deterministic for a given configuration, seed and BLAS
+build, and the ``sweep`` CSV and ``verify`` report do not depend on
+``--jobs``, the cores or the calling process's BLAS threads.
 ``train`` runs BLAS in the calling process, so its bytes can also change
 with the OpenBLAS thread count from about ``n = 1000`` samples on.  Networks
 are evaluated in row blocks (``netcore.forward``), so ``train`` and ``sweep``
@@ -23,6 +27,7 @@ import argparse
 import ctypes
 import datetime
 import difflib
+import functools
 import io
 import json
 import math
@@ -66,8 +71,9 @@ def _width_grid(args, cfg: RunConfig) -> list[int]:
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for a sweep: at most one per task and per CPU this
-    process may run on, as its affinity mask says where the platform has one."""
+    """Worker processes for ``tasks`` tasks: ``jobs``, but at most one per
+    task and one per CPU this process may run on, as its affinity mask says
+    where the platform has one."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -92,12 +98,30 @@ def _openblas(verb: str):
 
 def _one_blas_thread() -> None:
     """Pool initializer: run this worker's BLAS calls on one thread, so that a
-    sweep's bytes depend neither on ``--jobs`` nor on the cores.  A no-op
+    task's bytes depend neither on the pool size nor on the cores.  A no-op
     when numpy's BLAS has no thread count to set."""
     set_threads = _openblas("set")
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
+
+
+def _run_tasks(tasks, workers: int) -> list:
+    """Call each of ``tasks``, picklable callables, in a pool of ``workers``
+    processes that run BLAS on one thread.  Return each task's result, or the
+    exception it raised, in task order, once every task has ended."""
+    with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+        futures = [pool.submit(task) for task in tasks]
+    outcomes = []
+    for task, future in zip(tasks, futures):
+        if isinstance(future.exception(), BrokenProcessPool):
+            # A dead worker breaks the pool and loses every unfinished task,
+            # most through no fault of their own: run each once more, alone.
+            with ProcessPoolExecutor(1, initializer=_one_blas_thread) as pool:
+                future = pool.submit(task)
+        exc = future.exception()  # the task raised, or its worker was lost again
+        outcomes.append(future.result() if exc is None else exc)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +165,7 @@ def _write_svg(path: str, xs, ys, label: str) -> None:
 
 def cmd_bound(args) -> int:
     cfg = parse_config(args.config)
-    widths = _width_grid(args, cfg)
-    bcfg, pattern = cfg.bound_config()
-    result = theory.double_descent_sweep(bcfg, widths, pattern)
+    result = cfg.bound_curve(_width_grid(args, cfg))
     body = io.StringIO()
     theory.sweep_to_csv(result, body)
     _emit(args, args.out, body.getvalue())
@@ -200,19 +222,25 @@ def cmd_verify(args) -> int:
             msg += f" (did you mean {hint[0]!r}?)"
         print(msg, file=sys.stderr)
         return 2
-    checks: list[dict] = []
-    for name, run, soft in oracles.SUITES:
-        if args.suite in (name, "all"):
-            for check in run():
-                check["soft"] = soft
-                checks.append(check)
-                status = "PASS" if check["pass"] else "FAIL"
-                print(f"{status} [{'soft' if soft else 'hard'}] {check['name']}")
+    suites = [suite for suite in oracles.SUITES if args.suite in (suite[0], "all")]
+    outcomes = _run_tasks([run for _, run, _ in suites], _pool_size(len(suites), len(suites)))
+    checks, failed = [], []
+    for (name, _, soft), outcome in zip(suites, outcomes):
+        if isinstance(outcome, BaseException):
+            failed.append(f"error: suite {name}: task failed: {type(outcome).__name__}: {outcome}")
+            continue
+        for check in outcome:
+            check["soft"] = soft
+            checks.append(check)
+            status = "PASS" if check["pass"] else "FAIL"
+            print(f"{status} [{'soft' if soft else 'hard'}] {check['name']}")
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             json.dump({"suite": args.suite, "checks": checks}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    return 0 if all(c["pass"] or c["soft"] for c in checks) else 1
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 5 if failed else 0 if all(c["pass"] or c["soft"] for c in checks) else 1
 
 
 def _sweep_task(fit_args):
@@ -234,11 +262,11 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     teacher, n, sigma, base_seed = _problem_from_config(cfg)
     widths = _width_grid(args, cfg)
-    bcfg, pattern = cfg.bound_config()
+    bounds = dict(zip(widths, cfg.bound_curve(widths).totals()))
+    pattern = cfg.bound_config()[1]
     loss, opt = cfg.loss(teacher), cfg.optimizer()
     lam, reg = cfg["optimizer", "lambda"], cfg["optimizer", "regularizer"]
     act = cfg["network", "activation"]
-    bounds = dict(zip(widths, theory.double_descent_sweep(bcfg, widths, pattern).totals()))
 
     # The grid is strictly ascending, so the rows come out sorted.
     tasks = [(w, base_seed + i) for w in widths for i in range(args.trials)]
@@ -247,22 +275,12 @@ def cmd_sweep(args) -> int:
          2048)
         for w, seed in tasks
     ]
-    workers = _pool_size(args.jobs, len(tasks))
-    with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
-        futures = [pool.submit(_sweep_task, fit) for fit in fits]
+    runs = [functools.partial(_sweep_task, fit) for fit in fits]
     rows, failed = [], False
-    for fit, future in zip(fits, futures):
-        if isinstance(future.exception(), BrokenProcessPool):
-            # A dead worker breaks the pool and loses every unfinished task,
-            # most through no fault of their own: run each once more, alone.
-            with ProcessPoolExecutor(1, initializer=_one_blas_thread) as pool:
-                future = pool.submit(_sweep_task, fit)
-        exc = future.exception()
-        if exc is None:
-            rows.append(future.result())
-        else:  # the task raised, or its worker was lost again
-            rows.append((math.nan,) * 5 + (f"task failed: {type(exc).__name__}: {exc}",))
-            failed = True
+    for row in _run_tasks(runs, _pool_size(args.jobs, len(tasks))):
+        if isinstance(row, BaseException):
+            row, failed = (math.nan,) * 5 + (f"task failed: {type(row).__name__}: {row}",), True
+        rows.append(row)
 
     out_lines = [
         "m,seed,objective,nu,empirical_error,generalization_mc,generalization_se,bound_total\n"
@@ -285,48 +303,29 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate the bound curve over a width grid")
-    p_bound.add_argument("--config", required=True)
-    p_bound.add_argument("--out")
+    p_train = sub.add_parser("train", help="train a penalized network")
+    p_verify = sub.add_parser("verify", help="run verification oracles")
+    p_sweep = sub.add_parser("sweep", help="train across a width grid and seeds")
+    for p in (p_bound, p_train, p_sweep):
+        p.add_argument("--config", required=True)
+        p.add_argument("--out")
+        p.add_argument("--no-timestamp", action="store_true")
     p_bound.add_argument("--widths")
     p_bound.add_argument("--svg")
-    p_bound.add_argument("--no-timestamp", action="store_true")
-
-    p_train = sub.add_parser("train", help="train a penalized network")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out")
     p_train.add_argument("--trace")
-    p_train.add_argument("--no-timestamp", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="run verification oracles")
-    p_verify.add_argument("suite", nargs="?", default="all")
-    p_verify.add_argument("--out")
-
-    p_sweep = sub.add_parser("sweep", help="train across a width grid and seeds")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out")
     p_sweep.add_argument("--widths")
     p_sweep.add_argument("--trials", type=int, default=1)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--no-timestamp", action="store_true")
+    p_verify.add_argument("suite", nargs="?", default="all")
+    p_verify.add_argument("--out")
 
     args = parser.parse_args(argv)
-    handlers = {
-        "bound": cmd_bound,
-        "train": cmd_train,
-        "verify": cmd_verify,
-        "sweep": cmd_sweep,
-    }
+    handlers = {"bound": cmd_bound, "train": cmd_train, "verify": cmd_verify, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, OSError) else 4
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ and every error names ``file:line`` (or the file, for a key it lacks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, TypeVar
 
 from . import erm, theory
@@ -211,10 +211,17 @@ class RunConfig:
 
     def loss(self, teacher: erm.TeacherSpec) -> erm.LossSpec:
         """The ``[loss]`` kind over ``range_bound``, or else over the working
-        range derived from ``teacher`` and ``[problem] sigma_eps``."""
+        range derived from ``teacher`` and ``[problem] sigma_eps``; a derived
+        range that overflows a float is an error at ``sigma_eps``'s line (or
+        ``teacher_file``'s, without one)."""
         base = self["loss", "range_bound"]
         if base is None:
-            base = erm.LossSpec.mse_for(teacher, self["problem", "sigma_eps"]).range_bound
+            try:
+                base = erm.LossSpec.mse_for(teacher, self["problem", "sigma_eps"]).range_bound
+            except (OverflowError, ValueError):
+                key = ("problem", "sigma_eps")
+                key = key if key in self.given else ("problem", "teacher_file")
+                raise self.error(key, "the working range it gives overflows a float") from None
         return erm.LossSpec.parse(self["loss", "kind"], base)
 
     def optimizer(self) -> erm.OptimizerConfig:
@@ -245,6 +252,31 @@ class RunConfig:
             )
         consts = {k: self["bounds", k] for k in ("L_sigma", "M", "c", "C", "C1")}
         return theory.BoundConfig(n=n, d=d, L=depth, sigma_eps=sigma, **consts), pattern
+
+    def bound_curve(self, widths: list[int]) -> theory.SweepResult:
+        """The bound along ``widths`` (``theory.double_descent_sweep``).  When
+        a term overflows a float, the error names the first of ``M``,
+        ``sigma_eps``, ``d``, ``L_sigma`` and ``pattern`` that the curve
+        evaluates with once that value is 1, at the line that gave it."""
+        bcfg, pattern = self.bound_config()
+        try:
+            return theory.double_descent_sweep(bcfg, widths, pattern)
+        except OverflowError:
+            pass
+        for name in ("M", "sigma_eps", "d", "L_sigma", "pattern"):
+            trial_cfg, trial_pattern = (
+                (replace(bcfg, L=2), (1,)) if name == "pattern"
+                else (replace(bcfg, **{name: 1}), pattern)
+            )
+            try:
+                theory.double_descent_sweep(trial_cfg, widths, trial_pattern)
+            except OverflowError:
+                continue
+            key = ("bounds", name)
+            if key not in self.given and name in ("sigma_eps", "d"):
+                key = ("problem", name)  # the [problem] value bound_config reads
+            raise self.error(key, "the bound overflows a float")
+        raise ConfigError(f"{self.path}: the bound overflows a float on this width grid")
 
 
 def parse_config(path: str) -> RunConfig:

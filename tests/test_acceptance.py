@@ -5,6 +5,7 @@ criterion.  Budgets are generous on commodity hardware; the training-based
 criteria (10, 11) dominate the runtime at a few minutes total.
 """
 
+import hashlib
 import math
 import time
 
@@ -25,6 +26,16 @@ def report(name, passed, elapsed, detail=""):
         line += f" {detail}"
     print(line)
     assert passed, line
+
+
+def report_digest(monkeypatch, tmp_path, suite, oracle, result):
+    """sha256 of ``pesvlab verify suite --out`` with ``oracles.<oracle>``
+    patched to return ``result``: the criterion's own run of the suite's
+    experiment, so the report's bytes are checked at no added run time."""
+    monkeypatch.setattr(oracles, oracle, result)
+    out = tmp_path / f"{suite}.json"
+    assert cli.main(["verify", suite, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 class TestAcceptance:
@@ -189,7 +200,7 @@ class TestAcceptance:
         assert elapsed < 5
         report("06 encompassing-consistency", ok, elapsed, "bit-level on 10x10 grid")
 
-    def test_c07_rademacher_mc(self):
+    def test_c07_rademacher_mc(self, monkeypatch, tmp_path):
         t0 = time.time()
         X = erm.uniform_ball(np.random.default_rng(5), 64, 2)
         kw = dict(trials=200, n_starts=16, inner_steps=120, seed=7)
@@ -201,6 +212,15 @@ class TestAcceptance:
         doubling_rel = abs(r2.estimate - 2.0 * r1.estimate) / (2.0 * r1.estimate)
         elapsed = time.time() - t0
         assert elapsed < 300
+
+        def r1_again(widths, F, inputs, **kwargs):  # the rademacher suite's call is r1's
+            assert (widths, F, {"inner_steps": 120, **kwargs}) == ((8,), 1.0, kw)
+            assert np.array_equal(inputs, X)
+            return r1
+
+        assert report_digest(monkeypatch, tmp_path, "rademacher", "rademacher_mc", r1_again) == (
+            "2c7aa521331a367efb9d792cd1cacae594ce5bee833ccc4a7501755b8c3f59b2"
+        )
         report(
             "07 rademacher-mc",
             r1.passed and r1.estimate <= r1.bound and doubling_rel <= 1e-9,
@@ -246,22 +266,30 @@ class TestAcceptance:
             f"orthogonal-pair mean {orth.mean_sq_error:.4f}",
         )
 
-    def test_c10_collinearity_soft(self):
+    def test_c10_collinearity_soft(self, monkeypatch, tmp_path):
         t0 = time.time()
         rows = oracles.run_collinearity_experiment()
         good = sum(1 for r in rows if r["ok"])
         elapsed = time.time() - t0
         assert elapsed < 600
+        digest = report_digest(
+            monkeypatch, tmp_path, "collinearity", "run_collinearity_experiment", lambda: rows
+        )
+        assert digest == "6dd1c35a355b1c4bf3243a5e2e3ccd2f5343dfbe1757617431b8820508923631"
         detail = f"{good}/5 seeds collinear (>= 0.99)"
         if good == 4:
             detail += " [one non-global optimum tolerated]"
         report("10 collinearity-soft", good >= 4, elapsed, detail)
 
-    def test_c11_equivalence_soft(self):
+    def test_c11_equivalence_soft(self, monkeypatch, tmp_path):
         t0 = time.time()
         res = oracles.run_equivalence_experiment()
         elapsed = time.time() - t0
         assert elapsed < 900
+        digest = report_digest(
+            monkeypatch, tmp_path, "equivalence", "run_equivalence_experiment", lambda: res
+        )
+        assert digest == "2cbb03de5c393501e3e709c4cccba1415e83eaa7b189dfea6ed69519a7d08c9b"
         gap = res.median_gap_weight_decay
         report(
             "11 equivalence-soft", abs(gap) <= 0.05, elapsed,

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, determinism, cross-module consistency."""
 
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pesvlab import cli, config, erm, theory
+from pesvlab import cli, config, erm, oracles, theory
 from pesvlab.config import nonnegative, positive, sample_count
 from pesvlab.erm import documented_teacher
 from pesvlab.netcore import ActivationSpec, NetParams, network_to_json, save_network
@@ -123,6 +126,20 @@ def train_cfg(tmp_path):
     p = tmp_path / "train.cfg"
     p.write_text(TRAIN_CFG)
     return p
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``(max_workers, initializer)`` of every process pool ``cli`` builds."""
+    built = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            built.append((max_workers, kwargs["initializer"]))
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    return built
 
 
 def line_of(text, line):
@@ -417,11 +434,14 @@ class TestVerifyCommand:
 
     # sha256 of the reports as the per-term Fraction lemma sums, the per-net
     # packing loop and the rng.choice audit draws wrote them: any change to
-    # these numbers fails.
+    # these numbers fails.  The rademacher, collinearity and equivalence
+    # reports are pinned by acceptance criteria 07, 10 and 11, which already
+    # run their experiments.
     @pytest.mark.parametrize(
         "suite, digest",
         [
             ("lemmas", "8fffd1d13cd88de5f5993e804936137d2f5359f8f5f0cfb07e0164b8dbe89b11"),
+            ("maurey", "fb3a8de1561834ed2a1b4e1ed72af6dc25bd8affd685ca9902557bb57527d813"),
             ("entropy", "47f5a265d94559db3a752b701362603169d58847c6d3d27ffade14ca3bae0bcc"),
             ("pointwise", "01cfcd33f08a09c7b87acb2f83d1a2d2a1eee10d4b61a2822e130b7397572dbc"),
         ],
@@ -430,6 +450,82 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         assert cli.main(["verify", suite, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # Three fast suites stand in for ``oracles.SUITES`` where ``verify all``
+    # would train for seconds; maurey, in the middle, is the one made to fail.
+    FAST = ("lemmas", "maurey", "pointwise")
+
+    def verify_fast(self, tmp_path, monkeypatch, capsys, tag):
+        """``verify all`` over the three fast suites: exit code, stdout,
+        ``--out`` report and stderr."""
+        monkeypatch.setattr(oracles, "SUITES", tuple(s for s in oracles.SUITES if s[0] in self.FAST))
+        out = tmp_path / f"report-{tag}.json"
+        capsys.readouterr()
+        rc = cli.main(["verify", "--out", str(out)])
+        printed = capsys.readouterr()
+        return rc, printed.out, json.loads(out.read_text()), printed.err
+
+    def test_bytes_ignore_workers_and_blas_threads(self, tmp_path, monkeypatch, capsys, pools):
+        """With 1, 2 or 3 CPUs in the affinity mask, ``verify`` runs one pool
+        of that many workers, each told to run BLAS on one thread, and prints
+        and writes the same bytes, with the calling process's OpenBLAS on 1
+        or 2 threads."""
+        counts = [None] if cli._openblas("get") is None else [1, 2]
+        before = blas_threads_here() if counts != [None] else None
+        outputs = set()
+        try:
+            for threads in counts:
+                if threads is not None:
+                    set_blas_threads_here(threads)
+                for cpus in (1, 2, 3):
+                    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)),
+                                        raising=False)
+                    rc, stdout, _, err = self.verify_fast(tmp_path, monkeypatch, capsys, cpus)
+                    assert (rc, err) == (0, "")
+                    outputs.add((stdout, (tmp_path / f"report-{cpus}.json").read_bytes()))
+        finally:
+            if before is not None:
+                set_blas_threads_here(before)
+        assert pools == [(k, cli._one_blas_thread) for k in (1, 2, 3)] * len(counts)
+        assert len(outputs) == 1
+
+    def verify_with_failing_maurey(self, tmp_path, monkeypatch, capsys, fail):
+        """The fast suites in a 2-worker pool, with ``oracles.maurey_sampling_check``
+        patched, before the pool forks, to call ``fail``; and their clean run."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        clean = self.verify_fast(tmp_path, monkeypatch, capsys, "clean")
+        monkeypatch.setattr(oracles, "maurey_sampling_check", lambda *args, **kwargs: fail())
+        return self.verify_fast(tmp_path, monkeypatch, capsys, "failing"), clean
+
+    def assert_only_maurey_missing(self, failing, clean):
+        (rc, stdout, report, err), (_, clean_stdout, clean_report, _) = failing, clean
+        assert rc == 5
+        kept = [c for c in clean_report["checks"] if c["name"] != "maurey_sampling_error"]
+        assert report == {"suite": "all", "checks": kept} and len(kept) == 3
+        assert stdout.splitlines() == [
+            line for line in clean_stdout.splitlines() if "maurey" not in line
+        ]
+        lines = err.splitlines()
+        assert [line.partition(": task failed: ")[0] for line in lines] == ["error: suite maurey"]
+        return lines[0]
+
+    def test_raising_suite_keeps_the_other_reports(self, tmp_path, monkeypatch, capsys):
+        """A suite that raises is named on stderr and the command exits 5;
+        the other suites' records are printed and written as without it."""
+
+        def fail():
+            raise MemoryError("no room for maurey")
+
+        runs = self.verify_with_failing_maurey(tmp_path, monkeypatch, capsys, fail)
+        err = self.assert_only_maurey_missing(*runs)
+        assert err == "error: suite maurey: task failed: MemoryError: no room for maurey"
+
+    def test_dead_worker_keeps_the_other_reports(self, tmp_path, monkeypatch, capsys):
+        """A worker that dies on maurey breaks the pool; each lost suite runs
+        once more, alone in a fresh pool, maurey dies again, and only it is
+        named on stderr."""
+        runs = self.verify_with_failing_maurey(tmp_path, monkeypatch, capsys, lambda: os._exit(1))
+        assert "BrokenProcessPool" in self.assert_only_maurey_missing(*runs)
 
 
 class TestSweepCommand:
@@ -567,19 +663,11 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: m=4 seed=3: task failed: MemoryError: no room for width 4"]
 
-    def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path, monkeypatch):
+    def test_jobs_parallel_matches_serial(self, train_cfg, tmp_path, monkeypatch, pools):
         """``--jobs 1`` and ``--jobs 2`` on 2 cores both run a process pool,
         of 1 and 2 workers, each worker told to run BLAS on one thread, and
         write the same bytes."""
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        pools = []
-
-        class CountingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append((max_workers, kwargs["initializer"]))
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
         cli.main(["sweep", "--config", str(train_cfg), "--out", str(a),
                   "--trials", "2", "--no-timestamp"])
@@ -764,6 +852,12 @@ class TestConfigValues:
             ("train", "network", "widths = 6", "widths = 4,,5"),
             ("bound", "bounds", "pattern = 1", "pattern = 1,"),
             ("train", "problem", "teacher_widths = 2", "teacher_widths = ,2"),
+            # Values in range whose working range or bound overflows a float.
+            ("train", "problem", "sigma_eps = 0.05", "sigma_eps = 1e308"),
+            ("bound", "bounds", "M = 1", "M = 1e308"),
+            ("bound", "bounds", "M = 1", "M = 1\nL_sigma = 1e308"),
+            pytest.param("bound", "bounds", "pattern = 1", "pattern = " + ",".join(["1"] * 1100),
+                         id="bound-bounds-pattern = 1-pattern = 1100 ones"),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -833,3 +927,52 @@ class TestConfigValues:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
         assert cli._pool_size(8, 20) == 3
+
+
+# Edge values for every key: zero, negative, subnormal, huge, not finite, a
+# 30-digit integer and a 600-item list.  A size (a count, a width or the
+# iteration cap) never draws the 30-digit integer, which would be allocated.
+EDGE_VALUES = ["0", "-1", "1e-320", "1e308", "inf", "nan", "1" + "0" * 29, ",".join(["1"] * 600)]
+SIZES = {
+    ("problem", "d"), ("problem", "n"), ("problem", "teacher_widths"), ("network", "widths"),
+    ("optimizer", "max_iters"),
+}
+
+
+def with_value(text, section, name, value):
+    """The config ``text`` with ``[section] name = value``, replacing the
+    section's line for ``name`` or else added under its header."""
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    found = [i for i in range(start, end) if lines[i].partition(" =")[0] == name]
+    if found:
+        lines[found[0]] = f"{name} = {value}"
+    else:
+        lines.insert(start, f"{name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("key", list(config.KEYS), ids="{0[0]}.{0[1]}".format)
+    @settings(derandomize=True, max_examples=24, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.sampled_from(EDGE_VALUES), command=st.sampled_from(["bound", "train"]))
+    def test_edge_value_exits_as_documented(self, tmp_path, monkeypatch, key, value, command):
+        """One edge value in ``TRAIN_CFG`` (at 20 iterations) raises nothing
+        out of ``cli.main``: it exits 0, 2 or 4, and an exit 2 names the
+        value's ``file:line``."""
+        section, name = key
+        if key in SIZES and value == EDGE_VALUES[6]:
+            value = "3"
+        monkeypatch.chdir(tmp_path)  # no teacher file of these names is found
+        cfg = tmp_path / "edge.cfg"
+        base = TRAIN_CFG.replace("max_iters = 1500", "max_iters = 20")
+        cfg.write_text(with_value(base, section, name, value))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--config", str(cfg), "--no-timestamp"])
+        assert rc in (0, 2, 4)
+        if rc == 2:
+            line = line_of(cfg.read_text(), f"{name} = {value}")
+            assert err.getvalue().startswith(f"error: {cfg}:{line}: [{section}] {name}=")

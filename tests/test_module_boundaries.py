@@ -173,3 +173,16 @@ def test_cli_trains_and_measures_only_through_fit_and_measure():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
     assert not imported & {"norms", "pesvlab.norms"}
+
+
+def test_cli_builds_process_pools_in_one_function():
+    """``sweep`` and ``verify`` share one task runner: ``cli.py`` constructs
+    ``ProcessPoolExecutor`` in exactly one function, ``_run_tasks``."""
+    builders = set()
+    for node in TREES["cli"].body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and "ProcessPoolExecutor" in (
+                getattr(call.func, "id", None), getattr(call.func, "attr", None)
+            ):
+                builders.add(getattr(node, "name", f"line {node.lineno}"))
+    assert builders == {"_run_tasks"}
